@@ -605,11 +605,11 @@ let bench_circuits () =
 
 type timing = { median : float; t_min : float; t_max : float; reps : int }
 
-(* Gate evaluations one engine run performs, read off the engine's own
-   "faultsim.run" obs event (the unit the cone restriction reduces;
-   kernel-invocation counts are identical between algorithms by
-   construction). *)
-let gate_evals_of run =
+(* Gate evaluations and kernel invocations ("evals") one engine run
+   performs, read off the engine's own "faultsim.run" obs event.  The
+   cone restriction reduces the first; a whole-circuit sweep would have
+   cost evals x gates. *)
+let work_of run =
   let module Obs = Dynmos_obs.Obs in
   let mem, fetch = Obs.memory_sink () in
   let obs = Obs.make mem in
@@ -617,9 +617,12 @@ let gate_evals_of run =
   List.fold_left
     (fun acc e ->
       if e.Obs.ev = "faultsim.run" then
-        match List.assoc_opt "gate_evals" e.Obs.fields with Some (Obs.Int n) -> n | _ -> acc
+        let get k = Option.value ~default:0 (Obs.int_field e k) in
+        (get "gate_evals", get "evals")
       else acc)
-    0 (fetch ())
+    (0, 0) (fetch ())
+
+let gate_evals_of run = fst (work_of run)
 
 let time_reps ?(warmup = 1) ?(reps = 5) f =
   for _ = 1 to warmup do
@@ -650,7 +653,6 @@ let e17 () =
        Sys.ocaml_version Sys.word_size Sys.os_type Parallel_exec.word_bits);
   Buffer.add_string buf
     (Fmt.str "  \"timing\": {\"warmup\": 1, \"reps\": %d, \"statistic\": \"median\"},\n" reps);
-  Buffer.add_string buf "  \"algo_evals_unit\": \"gate_evaluations\",\n";
   Buffer.add_string buf "  \"circuits\": [\n";
   let circuits = bench_circuits () in
   let n_circuits = List.length circuits in
@@ -672,24 +674,20 @@ let e17 () =
       entry "serial" t_serial "";
       let t_bitpar = time_reps ~reps (fun () -> Faultsim.run_parallel ~drop:false u pats) in
       entry "bit-parallel" t_bitpar "";
-      (* One stats-bearing run per (inner, n) reveals the effective domain
-         count the clamp settled on; the timed runs then use the exact
-         same configuration. *)
-      let scaling inner =
+      (* One stats-bearing run per domain count reveals the effective
+         domain count the clamp settled on; the timed runs then use the
+         exact same configuration. *)
+      let dom =
         List.map
           (fun n ->
-            let _, st =
-              Faultsim.run_domain_parallel_stats ~drop:false ~inner ~num_domains:n u pats
-            in
+            let _, st = Faultsim.run_domain_parallel_stats ~drop:false ~num_domains:n u pats in
             let t =
               time_reps ~reps (fun () ->
-                  Faultsim.run_domain_parallel ~drop:false ~inner ~num_domains:n u pats)
+                  Faultsim.run_domain_parallel ~drop:false ~num_domains:n u pats)
             in
             (n, st.Parallel_exec.effective_domains, t))
           domain_counts
       in
-      let dom_bit = scaling Parallel_exec.Bit_parallel in
-      let dom_ser = scaling Parallel_exec.Serial in
       let t1_of results =
         match List.find_opt (fun (n, _, _) -> n = 1) results with
         | Some (_, _, t) -> t.median
@@ -705,45 +703,26 @@ let e17 () =
               (Fmt.str "  (speedup %.2fx)" (t1 /. t.median)))
           results
       in
-      report "domains/bit-parallel" dom_bit;
-      report "domains/serial" dom_ser;
-      (* Cone vs full side by side on the single-domain engines: same
-         patterns, bit-identical results; "evals" in the JSON counts
-         *gate evaluations*, the unit the cone restriction reduces. *)
-      let algo_pair engine_label run =
-        List.map
-          (fun (aname, algo) ->
-            let ge = gate_evals_of (fun obs -> run algo (Some obs)) in
-            let t = time_reps ~reps (fun () -> run algo None) in
-            entry (Fmt.str "%s/%s" engine_label aname) t (Fmt.str "  (%d gate-evals)" ge);
-            (aname, ge, t))
-          [ ("cone", `Cone); ("full", `Full) ]
+      report "domains" dom;
+      (* Cone work per engine: same patterns, bit-identical results.
+         "gate_evals" is what the cone kernel performed; "evals_x_gates"
+         (kernel invocations x gates) is what a whole-circuit sweep would
+         have cost for the same invocations. *)
+      let cone_work label run =
+        let ge, ev = work_of (fun obs -> run (Some obs)) in
+        let t = time_reps ~reps (fun () -> run None) in
+        let full = ev * Netlist.n_gates nl in
+        entry label t (Fmt.str "  (%d gate-evals, %d whole-circuit)" ge full);
+        (ge, full, t)
       in
-      let algo_serial =
-        algo_pair "serial" (fun algo obs -> Faultsim.run_serial ~drop:false ~algo ?obs u pats)
+      let cone_serial =
+        cone_work "serial/cone" (fun obs -> Faultsim.run_serial ~drop:false ?obs u pats)
       in
-      let algo_bitpar =
-        algo_pair "bit-parallel" (fun algo obs ->
-            Faultsim.run_parallel ~drop:false ~algo ?obs u pats)
+      let cone_bitpar =
+        cone_work "bit-parallel/cone" (fun obs -> Faultsim.run_parallel ~drop:false ?obs u pats)
       in
-      (* The propagation engines' cone mode skips gates outside every
-         live fault's fanout cone — measured with dropping on, because
-         the restriction only bites as detected sites retire (with no
-         dropping every gate stays inside some live site's cone).
-         Their per-fault "evals" are identical between algorithms by
-         construction — a gate no live fault reaches evaluates no
-         faults either way — so the cone's win here is the skipped
-         per-gate sweep overhead, i.e. wall-clock only. *)
-      let algo_deductive =
-        algo_pair "deductive" (fun algo obs ->
-            Faultsim.run_deductive ~drop:true ~algo ?obs u pats)
-      in
-      let algo_concurrent =
-        algo_pair "concurrent" (fun algo obs ->
-            Faultsim.run_concurrent ~drop:true ~algo ?obs u pats)
-      in
-      let algo_ppsfp =
-        algo_pair "ppsfp" (fun algo obs -> Faultsim.run_ppsfp ~drop:false ~algo ?obs u pats)
+      let cone_ppsfp =
+        cone_work "ppsfp/cone" (fun obs -> Faultsim.run_ppsfp ~drop:false ?obs u pats)
       in
       let json_timing t =
         Fmt.str
@@ -904,32 +883,25 @@ let e17 () =
               prefix n (json_timing t) verdict n eff)
           results
       in
-      let json_algos label results =
-        Fmt.str "\"%s\": {%s}" label
-          (String.concat ", "
-             (List.map
-                (fun (aname, ge, t) ->
-                  Fmt.str "\"%s\": {%s, \"evals\": %d, \"gate_evals_per_s\": %.1f}" aname
-                    (json_timing t) ge
-                    (float_of_int ge /. Float.max 1e-9 t.median))
-                results))
+      let json_cone label (ge, full, t) =
+        Fmt.str
+          "\"%s\": {%s, \"gate_evals\": %d, \"evals_x_gates\": %d, \"gate_evals_per_s\": %.1f}"
+          label (json_timing t) ge full
+          (float_of_int ge /. Float.max 1e-9 t.median)
       in
       Buffer.add_string buf
         (Fmt.str
            "    {\"name\": \"%s\", \"gates\": %d, \"sites\": %d, \"patterns\": %d,\n     \
-            \"engines\": {%s},\n     \"algos\": {%s}%s%s}%s\n"
+            \"engines\": {%s},\n     \"cone\": {%s}%s%s}%s\n"
            name (Netlist.n_gates nl) (Faultsim.n_sites u) count
            (String.concat ", "
               ([ json_engine "serial" t_serial; json_engine "bit_parallel" t_bitpar ]
-              @ json_scaled "domains_bit_parallel" dom_bit
-              @ json_scaled "domains_serial" dom_ser))
+              @ json_scaled "domains" dom))
            (String.concat ", "
               [
-                json_algos "serial" algo_serial;
-                json_algos "bit_parallel" algo_bitpar;
-                json_algos "deductive" algo_deductive;
-                json_algos "concurrent" algo_concurrent;
-                json_algos "ppsfp" algo_ppsfp;
+                json_cone "serial" cone_serial;
+                json_cone "bit_parallel" cone_bitpar;
+                json_cone "ppsfp" cone_ppsfp;
               ])
            checkpoint_json chaos_json
            (if ci = n_circuits - 1 then "" else ",")))
@@ -973,8 +945,7 @@ let e17 () =
           (t, ge, geps)
         in
         let t_bp, ge_bp, geps_bp =
-          measure "bit-parallel/cone" (fun obs ->
-              Faultsim.run_parallel ~drop:true ~algo:`Cone ?obs u pats)
+          measure "bit-parallel/cone" (fun obs -> Faultsim.run_parallel ~drop:true ?obs u pats)
         in
         let groups =
           List.map
@@ -982,8 +953,7 @@ let e17 () =
               let t, ge, geps =
                 measure
                   (Fmt.str "ppsfp/cone G=%d" g)
-                  (fun obs ->
-                    Faultsim.run_ppsfp ~drop:true ~algo:`Cone ~group:g ?obs u pats)
+                  (fun obs -> Faultsim.run_ppsfp ~drop:true ~group:g ?obs u pats)
               in
               (g, t, ge, geps, geps /. Float.max 1e-9 geps_bp))
             ppsfp_groups

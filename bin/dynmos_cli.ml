@@ -181,17 +181,15 @@ let faultsim_cmd =
                 [
                   ("serial", `Serial);
                   ("parallel", `Parallel);
-                  ("deductive", `Deductive);
-                  ("concurrent", `Concurrent);
                   ("ppsfp", `Ppsfp);
                   ("domains", `Domains);
                 ])
              `Domains
          & info [ "engine" ] ~docv:"ENGINE"
              ~doc:
-               "Engine: serial, parallel (bit-parallel), deductive, concurrent, ppsfp \
-                (parallel-pattern/parallel-fault word matrix), or domains (multicore \
-                domain-parallel).")
+               "Engine: serial, parallel (bit-parallel), ppsfp (parallel-pattern/parallel-fault \
+                word matrix), or domains (multicore domain-parallel).  Every engine injects \
+                each fault into its fanout cone only; results are bit-identical.")
   in
   let jobs =
     Arg.(value & opt (bounded_int ~what:"--jobs" ~min:0 ()) 0
@@ -210,14 +208,6 @@ let faultsim_cmd =
   in
   let no_drop =
     Arg.(value & flag & info [ "no-drop" ] ~doc:"Simulate every fault on every pattern.")
-  in
-  let algo =
-    Arg.(value & opt (enum [ ("full", `Full); ("cone", `Cone) ]) `Cone
-         & info [ "algo" ] ~docv:"ALGO"
-             ~doc:
-               "Injection algorithm, honoured by every engine: cone (restrict work to the \
-                fault sites' fanout cones; default) or full (process the whole circuit per \
-                fault).  Results are bit-identical.")
   in
   let stats =
     Arg.(value & flag
@@ -260,8 +250,8 @@ let faultsim_cmd =
              ~doc:"Stop cleanly after a budget of $(docv) faulty gate evaluations and \
                    report the partial result (exit code 2).")
   in
-  let run name patterns seed engine jobs group algo no_drop stats trace ckpt ckpt_interval
-      resume deadline_in max_evals chaos =
+  let run name patterns seed engine jobs group no_drop stats trace ckpt ckpt_interval resume
+      deadline_in max_evals chaos =
     guard @@ fun () ->
     match circuit_of_name name with
     | Error e -> `Error (false, e)
@@ -313,28 +303,20 @@ let faultsim_cmd =
         let s, domain_stats =
           match engine with
           | `Serial ->
-              ( Faultsim.run_serial ~drop ~algo ~obs ?deadline ?max_evals ~interrupt
-                  ?checkpoint ~chaos u pats,
+              ( Faultsim.run_serial ~drop ~obs ?deadline ?max_evals ~interrupt ?checkpoint
+                  ~chaos u pats,
                 None )
           | `Parallel ->
-              ( Faultsim.run_parallel ~drop ~algo ~obs ?deadline ?max_evals ~interrupt
-                  ?checkpoint ~chaos u pats,
-                None )
-          | `Deductive ->
-              ( Faultsim.run_deductive ~drop ~algo ~obs ?deadline ?max_evals ~interrupt
-                  ?checkpoint u pats,
-                None )
-          | `Concurrent ->
-              ( Faultsim.run_concurrent ~drop ~algo ~obs ?deadline ?max_evals ~interrupt
-                  ?checkpoint u pats,
+              ( Faultsim.run_parallel ~drop ~obs ?deadline ?max_evals ~interrupt ?checkpoint
+                  ~chaos u pats,
                 None )
           | `Ppsfp ->
-              ( Faultsim.run_ppsfp ~drop ~algo ~group ~obs ?deadline ?max_evals ~interrupt
+              ( Faultsim.run_ppsfp ~drop ~group ~obs ?deadline ?max_evals ~interrupt
                   ?checkpoint u pats,
                 None )
           | `Domains ->
               let s, st =
-                Faultsim.run_domain_parallel_stats ~drop ~algo ?num_domains ~obs ?deadline
+                Faultsim.run_domain_parallel_stats ~drop ?num_domains ~obs ?deadline
                   ?max_evals ~interrupt ?checkpoint u pats
               in
               (s, Some st)
@@ -347,8 +329,6 @@ let faultsim_cmd =
                 st.Parallel_exec.requested_domains st.Parallel_exec.effective_domains
           | `Serial, _ -> "serial"
           | `Parallel, _ -> "parallel"
-          | `Deductive, _ -> "deductive"
-          | `Concurrent, _ -> "concurrent"
           | `Ppsfp, _ -> Fmt.str "ppsfp(group %d)" group
           | `Domains, None -> "domains"
         in
@@ -444,15 +424,15 @@ let faultsim_cmd =
         `Ok code
   in
   let doc =
-    "Random-pattern fault simulation with a selectable engine (--jobs for multicore, --algo \
-     for cone-restricted injection, --checkpoint/--resume for fault tolerance, --deadline \
-     and --max-evals for budgeted partial results)."
+    "Random-pattern fault simulation with a selectable engine (--jobs for multicore, \
+     --checkpoint/--resume for fault tolerance, --deadline and --max-evals for budgeted \
+     partial results)."
   in
   Cmd.v (Cmd.info "faultsim" ~doc)
     Term.(
       ret
-        (const run $ circuit_arg $ patterns $ seed $ engine $ jobs $ group $ algo $ no_drop
-       $ stats $ trace $ ckpt $ ckpt_interval $ resume $ deadline $ max_evals $ chaos_arg))
+        (const run $ circuit_arg $ patterns $ seed $ engine $ jobs $ group $ no_drop $ stats
+       $ trace $ ckpt $ ckpt_interval $ resume $ deadline $ max_evals $ chaos_arg))
 
 (* --- protest ---------------------------------------------------------------- *)
 

@@ -5,16 +5,13 @@ module Chaos = Dynmos_chaos.Chaos
 
    Every fault-simulation engine is "run a universe of faults against a
    pattern source and report detection"; what differs is only the inner
-   evaluation kernel.  The five public engines used to each re-implement
-   the campaign policies — limits, checkpoint write/resume, supervision,
-   obs accounting, fault dropping, the all-detected early exit — and
-   that duplication is where drift bugs lived (the deductive/concurrent
-   engines never gained the cone restriction; eval accounting semantics
-   differed subtly per engine).  This module implements each policy
-   exactly once:
+   evaluation kernel.  Engines that each re-implement the campaign
+   policies — limits, checkpoint write/resume, supervision, obs
+   accounting, fault dropping, the all-detected early exit — drift
+   apart, so this module implements each policy exactly once:
 
    - {!run_patterns} drives a pattern-sweep {!Kernel.t} (serial,
-     bit-parallel, deductive, concurrent) one pattern unit at a time;
+     bit-parallel, PPSFP) one pattern unit at a time;
    - {!run_sites} drives the site-sweep domains engine over the
      supervised work-stealing pool, owning the same checkpoint, gauge,
      outcome and obs plumbing.
@@ -252,8 +249,8 @@ let run_patterns ?(drop = true) ?(obs = Obs.disabled) ?deadline ?max_evals ?inte
    pool's progress mutex, which orders them after the detections they
    cover. *)
 
-let run_sites ?drop ?inner ?algo ?num_domains ?min_work_per_domain ?(obs = Obs.disabled)
-    ?deadline ?max_evals ?interrupt ?checkpoint ?max_attempts ?backoff ?crash_hook
+let run_sites ?drop ?num_domains ?min_work_per_domain ?(obs = Obs.disabled) ?deadline
+    ?max_evals ?interrupt ?checkpoint ?max_attempts ?backoff ?crash_hook
     ?(on_progress = fun ~units_done:(_ : int) ~detected:(_ : int) -> ())
     ?(extra_fields = []) compiled (jobs : Parallel_exec.job array) patterns =
   let t0 = start_time obs in
@@ -298,7 +295,7 @@ let run_sites ?drop ?inner ?algo ?num_domains ?min_work_per_domain ?(obs = Obs.d
     on_progress ~units_done:sites_done ~detected:(detected_count first)
   in
   let rfirst, report, stats =
-    Parallel_exec.run_supervised ?drop ?inner ?algo ?num_domains ?min_work_per_domain ~obs
+    Parallel_exec.run_supervised ?drop ?num_domains ?min_work_per_domain ~obs
       ~gauge ?max_attempts ?backoff ?crash_hook ~first ~done_mask ~on_progress:pool_progress
       compiled pending patterns
   in
@@ -320,7 +317,6 @@ let run_sites ?drop ?inner ?algo ?num_domains ?min_work_per_domain ?(obs = Obs.d
   emit_run obs ~engine:"domains" ~n_sites:n ~n_patterns:total ~outcome ~patterns_done
     ~sites_done ~t0
     ([
-       ("algo", Obs.String (Parallel_exec.algo_name stats.Parallel_exec.algo_used));
        ("evals", Obs.Int (Parallel_exec.stats_evals stats));
        ("evals_saved", Obs.Int (Parallel_exec.stats_evals_saved stats));
        ("gate_evals", Obs.Int (Parallel_exec.stats_gate_evals stats));

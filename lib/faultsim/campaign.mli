@@ -5,12 +5,12 @@ open Dynmos_sim
     One implementation of every campaign policy — {!Limits} (precedence
     interrupt > deadline > budget, fixed by the gauge's polling order),
     {!Checkpoint} write/resume, supervision/retry, obs events, fault
-    dropping and the all-detected early exit — shared by all five public
+    dropping and the all-detected early exit — shared by all four public
     engines.  Kernels ({!Kernel.t}) carry only evaluation mechanics.
 
-    [Faultsim.run_serial] / [run_parallel] / [run_deductive] /
-    [run_concurrent] are thin wrappers over {!run_patterns};
-    [Faultsim.run_domain_parallel] wraps {!run_sites}. *)
+    [Faultsim.run_serial] / [run_parallel] / [run_ppsfp] are thin
+    wrappers over {!run_patterns}; [Faultsim.run_domain_parallel] wraps
+    {!run_sites}. *)
 
 type summary = {
   n_sites : int;
@@ -58,8 +58,6 @@ val run_patterns :
 
 val run_sites :
   ?drop:bool ->
-  ?inner:Parallel_exec.inner ->
-  ?algo:[ `Full | `Cone ] ->
   ?num_domains:int ->
   ?min_work_per_domain:int ->
   ?obs:Dynmos_obs.Obs.t ->

@@ -14,9 +14,8 @@
      against different ones — silently mixing campaigns would produce
      confidently wrong coverage;
    - *engine-honest*: pattern-sweep engines (serial, bit-parallel,
-     deductive, concurrent) checkpoint "patterns 0..K done for every
-     site"; the site-sweep domains engine checkpoints "these sites fully
-     done".  The [mode] field keeps the two from being resumed by the
+     PPSFP) checkpoint "patterns 0..K done for every site"; the
+     site-sweep domains engine checkpoints "these sites fully done".  The [mode] field keeps the two from being resumed by the
      wrong kind of engine.
 
    The format is deliberately plain text (one [key value] line each, the

@@ -15,8 +15,8 @@ exception Error of string
 
 type mode =
   | Patterns
-      (** pattern-sweep engines (serial, bit-parallel, deductive,
-          concurrent): [units_done] patterns are complete for all sites *)
+      (** pattern-sweep engines (serial, bit-parallel, PPSFP):
+          [units_done] patterns are complete for all sites *)
   | Sites
       (** the site-sweep domains engine: the sites flagged in
           [site_done] are complete for all patterns *)

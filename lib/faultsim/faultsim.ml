@@ -10,21 +10,21 @@ module Obs = Dynmos_obs.Obs
    detectable *function classes* of each gate's fault library — this is
    exactly what the paper's model buys: because every physical fault of a
    dynamic gate is combinational, the classical injection-based machinery
-   (serial, bit-parallel, deductive) applies unchanged.  Four pattern-sweep
-   engines plus the domain-parallel site-sweep engine are provided and
-   cross-checked in tests:
+   applies unchanged.  Four engines are provided, all injecting each fault
+   into its fanout cone only, and cross-checked in tests against an
+   independent deductive (fault-list propagation) oracle:
 
-   - serial: re-simulate the whole circuit per fault;
+   - serial: one pattern per unit, one pass per fault — the readable
+     reference;
    - parallel: 62 patterns per machine word, one pass per fault;
-   - deductive: one pass per pattern, propagating fault lists (sets of
-     site ids whose effect inverts the net) through the gates;
-   - concurrent: one pass per pattern, propagating diverged faulty
-     machines with explicit faulty values.
+   - ppsfp: a group of fault machines per pattern word (Ppsfp);
+   - domains: the bit-parallel kernel with fault sites spread across
+     OCaml 5 domains (Parallel_exec).
 
    Every campaign policy — limits, checkpointing, obs accounting, fault
    dropping, supervision and the all-detected early exit — is implemented
    once in [Campaign]; this module contributes the fault universe, the
-   evaluation kernels ([Kernel.t] builders) and thin public wrappers. *)
+   evaluation kernel ([Kernel.t] builder) and thin public wrappers. *)
 
 type site = {
   sid : int;
@@ -193,37 +193,17 @@ let coverage_curve s =
       float_of_int !acc /. total)
     counts
 
-(* --- Injection algorithms ------------------------------------------------- *)
+(* --- Injection kernel (serial / bit-parallel) ------------------------------ *)
 
-(* The injection kernels (serial, bit-parallel and the domain-parallel
-   inner kernels) evaluate faulty machines one of two ways:
-
-   - [`Full]: re-evaluate every gate of the circuit with the override in
-     place and compare every primary output — the classical whole-
-     circuit injection;
-   - [`Cone] (default): re-evaluate only the fault site's transitive
-     fanout cone against the good-machine baseline and compare only the
-     primary outputs that cone reaches (Compiled.eval_cone_into), with
-     an immediate exit when the fault is not activated.
-
-   The two are bit-identical in [first_detection] — a fault can only
-   ever influence its fanout cone — and differ only in gate evaluations
-   performed, which the ["gate_evals"] / ["gate_evals_saved"] obs fields
-   account for.  ["cone_gates"] reports the summed fanout-cone size over
-   all sites (the per-sweep cone workload; [`Full] sweeps cost
-   sites x gates instead).
-
-   The deductive and concurrent engines propagate fault effects through
-   per-net structures, which is already cone-local per site; their
-   [`Cone] variant adds a structural restriction on top: a gate that
-   lies in no *live* site's fanout cone (initially, gates outside every
-   injected cone — relevant for restricted universes; as dropping
-   retires sites, growing regions of the circuit) cannot carry any list
-   entry or diverged machine, so the whole gate is skipped.  Results are
-   bit-identical: a live site's effects occur only inside its own cone,
-   whose gates stay active by construction. *)
-
-let algo_name = function `Full -> "full" | `Cone -> "cone"
+(* Each faulty machine re-evaluates only the fault site's transitive
+   fanout cone against the good-machine baseline and compares only the
+   primary outputs that cone reaches (Compiled.eval_cone_into), with an
+   immediate exit when the fault is not activated — bit-identical to
+   whole-circuit injection, since a fault can only influence its fanout
+   cone.  The ["gate_evals_saved"] obs field is the gate evaluations
+   this avoided relative to whole-circuit sweeps (kernel invocations x
+   gates); ["cone_gates"] reports the summed fanout-cone size over all
+   sites. *)
 
 let total_cone_gates u =
   Array.fold_left
@@ -235,26 +215,20 @@ let detects u site pattern =
   let faulty = Compiled.eval ~override:(site.gate.Netlist.id, site.fn) u.compiled pattern in
   good <> faulty
 
-(* --- Injection kernels (serial / bit-parallel) ---------------------------- *)
-
 let word_bits = 62
 
 (* One builder serves both: the serial engine is the bit-parallel
    mechanics with one pattern per unit (words are then plain 0/1), which
    is exactly how the two engines always related — only the packing
    width differed. *)
-let injection_kernel ~name ~unit_bits ~count_good_evals ~algo u patterns =
+let injection_kernel ~name ~unit_bits ~count_good_evals u patterns =
   let compiled = u.compiled in
   let n_inputs = Compiled.n_inputs compiled in
   let n_gates = Compiled.n_gates compiled in
-  let po = Compiled.po_indices compiled in
-  let n_po = Array.length po in
   let total = Array.length patterns in
   (* All buffers live outside the loops: good machine in [scratch]
-     (doubling as the cone baseline), whole-circuit faulty runs in
-     [fscratch], cone save/restore in [buf]. *)
+     (doubling as the cone baseline), cone save/restore in [buf]. *)
   let scratch = Compiled.make_scratch compiled in
-  let fscratch = Compiled.make_scratch compiled in
   let buf = Compiled.make_cone_buffer compiled in
   let words = Array.make n_inputs 0 in
   let good_evals = ref 0 in
@@ -271,28 +245,15 @@ let injection_kernel ~name ~unit_bits ~count_good_evals ~algo u patterns =
     incr good_evals;
     (* a mid-cone exception leaves [scratch] partially overwritten;
        restore the good-machine baseline before anyone reads it again *)
-    let restore () =
-      if algo = `Cone then Compiled.eval_words_into compiled ~scratch words
-    in
+    let restore () = Compiled.eval_words_into compiled ~scratch words in
     Array.iter
       (fun site ->
         if ctx.Kernel.failed.(site.sid) then ()
         else if ctx.Kernel.drop && ctx.Kernel.first.(site.sid) <> None then ()
         else
           let eval () =
-            match algo with
-            | `Cone ->
-                Compiled.eval_cone_into ~tally:ctx.Kernel.work compiled
-                  ~override:(site.gate.Netlist.id, site.fn) ~scratch ~buf
-            | `Full ->
-                Compiled.eval_words_into ~override:(site.gate.Netlist.id, site.fn) compiled
-                  ~scratch:fscratch words;
-                ctx.Kernel.work := !(ctx.Kernel.work) + n_gates;
-                let d = ref 0 in
-                for k = 0 to n_po - 1 do
-                  d := !d lor (scratch.(po.(k)) lxor fscratch.(po.(k)))
-                done;
-                !d
+            Compiled.eval_cone_into ~tally:ctx.Kernel.work compiled
+              ~override:(site.gate.Netlist.id, site.fn) ~scratch ~buf
           in
           match ctx.Kernel.supervise ~sid:site.sid ~restore eval with
           | None -> ()
@@ -306,8 +267,7 @@ let injection_kernel ~name ~unit_bits ~count_good_evals ~algo u patterns =
       u.sites
   in
   let obs_fields (t : Kernel.totals) =
-    ("algo", Obs.String (algo_name algo))
-    :: (if count_good_evals then [ ("good_evals", Obs.Int !good_evals) ] else [])
+    (if count_good_evals then [ ("good_evals", Obs.Int !good_evals) ] else [])
     @ [
         ("gate_evals", Obs.Int t.Kernel.work);
         ( "gate_evals_saved",
@@ -323,285 +283,29 @@ let injection_kernel ~name ~unit_bits ~count_good_evals ~algo u patterns =
     obs_fields;
   }
 
-(* --- Cone restriction for the propagation engines ------------------------- *)
-
-(* Per gate, the number of live sites whose fanout cone contains it; a
-   gate at zero carries no possible fault effect and is skipped whole.
-   Dropped (and failed) sites are retired at unit boundaries — a site
-   dropped mid-pattern keeps its cone active until the pattern ends,
-   which the inline drop checks already handle. *)
-type cone_tracker = { active : int array; accounted : bool array }
-
-let cone_tracker ~algo u =
-  match algo with
-  | `Full -> None
-  | `Cone ->
-      let active = Array.make (Compiled.n_gates u.compiled) 0 in
-      Array.iter
-        (fun s ->
-          Array.iter
-            (fun g -> active.(g) <- active.(g) + 1)
-            (Compiled.fanout_cone u.compiled s.gate.Netlist.id))
-        u.sites;
-      Some { active; accounted = Array.make (n_sites u) false }
-
-let reconcile_tracker tracker (ctx : Kernel.ctx) u =
-  match tracker with
-  | None -> ()
-  | Some { active; accounted } ->
-      Array.iteri
-        (fun sid acc ->
-          if (not acc) && (ctx.Kernel.dropped.(sid) || ctx.Kernel.failed.(sid)) then begin
-            accounted.(sid) <- true;
-            Array.iter
-              (fun g -> active.(g) <- active.(g) - 1)
-              (Compiled.fanout_cone u.compiled u.sites.(sid).gate.Netlist.id)
-          end)
-        accounted
-
-let skip_gate tracker gid =
-  match tracker with None -> false | Some { active; _ } -> active.(gid) = 0
-
-let propagation_obs_fields ~algo (t : Kernel.totals) =
-  [ ("algo", Obs.String (algo_name algo)); ("gate_evals", Obs.Int t.Kernel.work) ]
-
-(* Local sites per gate id, shared by the two propagation kernels. *)
-let local_sites u =
-  let local = Hashtbl.create 64 in
-  Array.iter
-    (fun site ->
-      let k = site.gate.Netlist.id in
-      Hashtbl.replace local k (site :: Option.value ~default:[] (Hashtbl.find_opt local k)))
-    u.sites;
-  local
-
-(* --- Deductive kernel ------------------------------------------------------ *)
-
-module Int_set = Set.Make (Int)
-
-(* One pass per pattern: each net carries the set of fault sites whose
-   presence would invert the net's good value.  A gate's output list is
-   computed by re-evaluating its function with the inputs inverted exactly
-   on the faults' membership pattern (this handles multiple faulted inputs
-   from reconvergent fan-out correctly), plus the gate's own local faults
-   whose faulty function differs under the applied input vector. *)
-let deductive_kernel ~algo u patterns =
-  let compiled = u.compiled in
-  let n_nets = Compiled.n_nets compiled in
-  let gates = Compiled.gates compiled in
-  let total = Array.length patterns in
-  let is_po = Array.make n_nets false in
-  Array.iter (fun p -> is_po.(p) <- true) (Compiled.po_indices compiled);
-  let local = local_sites u in
-  let tracker = cone_tracker ~algo u in
-  let run_unit (ctx : Kernel.ctx) ~start ~len:_ =
-    reconcile_tracker tracker ctx u;
-    let drop = ctx.Kernel.drop in
-    let dropped = ctx.Kernel.dropped in
-    let work = ctx.Kernel.work in
-    let pattern = patterns.(start) in
-    let values = Compiled.eval_nets compiled pattern in
-    let lists : Int_set.t array = Array.make n_nets Int_set.empty in
-    Array.iter
-      (fun cg ->
-        if not (skip_gate tracker cg.Compiled.g.Netlist.id) then begin
-          let ins = cg.Compiled.ins in
-          let arity = Array.length ins in
-          let in_vals = Array.map (fun i -> values.(i)) ins in
-          let good_out = values.(cg.Compiled.out) in
-          let candidates =
-            Array.fold_left (fun acc i -> Int_set.union acc lists.(i)) Int_set.empty ins
-          in
-          let propagated =
-            Int_set.filter
-              (fun f ->
-                (* A dropped site can still sit in upstream lists built
-                   earlier this pattern; skip its propagation outright
-                   instead of re-evaluating the gate for it. *)
-                if drop && dropped.(f) then false
-                else begin
-                  incr work;
-                  let flipped =
-                    Array.init arity (fun k ->
-                        if Int_set.mem f lists.(ins.(k)) then not in_vals.(k) else in_vals.(k))
-                  in
-                  let words = Array.map (fun b -> if b then 1 else 0) flipped in
-                  Compiled.eval_fn cg.Compiled.fn words land 1 = 1 <> good_out
-                end)
-              candidates
-          in
-          let with_local =
-            List.fold_left
-              (fun acc site ->
-                if drop && dropped.(site.sid) then acc
-                else begin
-                  incr work;
-                  let words = Array.map (fun b -> if b then 1 else 0) in_vals in
-                  let fv = Compiled.eval_fn site.fn words land 1 = 1 in
-                  if fv <> good_out then Int_set.add site.sid acc else acc
-                end)
-              propagated
-              (Option.value ~default:[] (Hashtbl.find_opt local cg.Compiled.g.Netlist.id))
-          in
-          (* A fault reaching a primary-output net is detected; record it
-             the moment the driving gate is processed so dropping takes
-             effect for the rest of this very pattern. *)
-          if is_po.(cg.Compiled.out) then
-            Int_set.iter (fun f -> ctx.Kernel.detect ~sid:f ~pat:start) with_local;
-          lists.(cg.Compiled.out) <- with_local
-        end)
-      gates
-  in
-  {
-    Kernel.name = "deductive";
-    unit_len = (fun ~start:_ -> 1);
-    units_remaining = (fun ~start -> total - start);
-    run_unit;
-    obs_fields = propagation_obs_fields ~algo;
-  }
-
-(* --- Concurrent kernel ------------------------------------------------------ *)
-
-(* Concurrent fault simulation: the third classical engine the paper
-   names.  Instead of re-simulating whole circuits (serial/parallel) or
-   propagating pure difference sets (deductive), each gate carries a list
-   of *diverged* faulty machines — (site, faulty output value) pairs that
-   differ from the good value at that gate's output.  A faulty machine is
-   spawned at its own gate, propagated while its gate-input values differ
-   from the good ones, and dies when its outputs reconverge.  On purely
-   combinational single-pass evaluation this specializes to keeping, per
-   net, the set of (site, value) pairs with value <> good value; the
-   engine's characteristic bookkeeping is the explicit faulty *value*
-   (not just membership), which is what lets it extend to sequential
-   circuits — and what the paper points out breaks for static-CMOS
-   stuck-opens, whose faulty machines are not combinational at all. *)
-
-module Int_map = Map.Make (Int)
-
-let concurrent_kernel ~algo u patterns =
-  let compiled = u.compiled in
-  let n_nets = Compiled.n_nets compiled in
-  let gates = Compiled.gates compiled in
-  let total = Array.length patterns in
-  let is_po = Array.make n_nets false in
-  Array.iter (fun p -> is_po.(p) <- true) (Compiled.po_indices compiled);
-  let local = local_sites u in
-  let tracker = cone_tracker ~algo u in
-  let run_unit (ctx : Kernel.ctx) ~start ~len:_ =
-    reconcile_tracker tracker ctx u;
-    let drop = ctx.Kernel.drop in
-    let dropped = ctx.Kernel.dropped in
-    let work = ctx.Kernel.work in
-    let pattern = patterns.(start) in
-    let values = Compiled.eval_nets compiled pattern in
-    (* Per net: the diverged machines as a map site -> faulty value
-       (present only when it differs from the good value). *)
-    let diverged : bool Int_map.t array = Array.make n_nets Int_map.empty in
-    Array.iter
-      (fun cg ->
-        if not (skip_gate tracker cg.Compiled.g.Netlist.id) then begin
-          let ins = cg.Compiled.ins in
-          let arity = Array.length ins in
-          let in_vals = Array.map (fun i -> values.(i)) ins in
-          let good_out = values.(cg.Compiled.out) in
-          (* Machines appearing on any input. *)
-          let candidates =
-            Array.fold_left
-              (fun acc i ->
-                Int_map.fold (fun site _ acc -> Int_map.add site () acc) diverged.(i) acc)
-              Int_map.empty ins
-          in
-          let out_map = ref Int_map.empty in
-          Int_map.iter
-            (fun site () ->
-              (* A dropped machine may still be diverged on upstream nets
-                 from earlier this pattern; let it die here for free. *)
-              if drop && dropped.(site) then ()
-              else begin
-                incr work;
-                let faulty_ins =
-                  Array.init arity (fun k ->
-                      match Int_map.find_opt site diverged.(ins.(k)) with
-                      | Some v -> v
-                      | None -> in_vals.(k))
-                in
-                let words = Array.map (fun b -> if b then 1 else 0) faulty_ins in
-                let fn =
-                  if cg.Compiled.g.Netlist.id = u.sites.(site).gate.Netlist.id then
-                    u.sites.(site).fn
-                  else cg.Compiled.fn
-                in
-                let fv = Compiled.eval_fn fn words land 1 = 1 in
-                if fv <> good_out then out_map := Int_map.add site fv !out_map
-              end)
-            candidates;
-          (* Spawn local machines at this gate (their inputs equal the
-             good inputs; their gate function is the faulty one). *)
-          List.iter
-            (fun site ->
-              if drop && dropped.(site.sid) then ()
-              else if not (Int_map.mem site.sid !out_map) then begin
-                incr work;
-                let words = Array.map (fun b -> if b then 1 else 0) in_vals in
-                let fv = Compiled.eval_fn site.fn words land 1 = 1 in
-                if fv <> good_out then out_map := Int_map.add site.sid fv !out_map
-              end)
-            (Option.value ~default:[] (Hashtbl.find_opt local cg.Compiled.g.Netlist.id));
-          (* A machine diverged on a primary-output net is detected; record
-             inline so dropping takes effect within this pattern. *)
-          if is_po.(cg.Compiled.out) then
-            Int_map.iter (fun site _ -> ctx.Kernel.detect ~sid:site ~pat:start) !out_map;
-          diverged.(cg.Compiled.out) <- !out_map
-        end)
-      gates
-  in
-  {
-    Kernel.name = "concurrent";
-    unit_len = (fun ~start:_ -> 1);
-    units_remaining = (fun ~start -> total - start);
-    run_unit;
-    obs_fields = propagation_obs_fields ~algo;
-  }
-
 (* --- Public engines: thin wrappers over the campaign driver ---------------- *)
 
-let run_serial ?drop ?(algo = `Cone) ?obs ?deadline ?max_evals ?interrupt ?checkpoint
-    ?max_attempts ?backoff ?chaos ?crash_hook ?on_progress u (patterns : bool array array) =
+let run_serial ?drop ?obs ?deadline ?max_evals ?interrupt ?checkpoint ?max_attempts ?backoff
+    ?chaos ?crash_hook ?on_progress u (patterns : bool array array) =
   Campaign.run_patterns ?drop ?obs ?deadline ?max_evals ?interrupt ?checkpoint ?max_attempts
     ?backoff ?chaos ?crash_hook ?on_progress ~n_sites:(n_sites u)
     ~total:(Array.length patterns)
-    (injection_kernel ~name:"serial" ~unit_bits:1 ~count_good_evals:true ~algo u patterns)
+    (injection_kernel ~name:"serial" ~unit_bits:1 ~count_good_evals:true u patterns)
 
-let run_parallel ?drop ?(algo = `Cone) ?obs ?deadline ?max_evals ?interrupt ?checkpoint
-    ?max_attempts ?backoff ?chaos ?crash_hook ?on_progress u (patterns : bool array array) =
+let run_parallel ?drop ?obs ?deadline ?max_evals ?interrupt ?checkpoint ?max_attempts ?backoff
+    ?chaos ?crash_hook ?on_progress u (patterns : bool array array) =
   Campaign.run_patterns ?drop ?obs ?deadline ?max_evals ?interrupt ?checkpoint ?max_attempts
     ?backoff ?chaos ?crash_hook ?on_progress ~n_sites:(n_sites u)
     ~total:(Array.length patterns)
-    (injection_kernel ~name:"parallel" ~unit_bits:word_bits ~count_good_evals:false ~algo u
-       patterns)
-
-(* The propagation engines move all sites jointly through shared per-net
-   structures, so a raising site cannot be isolated mid-pattern — their
-   wrappers expose no supervision knobs (the driver's supervision simply
-   goes unused). *)
-
-let run_deductive ?drop ?(algo = `Cone) ?obs ?deadline ?max_evals ?interrupt ?checkpoint
-    ?on_progress u (patterns : bool array array) =
-  Campaign.run_patterns ?drop ?obs ?deadline ?max_evals ?interrupt ?checkpoint ?on_progress
-    ~n_sites:(n_sites u) ~total:(Array.length patterns) (deductive_kernel ~algo u patterns)
-
-let run_concurrent ?drop ?(algo = `Cone) ?obs ?deadline ?max_evals ?interrupt ?checkpoint
-    ?on_progress u (patterns : bool array array) =
-  Campaign.run_patterns ?drop ?obs ?deadline ?max_evals ?interrupt ?checkpoint ?on_progress
-    ~n_sites:(n_sites u) ~total:(Array.length patterns) (concurrent_kernel ~algo u patterns)
+    (injection_kernel ~name:"parallel" ~unit_bits:word_bits ~count_good_evals:false u patterns)
 
 (* PPSFP simulates a whole fault group jointly against each pattern
-   word, so — like the propagation engines — a raising site cannot be
-   isolated and the wrapper exposes no supervision knobs.  The kernel
-   itself is generic over (gate, faulty function) pairs; this wrapper
-   instantiates it on the universe's sites. *)
-let run_ppsfp ?drop ?(algo = `Cone) ?group ?trace_site ?obs ?deadline ?max_evals ?interrupt
-    ?checkpoint ?on_progress u (patterns : bool array array) =
+   word, so a raising site cannot be isolated and the wrapper exposes no
+   supervision knobs.  The kernel itself is generic over (gate, faulty
+   function) pairs; this wrapper instantiates it on the universe's
+   sites. *)
+let run_ppsfp ?drop ?group ?trace_site ?obs ?deadline ?max_evals ?interrupt ?checkpoint
+    ?on_progress u (patterns : bool array array) =
   let fsites =
     Array.map
       (fun s -> { Ppsfp.sid = s.sid; gate = s.gate.Netlist.id; fn = s.fn })
@@ -609,38 +313,37 @@ let run_ppsfp ?drop ?(algo = `Cone) ?group ?trace_site ?obs ?deadline ?max_evals
   in
   Campaign.run_patterns ?drop ?obs ?deadline ?max_evals ?interrupt ?checkpoint ?on_progress
     ~n_sites:(n_sites u) ~total:(Array.length patterns)
-    (Ppsfp.kernel ?group ?trace_site ~algo u.compiled fsites patterns)
+    (Ppsfp.kernel ?group ?trace_site u.compiled fsites patterns)
 
 (* --- Domain-parallel -------------------------------------------------------- *)
 
 (* Multicore wrapper: fault sites are partitioned across OCaml 5 domains
-   (work-stealing pool in Parallel_exec); inside each site the serial or
-   bit-parallel kernel runs unchanged, so first-detection results are
-   bit-identical to [run_serial] for every domain count.  All campaign
-   plumbing lives in [Campaign.run_sites]. *)
-let run_domain_parallel_stats ?drop ?inner ?algo ?num_domains ?min_work_per_domain ?obs
-    ?deadline ?max_evals ?interrupt ?checkpoint ?max_attempts ?backoff ?crash_hook
-    ?on_progress u (patterns : bool array array) =
+   (work-stealing pool in Parallel_exec); inside each site the
+   bit-parallel cone kernel runs unchanged, so first-detection results
+   are bit-identical to [run_serial] for every domain count.  All
+   campaign plumbing lives in [Campaign.run_sites]. *)
+let run_domain_parallel_stats ?drop ?num_domains ?min_work_per_domain ?obs ?deadline ?max_evals
+    ?interrupt ?checkpoint ?max_attempts ?backoff ?crash_hook ?on_progress u
+    (patterns : bool array array) =
   let jobs =
     Array.map
       (fun s -> { Parallel_exec.jid = s.sid; gate_id = s.gate.Netlist.id; fn = s.fn })
       u.sites
   in
   let summary, _report, stats =
-    Campaign.run_sites ?drop ?inner ?algo ?num_domains ?min_work_per_domain ?obs ?deadline
-      ?max_evals ?interrupt ?checkpoint ?max_attempts ?backoff ?crash_hook ?on_progress
+    Campaign.run_sites ?drop ?num_domains ?min_work_per_domain ?obs ?deadline ?max_evals
+      ?interrupt ?checkpoint ?max_attempts ?backoff ?crash_hook ?on_progress
       ~extra_fields:[ ("cone_gates", Obs.Int (total_cone_gates u)) ]
       u.compiled jobs patterns
   in
   (summary, stats)
 
-let run_domain_parallel ?drop ?inner ?algo ?num_domains ?min_work_per_domain ?obs ?deadline
-    ?max_evals ?interrupt ?checkpoint ?max_attempts ?backoff ?crash_hook ?on_progress u
-    patterns =
+let run_domain_parallel ?drop ?num_domains ?min_work_per_domain ?obs ?deadline ?max_evals
+    ?interrupt ?checkpoint ?max_attempts ?backoff ?crash_hook ?on_progress u patterns =
   fst
-    (run_domain_parallel_stats ?drop ?inner ?algo ?num_domains ?min_work_per_domain ?obs
-       ?deadline ?max_evals ?interrupt ?checkpoint ?max_attempts ?backoff ?crash_hook
-       ?on_progress u patterns)
+    (run_domain_parallel_stats ?drop ?num_domains ?min_work_per_domain ?obs ?deadline
+       ?max_evals ?interrupt ?checkpoint ?max_attempts ?backoff ?crash_hook ?on_progress u
+       patterns)
 
 (* --- Random-pattern driver ------------------------------------------------ *)
 
@@ -691,8 +394,8 @@ let exhaustive_patterns n_inputs =
 (* Digests pin a checkpoint to the exact campaign that produced it.
    They cover campaign *identity* — topology, fault universe, pattern
    set — not implementation details like engine choice or domain count
-   (any engine may resume any patterns-mode checkpoint and still be
-   bit-identical). *)
+   (any pattern-sweep engine may resume any patterns-mode checkpoint and
+   still be bit-identical). *)
 
 let circuit_digest u =
   let b = Buffer.create 1024 in

@@ -8,9 +8,13 @@ open Dynmos_sim
     The fault universe is the union over gates of the detectable function
     classes of each gate's fault library — valid precisely because the
     paper's model maps every physical fault of a dynamic gate to a
-    combinational function.  Serial, bit-parallel (62 patterns/word) and
-    deductive engines produce identical detection results (cross-checked
-    in tests). *)
+    combinational function, so classical fault simulation applies
+    unchanged.  Four engines — serial (the readable reference),
+    bit-parallel (62 patterns/word), PPSFP (fault groups per pattern
+    word) and the multicore domains engine — inject each fault into its
+    fanout cone only and produce identical detection results
+    (cross-checked in tests against an independent deductive
+    fault-list-propagation oracle and against {!detects}). *)
 
 type site = {
   sid : int;                 (** dense site id *)
@@ -90,7 +94,13 @@ val detects : universe -> site -> bool array -> bool
 (** Every engine is a thin wrapper over the unified campaign driver
     ({!Campaign}): limits, checkpointing, obs accounting, fault dropping,
     supervision and the all-detected early exit are implemented exactly
-    once there, so the six entry points cannot drift apart.
+    once there, so the four entry points cannot drift apart.
+
+    Every engine re-evaluates only the fault site's transitive fanout
+    cone against the good-machine baseline ({!Compiled.eval_cone_into}),
+    exiting immediately when the fault is not activated.  This is
+    bit-identical to whole-circuit injection: a fault can only influence
+    its fanout cone.
 
     Every engine takes an optional observability recorder [obs] (default
     disabled, one branch of overhead): when enabled it receives one
@@ -99,35 +109,16 @@ val detects : universe -> site -> bool array -> bool
     performed ("evals") and the evaluations skipped by fault dropping or
     the all-detected early exit ("evals_saved").  Both counts follow one
     driver-level definition — {e one evaluation per live site per
-    pattern unit} — so engines report identical totals on the same
-    campaign (serial, deductive and concurrent sweep one pattern per
-    unit; bit-parallel and the domains engine's bit-parallel inner
-    kernel sweep one 62-pattern word per unit).  Gate-level work is
-    reported separately: every engine carries "gate_evals" (gate or
-    gate-function evaluations performed), and the injection engines add
-    the gate evaluations the cone restriction avoided relative to
-    whole-circuit sweeps ("gate_evals_saved") and the summed fanout-cone
-    size over all sites ("cone_gates").  The recorder never changes
-    results: with and without [obs], summaries are bit-identical
-    (tested).
-
-    Every engine takes [?algo]:
-
-    - [`Cone] (default): for the injection engines ({!run_serial},
-      {!run_parallel}, {!run_domain_parallel}), re-evaluate only the
-      fault site's transitive fanout cone against the good-machine
-      baseline ({!Compiled.eval_cone_into}), exiting immediately when
-      the fault is not activated.  For the propagation engines
-      ({!run_deductive}, {!run_concurrent}) — whose per-net propagation
-      is already cone-local per site — skip every gate that lies in no
-      live site's fanout cone (gates outside all injected cones on
-      restricted universes, and, as dropping retires sites, growing
-      regions of the circuit);
-    - [`Full]: sweep every gate (the classical kernels).
-
-    All combinations produce bit-identical [first_detection] (a fault
-    can only influence its fanout cone); they differ only in work
-    performed.
+    pattern unit} — so engines with the same unit report identical
+    totals on the same campaign (serial sweeps one pattern per unit;
+    bit-parallel, PPSFP and the domains engine sweep one 62-pattern word
+    per unit).  Gate-level work is reported separately: every engine
+    carries "gate_evals" (gate evaluations performed) and "cone_gates"
+    (the summed fanout-cone size over all sites), and the pattern-sweep
+    engines add the gate evaluations the cone restriction avoided
+    relative to whole-circuit sweeps ("gate_evals_saved").  The recorder
+    never changes results: with and without [obs], summaries are
+    bit-identical (tested).
 
     {b Robustness} (see also {!Outcome}, {!Limits}, {!Checkpoint}):
     every engine takes [?deadline] (absolute epoch seconds),
@@ -142,7 +133,7 @@ val detects : universe -> site -> bool array -> bool
     is evaluated exactly once across the combined runs, in ascending
     order, so no first detection can move.
 
-    The injection engines ({!run_serial}, {!run_parallel},
+    The single-fault engines ({!run_serial}, {!run_parallel},
     {!run_domain_parallel}) additionally supervise per-site evaluation:
     a site whose faulty function raises is retried (bounded by
     [?max_attempts], default 3; the good-machine baseline is restored
@@ -150,10 +141,9 @@ val detects : universe -> site -> bool array -> bool
     outcome's [failed_sites] — every other site's detections are
     identical to a clean run.  [?crash_hook] (default no-op, called with
     the site id before each evaluation) is the fault-injection point the
-    supervision tests use.  The deductive and concurrent engines
-    propagate all sites jointly through shared per-net lists, so a
-    raising site cannot be isolated there; they support limits and
-    checkpoints only.
+    supervision tests use.  {!run_ppsfp} propagates a group of sites
+    jointly, so a raising site cannot be isolated there; it supports
+    limits and checkpoints only.
 
     Every engine also takes [?on_progress] (default no-op), called after
     each completed unit of work — patterns for the pattern-sweep
@@ -165,7 +155,6 @@ val detects : universe -> site -> bool array -> bool
 
 val run_serial :
   ?drop:bool ->
-  ?algo:[ `Full | `Cone ] ->
   ?obs:Dynmos_obs.Obs.t ->
   ?deadline:float ->
   ?max_evals:int ->
@@ -179,10 +168,12 @@ val run_serial :
   universe ->
   bool array array ->
   summary
+(** Serial engine: one pattern per unit, one cone evaluation per live
+    site — the readable reference the other engines are measured
+    against. *)
 
 val run_parallel :
   ?drop:bool ->
-  ?algo:[ `Full | `Cone ] ->
   ?obs:Dynmos_obs.Obs.t ->
   ?deadline:float ->
   ?max_evals:int ->
@@ -196,39 +187,11 @@ val run_parallel :
   universe ->
   bool array array ->
   summary
-
-val run_deductive :
-  ?drop:bool ->
-  ?algo:[ `Full | `Cone ] ->
-  ?obs:Dynmos_obs.Obs.t ->
-  ?deadline:float ->
-  ?max_evals:int ->
-  ?interrupt:(unit -> bool) ->
-  ?checkpoint:Checkpoint.ctl ->
-  ?on_progress:(units_done:int -> detected:int -> unit) ->
-  universe ->
-  bool array array ->
-  summary
-
-val run_concurrent :
-  ?drop:bool ->
-  ?algo:[ `Full | `Cone ] ->
-  ?obs:Dynmos_obs.Obs.t ->
-  ?deadline:float ->
-  ?max_evals:int ->
-  ?interrupt:(unit -> bool) ->
-  ?checkpoint:Checkpoint.ctl ->
-  ?on_progress:(units_done:int -> detected:int -> unit) ->
-  universe ->
-  bool array array ->
-  summary
-(** Concurrent engine: per net, the list of diverged faulty machines with
-    their explicit faulty values (the third classical simulator the paper
-    names alongside parallel and deductive). *)
+(** Bit-parallel engine: the serial kernel with 62 patterns packed per
+    machine word. *)
 
 val run_ppsfp :
   ?drop:bool ->
-  ?algo:[ `Full | `Cone ] ->
   ?group:int ->
   ?trace_site:(sid:int -> start:int -> unit) ->
   ?obs:Dynmos_obs.Obs.t ->
@@ -243,21 +206,16 @@ val run_ppsfp :
 (** PPSFP engine: a group of [group] (default 16) fault machines
     simulated together against each 62-pattern word on a flat Bigarray
     (net x lane) word matrix — one cube decode per gate amortized over
-    the whole group, unit-stride lane loops (see {!Ppsfp}).  [`Cone]
-    probes each machine's own gate against the good machine and, when
-    any machine is activated, sweeps the group's union fanout cone
-    once; [`Full] sweeps every gate.  [first_detection] is
-    bit-identical to {!run_parallel} for every [group], [algo] and
-    [drop].  Fault dropping compacts groups between pattern units, so
-    retired sites are never re-simulated ([trace_site] is the test hook
-    observing which sites each unit touches).  Groups propagate
-    jointly, so like the propagation engines this wrapper exposes no
-    supervision knobs. *)
+    the whole group, unit-stride lane loops (see {!Ppsfp}).  Each
+    machine's own gate is probed against the good machine and, when any
+    machine is activated, the group's union fanout cone is swept once.
+    [first_detection] is bit-identical to {!run_parallel} for every
+    [group] and [drop].  Fault dropping compacts groups between pattern
+    units, so retired sites are never re-simulated ([trace_site] is the
+    test hook observing which sites each unit touches). *)
 
 val run_domain_parallel :
   ?drop:bool ->
-  ?inner:Parallel_exec.inner ->
-  ?algo:[ `Full | `Cone ] ->
   ?num_domains:int ->
   ?min_work_per_domain:int ->
   ?obs:Dynmos_obs.Obs.t ->
@@ -274,13 +232,13 @@ val run_domain_parallel :
   summary
 (** Multicore engine: fault sites partitioned across OCaml 5 domains (a
     supervised work-stealing pool, see {!Parallel_exec.run_supervised}),
-    each running the serial or bit-parallel kernel with private scratch
+    each running the bit-parallel cone kernel with private scratch
     state.  [first_detection] is bit-identical to {!run_serial} for
-    every [num_domains], [inner], [algo] and [drop].  [num_domains]
-    defaults to [Domain.recommended_domain_count ()] and is clamped to
-    the number of sites and to the estimated work (one domain per
-    [min_work_per_domain] gate-evaluations, see {!Parallel_exec.run});
-    [inner] defaults to [Bit_parallel]; [algo] defaults to [`Cone].
+    every [num_domains] and [drop].  [num_domains] defaults to
+    [Domain.recommended_domain_count ()] and is clamped to the number of
+    sites and to the estimated work (one domain per
+    [min_work_per_domain] gate-evaluations, see
+    {!Parallel_exec.run_supervised}).
 
     This engine sweeps sites, not patterns, so its checkpoints are
     site-mode (a done bitmap plus the done sites' detections) and cannot
@@ -290,8 +248,6 @@ val run_domain_parallel :
 
 val run_domain_parallel_stats :
   ?drop:bool ->
-  ?inner:Parallel_exec.inner ->
-  ?algo:[ `Full | `Cone ] ->
   ?num_domains:int ->
   ?min_work_per_domain:int ->
   ?obs:Dynmos_obs.Obs.t ->
@@ -332,9 +288,8 @@ val exhaustive_patterns : int -> bool array array
     else is refused ({!Checkpoint.Error}).  The digests cover campaign
     identity only — engine choice, domain count and [drop] are free to
     differ between the producing and resuming runs (pattern-sweep
-    checkpoints are interchangeable among serial / bit-parallel /
-    deductive / concurrent; the domains engine uses site-mode
-    checkpoints). *)
+    checkpoints are interchangeable among serial / bit-parallel / PPSFP;
+    the domains engine uses site-mode checkpoints). *)
 
 val circuit_digest : universe -> string
 val universe_digest : universe -> string

@@ -1,8 +1,8 @@
 (** The driver/kernel interface of the unified campaign driver.
 
     A kernel is one way of evaluating the fault universe over a span of
-    patterns (serial, bit-parallel, deductive, concurrent — each
-    optionally cone-restricted).  It owns only the evaluation mechanics;
+    patterns (serial, bit-parallel, PPSFP, or a test oracle).  It owns
+    only the evaluation mechanics;
     every campaign policy — limits, checkpointing, obs accounting, fault
     dropping, supervision/retry and the all-detected early exit — lives
     in {!Campaign.run_patterns}, which drives the kernel one pattern
@@ -53,6 +53,6 @@ type t = {
   run_unit : ctx -> start:int -> len:int -> unit;
       (** evaluate every live site over patterns [start, start+len) *)
   obs_fields : totals -> (string * Dynmos_obs.Obs.value) list;
-      (** kernel-specific obs fields (algo, gate-eval breakdowns, cone
+      (** kernel-specific obs fields (gate-eval breakdowns, cone
           workload), appended to the driver's standard fields *)
 }

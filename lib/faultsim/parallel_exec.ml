@@ -68,11 +68,6 @@ type job = {
   fn : Compiled.gate_fn;  (* compiled faulty function *)
 }
 
-type inner = Serial | Bit_parallel
-
-let inner_name = function Serial -> "serial" | Bit_parallel -> "bit_parallel"
-let algo_name = function `Full -> "full" | `Cone -> "cone"
-
 let word_bits = 62
 
 type domain_stats = {
@@ -91,8 +86,6 @@ type stats = {
   n_jobs : int;
   n_patterns : int;
   n_chunks : int;
-  inner_used : inner;
-  algo_used : [ `Full | `Cone ];
   work_estimate : int;
   prepare_s : float;
   spawn_s : float;
@@ -151,9 +144,9 @@ let spawn_dominated s =
 
 let pp_stats ppf s =
   Format.fprintf ppf
-    "domains: requested %d, effective %d (%d jobs, %d patterns, %s kernel, %s algo, ~%d gate-evals estimated, %d performed)@."
-    s.requested_domains s.effective_domains s.n_jobs s.n_patterns (inner_name s.inner_used)
-    (algo_name s.algo_used) s.work_estimate (stats_gate_evals s);
+    "domains: requested %d, effective %d (%d jobs, %d patterns, ~%d gate-evals estimated, %d performed)@."
+    s.requested_domains s.effective_domains s.n_jobs s.n_patterns s.work_estimate
+    (stats_gate_evals s);
   Format.fprintf ppf "prepare %.6f s, spawn %.6f s, join %.6f s, total %.6f s@." s.prepare_s
     s.spawn_s s.join_s s.total_s;
   Array.iter
@@ -169,12 +162,11 @@ let pp_stats ppf s =
     Format.fprintf ppf "  note: clamped from %d requested domains (jobs or estimated work too small)@."
       s.requested_domains
 
-(* Per-worker evaluation tally, threaded through the inner kernels.
-   [t_evals] counts kernel invocations (one per job x chunk/pattern
-   attempted — identical between [`Full] and [`Cone], which is what the
-   cross-engine reconciliation tests rely on); [t_gate] counts the gate
-   evaluations those invocations performed, which is where the cone
-   restriction shows up. *)
+(* Per-worker evaluation tally, threaded through the block runner.
+   [t_evals] counts kernel invocations (one per job x chunk attempted —
+   the unit the bit-parallel engine's driver counts too, which is what
+   the cross-engine reconciliation tests rely on); [t_gate] counts the
+   gate evaluations those invocations performed. *)
 type tally = { mutable t_evals : int; mutable t_saved : int; mutable t_gate : int }
 
 (* One packed chunk of <= 62 patterns with its fault-free response.
@@ -183,8 +175,6 @@ type tally = { mutable t_evals : int; mutable t_saved : int; mutable t_gate : in
 type chunk = {
   start : int;          (* pattern index of bit 0 *)
   mask : int;           (* valid-bit mask (len low bits) *)
-  words : int array;    (* packed primary-input words *)
-  good : int array;     (* fault-free primary-output words *)
   nets : int array;     (* fault-free words for every net *)
 }
 
@@ -207,32 +197,13 @@ let pack_chunks compiled (patterns : bool array array) =
       {
         start;
         mask = (if len >= word_bits then max_int else (1 lsl len) - 1);
-        words;
-        good = Compiled.outputs_of_nets compiled scratch;
         nets = Array.copy scratch;
       })
 
-(* Single-pattern chunks (mask = bit 0): the serial inner kernel under
-   [`Cone] reuses the bit-parallel cone block runner with these. *)
-let pack_single_chunks compiled (patterns : bool array array) =
-  let scratch = Compiled.make_scratch compiled in
-  Array.mapi
-    (fun pi pattern ->
-      let words = Array.map (fun b -> if b then 1 else 0) pattern in
-      Compiled.eval_words_into compiled ~scratch words;
-      {
-        start = pi;
-        mask = 1;
-        words;
-        good = Compiled.outputs_of_nets compiled scratch;
-        nets = Array.copy scratch;
-      })
-    patterns
-
-(* Supervision context threaded into the block runners.  [hook] is the
+(* Supervision context threaded into the block runner.  [hook] is the
    crash-injection point (identity in production; tests raise from it);
-   [crashed] flags jobs that raised in the current pass so block runners
-   stop touching them; [record] books a crash (bounded requeue or
+   [crashed] flags jobs that raised in the current pass so the block
+   runner stops touching them; [record] books a crash (bounded requeue or
    permanent failure); [should_stop]/[spend] poll and feed the limit
    gauge. *)
 type sup_ctx = {
@@ -243,67 +214,15 @@ type sup_ctx = {
   spend : int -> unit;                  (* gate evaluations *)
 }
 
-(* Earliest detecting pattern of one job, scanning chunks in order.  With
-   [drop] the scan stops at the first detecting chunk; without it every
-   chunk is still evaluated (mirroring the serial engine's ~drop:false
-   workload), but the recorded detection is identical either way. *)
-let run_job_bit_parallel ~drop compiled chunks po scratch tally job =
-  let n_po = Array.length po in
-  let n_gates = Compiled.n_gates compiled in
-  let found = ref None in
-  let c = ref 0 in
-  let n_chunks = Array.length chunks in
-  while !c < n_chunks && not (drop && !found <> None) do
-    let ch = chunks.(!c) in
-    Compiled.eval_words_into ~override:(job.gate_id, job.fn) compiled ~scratch ch.words;
-    let diff = ref 0 in
-    for k = 0 to n_po - 1 do
-      diff := !diff lor (ch.good.(k) lxor scratch.(po.(k)))
-    done;
-    let diff = !diff land ch.mask in
-    if diff <> 0 && !found = None then begin
-      let rec lowest j = if (diff lsr j) land 1 = 1 then j else lowest (j + 1) in
-      found := Some (ch.start + lowest 0)
-    end;
-    incr c
-  done;
-  tally.t_evals <- tally.t_evals + !c;
-  tally.t_saved <- tally.t_saved + (n_chunks - !c);
-  tally.t_gate <- tally.t_gate + (!c * n_gates);
-  !found
-
-(* Serial inner engine: one evaluation per pattern (words carry a single
-   pattern in bit 0).  [pat_words] and [good] are precomputed, shared,
-   read-only. *)
-let run_job_serial ~drop compiled (pat_words : int array array) (good : int array array) po
-    scratch tally job =
-  let n_po = Array.length po in
-  let n_gates = Compiled.n_gates compiled in
-  let total = Array.length pat_words in
-  let found = ref None in
-  let pi = ref 0 in
-  while !pi < total && not (drop && !found <> None) do
-    Compiled.eval_words_into ~override:(job.gate_id, job.fn) compiled ~scratch pat_words.(!pi);
-    let diff = ref 0 in
-    for k = 0 to n_po - 1 do
-      diff := !diff lor ((good.(!pi).(k) lxor scratch.(po.(k))) land 1)
-    done;
-    if !diff <> 0 && !found = None then found := Some !pi;
-    incr pi
-  done;
-  tally.t_evals <- tally.t_evals + !pi;
-  tally.t_saved <- tally.t_saved + (total - !pi);
-  tally.t_gate <- tally.t_gate + (!pi * n_gates);
-  !found
-
-(* Cone block runner: chunk-outer over a claimed block of jobs.  The
+(* Block runner: chunk-outer over a claimed block of jobs, each job
+   re-evaluating only its fanout cone ([Compiled.eval_cone_into]).  The
    chunk's full baseline is blitted into [scratch] once per (chunk,
    block) and [Compiled.eval_cone_into] restores it after every job, so
    the whole block shares one baseline load.  Dropping is a per-job skip
    (a found job stops being evaluated on later chunks) plus a block-level
    exit once every job in the block is found; both are accounted so
-   t_evals/t_saved match the job-inner kernels above invocation for
-   invocation.
+   t_evals/t_saved match the bit-parallel pattern-sweep engine
+   invocation for invocation.
 
    A job that raises mid-cone leaves [scratch] partially overwritten
    ([eval_cone_into] only restores on normal return), so the handler
@@ -316,8 +235,8 @@ let run_job_serial ~drop compiled (pat_words : int array array) (good : int arra
    Returns the exclusive end of the fully-completed job prefix: [stop+1]
    when every chunk was scanned, [start] when a limit stopped the block
    between chunks (no job in the block saw every pattern). *)
-let run_block_cone ~drop ctx compiled chunks (jobs : job array) (first : int option array)
-    scratch buf tally start stop =
+let run_block ~drop ctx compiled chunks (jobs : job array) (first : int option array) scratch
+    buf tally start stop =
   let n_chunks = Array.length chunks in
   let n_nets = Compiled.n_nets compiled in
   let block_jobs = stop - start + 1 in
@@ -374,7 +293,7 @@ let default_min_work_per_domain = 50_000
 
 let default_max_attempts = 3
 
-let run_supervised ?(drop = true) ?(inner = Bit_parallel) ?(algo = `Cone) ?num_domains
+let run_supervised ?(drop = true) ?num_domains
     ?(min_work_per_domain = default_min_work_per_domain) ?(obs = Obs.disabled)
     ?(gauge = Limits.gauge Limits.none) ?(max_attempts = default_max_attempts)
     ?(backoff = Backoff.default) ?(crash_hook = fun (_ : int) -> ()) ?first:first_init
@@ -385,7 +304,7 @@ let run_supervised ?(drop = true) ?(inner = Bit_parallel) ?(algo = `Cone) ?num_d
   let requested =
     match num_domains with
     | Some n ->
-        if n < 1 then invalid_arg "Parallel_exec.run: num_domains must be >= 1";
+        if n < 1 then invalid_arg "Parallel_exec.run_supervised: num_domains must be >= 1";
         n
     | None -> default_domains ()
   in
@@ -442,8 +361,7 @@ let run_supervised ?(drop = true) ?(inner = Bit_parallel) ?(algo = `Cone) ?num_d
       spend = Limits.add_evals gauge;
     }
   in
-  let per_job_evals = match inner with Bit_parallel -> n_chunks | Serial -> n_patterns in
-  let work_estimate = n * per_job_evals * Compiled.n_gates compiled in
+  let work_estimate = n * n_chunks * Compiled.n_gates compiled in
   let work_cap =
     if min_work_per_domain <= 0 then max_int else max 1 (work_estimate / min_work_per_domain)
   in
@@ -456,8 +374,6 @@ let run_supervised ?(drop = true) ?(inner = Bit_parallel) ?(algo = `Cone) ?num_d
         n_jobs = n;
         n_patterns;
         n_chunks;
-        inner_used = inner;
-        algo_used = algo;
         work_estimate;
         prepare_s;
         spawn_s;
@@ -508,8 +424,6 @@ let run_supervised ?(drop = true) ?(inner = Bit_parallel) ?(algo = `Cone) ?num_d
           ("jobs", Obs.Int stats.n_jobs);
           ("patterns", Obs.Int stats.n_patterns);
           ("chunks", Obs.Int stats.n_chunks);
-          ("inner", Obs.String (inner_name stats.inner_used));
-          ("algo", Obs.String (algo_name stats.algo_used));
           ("work_estimate", Obs.Int stats.work_estimate);
           ("evals", Obs.Int (stats_evals stats));
           ("evals_saved", Obs.Int (stats_evals_saved stats));
@@ -538,66 +452,11 @@ let run_supervised ?(drop = true) ?(inner = Bit_parallel) ?(algo = `Cone) ?num_d
     finish ~prepare_s:0.0 ~spawn_s:0.0 ~join_s:0.0 ~per_domain:[||]
   else begin
     let t_prep0 = Obs.now () in
-    let po = Compiled.po_indices compiled in
-    (* [run_block ctx scratch buf tally start stop] processes one claimed
+    (* [run_block scratch buf tally start stop] processes one claimed
        block of jobs and returns the exclusive end of the job prefix
        that completed (jobs past it were skipped by a tripped limit;
-       crashed jobs inside the prefix are flagged in [ctx.crashed]).
-       [`Full] runs the classical per-job kernels under a per-job
-       handler; [`Cone] runs the chunk-outer cone runner (the serial
-       inner uses single-pattern chunks so both inners share it). *)
-    let full_block run1 =
-      fun ctx scratch tally start stop ->
-       let j = ref start in
-       let finished = ref false in
-       while (not !finished) && !j <= stop do
-         if ctx.should_stop () then finished := true
-         else begin
-           let job = jobs.(!j) in
-           let g0 = tally.t_gate in
-           (try
-              ctx.hook job.jid;
-              first.(job.jid) <- run1 scratch tally job
-            with exn -> ctx.record !j job.jid exn);
-           ctx.spend (tally.t_gate - g0);
-           incr j
-         end
-       done;
-       !j
-    in
-    let run_block =
-      match (inner, algo) with
-      | Bit_parallel, `Full ->
-          let chunks = pack_chunks compiled patterns in
-          let runner = full_block (fun scratch tally job ->
-              run_job_bit_parallel ~drop compiled chunks po scratch tally job)
-          in
-          fun ctx scratch _buf tally start stop -> runner ctx scratch tally start stop
-      | Bit_parallel, `Cone ->
-          let chunks = pack_chunks compiled patterns in
-          fun ctx scratch buf tally start stop ->
-            run_block_cone ~drop ctx compiled chunks jobs first scratch buf tally start stop
-      | Serial, `Full ->
-          let pat_words =
-            Array.map (fun p -> Array.map (fun b -> if b then 1 else 0) p) patterns
-          in
-          let scratch = Compiled.make_scratch compiled in
-          let good =
-            Array.map
-              (fun w ->
-                Compiled.eval_words_into compiled ~scratch w;
-                Array.map (fun i -> scratch.(i) land 1) po)
-              pat_words
-          in
-          let runner = full_block (fun scratch tally job ->
-              run_job_serial ~drop compiled pat_words good po scratch tally job)
-          in
-          fun ctx scratch _buf tally start stop -> runner ctx scratch tally start stop
-      | Serial, `Cone ->
-          let chunks = pack_single_chunks compiled patterns in
-          fun ctx scratch buf tally start stop ->
-            run_block_cone ~drop ctx compiled chunks jobs first scratch buf tally start stop
-    in
+       crashed jobs inside the prefix are flagged in [ctx.crashed]). *)
+    let run_block = run_block ~drop ctx compiled (pack_chunks compiled patterns) jobs first in
     (* mark the completed, non-crashed jobs of [start..fin-1] done and
        report progress — under the progress mutex, so a checkpoint
        snapshot taken inside [on_progress] observes every done job's
@@ -659,7 +518,7 @@ let run_supervised ?(drop = true) ?(inner = Bit_parallel) ?(algo = `Cone) ?num_d
           let stop = min n (start + block) - 1 in
           cur.(di) <- Some (start, stop);
           let fin =
-            try run_block ctx scratch buf tally start stop
+            try run_block scratch buf tally start stop
             with exn ->
               (* block-level escape (outside the per-job handlers):
                  requeue every job in the block that has not already
@@ -756,7 +615,7 @@ let run_supervised ?(drop = true) ?(inner = Bit_parallel) ?(algo = `Cone) ?num_d
             crashed.(jid) <- false;
             first.(jid) <- None;
             let fin =
-              try run_block ctx scratch buf rtally j j
+              try run_block scratch buf rtally j j
               with exn ->
                 if not crashed.(jid) then record j jid exn;
                 j
@@ -776,25 +635,6 @@ let run_supervised ?(drop = true) ?(inner = Bit_parallel) ?(algo = `Cone) ?num_d
     end;
     finish ~prepare_s ~spawn_s ~join_s ~per_domain
   end
-
-let run_with_stats ?drop ?inner ?algo ?num_domains ?min_work_per_domain ?obs compiled jobs
-    patterns =
-  let first, report, stats =
-    run_supervised ?drop ?inner ?algo ?num_domains ?min_work_per_domain ?obs compiled jobs
-      patterns
-  in
-  (* legacy entry point: preserve fail-loudly semantics — before
-     supervision, a raising job tore down the whole run *)
-  (match report.failed_sites with
-  | (jid, msg) :: _ ->
-      failwith (Printf.sprintf "Parallel_exec.run: job %d failed after retries: %s" jid msg)
-  | [] -> ());
-  (first, stats)
-
-let run ?drop ?inner ?algo ?num_domains ?min_work_per_domain ?obs compiled jobs patterns =
-  fst
-    (run_with_stats ?drop ?inner ?algo ?num_domains ?min_work_per_domain ?obs compiled jobs
-       patterns)
 
 (* --- Persistent scheduler ---------------------------------------------------- *)
 

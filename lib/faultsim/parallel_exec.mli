@@ -2,9 +2,11 @@ open Dynmos_sim
 
 (** Domain-parallel fault-simulation core (OCaml 5 [Domain]s, no
     Domainslib): chunked work-stealing over fault-injection jobs via a
-    single atomic cursor.  The compiled netlist and packed pattern data
-    are shared read-only; each domain owns a private [Compiled.scratch]
-    and writes only its claimed jobs' result slots.
+    single atomic cursor.  Every job runs the bit-parallel fanout-cone
+    kernel (62 patterns per word, {!Compiled.eval_cone_into}).  The
+    compiled netlist and packed pattern data are shared read-only; each
+    domain owns a private [Compiled.scratch] and writes only its claimed
+    jobs' result slots.
 
     [Faultsim.run_domain_parallel] is the high-level entry point; this
     module is exposed for callers that carry their own fault-site
@@ -16,8 +18,6 @@ type job = {
   fn : Compiled.gate_fn;  (** compiled faulty function *)
 }
 
-type inner = Serial | Bit_parallel  (** per-site evaluation kernel *)
-
 (** The pool is {e supervised}: a job whose evaluation raises is retried
     a bounded number of times in isolation and, if it keeps raising,
     reported per-site instead of tearing the campaign down; failed
@@ -25,34 +25,25 @@ type inner = Serial | Bit_parallel  (** per-site evaluation kernel *)
     calling one) because every domain steals from the same cursor.  See
     {!run_supervised}. *)
 
-val inner_name : inner -> string
-(** ["serial"] / ["bit_parallel"], as used in stats events and bench
-    JSON. *)
-
-val algo_name : [ `Full | `Cone ] -> string
-(** ["full"] / ["cone"], as used in stats events and bench JSON. *)
-
 val word_bits : int
-(** Patterns per machine word in the [Bit_parallel] kernel (62). *)
+(** Patterns per machine word (62). *)
 
 val default_domains : unit -> int
 (** [Domain.recommended_domain_count ()]. *)
 
 val default_min_work_per_domain : int
 (** Estimated gate-evaluations of work required per spawned domain
-    before the engine is willing to spawn it (see {!run}). *)
+    before the engine is willing to spawn it (see {!run_supervised}). *)
 
 (** {1 Run statistics} *)
 
 type domain_stats = {
   dom : int;          (** 0 is the calling domain *)
   jobs_claimed : int;
-  evals : int;        (** inner-kernel evaluations performed (chunk
-                          evaluations for [Bit_parallel], single-pattern
-                          evaluations for [Serial]) *)
+  evals : int;        (** kernel evaluations performed (one per job x
+                          62-pattern chunk) *)
   evals_saved : int;  (** evaluations skipped thanks to fault dropping *)
-  gate_evals : int;   (** gate evaluations those kernel calls performed —
-                          where the [`Cone] restriction shows up *)
+  gate_evals : int;   (** gate evaluations those kernel calls performed *)
   busy_s : float;     (** wall-clock time inside job kernels *)
   steal_s : float;    (** wall-clock time claiming work from the cursor *)
 }
@@ -63,9 +54,7 @@ type stats = {
   n_jobs : int;
   n_patterns : int;
   n_chunks : int;
-  inner_used : inner;
-  algo_used : [ `Full | `Cone ];
-  work_estimate : int;      (** jobs x per-job evals x gates *)
+  work_estimate : int;      (** jobs x chunks x gates *)
   prepare_s : float;        (** pattern packing + fault-free responses *)
   spawn_s : float;
   join_s : float;
@@ -120,16 +109,15 @@ module Backoff : sig
 end
 
 val stats_evals : stats -> int
-(** Total evaluations over all domains; with the [Serial] kernel and
-    [drop = false] this equals [n_jobs * n_patterns], reconciling with
-    the serial reference engine. *)
+(** Total evaluations over all domains; with [drop = false] this equals
+    [n_jobs * n_chunks], reconciling with the bit-parallel engine. *)
 
 val stats_evals_saved : stats -> int
 
 val stats_gate_evals : stats -> int
-(** Total gate evaluations over all domains.  With [`Full] this is
-    [stats_evals x n_gates]; with [`Cone] it is bounded by the summed
-    fanout-cone sizes and is typically far smaller. *)
+(** Total gate evaluations over all domains: at most the summed
+    fanout-cone sizes per chunk, typically far below
+    [stats_evals x n_gates]. *)
 
 val spawn_dominated : stats -> bool
 (** True when the spawn + join cost exceeded the total busy time — the
@@ -139,59 +127,11 @@ val pp_stats : Format.formatter -> stats -> unit
 
 (** {1 Running} *)
 
-val run :
-  ?drop:bool ->
-  ?inner:inner ->
-  ?algo:[ `Full | `Cone ] ->
-  ?num_domains:int ->
-  ?min_work_per_domain:int ->
-  ?obs:Dynmos_obs.Obs.t ->
-  Compiled.t ->
-  job array ->
-  bool array array ->
-  int option array
-(** [run compiled jobs patterns] returns, per [jid], the index of the
-    first pattern whose primary outputs differ under the job's override —
-    bit-identical to the serial engine for every [inner], [algo],
-    [num_domains] and [drop] setting ([drop] only skips work after a
-    site's first detection, never changes results).
-
-    [algo] (default [`Cone]) selects the faulty-machine kernel: [`Cone]
-    re-evaluates only each job's fanout cone against a shared
-    good-machine baseline ({!Compiled.eval_cone_into}, chunk-outer over
-    each claimed block so one baseline load serves the whole block);
-    [`Full] re-evaluates the entire circuit per job and chunk.  Kernel
-    *invocation* counts ([evals]/[evals_saved]) are identical between
-    the two; the cone saving is visible in [gate_evals].
-
-    [num_domains] (default [default_domains ()]) is a ceiling: the
-    effective count is clamped to the number of jobs and to one domain
-    per [min_work_per_domain] estimated gate-evaluations (default
-    {!default_min_work_per_domain}; pass [0] to disable the work clamp),
-    so tiny workloads never pay domain-spawn overhead.  [obs] (default
-    disabled) receives one ["parallel_exec.domain"] event per domain and
-    a ["parallel_exec.run"] event per call. *)
-
-val run_with_stats :
-  ?drop:bool ->
-  ?inner:inner ->
-  ?algo:[ `Full | `Cone ] ->
-  ?num_domains:int ->
-  ?min_work_per_domain:int ->
-  ?obs:Dynmos_obs.Obs.t ->
-  Compiled.t ->
-  job array ->
-  bool array array ->
-  int option array * stats
-(** [run] plus the scheduling statistics of the call. *)
-
 val default_max_attempts : int
 (** Evaluation attempts per job before it is declared failed (3). *)
 
 val run_supervised :
   ?drop:bool ->
-  ?inner:inner ->
-  ?algo:[ `Full | `Cone ] ->
   ?num_domains:int ->
   ?min_work_per_domain:int ->
   ?obs:Dynmos_obs.Obs.t ->
@@ -206,7 +146,24 @@ val run_supervised :
   job array ->
   bool array array ->
   int option array * report * stats
-(** The fault-tolerant entry point {!run}/{!run_with_stats} wrap.
+(** [run_supervised compiled jobs patterns] returns, per [jid], the
+    index of the first pattern whose primary outputs differ under the
+    job's override — bit-identical to the serial engine for every
+    [num_domains] and [drop] setting ([drop], default true, only skips
+    work after a site's first detection, never changes results) — plus
+    what the supervisor observed and the scheduling statistics.
+
+    Each claimed block of jobs is swept chunk-outer: one good-machine
+    baseline load per 62-pattern chunk serves the whole block, and each
+    job re-evaluates only its fanout cone against it.
+
+    [num_domains] (default [default_domains ()]) is a ceiling: the
+    effective count is clamped to the number of jobs and to one domain
+    per [min_work_per_domain] estimated gate-evaluations (default
+    {!default_min_work_per_domain}; pass [0] to disable the work clamp),
+    so tiny workloads never pay domain-spawn overhead.  [obs] (default
+    disabled) receives one ["parallel_exec.domain"] event per domain and
+    a ["parallel_exec.run"] event per call.
 
     Supervision: every job evaluation runs under a per-job exception
     handler.  A raising job is requeued (at most [max_attempts] total

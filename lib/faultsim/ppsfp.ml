@@ -44,8 +44,7 @@ module Obs = Dynmos_obs.Obs
    when the retired count actually changed — group construction (union
    cones, frontiers) is the only allocating part of the kernel and is
    skipped while the live set is stable.  The kernel propagates each
-   group jointly, so like the deductive/concurrent engines it exposes
-   no per-site supervision. *)
+   group jointly, so it exposes no per-site supervision. *)
 
 type fsite = { sid : int; gate : int; fn : Compiled.gate_fn }
 
@@ -58,11 +57,9 @@ type group = {
 
 let word_bits = 62
 
-let algo_name = function `Full -> "full" | `Cone -> "cone"
-
 let default_group = 16
 
-let kernel ?(group = default_group) ?trace_site ~algo compiled (sites : fsite array)
+let kernel ?(group = default_group) ?trace_site compiled (sites : fsite array)
     (patterns : bool array array) =
   if group < 1 then
     invalid_arg (Fmt.str "Ppsfp.kernel: group size must be >= 1 (got %d)" group);
@@ -81,61 +78,43 @@ let kernel ?(group = default_group) ?trace_site ~algo compiled (sites : fsite ar
   let fw = Array.make width 0 in
   let diff = Array.make width 0 in
   let tmp = Array.make width 0 in
-  (* Full-algo groups share one all-gates cone / all-PIs frontier. *)
-  let all_gates = lazy (Array.init n_gates Fun.id) in
-  let all_po =
-    lazy
-      (Array.of_seq
-         (Seq.filter (Compiled.gate_is_po compiled) (Seq.init n_gates Fun.id)))
-  in
-  let all_pi = lazy (Array.init n_inputs Fun.id) in
   (* Group-build scratch: stamp arrays dedupe cone gates and frontier
      nets without clearing between builds. *)
   let gstamp = Array.make (max 1 n_gates) (-1) in
   let nstamp = Array.make (max 1 (Compiled.n_nets compiled)) (-1) in
   let stamp = ref 0 in
   let build_group lanes =
-    match algo with
-    | `Full ->
-        {
-          lanes;
-          cone = Lazy.force all_gates;
-          cone_po = Lazy.force all_po;
-          frontier = Lazy.force all_pi;
-        }
-    | `Cone ->
-        incr stamp;
-        let cur = !stamp in
-        let acc = ref [] in
-        Array.iter
-          (fun s ->
-            Array.iter
-              (fun g ->
-                if gstamp.(g) <> cur then begin
-                  gstamp.(g) <- cur;
-                  acc := g :: !acc
-                end)
-              (Compiled.fanout_cone compiled s.gate))
-          lanes;
-        let cone = Array.of_list !acc in
-        Array.sort compare cone;
-        let cone_po =
-          Array.of_seq
-            (Seq.filter (Compiled.gate_is_po compiled) (Array.to_seq cone))
-        in
-        let facc = ref [] in
+    incr stamp;
+    let cur = !stamp in
+    let acc = ref [] in
+    Array.iter
+      (fun s ->
         Array.iter
           (fun g ->
-            Array.iter
-              (fun net ->
-                let outside = net < n_inputs || gstamp.(net - n_inputs) <> cur in
-                if outside && nstamp.(net) <> cur then begin
-                  nstamp.(net) <- cur;
-                  facc := net :: !facc
-                end)
-              cgates.(g).Compiled.ins)
-          cone;
-        { lanes; cone; cone_po; frontier = Array.of_list !facc }
+            if gstamp.(g) <> cur then begin
+              gstamp.(g) <- cur;
+              acc := g :: !acc
+            end)
+          (Compiled.fanout_cone compiled s.gate))
+      lanes;
+    let cone = Array.of_list !acc in
+    Array.sort compare cone;
+    let cone_po =
+      Array.of_seq (Seq.filter (Compiled.gate_is_po compiled) (Array.to_seq cone))
+    in
+    let facc = ref [] in
+    Array.iter
+      (fun g ->
+        Array.iter
+          (fun net ->
+            let outside = net < n_inputs || gstamp.(net - n_inputs) <> cur in
+            if outside && nstamp.(net) <> cur then begin
+              nstamp.(net) <- cur;
+              facc := net :: !facc
+            end)
+          cgates.(g).Compiled.ins)
+      cone;
+    { lanes; cone; cone_po; frontier = Array.of_list !facc }
   in
   (* Lazily (re)built group partition: the first unit sees checkpoint-
      preloaded detections through the same retired-count trigger as
@@ -174,7 +153,7 @@ let kernel ?(group = default_group) ?trace_site ~algo compiled (sites : fsite ar
       if w <> scratch.(cg.Compiled.out) then activated := true
     done;
     ctx.Kernel.work := !(ctx.Kernel.work) + glen;
-    if !activated || algo = `Full then begin
+    if !activated then begin
       Array.iter
         (fun net -> Compiled.matrix_fill_row matrix ~width ~net scratch.(net))
         grp.frontier;
@@ -240,7 +219,6 @@ let kernel ?(group = default_group) ?trace_site ~algo compiled (sites : fsite ar
   in
   let obs_fields (t : Kernel.totals) =
     [
-      ("algo", Obs.String (algo_name algo));
       ("group", Obs.Int group);
       ("gate_evals", Obs.Int t.Kernel.work);
       ( "gate_evals_saved",

@@ -9,8 +9,8 @@ open Dynmos_sim
     is unit-stride.  Per group and pattern word the kernel probes each
     machine's own faulty gate against the shared good machine, skips the
     group outright when no machine is activated, and otherwise sweeps
-    the group's union fanout cone once ([`Cone]; [`Full] sweeps every
-    gate), diffing each lane over the cone's primary-output gates.
+    the group's union fanout cone once, diffing each lane over the
+    cone's primary-output gates.
     First detections are bit-identical to the bit-parallel engine
     (frozen fixtures and a QCheck differential pin this).
 
@@ -31,7 +31,6 @@ val default_group : int
 val kernel :
   ?group:int ->
   ?trace_site:(sid:int -> start:int -> unit) ->
-  algo:[ `Full | `Cone ] ->
   Compiled.t ->
   fsite array ->
   bool array array ->

@@ -5,13 +5,11 @@
    checks like gate-id ranges are the one exception, resolved at
    execution time when the compiled circuit is in hand). *)
 
-type engine = [ `Serial | `Parallel | `Deductive | `Concurrent | `Ppsfp | `Domains ]
+type engine = [ `Serial | `Parallel | `Ppsfp | `Domains ]
 
 let engine_name = function
   | `Serial -> "serial"
   | `Parallel -> "parallel"
-  | `Deductive -> "deductive"
-  | `Concurrent -> "concurrent"
   | `Ppsfp -> "ppsfp"
   | `Domains -> "domains"
 
@@ -24,7 +22,6 @@ type run = {
   jobs : int option;
   group : int option;
   drop : bool;
-  algo : [ `Full | `Cone ];
   gates : int list option;
   deadline_s : float;
   max_evals : int option;
@@ -103,12 +100,20 @@ let check_fields ~op ~allowed obj =
 (* --- Request parsing --------------------------------------------------------- *)
 
 let parse_run ~limits ~known_circuit obj id =
+  (* A removed field gets its own message: the generic unknown-field
+     list would not say why a request that used to work is refused. *)
+  let* () =
+    match Json.member "algo" obj with
+    | Some _ ->
+        err "field \"algo\" was removed: fanout-cone injection is the only algorithm"
+    | None -> Ok ()
+  in
   let* () =
     check_fields ~op:"run"
       ~allowed:
         [
           "op"; "id"; "circuit"; "patterns"; "seed"; "engine"; "jobs"; "group"; "drop";
-          "algo"; "gates"; "deadline_s"; "max_evals"; "crash_sid"; "stream_every";
+          "gates"; "deadline_s"; "max_evals"; "crash_sid"; "stream_every";
         ]
       obj
   in
@@ -139,8 +144,6 @@ let parse_run ~limits ~known_circuit obj id =
           [
             ("serial", `Serial);
             ("parallel", `Parallel);
-            ("deductive", `Deductive);
-            ("concurrent", `Concurrent);
             ("ppsfp", `Ppsfp);
             ("domains", `Domains);
           ]
@@ -162,11 +165,6 @@ let parse_run ~limits ~known_circuit obj id =
   in
   let* drop = opt_field obj "drop" to_bool in
   let drop = Option.value ~default:true drop in
-  let* algo =
-    match Json.member "algo" obj with
-    | None -> Ok `Cone
-    | Some v -> enum_field ~field:"algo" [ ("cone", `Cone); ("full", `Full) ] v
-  in
   let* gates =
     match Json.member "gates" obj with
     | None -> Ok None
@@ -205,7 +203,7 @@ let parse_run ~limits ~known_circuit obj id =
   let* () =
     match crash_sid with
     | Some s when s < 0 -> err "field \"crash_sid\" must be >= 0 (got %d)" s
-    | Some _ when engine = `Deductive || engine = `Concurrent || engine = `Ppsfp ->
+    | Some _ when engine = `Ppsfp ->
         err
           "field \"crash_sid\" requires a supervised injection engine (serial, parallel, \
            domains)"
@@ -222,7 +220,6 @@ let parse_run ~limits ~known_circuit obj id =
          jobs;
          group;
          drop;
-         algo;
          gates;
          deadline_s;
          max_evals;
@@ -277,7 +274,6 @@ let run_envelope r =
         opt "jobs" (fun n -> Json.Int n) r.jobs;
         opt "group" (fun n -> Json.Int n) r.group;
         Some ("drop", Json.Bool r.drop);
-        Some ("algo", Json.String (match r.algo with `Cone -> "cone" | `Full -> "full"));
         opt "gates" (fun gs -> Json.List (List.map (fun g -> Json.Int g) gs)) r.gates;
         Some ("deadline_s", Json.Float r.deadline_s);
         opt "max_evals" (fun n -> Json.Int n) r.max_evals;

@@ -16,7 +16,7 @@
     {e not} the response; the one-response-per-line invariant counts
     terminal statuses only (everything except "progress"). *)
 
-type engine = [ `Serial | `Parallel | `Deductive | `Concurrent | `Ppsfp | `Domains ]
+type engine = [ `Serial | `Parallel | `Ppsfp | `Domains ]
 
 val engine_name : engine -> string
 
@@ -26,10 +26,12 @@ type run = {
   patterns : int;
   seed : int;
   engine : engine;
-  jobs : int option;   (** worker domains, [`Domains] engine only *)
+  jobs : int option;
+      (** worker domains, [`Domains] engine only; accepted in 1..1024,
+          and the server clamps it to [Domain.recommended_domain_count ()]
+          at execution *)
   group : int option;  (** fault-group size, [`Ppsfp] engine only *)
   drop : bool;
-  algo : [ `Full | `Cone ];
   gates : int list option;
       (** restrict the fault universe to these gate ids (validated
           against the circuit at execution time) *)
@@ -64,15 +66,17 @@ val parse_request :
 (** Validate one input line against the schema.  Never raises: malformed
     JSON, a non-object, wrong field types, unknown fields or ops,
     unknown circuits, out-of-range pattern counts / seeds / budgets all
-    return [Error] with a message naming the offending field. *)
+    return [Error] with a message naming the offending field.  The
+    removed field ["algo"] gets its own message (fanout-cone injection
+    is the only algorithm). *)
 
 val request_id : request -> Json.t option
 
 val run_envelope : run -> string
 (** The canonical client-independent journal envelope of a run request:
     one JSON line keeping every result-shaping field (circuit, patterns,
-    seed, engine, jobs/group, drop, algo, gates, the clamped deadline
-    and eval budget) and dropping the connection-bound ones ([id],
+    seed, engine, jobs/group, drop, gates, the clamped deadline and
+    eval budget) and dropping the connection-bound ones ([id],
     [stream_every], [crash_sid]).  Restart recovery replays envelopes
     through {!parse_request}, so the encoding cannot drift from the
     schema.  Responses to requests answered from recovered state carry

@@ -22,7 +22,7 @@ module Chaos = Dynmos_chaos.Chaos
 
    In front of the pool sits a content-addressed result cache: a
    completed run is stored under the digests that already pin
-   checkpoints (circuit x universe x patterns) plus the engine/algo/drop
+   checkpoints (circuit x universe x patterns) plus the engine/drop
    knobs, so a repeat request is answered without simulating a single
    gate.  Content addressing means there is nothing to invalidate — a
    key changes whenever any input it covers changes; the LRU bound only
@@ -102,7 +102,7 @@ let make_counters () =
 
 (* Keys are compositions of the checkpoint digests (circuit topology,
    fault universe — which covers any [gates] restriction — and the exact
-   pattern set) with the engine/algo/drop knobs that shape the reported
+   pattern set) with the engine/drop knobs that shape the reported
    accounting.  Only [Complete] outcomes are stored: a partial result
    depends on the request's own limits, a crash-injected one on the test
    hook.  Entries are immutable after insertion ([summary] is never
@@ -463,16 +463,13 @@ type job = {
 }
 
 (* Gate evaluations a finished run actually performed, read back from the
-   engine's own faultsim.run event (the deductive/concurrent engines
-   report kernel evals; the injection engines report gate_evals).  This
-   is what the global budget is charged with. *)
+   engine's own faultsim.run event.  This is what the global budget is
+   charged with. *)
 let gate_evals_of_events events =
   List.fold_left
     (fun acc e ->
       if e.Obs.ev <> "faultsim.run" then acc
-      else
-        let get = Obs.int_field e in
-        acc + (match get "gate_evals" with Some n -> n | None -> Option.value ~default:0 (get "evals")))
+      else acc + Option.value ~default:0 (Obs.int_field e "gate_evals"))
     0 events
 
 let stop_cause_field (p : Outcome.partial) =
@@ -480,11 +477,9 @@ let stop_cause_field (p : Outcome.partial) =
   | Some c -> Outcome.stop_cause_name c
   | None -> "site_failures"
 
-let algo_name = function `Cone -> "cone" | `Full -> "full"
-
 (* The result-cache key: the checkpoint digests pin campaign identity
    (topology, fault universe — including any [gates] restriction — and
-   the exact pattern set); engine/algo/drop are appended because they
+   the exact pattern set); engine/drop are appended because they
    shape the reported accounting ([gate_evals], [dt_s]) even though
    detection results are bit-identical across them.  [jobs] (domain
    count) is deliberately absent: it can never change any reported
@@ -503,7 +498,6 @@ let job_ident t r u pats =
            Faultsim.universe_digest u;
            Faultsim.patterns_digest pats;
            Protocol.engine_name r.Protocol.engine;
-           algo_name r.Protocol.algo;
            string_of_bool r.Protocol.drop;
          ])
 
@@ -628,7 +622,12 @@ let exec_job t client job =
       let mem, fetch = Obs.memory_sink () in
       let job_obs = Obs.make mem in
       let drop = r.Protocol.drop in
-      let algo = r.Protocol.algo in
+      (* OCaml caps a process at 128 domains (5.1), and more domains
+         than [recommended_domain_count] cores only oversubscribe the
+         machine: a larger request is clamped here, not rejected. *)
+      let num_domains =
+        Option.map (fun j -> min j (Domain.recommended_domain_count ())) r.Protocol.jobs
+      in
       let ckpt =
         match ident with
         | Some id -> job_checkpoint t id u pats ~patterns:r.Protocol.patterns
@@ -638,23 +637,17 @@ let exec_job t client job =
       let summary =
         match r.Protocol.engine with
         | `Serial ->
-            Faultsim.run_serial ~drop ~algo ~obs:job_obs ~deadline ?max_evals ~interrupt
+            Faultsim.run_serial ~drop ~obs:job_obs ~deadline ?max_evals ~interrupt
               ?checkpoint:ckpt ?crash_hook ?on_progress u pats
         | `Parallel ->
-            Faultsim.run_parallel ~drop ~algo ~obs:job_obs ~deadline ?max_evals ~interrupt
+            Faultsim.run_parallel ~drop ~obs:job_obs ~deadline ?max_evals ~interrupt
               ?checkpoint:ckpt ?crash_hook ?on_progress u pats
-        | `Deductive ->
-            Faultsim.run_deductive ~drop ~algo ~obs:job_obs ~deadline ?max_evals ~interrupt
-              ?checkpoint:ckpt ?on_progress u pats
-        | `Concurrent ->
-            Faultsim.run_concurrent ~drop ~algo ~obs:job_obs ~deadline ?max_evals ~interrupt
-              ?checkpoint:ckpt ?on_progress u pats
         | `Ppsfp ->
-            Faultsim.run_ppsfp ~drop ~algo ?group:r.Protocol.group ~obs:job_obs ~deadline
-              ?max_evals ~interrupt ?checkpoint:ckpt ?on_progress u pats
+            Faultsim.run_ppsfp ~drop ?group:r.Protocol.group ~obs:job_obs ~deadline ?max_evals
+              ~interrupt ?checkpoint:ckpt ?on_progress u pats
         | `Domains ->
-            Faultsim.run_domain_parallel ~drop ~algo ?num_domains:r.Protocol.jobs ~obs:job_obs
-              ~deadline ?max_evals ~interrupt ?checkpoint:ckpt ?crash_hook ?on_progress u pats
+            Faultsim.run_domain_parallel ~drop ?num_domains ~obs:job_obs ~deadline ?max_evals
+              ~interrupt ?checkpoint:ckpt ?crash_hook ?on_progress u pats
       in
       let dt = Obs.now () -. t0 in
       let events = fetch () in

@@ -23,7 +23,7 @@ open Dynmos_obs
       sleep-polling anywhere in the serve path);
     - {e result cache}: completed runs are stored in a content-addressed
       LRU cache keyed by the checkpoint digests (circuit x universe x
-      patterns) plus engine/algo/drop; a repeat request is answered
+      patterns) plus engine/drop; a repeat request is answered
       bit-identically with zero new gate evaluations and no charge to
       the global budget.  Content addressing makes invalidation moot —
       any input change changes the key — so the LRU bound exists only to

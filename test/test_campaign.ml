@@ -37,12 +37,6 @@ let engines : (string * run) list =
     ( "parallel",
       fun ?deadline ?max_evals ?interrupt u pats ->
         Faultsim.run_parallel ?deadline ?max_evals ?interrupt u pats );
-    ( "deductive",
-      fun ?deadline ?max_evals ?interrupt u pats ->
-        Faultsim.run_deductive ?deadline ?max_evals ?interrupt u pats );
-    ( "concurrent",
-      fun ?deadline ?max_evals ?interrupt u pats ->
-        Faultsim.run_concurrent ?deadline ?max_evals ?interrupt u pats );
     ( "ppsfp",
       fun ?deadline ?max_evals ?interrupt u pats ->
         Faultsim.run_ppsfp ~group:5 ?deadline ?max_evals ?interrupt u pats );
@@ -87,25 +81,24 @@ let test_limits_precedence () =
 (* --- Checkpoint resume through the driver ------------------------------------- *)
 
 (* Checkpoint write/preload lives only in the driver, so resuming must
-   work identically through a propagation kernel that historically had
-   its own (now deleted) checkpoint plumbing.  One interrupted run +
-   one resumed run must equal one uninterrupted run, bit for bit. *)
+   work identically through any kernel — here the deductive oracle's
+   fault-list propagation kernel, which has no checkpoint code of its
+   own.  One interrupted run + one resumed run must equal one
+   uninterrupted run, bit for bit. *)
 let test_checkpoint_resume_propagation_kernel () =
   let u, pats = fixture () in
-  let reference = Faultsim.run_deductive ~drop:false u pats in
+  let reference = Deductive_oracle.run ~drop:false u pats in
   let path = Filename.temp_file "dynmos_campaign_ckpt" ".dat" in
   Sys.remove path;
   Fun.protect
     ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
     (fun () ->
       let ctl = Faultsim.checkpoint_ctl ~path ~interval:7 u pats in
-      let s1 =
-        Faultsim.run_deductive ~drop:false ~max_evals:400 ~checkpoint:ctl u pats
-      in
+      let s1 = Deductive_oracle.run ~drop:false ~max_evals:400 ~checkpoint:ctl u pats in
       check "first leg stopped" true (not (Outcome.is_complete s1.Faultsim.outcome));
       check "first leg left a checkpoint" true (Sys.file_exists path);
       let ctl2 = Faultsim.checkpoint_ctl ~path ~interval:7 ~resume:true u pats in
-      let s2 = Faultsim.run_deductive ~drop:false ~checkpoint:ctl2 u pats in
+      let s2 = Deductive_oracle.run ~drop:false ~checkpoint:ctl2 u pats in
       check "resumed leg complete" true (Outcome.is_complete s2.Faultsim.outcome);
       check "combined = uninterrupted" true
         (s2.Faultsim.first_detection = reference.Faultsim.first_detection))
@@ -121,7 +114,7 @@ let test_checkpoint_resume_propagation_kernel () =
 let qcheck_limited_is_prefix =
   QCheck2.Test.make ~name:"any kernel x limits is a prefix of the unlimited run"
     ~count:60
-    QCheck2.Gen.(triple (int_range 0 4) (int_range 0 2) (int_range 1 60))
+    QCheck2.Gen.(triple (int_range 0 2) (int_range 0 2) (int_range 1 60))
     (fun (engine_ix, limit_kind, scale) ->
       let u, pats = fixture () in
       let name, (run : run) = List.nth engines engine_ix in

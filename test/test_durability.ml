@@ -146,7 +146,7 @@ let evals_of events =
 
 let run_clean_serial u pats =
   let mem, fetch = Obs.memory_sink () in
-  let s = Faultsim.run_serial ~drop:true ~algo:`Cone ~obs:(Obs.make mem) u pats in
+  let s = Faultsim.run_serial ~drop:true ~obs:(Obs.make mem) u pats in
   (s, evals_of (fetch ()))
 
 (* --- Journal -------------------------------------------------------------------- *)
@@ -397,6 +397,47 @@ let test_server_recovers_journaled_job () =
       check "coverage = crash-free" true
         (float_field "coverage" r = Faultsim.coverage clean))
 
+(* Upgrade path: builds before the "algo" field was removed journaled it
+   in every envelope ("cone" by default).  A job such a build left
+   pending is rejected by today's schema, so boot must complete, close
+   the job out with an error done record and drain the journal; the
+   client's retry then runs fresh.  The journal is written by hand — its
+   own CRC-32 — exactly as that build wrote it. *)
+let test_server_recovery_pre_upgrade_envelope () =
+  with_dir "dynmos_dur" @@ fun dir ->
+  let crc32 s =
+    let c = ref 0xffffffff in
+    String.iter
+      (fun ch ->
+        c := !c lxor Char.code ch;
+        for _ = 1 to 8 do
+          c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
+        done)
+      s;
+    !c lxor 0xffffffff
+  in
+  let record payload = Printf.sprintf "%08x %s\n" (crc32 payload) payload in
+  let envelope =
+    {|{"op":"run","circuit":"carry8","patterns":48,"seed":11,"engine":"serial","drop":true,"algo":"cone","deadline_s":30}|}
+  in
+  let path = Filename.concat dir "journal" in
+  write_file path ("dynmos-journal v1\n" ^ record "gen 1" ^ record ("admit 0 " ^ envelope));
+  let t = Server.create ~config:(durable_config dir) () in
+  Fun.protect
+    ~finally:(fun () -> Server.shutdown t)
+    (fun () ->
+      Server.wait_recovery t;
+      check_i "journal drained" 0 (stat t "journal_pending");
+      check_i "nothing replayed" 0 (stat t "journal_recovered");
+      check "job closed out as error" true
+        (List.mem (record "done 0 error")
+           (List.map (fun l -> l ^ "\n") (String.split_on_char '\n' (read_file path))));
+      let r =
+        response_for 1 (run_on t [ {|{"circuit":"carry8","patterns":48,"seed":11}|} ])
+      in
+      check_s "retry ok" "ok" (status r);
+      check "retry ran fresh" false (bool_field "cached" r))
+
 let test_server_recovery_resumes_checkpoint () =
   with_dir "dynmos_dur" @@ fun dir ->
   let patterns = 64 and seed = 7 in
@@ -412,7 +453,6 @@ let test_server_recovery_resumes_checkpoint () =
         Faultsim.universe_digest u;
         Faultsim.patterns_digest pats;
         "serial";
-        "cone";
         "true";
       ]
   in
@@ -421,7 +461,7 @@ let test_server_recovery_resumes_checkpoint () =
   let path = Filename.concat ckpt_dir (Digest.to_hex (Digest.string ident) ^ ".ckpt") in
   let ctl = Faultsim.checkpoint_ctl ~path ~interval:1 u pats in
   let partial =
-    Faultsim.run_serial ~drop:true ~algo:`Cone ~max_evals:(clean_evals / 2) ~checkpoint:ctl
+    Faultsim.run_serial ~drop:true ~max_evals:(clean_evals / 2) ~checkpoint:ctl
       u pats
   in
   (match partial.Faultsim.outcome with
@@ -486,11 +526,11 @@ let test_sites_checkpoint_backup_rotation () =
   with_dir "dynmos_ckpt" @@ fun dir ->
   let u, pats = workload "carry8" ~patterns:16 ~seed:5 in
   let clean =
-    Faultsim.run_domain_parallel ~drop:true ~algo:`Cone ~num_domains:2 u pats
+    Faultsim.run_domain_parallel ~drop:true ~num_domains:2 u pats
   in
   let path = Filename.concat dir "sites.ckpt" in
   let ctl = Faultsim.checkpoint_ctl ~path ~interval:1 u pats in
-  let s = Faultsim.run_domain_parallel ~drop:true ~algo:`Cone ~num_domains:2 ~checkpoint:ctl u pats in
+  let s = Faultsim.run_domain_parallel ~drop:true ~num_domains:2 ~checkpoint:ctl u pats in
   check "campaign complete" true (s.Faultsim.outcome = Outcome.Complete);
   check "interval 1 wrote repeatedly" true (Checkpoint.writes ctl >= 2);
   check "rotation left a backup" true (Sys.file_exists (path ^ ".bak"));
@@ -504,7 +544,7 @@ let test_sites_checkpoint_backup_rotation () =
   let ctl2 = Faultsim.checkpoint_ctl ~path ~interval:1 ~resume:true u pats in
   check "controller records the backup source" true (Checkpoint.resumed_from_backup ctl2);
   let resumed =
-    Faultsim.run_domain_parallel ~drop:true ~algo:`Cone ~num_domains:2 ~checkpoint:ctl2 u
+    Faultsim.run_domain_parallel ~drop:true ~num_domains:2 ~checkpoint:ctl2 u
       pats
   in
   check "resume from .bak is bit-identical" true
@@ -514,7 +554,7 @@ let test_sites_checkpoint_backup_rotation () =
 let test_sites_checkpoint_torn_write_chaos () =
   with_dir "dynmos_ckpt" @@ fun dir ->
   let u, pats = workload "fig5" ~patterns:12 ~seed:4 in
-  let clean = Faultsim.run_domain_parallel ~drop:true ~algo:`Cone ~num_domains:2 u pats in
+  let clean = Faultsim.run_domain_parallel ~drop:true ~num_domains:2 u pats in
   let path = Filename.concat dir "sites.ckpt" in
   (* Pre-plant a stale tmp from a "crashed" writer; the controller must
      sweep it at creation. *)
@@ -527,7 +567,7 @@ let test_sites_checkpoint_torn_write_chaos () =
   let ctl = Faultsim.checkpoint_ctl ~path ~interval:1 ~chaos u pats in
   check "stale tmp swept" true (Checkpoint.stale_cleaned ctl >= 1);
   let s =
-    Faultsim.run_domain_parallel ~drop:true ~algo:`Cone ~num_domains:2 ~checkpoint:ctl u
+    Faultsim.run_domain_parallel ~drop:true ~num_domains:2 ~checkpoint:ctl u
       pats
   in
   check "torn write absorbed, campaign complete" true (s.Faultsim.outcome = Outcome.Complete);
@@ -673,6 +713,8 @@ let () =
             test_server_warm_restart_cache;
           Alcotest.test_case "journaled job replayed after kill -9" `Quick
             test_server_recovers_journaled_job;
+          Alcotest.test_case "pre-upgrade envelope closed out as error" `Quick
+            test_server_recovery_pre_upgrade_envelope;
           Alcotest.test_case "recovery resumes from the job checkpoint" `Quick
             test_server_recovery_resumes_checkpoint;
           Alcotest.test_case "admission refused when the journal cannot log" `Quick

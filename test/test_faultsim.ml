@@ -6,9 +6,9 @@ open Dynmos_faultsim
 open Dynmos_circuits
 
 (* Tests for fault simulation: universe construction and the agreement of
-   the serial, bit-parallel and deductive engines — which is itself a
+   the four engines with the deductive oracle — which is itself a
    reproduction artefact: the paper's point is that dynamic-MOS faults stay
-   combinational so classical injection machinery applies. *)
+   combinational so classical fault-simulation machinery applies. *)
 
 let check = Alcotest.(check bool)
 let check_i = Alcotest.(check int)
@@ -47,39 +47,55 @@ let test_detects () =
   check "11000 detects a-open" true (Faultsim.detects u site [| true; true; false; false; false |]);
   check "00011 does not" false (Faultsim.detects u site [| false; false; false; true; true |])
 
-(* All engines — serial, bit-parallel, deductive, concurrent, PPSFP and
-   the two domain-parallel kernels, each injection engine under both the
-   full and the cone-restricted algorithm — must produce identical
-   first_detection.  The reference is the classical whole-circuit serial
-   kernel. *)
+(* The four engines — serial, bit-parallel, PPSFP and the domains
+   engine — must produce the first_detection of the deductive oracle,
+   which propagates fault lists through every gate and shares no
+   evaluation code with the engines' cone injection. *)
 let engines_agree u patterns =
-  let s1 = Faultsim.run_serial ~drop:false ~algo:`Full u patterns in
-  let agree s = s.Faultsim.first_detection = s1.Faultsim.first_detection in
-  agree (Faultsim.run_serial ~drop:false ~algo:`Cone u patterns)
-  && agree (Faultsim.run_parallel ~drop:false ~algo:`Full u patterns)
-  && agree (Faultsim.run_parallel ~drop:false ~algo:`Cone u patterns)
-  && agree (Faultsim.run_deductive ~drop:false ~algo:`Full u patterns)
-  && agree (Faultsim.run_deductive ~drop:false ~algo:`Cone u patterns)
-  && agree (Faultsim.run_concurrent ~drop:false ~algo:`Full u patterns)
-  && agree (Faultsim.run_concurrent ~drop:false ~algo:`Cone u patterns)
-  && agree (Faultsim.run_ppsfp ~drop:false ~algo:`Full ~group:4 u patterns)
-  && agree (Faultsim.run_ppsfp ~drop:false ~algo:`Cone ~group:4 u patterns)
-  && List.for_all
-       (fun (inner, algo) ->
-         agree
-           (Faultsim.run_domain_parallel ~drop:false ~inner ~algo ~min_work_per_domain:0 u
-              patterns))
-       [
-         (Parallel_exec.Bit_parallel, `Full);
-         (Parallel_exec.Bit_parallel, `Cone);
-         (Parallel_exec.Serial, `Full);
-         (Parallel_exec.Serial, `Cone);
-       ]
+  let reference = Deductive_oracle.run ~drop:false u patterns in
+  let agree s = s.Faultsim.first_detection = reference.Faultsim.first_detection in
+  agree (Faultsim.run_serial ~drop:false u patterns)
+  && agree (Faultsim.run_parallel ~drop:false u patterns)
+  && agree (Faultsim.run_ppsfp ~drop:false ~group:4 u patterns)
+  && agree (Faultsim.run_domain_parallel ~drop:false ~min_work_per_domain:0 u patterns)
 
 let test_engines_agree_fig9 () =
   let u = fig9_u () in
   let patterns = Faultsim.exhaustive_patterns 5 in
-  check "serial = parallel = deductive = concurrent" true (engines_agree u patterns)
+  check "serial = parallel = ppsfp = domains = oracle" true (engines_agree u patterns)
+
+(* The oracle itself against brute force: a [Faultsim.detects] scan of
+   every site over every pattern, first hit wins, under both drop
+   settings. *)
+let test_oracle_brute_force () =
+  let brute u pats =
+    Array.map
+      (fun site ->
+        let rec scan j =
+          if j = Array.length pats then None
+          else if Faultsim.detects u site pats.(j) then Some j
+          else scan (j + 1)
+        in
+        scan 0)
+      u.Faultsim.sites
+  in
+  let c17 = Generators.c17 ~style:`Domino () in
+  List.iter
+    (fun (name, u, pats) ->
+      let expected = brute u pats in
+      List.iter
+        (fun drop ->
+          check (Fmt.str "%s drop=%b" name drop) true
+            ((Deductive_oracle.run ~drop u pats).Faultsim.first_detection = expected))
+        [ false; true ])
+    [
+      ("fig9, all 32 patterns", fig9_u (), Faultsim.exhaustive_patterns 5);
+      ( "c17-domino",
+        Faultsim.universe c17,
+        Faultsim.random_patterns (Prng.create 13)
+          ~n_inputs:(List.length (Netlist.inputs c17))
+          ~count:100 );
+    ]
 
 let test_engines_agree_benchmarks () =
   let prng = Prng.create 11 in
@@ -187,47 +203,11 @@ let test_cone_reconvergent_random () =
       check (Fmt.str "seed %d" seed) true (engines_agree u pats))
     [ 2; 21; 77 ]
 
-(* Cone restriction on the propagation engines specifically: full vs
-   cone must match on reconvergent shapes under both drop settings —
-   dropping retires sites mid-run, which is exactly when a stale
-   active-gate count would make the cone kernel skip a gate some live
-   fault still needs. *)
-let test_propagation_cone_differential () =
-  let circuits =
-    [
-      reconvergent_netlist ();
-      Generators.random_monotone ~seed:21 ~n_inputs:8 ~n_gates:30
-        ~technology:Technology.Domino_cmos ();
-    ]
-  in
-  let prng = Prng.create 97 in
-  List.iter
-    (fun nl ->
-      let u = Faultsim.universe nl in
-      let n_in = List.length (Netlist.inputs nl) in
-      let pats = Faultsim.random_patterns prng ~n_inputs:n_in ~count:100 in
-      List.iter
-        (fun (name, run) ->
-          List.iter
-            (fun drop ->
-              let full = run ~drop ~algo:`Full u pats in
-              let cone = run ~drop ~algo:`Cone u pats in
-              check
-                (Fmt.str "%s %s drop=%b" (Netlist.name nl) name drop)
-                true
-                (full.Faultsim.first_detection = cone.Faultsim.first_detection))
-            [ false; true ])
-        [
-          ("deductive", fun ~drop ~algo u p -> Faultsim.run_deductive ~drop ~algo u p);
-          ("concurrent", fun ~drop ~algo u p -> Faultsim.run_concurrent ~drop ~algo u p);
-        ])
-    circuits
-
 (* --- Domain-parallel layer -------------------------------------------------- *)
 
-(* Same results for every domain count, for both inner kernels.  The
-   tests disable the work clamp (min_work_per_domain:0) so small test
-   circuits genuinely run on several domains. *)
+(* Same results for every domain count.  The tests disable the work
+   clamp (min_work_per_domain:0) so small test circuits genuinely run on
+   several domains. *)
 let test_domain_counts_equal () =
   let nl = Generators.carry_chain ~technology:Technology.Domino_cmos 6 in
   let u = Faultsim.universe nl in
@@ -237,17 +217,13 @@ let test_domain_counts_equal () =
   in
   let reference = Faultsim.run_serial ~drop:false u pats in
   List.iter
-    (fun inner ->
-      List.iter
-        (fun n ->
-          let s =
-            Faultsim.run_domain_parallel ~drop:false ~inner ~num_domains:n
-              ~min_work_per_domain:0 u pats
-          in
-          check (Fmt.str "num_domains=%d" n) true
-            (s.Faultsim.first_detection = reference.Faultsim.first_detection))
-        [ 1; 2; 4 ])
-    [ Parallel_exec.Serial; Parallel_exec.Bit_parallel ]
+    (fun n ->
+      let s =
+        Faultsim.run_domain_parallel ~drop:false ~num_domains:n ~min_work_per_domain:0 u pats
+      in
+      check (Fmt.str "num_domains=%d" n) true
+        (s.Faultsim.first_detection = reference.Faultsim.first_detection))
+    [ 1; 2; 4 ]
 
 (* Dropping only skips work after a site's first detection: summaries with
    and without dropping are identical, for any domain count. *)
@@ -460,8 +436,8 @@ let test_restrict_universe () =
 
 (* Group size is a pure performance knob: every G — including 1, a
    non-divisor of the site count, and one exceeding the whole universe —
-   reproduces the bit-parallel engine's first_detection under both
-   algorithms and both drop settings. *)
+   reproduces the bit-parallel engine's first_detection under both drop
+   settings. *)
 let test_ppsfp_group_sizes () =
   let nl =
     Generators.random_monotone ~seed:21 ~n_inputs:8 ~n_gates:30
@@ -474,18 +450,13 @@ let test_ppsfp_group_sizes () =
   List.iter
     (fun group ->
       List.iter
-        (fun (drop, algo, aname) ->
-          let s = Faultsim.run_ppsfp ~drop ~algo ~group u pats in
+        (fun drop ->
+          let s = Faultsim.run_ppsfp ~drop ~group u pats in
           check
-            (Fmt.str "group=%d algo=%s drop=%b" group aname drop)
+            (Fmt.str "group=%d drop=%b" group drop)
             true
             (s.Faultsim.first_detection = reference.Faultsim.first_detection))
-        [
-          (false, `Cone, "cone");
-          (false, `Full, "full");
-          (true, `Cone, "cone");
-          (true, `Full, "full");
-        ])
+        [ false; true ])
     [ 1; 3; 16; 64; 1000 ];
   check "group 0 raises" true
     (raises_invalid (fun () -> Faultsim.run_ppsfp ~group:0 u pats))
@@ -548,12 +519,9 @@ let test_ppsfp_restricted_universe () =
   let prng = Prng.create 91 in
   let pats = Faultsim.random_patterns prng ~n_inputs:8 ~count:90 in
   let reference = Faultsim.run_parallel ~drop:false ru pats in
-  List.iter
-    (fun (algo, aname) ->
-      check (Fmt.str "restricted universe, %s" aname) true
-        ((Faultsim.run_ppsfp ~drop:false ~algo ~group:4 ru pats).Faultsim.first_detection
-        = reference.Faultsim.first_detection))
-    [ (`Cone, "cone"); (`Full, "full") ]
+  check "restricted universe" true
+    ((Faultsim.run_ppsfp ~drop:false ~group:4 ru pats).Faultsim.first_detection
+    = reference.Faultsim.first_detection)
 
 (* The word-matrix primitives against the scalar evaluator: sweeping a
    whole circuit with [eval_fn_rows] (fast paths included) must leave
@@ -628,8 +596,7 @@ let test_obs_parity () =
     [
       ("serial", fun obs -> Faultsim.run_serial ~obs u pats);
       ("parallel", fun obs -> Faultsim.run_parallel ~obs u pats);
-      ("deductive", fun obs -> Faultsim.run_deductive ~obs u pats);
-      ("concurrent", fun obs -> Faultsim.run_concurrent ~obs u pats);
+      ("ppsfp", fun obs -> Faultsim.run_ppsfp ~obs u pats);
       ( "domains",
         fun obs ->
           Faultsim.run_domain_parallel ~num_domains:2 ~min_work_per_domain:0 ~obs u pats );
@@ -654,9 +621,12 @@ let run_event fetch =
   | [ e ] -> e
   | l -> Alcotest.fail (Fmt.str "expected exactly one faultsim.run event, got %d" (List.length l))
 
-(* The per-domain counters must reconcile with the serial engine: same
-   kernel (Serial inner), same drop setting -> same number of faulty-
-   machine evaluations, no matter how many domains did the work. *)
+(* The per-domain counters must reconcile with the single-domain
+   engines: the serial engine evaluates sites x patterns without
+   dropping, and the domains engine — the bit-parallel kernel spread
+   over domains — performs exactly the bit-parallel engine's
+   faulty-machine evaluations under the same drop setting, no matter
+   how many domains did the work. *)
 let test_obs_eval_reconciliation () =
   let nl = Generators.carry_chain ~technology:Technology.Domino_cmos 6 in
   let u = Faultsim.universe nl in
@@ -673,22 +643,25 @@ let test_obs_eval_reconciliation () =
         check_i "no-drop serial evals = sites x patterns"
           (Faultsim.n_sites u * Array.length pats)
           serial_evals;
+      let sink, fetch = Obs.memory_sink () in
+      ignore (Faultsim.run_parallel ~drop ~obs:(Obs.make sink) u pats);
+      let parallel_evals = Option.get (field_int (run_event fetch) "evals") in
       List.iter
         (fun n ->
           let _, st =
-            Faultsim.run_domain_parallel_stats ~drop ~inner:Parallel_exec.Serial ~num_domains:n
-              ~min_work_per_domain:0 u pats
+            Faultsim.run_domain_parallel_stats ~drop ~num_domains:n ~min_work_per_domain:0 u
+              pats
           in
           check_i
-            (Fmt.str "domains(%d) drop=%b evals = serial evals" n drop)
-            serial_evals
+            (Fmt.str "domains(%d) drop=%b evals = bit-parallel evals" n drop)
+            parallel_evals
             (Parallel_exec.stats_evals st);
           let per_domain_sum =
             Array.fold_left
               (fun acc d -> acc + d.Parallel_exec.evals)
               0 st.Parallel_exec.per_domain
           in
-          check_i "per-domain tallies sum to total" serial_evals per_domain_sum;
+          check_i "per-domain tallies sum to total" parallel_evals per_domain_sum;
           let jobs_sum =
             Array.fold_left
               (fun acc d -> acc + d.Parallel_exec.jobs_claimed)
@@ -699,11 +672,12 @@ let test_obs_eval_reconciliation () =
     [ false; true ]
 
 (* The unified driver owns one accounting definition — one kernel
-   evaluation per live site per pattern unit — so every per-pattern
-   engine must report the SAME evals/evals_saved totals for the same
-   campaign: the numbers are a property of the campaign, not of the
-   kernel.  Bit-parallel units are 62-pattern words, so its totals
-   scale by the chunk count instead. *)
+   evaluation per live site per pattern unit — so every kernel sweeping
+   one pattern per unit (the serial engine, the deductive oracle) must
+   report the SAME evals/evals_saved totals for the same campaign: the
+   numbers are a property of the campaign, not of the kernel.
+   Bit-parallel units are 62-pattern words, so its totals scale by the
+   chunk count instead. *)
 let test_unified_accounting_totals () =
   let nl = Generators.carry_chain ~technology:Technology.Domino_cmos 6 in
   let u = Faultsim.universe nl in
@@ -723,15 +697,9 @@ let test_unified_accounting_totals () =
         (Fmt.str "drop=%b: serial accounts the full workload" drop)
         (Faultsim.n_sites u * Array.length pats)
         (se + ss);
-      List.iter
-        (fun (name, run) ->
-          let e, s = totals (run ~drop) in
-          check_i (Fmt.str "drop=%b: %s evals = serial evals" drop name) se e;
-          check_i (Fmt.str "drop=%b: %s evals_saved = serial evals_saved" drop name) ss s)
-        [
-          ("deductive", fun ~drop obs -> Faultsim.run_deductive ~drop ~obs u pats);
-          ("concurrent", fun ~drop obs -> Faultsim.run_concurrent ~drop ~obs u pats);
-        ];
+      let oe, os = totals (fun obs -> Deductive_oracle.run ~drop ~obs u pats) in
+      check_i (Fmt.str "drop=%b: oracle evals = serial evals" drop) se oe;
+      check_i (Fmt.str "drop=%b: oracle evals_saved = serial evals_saved" drop) ss os;
       let chunks = (Array.length pats + 61) / 62 in
       let pe, ps = totals (fun obs -> Faultsim.run_parallel ~drop ~obs u pats) in
       check_i
@@ -742,9 +710,10 @@ let test_unified_accounting_totals () =
         check_i "no-drop parallel evals = sites x chunks" (Faultsim.n_sites u * chunks) pe)
     [ false; true ]
 
-(* Cone vs full bookkeeping: identical kernel-invocation counts and
-   results, strictly fewer gate evaluations for the cone on a circuit
-   with meaningful structure. *)
+(* Cone bookkeeping: on a circuit with meaningful structure the cone
+   kernel performs strictly fewer gate evaluations than its kernel
+   invocations would cost as whole-circuit sweeps (evals x gates), and
+   "gate_evals_saved" accounts for exactly the difference. *)
 let test_cone_gate_evals () =
   let nl =
     Generators.random_monotone ~seed:3 ~n_inputs:8 ~n_gates:30
@@ -755,24 +724,18 @@ let test_cone_gate_evals () =
   let pats = Faultsim.random_patterns prng ~n_inputs:8 ~count:100 in
   List.iter
     (fun (name, run) ->
-      let measure algo =
-        let sink, fetch = Obs.memory_sink () in
-        ignore (run algo (Obs.make sink));
-        let e = run_event fetch in
-        ( Option.get (field_int e "evals"),
-          Option.get (field_int e "gate_evals"),
-          Option.get (field_int e "gate_evals_saved") )
-      in
-      let e_cone, g_cone, s_cone = measure `Cone in
-      let e_full, g_full, s_full = measure `Full in
-      check_i (name ^ ": same kernel invocations") e_full e_cone;
-      check (name ^ ": cone does strictly fewer gate evals") true (g_cone < g_full);
-      check_i (name ^ ": full sweeps every gate") (e_full * Netlist.n_gates nl) g_full;
-      (* both account against the same total workload *)
-      check_i (name ^ ": accounting totals agree") (g_full + s_full) (g_cone + s_cone))
+      let sink, fetch = Obs.memory_sink () in
+      ignore (run (Obs.make sink));
+      let e = run_event fetch in
+      let evals = Option.get (field_int e "evals") in
+      let gate_evals = Option.get (field_int e "gate_evals") in
+      let saved = Option.get (field_int e "gate_evals_saved") in
+      let whole_circuit = evals * Netlist.n_gates nl in
+      check (name ^ ": cone gate evals < evals x gates") true (gate_evals < whole_circuit);
+      check_i (name ^ ": saved = evals x gates - gate evals") whole_circuit (gate_evals + saved))
     [
-      ("serial", fun algo obs -> Faultsim.run_serial ~drop:false ~algo ~obs u pats);
-      ("parallel", fun algo obs -> Faultsim.run_parallel ~drop:false ~algo ~obs u pats);
+      ("serial", fun obs -> Faultsim.run_serial ~drop:false ~obs u pats);
+      ("parallel", fun obs -> Faultsim.run_parallel ~drop:false ~obs u pats);
     ]
 
 (* All-detected early exit: once every site is detected under drop, the
@@ -805,43 +768,14 @@ let test_early_exit_accounting () =
         (s.Faultsim.first_detection
         = (Faultsim.run_serial ~drop:false u pats).Faultsim.first_detection))
     totals;
-  (* deductive and concurrent also stop early and report the saving *)
-  List.iter
-    (fun (name, run) ->
-      let sink, fetch = Obs.memory_sink () in
-      let s = run true (Obs.make sink) in
-      let saved = Option.get (field_int (run_event fetch) "evals_saved") in
-      check (name ^ ": early exit saved work") true (saved > 0);
-      check (name ^ ": detections match no-drop") true
-        (s.Faultsim.first_detection = (run false Obs.disabled).Faultsim.first_detection))
-    [
-      ("deductive", fun drop obs -> Faultsim.run_deductive ~drop ~obs u pats);
-      ("concurrent", fun drop obs -> Faultsim.run_concurrent ~drop ~obs u pats);
-    ]
-
-(* Deductive dropping must also cut the per-gate propagation work:
-   dropped sites are excluded from candidate filtering, so a multi-output
-   circuit (where lists stay populated after a first detection) performs
-   strictly fewer eval_fn calls under drop. *)
-let test_deductive_drop_saves_evals () =
-  let nl = Generators.ripple_adder ~style:`Domino 3 in
-  let u = Faultsim.universe nl in
-  let prng = Prng.create 67 in
-  let pats =
-    Faultsim.random_patterns prng ~n_inputs:(List.length (Netlist.inputs nl)) ~count:100
-  in
-  List.iter
-    (fun (name, run) ->
-      let evals drop =
-        let sink, fetch = Obs.memory_sink () in
-        ignore (run drop (Obs.make sink));
-        Option.get (field_int (run_event fetch) "evals")
-      in
-      check (name ^ ": dropping cuts evals") true (evals true < evals false))
-    [
-      ("deductive", fun drop obs -> Faultsim.run_deductive ~drop ~obs u pats);
-      ("concurrent", fun drop obs -> Faultsim.run_concurrent ~drop ~obs u pats);
-    ]
+  (* the oracle's kernel goes through the same driver: it stops early
+     and reports the saving too *)
+  let sink, fetch = Obs.memory_sink () in
+  let s = Deductive_oracle.run ~drop:true ~obs:(Obs.make sink) u pats in
+  let saved = Option.get (field_int (run_event fetch) "evals_saved") in
+  check "oracle: early exit saved work" true (saved > 0);
+  check "oracle: detections match no-drop" true
+    (s.Faultsim.first_detection = (Deductive_oracle.run ~drop:false u pats).Faultsim.first_detection)
 
 (* The domain clamp: requested domains are a ceiling, cut down to the
    job count and (by default) to the estimated work. *)
@@ -895,33 +829,22 @@ let robustness_fixture () =
 
 let supervised_engines =
   [
-    ( "serial/cone",
+    ("serial", fun ~crash_hook u pats -> Faultsim.run_serial ~drop:false ~crash_hook u pats);
+    ("parallel", fun ~crash_hook u pats -> Faultsim.run_parallel ~drop:false ~crash_hook u pats);
+    ( "domains",
       fun ~crash_hook u pats ->
-        Faultsim.run_serial ~drop:false ~algo:`Cone ~crash_hook u pats );
-    ( "serial/full",
-      fun ~crash_hook u pats ->
-        Faultsim.run_serial ~drop:false ~algo:`Full ~crash_hook u pats );
-    ( "parallel/cone",
-      fun ~crash_hook u pats ->
-        Faultsim.run_parallel ~drop:false ~algo:`Cone ~crash_hook u pats );
-    ( "domains/cone",
-      fun ~crash_hook u pats ->
-        Faultsim.run_domain_parallel ~drop:false ~algo:`Cone ~num_domains:2
-          ~min_work_per_domain:0 ~crash_hook u pats );
-    ( "domains/full",
-      fun ~crash_hook u pats ->
-        Faultsim.run_domain_parallel ~drop:false ~algo:`Full ~num_domains:2
-          ~min_work_per_domain:0 ~crash_hook u pats );
+        Faultsim.run_domain_parallel ~drop:false ~num_domains:2 ~min_work_per_domain:0
+          ~crash_hook u pats );
   ]
 
 (* A site that crashes transiently (fewer times than the attempt budget)
    is retried and the whole summary — including the victim — is
-   bit-identical to a clean run, with a [Complete] outcome.  The cone
-   variants also exercise the baseline-restore path: a corrupted good
-   machine would change *other* sites' results. *)
+   bit-identical to a clean run, with a [Complete] outcome.  This also
+   exercises the baseline-restore path: a corrupted good machine would
+   change *other* sites' results. *)
 let test_transient_crash_recovered () =
   let u, pats = robustness_fixture () in
-  let clean = Faultsim.run_serial ~drop:false ~algo:`Full u pats in
+  let clean = Faultsim.run_serial ~drop:false u pats in
   let victim = Faultsim.n_sites u / 2 in
   List.iter
     (fun (name, run) ->
@@ -935,7 +858,7 @@ let test_transient_crash_recovered () =
    site's detections are identical to the clean run and never lost. *)
 let test_permanent_crash_isolated () =
   let u, pats = robustness_fixture () in
-  let clean = Faultsim.run_serial ~drop:false ~algo:`Full u pats in
+  let clean = Faultsim.run_serial ~drop:false u pats in
   let victim = 3 in
   List.iter
     (fun (name, run) ->
@@ -974,12 +897,6 @@ let limited_engines : (string * limited_run) list =
     ( "parallel",
       fun ?deadline ?max_evals ?interrupt u pats ->
         Faultsim.run_parallel ?deadline ?max_evals ?interrupt u pats );
-    ( "deductive",
-      fun ?deadline ?max_evals ?interrupt u pats ->
-        Faultsim.run_deductive ?deadline ?max_evals ?interrupt u pats );
-    ( "concurrent",
-      fun ?deadline ?max_evals ?interrupt u pats ->
-        Faultsim.run_concurrent ?deadline ?max_evals ?interrupt u pats );
     ( "domains",
       fun ?deadline ?max_evals ?interrupt u pats ->
         Faultsim.run_domain_parallel ~num_domains:2 ~min_work_per_domain:0 ?deadline
@@ -1003,7 +920,7 @@ let check_partial name reference expected_cause (s : Faultsim.summary) =
 
 let test_deadline_partial () =
   let u, pats = robustness_fixture () in
-  let reference = Faultsim.run_serial ~drop:false ~algo:`Full u pats in
+  let reference = Faultsim.run_serial ~drop:false u pats in
   let past = Unix.gettimeofday () -. 1.0 in
   List.iter
     (fun (name, (run : limited_run)) ->
@@ -1012,7 +929,7 @@ let test_deadline_partial () =
 
 let test_max_evals_partial () =
   let u, pats = robustness_fixture () in
-  let reference = Faultsim.run_serial ~drop:false ~algo:`Full u pats in
+  let reference = Faultsim.run_serial ~drop:false u pats in
   List.iter
     (fun (name, (run : limited_run)) ->
       let s = run ~max_evals:50 u pats in
@@ -1023,7 +940,7 @@ let test_max_evals_partial () =
 
 let test_interrupt_partial () =
   let u, pats = robustness_fixture () in
-  let reference = Faultsim.run_serial ~drop:false ~algo:`Full u pats in
+  let reference = Faultsim.run_serial ~drop:false u pats in
   List.iter
     (fun (name, (run : limited_run)) ->
       check_partial name reference Outcome.Interrupted
@@ -1034,7 +951,7 @@ let test_interrupt_partial () =
    summary is bit-identical to the unlimited run. *)
 let test_lax_limits_are_free () =
   let u, pats = robustness_fixture () in
-  let reference = Faultsim.run_serial ~drop:false ~algo:`Full u pats in
+  let reference = Faultsim.run_serial ~drop:false u pats in
   List.iter
     (fun (name, (run : limited_run)) ->
       let s =
@@ -1062,19 +979,16 @@ let with_temp_checkpoint f =
 let test_checkpoint_resume_serial () =
   let u, pats = robustness_fixture () in
   let reference = Faultsim.run_serial ~drop:false u pats in
-  List.iter
-    (fun algo ->
-      with_temp_checkpoint @@ fun path ->
-      let ctl = Faultsim.checkpoint_ctl ~path ~interval:7 u pats in
-      let s1 = Faultsim.run_serial ~drop:false ~algo ~max_evals:400 ~checkpoint:ctl u pats in
-      check "first leg stopped" true (not (Outcome.is_complete s1.Faultsim.outcome));
-      check "first leg left a checkpoint" true (Sys.file_exists path);
-      let ctl2 = Faultsim.checkpoint_ctl ~path ~interval:7 ~resume:true u pats in
-      let s2 = Faultsim.run_serial ~drop:false ~algo ~checkpoint:ctl2 u pats in
-      check "resumed leg complete" true (Outcome.is_complete s2.Faultsim.outcome);
-      check "combined = uninterrupted" true
-        (s2.Faultsim.first_detection = reference.Faultsim.first_detection))
-    [ `Cone; `Full ]
+  with_temp_checkpoint @@ fun path ->
+  let ctl = Faultsim.checkpoint_ctl ~path ~interval:7 u pats in
+  let s1 = Faultsim.run_serial ~drop:false ~max_evals:400 ~checkpoint:ctl u pats in
+  check "first leg stopped" true (not (Outcome.is_complete s1.Faultsim.outcome));
+  check "first leg left a checkpoint" true (Sys.file_exists path);
+  let ctl2 = Faultsim.checkpoint_ctl ~path ~interval:7 ~resume:true u pats in
+  let s2 = Faultsim.run_serial ~drop:false ~checkpoint:ctl2 u pats in
+  check "resumed leg complete" true (Outcome.is_complete s2.Faultsim.outcome);
+  check "combined = uninterrupted" true
+    (s2.Faultsim.first_detection = reference.Faultsim.first_detection)
 
 let test_checkpoint_resume_domains () =
   let u, pats = robustness_fixture () in
@@ -1146,8 +1060,8 @@ let test_checkpoint_truncation_detected () =
 
 (* QCheck: checkpoint round-trip on random circuits — stop a campaign
    with a tiny evaluation budget, resume from the file, and the combined
-   detections are bit-identical to an uninterrupted run, for both
-   injection algorithms and for the sites-sweep domains engine. *)
+   detections are bit-identical to an uninterrupted run, for the
+   pattern-sweep engines and for the sites-sweep domains engine. *)
 let qcheck_checkpoint_roundtrip =
   QCheck2.Test.make ~name:"checkpoint resume is bit-identical" ~count:15
     QCheck2.Gen.(pair (int_range 1 1000) (int_range 4 8))
@@ -1172,11 +1086,9 @@ let qcheck_checkpoint_roundtrip =
       List.for_all roundtrip
         [
           (fun ~max_evals ~checkpoint u pats ->
-            Faultsim.run_serial ~drop:false ~algo:`Cone ?max_evals ~checkpoint u pats);
+            Faultsim.run_serial ~drop:false ?max_evals ~checkpoint u pats);
           (fun ~max_evals ~checkpoint u pats ->
-            Faultsim.run_serial ~drop:false ~algo:`Full ?max_evals ~checkpoint u pats);
-          (fun ~max_evals ~checkpoint u pats ->
-            Faultsim.run_parallel ~drop:false ~algo:`Cone ?max_evals ~checkpoint u pats);
+            Faultsim.run_parallel ~drop:false ?max_evals ~checkpoint u pats);
           (fun ~max_evals ~checkpoint u pats ->
             Faultsim.run_domain_parallel ~drop:false ~num_domains:2 ~min_work_per_domain:0
               ?max_evals ~checkpoint u pats);
@@ -1296,8 +1208,8 @@ let qcheck_cone_structure =
       !ok && !widest = Compiled.max_cone_size c)
 
 (* QCheck: PPSFP differential — first detections equal the bit-parallel
-   engine's on random circuits x random group sizes, for both algorithms
-   and both drop settings. *)
+   engine's on random circuits x random group sizes, for both drop
+   settings. *)
 let qcheck_ppsfp_differential =
   QCheck2.Test.make ~name:"ppsfp = bit-parallel on random circuits x group sizes"
     ~count:25
@@ -1312,10 +1224,10 @@ let qcheck_ppsfp_differential =
       let pats = Faultsim.random_patterns prng ~n_inputs ~count:70 in
       let reference = Faultsim.run_parallel ~drop:false u pats in
       List.for_all
-        (fun (drop, algo) ->
-          (Faultsim.run_ppsfp ~drop ~algo ~group u pats).Faultsim.first_detection
+        (fun drop ->
+          (Faultsim.run_ppsfp ~drop ~group u pats).Faultsim.first_detection
           = reference.Faultsim.first_detection)
-        [ (false, `Cone); (false, `Full); (true, `Cone); (true, `Full) ])
+        [ false; true ])
 
 (* QCheck: engine agreement on random monotone circuits and patterns. *)
 let qcheck_engines =
@@ -1345,6 +1257,7 @@ let () =
       ( "engines",
         [
           Alcotest.test_case "agree on fig9 (exhaustive)" `Quick test_engines_agree_fig9;
+          Alcotest.test_case "oracle = brute-force detects scan" `Quick test_oracle_brute_force;
           Alcotest.test_case "agree on benchmarks" `Quick test_engines_agree_benchmarks;
           Alcotest.test_case "agree at word-boundary pattern counts" `Quick
             test_engines_agree_edge_counts;
@@ -1358,8 +1271,6 @@ let () =
         [
           Alcotest.test_case "reconvergent circuit" `Quick test_cone_reconvergent;
           Alcotest.test_case "reconvergent random circuits" `Quick test_cone_reconvergent_random;
-          Alcotest.test_case "propagation engines: cone = full" `Quick
-            test_propagation_cone_differential;
         ] );
       ( "domain-parallel",
         [
@@ -1397,8 +1308,6 @@ let () =
           Alcotest.test_case "cone cuts gate evals, not invocations" `Quick test_cone_gate_evals;
           Alcotest.test_case "all-detected early exit accounting" `Quick
             test_early_exit_accounting;
-          Alcotest.test_case "deductive/concurrent dropping cuts evals" `Quick
-            test_deductive_drop_saves_evals;
           Alcotest.test_case "domain clamp" `Quick test_domain_clamp;
         ] );
       ( "robustness",

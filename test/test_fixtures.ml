@@ -1,6 +1,6 @@
-(* Frozen coverage fixtures: every engine x algo x drop combination on
-   the rand20/rand60 catalog circuits must keep producing bit-identical
-   detection results.  [--gen] prints the current lines (used once to
+(* Frozen coverage fixtures: every engine, plus the deductive test
+   oracle, under both drop settings on the rand20/rand60 catalog circuits
+   must keep producing bit-identical detection results.  [--gen] prints the current lines (used once to
    freeze a baseline into fixtures.expected); the default mode, run
    under [dune runtest] and as a dedicated CI job, recomputes them and
    fails on the first divergence.  Only detection results are frozen —
@@ -27,45 +27,24 @@ let fd_digest (first : int option array) =
     first;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-(* Every public engine surface.  The deductive/concurrent baseline rows
-   were frozen before those engines took [?algo], so their cone rows pin
-   the campaign driver's cone restriction to the pre-refactor results. *)
+(* Every public engine surface, plus the test-side deductive oracle.
+   The "algo" column keeps the baseline lines byte-identical: the
+   engines inject into fanout cones ("cone"); the oracle propagates
+   fault lists through every gate ("full"). *)
 let engines :
     (string * string * (drop:bool -> Faultsim.universe -> bool array array -> Faultsim.summary))
     list =
   [
-    ("serial", "full", fun ~drop u p -> Faultsim.run_serial ~drop ~algo:`Full u p);
-    ("serial", "cone", fun ~drop u p -> Faultsim.run_serial ~drop ~algo:`Cone u p);
-    ("parallel", "full", fun ~drop u p -> Faultsim.run_parallel ~drop ~algo:`Full u p);
-    ("parallel", "cone", fun ~drop u p -> Faultsim.run_parallel ~drop ~algo:`Cone u p);
-    ("deductive", "full", fun ~drop u p -> Faultsim.run_deductive ~drop ~algo:`Full u p);
-    ("deductive", "cone", fun ~drop u p -> Faultsim.run_deductive ~drop ~algo:`Cone u p);
-    ("concurrent", "full", fun ~drop u p -> Faultsim.run_concurrent ~drop ~algo:`Full u p);
-    ("concurrent", "cone", fun ~drop u p -> Faultsim.run_concurrent ~drop ~algo:`Cone u p);
+    ("serial", "cone", fun ~drop u p -> Faultsim.run_serial ~drop u p);
+    ("parallel", "cone", fun ~drop u p -> Faultsim.run_parallel ~drop u p);
+    ("deductive", "full", fun ~drop u p -> Deductive_oracle.run ~drop u p);
     (* Group size 5 deliberately misaligns with the site count so the
        ragged final group and drop-compaction repacking are both pinned. *)
-    ("ppsfp", "full", fun ~drop u p -> Faultsim.run_ppsfp ~drop ~algo:`Full ~group:5 u p);
-    ("ppsfp", "cone", fun ~drop u p -> Faultsim.run_ppsfp ~drop ~algo:`Cone ~group:5 u p);
-    ( "domains-serial",
-      "full",
-      fun ~drop u p ->
-        Faultsim.run_domain_parallel ~drop ~inner:Parallel_exec.Serial ~algo:`Full
-          ~num_domains:2 ~min_work_per_domain:0 u p );
-    ( "domains-serial",
-      "cone",
-      fun ~drop u p ->
-        Faultsim.run_domain_parallel ~drop ~inner:Parallel_exec.Serial ~algo:`Cone
-          ~num_domains:2 ~min_work_per_domain:0 u p );
-    ( "domains-bitpar",
-      "full",
-      fun ~drop u p ->
-        Faultsim.run_domain_parallel ~drop ~inner:Parallel_exec.Bit_parallel ~algo:`Full
-          ~num_domains:2 ~min_work_per_domain:0 u p );
+    ("ppsfp", "cone", fun ~drop u p -> Faultsim.run_ppsfp ~drop ~group:5 u p);
     ( "domains-bitpar",
       "cone",
       fun ~drop u p ->
-        Faultsim.run_domain_parallel ~drop ~inner:Parallel_exec.Bit_parallel ~algo:`Cone
-          ~num_domains:2 ~min_work_per_domain:0 u p );
+        Faultsim.run_domain_parallel ~drop ~num_domains:2 ~min_work_per_domain:0 u p );
   ]
 
 let lines () =

@@ -168,12 +168,38 @@ let test_request_rejections () =
   rejected {|{"op":"selfdestruct"}|};
   rejected {|{"circuit":"carry8","engine":"warp"}|};
   rejected {|{"circuit":"carry8","jobs":2}|};  (* jobs without domains engine *)
-  rejected {|{"circuit":"carry8","engine":"deductive","crash_sid":0}|};
+  rejected {|{"circuit":"carry8","engine":"ppsfp","crash_sid":0}|};
   rejected {|{"circuit":"carry8","deadline_s":0}|};
   rejected {|{"circuit":"carry8","max_evals":0}|};
   rejected {|{"circuit":"carry8","gates":"all"}|};
   rejected {|[1,2,3]|};
   rejected {|"just a string"|}
+
+(* Names removed from the protocol fail by name: a removed engine gets
+   the enum error listing the four engines, and the removed "algo" field
+   says why it is refused — even carrying its old default. *)
+let test_request_removed_names () =
+  let error_of line =
+    match parse line with Error m -> m | Ok _ -> Alcotest.failf "must be rejected: %s" line
+  in
+  let contains hay needle =
+    let lh = String.length hay and ln = String.length needle in
+    let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
+    go 0
+  in
+  List.iter
+    (fun engine ->
+      let m = error_of (Printf.sprintf {|{"circuit":"carry8","engine":"%s"}|} engine) in
+      check (engine ^ " named") true (contains m (Printf.sprintf "%S" engine));
+      check (engine ^ ": survivors listed") true
+        (contains m "expected one of: serial, parallel, ppsfp, domains"))
+    [ "deductive"; "concurrent" ];
+  List.iter
+    (fun algo ->
+      let m = error_of (Printf.sprintf {|{"circuit":"carry8","algo":"%s"}|} algo) in
+      check ("algo " ^ algo ^ ": removal explained") true
+        (contains m "\"algo\" was removed" && contains m "cone"))
+    [ "cone"; "full" ]
 
 (* The ppsfp engine's [group] knob: accepted (and optional) for ppsfp,
    rejected out of range, for every other engine, and alongside
@@ -284,7 +310,7 @@ let test_crash_and_deadline_isolated () =
 
 (* Queue overflow answers "overloaded" instead of queuing without bound. *)
 let test_overload () =
-  let slow = {|{"circuit":"carry8","patterns":4096,"algo":"full","drop":false}|} in
+  let slow = {|{"circuit":"rand60","patterns":4096,"drop":false}|} in
   let config = { small_config with Server.queue_capacity = 1 } in
   let _, resps, _ = run_server ~config [ slow; slow; slow; slow; slow; slow ] in
   check_i "every line answered" 6 (List.length resps);
@@ -292,6 +318,27 @@ let test_overload () =
   check "some overloaded" true (counts "overloaded" >= 1);
   check "some completed" true (counts "ok" >= 1);
   check_i "nothing lost" 6 (counts "ok" + counts "partial" + counts "overloaded" + counts "error")
+
+(* A request's [jobs] is clamped to the host's recommended domain
+   count before the domains engine sees it: the forwarded
+   parallel_exec.run event reports the clamped request.  carry8's work
+   estimate keeps the effective count at 1, so no extra domain starts. *)
+let test_jobs_capped () =
+  let mem, fetch = Obs.memory_sink () in
+  let t = Server.create ~config:small_config ~trace:mem () in
+  let _, resps, _ =
+    Fun.protect
+      ~finally:(fun () -> Server.shutdown t)
+      (fun () -> run_on t [ {|{"circuit":"carry8","engine":"domains","jobs":1024}|} ])
+  in
+  check_s "ok" "ok" (status (response_for 1 resps));
+  match List.filter (fun e -> e.Obs.ev = "parallel_exec.run") (fetch ()) with
+  | [ e ] ->
+      let get k = Option.get (Obs.int_field e k) in
+      check "requested domains within the recommended count" true
+        (get "requested_domains" <= Domain.recommended_domain_count ());
+      check_i "effective domains" 1 (get "effective_domains")
+  | l -> Alcotest.failf "expected one parallel_exec.run event, got %d" (List.length l)
 
 (* The global eval budget rejects work once spent. *)
 let test_global_budget () =
@@ -866,6 +913,7 @@ let () =
           Alcotest.test_case "caps applied" `Quick test_request_caps;
           Alcotest.test_case "rejections" `Quick test_request_rejections;
           Alcotest.test_case "ppsfp group knob" `Quick test_request_ppsfp;
+          Alcotest.test_case "removed names fail by name" `Quick test_request_removed_names;
         ] );
       ( "serve",
         [
@@ -874,6 +922,7 @@ let () =
           Alcotest.test_case "crash and deadline isolated" `Quick
             test_crash_and_deadline_isolated;
           Alcotest.test_case "overload backpressure" `Quick test_overload;
+          Alcotest.test_case "jobs capped at recommended domains" `Quick test_jobs_capped;
           Alcotest.test_case "global budget" `Quick test_global_budget;
           Alcotest.test_case "graceful drain" `Quick test_drain;
           Alcotest.test_case "stats and ping" `Quick test_stats_and_ping;
