@@ -674,18 +674,25 @@ let e17 () =
       entry "serial" t_serial "";
       let t_bitpar = time_reps ~reps (fun () -> Faultsim.run_parallel ~drop:false u pats) in
       entry "bit-parallel" t_bitpar "";
-      (* One stats-bearing run per domain count reveals the effective
-         domain count the clamp settled on; the timed runs then use the
-         exact same configuration. *)
+      (* One observed run per domain count reads the effective domain
+         count the clamp settled on off its faultsim.run event; the timed
+         runs then use the exact same configuration. *)
       let dom =
         List.map
           (fun n ->
-            let _, st = Faultsim.run_domain_parallel_stats ~drop:false ~num_domains:n u pats in
+            let module Obs = Dynmos_obs.Obs in
+            let mem, fetch = Obs.memory_sink () in
+            ignore
+              (Faultsim.run_domain_parallel ~drop:false ~num_domains:n ~obs:(Obs.make mem) u pats);
+            let eff =
+              Option.value ~default:1
+                (List.find_map (fun e -> Obs.int_field e "effective_domains") (fetch ()))
+            in
             let t =
               time_reps ~reps (fun () ->
                   Faultsim.run_domain_parallel ~drop:false ~num_domains:n u pats)
             in
-            (n, st.Parallel_exec.effective_domains, t))
+            (n, eff, t))
           domain_counts
       in
       let t1_of results =

@@ -212,8 +212,9 @@ let faultsim_cmd =
   let stats =
     Arg.(value & flag
          & info [ "stats" ]
-             ~doc:"Print run counters (and per-domain scheduling statistics for the 'domains' \
-                   engine) after the summary.")
+             ~doc:"Print the run counters of the engine's faultsim.run event (for the \
+                   'domains' engine including requested and effective domain counts) after \
+                   the summary.")
   in
   let trace =
     Arg.(value & opt (some string) None
@@ -229,8 +230,8 @@ let faultsim_cmd =
   let ckpt_interval =
     Arg.(value & opt (bounded_int ~what:"--checkpoint-interval" ~min:1 ()) 1000
          & info [ "checkpoint-interval" ] ~docv:"N"
-             ~doc:"Completed pattern-units (patterns, or sites for the 'domains' engine) \
-                   between checkpoint writes.")
+             ~doc:"Completed patterns between checkpoint writes (rounded up to whole \
+                   pattern units).")
   in
   let resume =
     Arg.(value & flag
@@ -277,60 +278,48 @@ let faultsim_cmd =
         in
         let deadline = Option.map (fun s -> Unix.gettimeofday () +. s) deadline_in in
         let interrupt = install_signal_handlers () in
-        (* Observability: --stats collects events in memory for a printed
-           summary; --trace streams them to a JSONL file; both compose. *)
-        let fetch_events = ref (fun () -> []) in
+        (* Observability: events are collected in memory (the run
+           summary reads the engine's faultsim.run event; --stats prints
+           it); --trace also streams them to a JSONL file. *)
+        let mem, fetch_events = Obs.memory_sink () in
         let trace_oc = ref None in
         let sink =
-          let s = Obs.null_sink in
-          let s =
-            if stats then begin
-              let mem, fetch = Obs.memory_sink () in
-              fetch_events := fetch;
-              Obs.tee s mem
-            end
-            else s
-          in
           match trace with
-          | None -> s
+          | None -> mem
           | Some file ->
               let oc = open_out_gen [ Open_creat; Open_append; Open_wronly ] 0o644 file in
               trace_oc := Some oc;
-              Obs.tee s (Obs.channel_sink oc)
+              Obs.tee mem (Obs.channel_sink oc)
         in
         let obs = Obs.make sink in
         let t0 = Unix.gettimeofday () in
-        let s, domain_stats =
+        let s =
           match engine with
           | `Serial ->
-              ( Faultsim.run_serial ~drop ~obs ?deadline ?max_evals ~interrupt ?checkpoint
-                  ~chaos u pats,
-                None )
+              Faultsim.run_serial ~drop ~obs ?deadline ?max_evals ~interrupt ?checkpoint ~chaos
+                u pats
           | `Parallel ->
-              ( Faultsim.run_parallel ~drop ~obs ?deadline ?max_evals ~interrupt ?checkpoint
-                  ~chaos u pats,
-                None )
+              Faultsim.run_parallel ~drop ~obs ?deadline ?max_evals ~interrupt ?checkpoint
+                ~chaos u pats
           | `Ppsfp ->
-              ( Faultsim.run_ppsfp ~drop ~group ~obs ?deadline ?max_evals ~interrupt
-                  ?checkpoint u pats,
-                None )
+              Faultsim.run_ppsfp ~drop ~group ~obs ?deadline ?max_evals ~interrupt ?checkpoint
+                u pats
           | `Domains ->
-              let s, st =
-                Faultsim.run_domain_parallel_stats ~drop ?num_domains ~obs ?deadline
-                  ?max_evals ~interrupt ?checkpoint u pats
-              in
-              (s, Some st)
+              Faultsim.run_domain_parallel ~drop ?num_domains ~obs ?deadline ?max_evals
+                ~interrupt ?checkpoint u pats
         in
         let dt = Unix.gettimeofday () -. t0 in
+        let run_events = List.filter (fun e -> e.Obs.ev = "faultsim.run") (fetch_events ()) in
         let engine_name =
-          match (engine, domain_stats) with
-          | `Domains, Some st ->
-              Fmt.str "domains(%d requested, %d effective)"
-                st.Parallel_exec.requested_domains st.Parallel_exec.effective_domains
-          | `Serial, _ -> "serial"
-          | `Parallel, _ -> "parallel"
-          | `Ppsfp, _ -> Fmt.str "ppsfp(group %d)" group
-          | `Domains, None -> "domains"
+          match engine with
+          | `Serial -> "serial"
+          | `Parallel -> "parallel"
+          | `Ppsfp -> Fmt.str "ppsfp(group %d)" group
+          | `Domains -> (
+              let count k = List.find_map (fun e -> Obs.int_field e k) run_events in
+              match (count "requested_domains", count "effective_domains") with
+              | Some r, Some e -> Fmt.str "domains(%d requested, %d effective)" r e
+              | _ -> "domains")
         in
         Format.printf "%s: %d sites, %d patterns -> %.2f%% coverage (%d detected)@."
           (Netlist.name nl) (Faultsim.n_sites u) patterns
@@ -364,20 +353,18 @@ let faultsim_cmd =
         if stats then begin
           List.iter
             (fun e ->
-              if e.Obs.ev = "faultsim.run" then begin
-                Format.printf "stats:";
-                List.iter
-                  (fun (k, v) ->
-                    Format.printf " %s=%s" k
-                      (match v with
-                      | Obs.Bool b -> string_of_bool b
-                      | Obs.Int i -> string_of_int i
-                      | Obs.Float f -> Fmt.str "%.6f" f
-                      | Obs.String s -> s))
-                  e.Obs.fields;
-                Format.printf "@."
-              end)
-            (!fetch_events ());
+              Format.printf "stats:";
+              List.iter
+                (fun (k, v) ->
+                  Format.printf " %s=%s" k
+                    (match v with
+                    | Obs.Bool b -> string_of_bool b
+                    | Obs.Int i -> string_of_int i
+                    | Obs.Float f -> Fmt.str "%.6f" f
+                    | Obs.String s -> s))
+                e.Obs.fields;
+              Format.printf "@.")
+            run_events;
           (* Durability accounting for checkpointed campaigns: how much
              progress persistence cost, and where the resume state came
              from (a primary corrupted under the writer falls back to
@@ -396,7 +383,6 @@ let faultsim_cmd =
                 (Checkpoint.stale_cleaned ctl) resumed_units
                 (Checkpoint.resumed_from_backup ctl)
           | None -> ());
-          Option.iter (Parallel_exec.pp_stats Format.std_formatter) domain_stats;
           if Chaos.enabled chaos then begin
             Format.printf "chaos: spec=%s injected=%d" (Chaos.to_spec chaos)
               (Chaos.injected chaos);

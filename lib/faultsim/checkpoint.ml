@@ -13,10 +13,10 @@
      the producing campaign are stored, and resume refuses to continue
      against different ones — silently mixing campaigns would produce
      confidently wrong coverage;
-   - *engine-honest*: pattern-sweep engines (serial, bit-parallel,
-     PPSFP) checkpoint "patterns 0..K done for every site"; the
-     site-sweep domains engine checkpoints "these sites fully done".  The [mode] field keeps the two from being resumed by the
-     wrong kind of engine.
+   - *engine-neutral*: every engine sweeps patterns in ascending units
+     and checkpoints "patterns 0..K done for every site", so any engine
+     resumes any engine's file.  Files from older builds whose domains
+     engine swept sites ([mode sites]) are refused by name.
 
    The format is deliberately plain text (one [key value] line each, the
    detection array space-separated) rather than [Marshal]: it survives
@@ -29,9 +29,9 @@ exception Error of string
 
 let version = 1
 
-type mode = Patterns | Sites
+type mode = Patterns
 
-let mode_name = function Patterns -> "patterns" | Sites -> "sites"
+let mode_name Patterns = "patterns"
 
 type state = {
   mode : mode;
@@ -66,10 +66,6 @@ let payload st =
     (String.concat " "
        (Array.to_list
           (Array.map (function None -> "-" | Some p -> string_of_int p) st.first_detection)));
-  (match st.site_done with
-  | Some d ->
-      line "done %s" (String.init (Array.length d) (fun i -> if d.(i) then '1' else '0'))
-  | None -> ());
   Buffer.contents buf
 
 let save ?(chaos = Chaos.disabled) path st =
@@ -168,7 +164,11 @@ let load path =
   let mode =
     match get "mode" with
     | "patterns" -> Patterns
-    | "sites" -> Sites
+    | "sites" ->
+        fail
+          "checkpoint %s: mode sites was written by the site-sweep domains engine of an \
+           older build and cannot be resumed; rerun the campaign"
+          path
     | m -> fail "checkpoint %s: unknown mode %S" path m
   in
   let n_sites = get_int "n_sites" in
@@ -192,22 +192,6 @@ let load path =
           | None -> fail "checkpoint %s: bad detection entry %S" path w)
       words
   in
-  let site_done =
-    match List.assoc_opt "done" kv with
-    | None -> None
-    | Some bits ->
-        if String.length bits <> n_sites then
-          fail "checkpoint %s: %d done bits for %d sites" path (String.length bits) n_sites;
-        Some
-          (Array.init n_sites (fun i ->
-               match bits.[i] with
-               | '1' -> true
-               | '0' -> false
-               | c -> fail "checkpoint %s: bad done bit %C" path c))
-  in
-  (match (mode, site_done) with
-  | Sites, None -> fail "checkpoint %s: site-sweep checkpoint has no done bitmap" path
-  | _ -> ());
   {
     mode;
     circuit_digest = get "circuit";
@@ -217,7 +201,7 @@ let load path =
     n_patterns;
     units_done;
     first_detection;
-    site_done;
+    site_done = None;
     prng_state = List.assoc_opt "prng" kv;
   }
 
@@ -257,10 +241,8 @@ let cleanup_stale path =
 (* --- Controllers ------------------------------------------------------------- *)
 
 (* The mutable handle threaded into the engines.  [tick] throttles writes
-   to every [interval] completed pattern-units (sites for the site-sweep
-   mode); [finalize] always writes.  All writes go through one mutex so
-   the domains engine's worker 0 and a pattern-sweep engine's single
-   thread use the same code path. *)
+   to every [interval] completed patterns; [finalize] always writes.
+   Only the campaign driver's sweeping domain calls either. *)
 type ctl = {
   path : string;
   interval : int;
@@ -273,7 +255,6 @@ type ctl = {
   resume : state option;
   resumed_from_backup : bool;
   chaos : Chaos.t;
-  lock : Mutex.t;
   mutable last_units : int;
   mutable writes : int;
   mutable failed_writes : int;
@@ -315,7 +296,6 @@ let create ~path ~interval ?prng_state ?resume ?(resumed_from_backup = false)
     resume;
     resumed_from_backup;
     chaos;
-    lock = Mutex.create ();
     last_units = (match resume with Some st -> st.units_done | None -> 0);
     writes = 0;
     failed_writes = 0;
@@ -330,19 +310,10 @@ let writes ctl = ctl.writes
 let failed_writes ctl = ctl.failed_writes
 let stale_cleaned ctl = ctl.stale_cleaned
 
-let require_mode ctl mode ~engine =
-  match ctl.resume with
-  | Some st when st.mode <> mode ->
-      fail
-        "checkpoint %s: written by a %s-sweep engine, but %s is a %s-sweep engine — resume \
-         with a matching engine"
-        ctl.path (mode_name st.mode) engine (mode_name mode)
-  | _ -> ()
-
-let write ctl ~mode ~units_done ~first_detection ~site_done =
+let write ctl ~units_done ~first_detection =
   let st =
     {
-      mode;
+      mode = Patterns;
       circuit_digest = ctl.circuit_digest;
       universe_digest = ctl.universe_digest;
       pattern_digest = ctl.pattern_digest;
@@ -350,7 +321,7 @@ let write ctl ~mode ~units_done ~first_detection ~site_done =
       n_patterns = ctl.n_patterns;
       units_done;
       first_detection = Array.copy first_detection;
-      site_done = Option.map Array.copy site_done;
+      site_done = None;
       prng_state = ctl.prng_state;
     }
   in
@@ -358,36 +329,27 @@ let write ctl ~mode ~units_done ~first_detection ~site_done =
   ctl.last_units <- units_done;
   ctl.writes <- ctl.writes + 1
 
-let tick ctl ~mode ~units_done ~first_detection ?site_done () =
-  Mutex.lock ctl.lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock ctl.lock)
-    (fun () ->
-      if units_done - ctl.last_units >= ctl.interval then begin
-        (* A failed interval write must not abort the campaign: the
-           simulation result is unaffected, [last_units] stays put so the
-           next tick retries, and the failure is counted for stats. *)
-        match write ctl ~mode ~units_done ~first_detection ~site_done with
-        | () -> true
-        | exception Error _ ->
-            ctl.failed_writes <- ctl.failed_writes + 1;
-            false
-      end
-      else false)
+let tick ctl ~units_done ~first_detection =
+  units_done - ctl.last_units >= ctl.interval
+  &&
+  (* A failed interval write must not abort the campaign: the simulation
+     result is unaffected, [last_units] stays put so the next tick
+     retries, and the failure is counted for stats. *)
+  match write ctl ~units_done ~first_detection with
+  | () -> true
+  | exception Error _ ->
+      ctl.failed_writes <- ctl.failed_writes + 1;
+      false
 
-let finalize ctl ~mode ~units_done ~first_detection ?site_done () =
-  Mutex.lock ctl.lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock ctl.lock)
-    (fun () ->
-      match write ctl ~mode ~units_done ~first_detection ~site_done with
+let finalize ctl ~units_done ~first_detection =
+  match write ctl ~units_done ~first_detection with
+  | () -> ()
+  | exception Error _ -> (
+      (* One retry clears transient faults (an injected fail_once, a full
+         tmpfs racing a cleanup); a persistent failure is absorbed and
+         counted — the campaign's in-memory result is intact and the
+         previous [.bak] remains resumable. *)
+      ctl.failed_writes <- ctl.failed_writes + 1;
+      match write ctl ~units_done ~first_detection with
       | () -> ()
-      | exception Error _ ->
-          (* One retry clears transient faults (an injected fail_once, a
-             full tmpfs racing a cleanup); a persistent failure is
-             absorbed and counted — the campaign's in-memory result is
-             intact and the previous [.bak] remains resumable. *)
-          ctl.failed_writes <- ctl.failed_writes + 1;
-          (match write ctl ~mode ~units_done ~first_detection ~site_done with
-          | () -> ()
-          | exception Error _ -> ctl.failed_writes <- ctl.failed_writes + 1))
+      | exception Error _ -> ctl.failed_writes <- ctl.failed_writes + 1)

@@ -6,7 +6,10 @@
     circuit, the fault universe and the pattern set; {!create} refuses to
     resume against mismatched digests.  Files are published with a
     write-to-temporary + [rename] so readers never see a torn file, and
-    carry a trailing checksum so truncation is detected at {!load}. *)
+    carry a trailing checksum so truncation is detected at {!load}.
+
+    Every engine sweeps patterns in ascending units, so there is one
+    checkpoint mode and any engine resumes any engine's file. *)
 
 exception Error of string
 (** Raised on unreadable, corrupted, version-incompatible or
@@ -15,11 +18,9 @@ exception Error of string
 
 type mode =
   | Patterns
-      (** pattern-sweep engines (serial, bit-parallel, PPSFP):
-          [units_done] patterns are complete for all sites *)
-  | Sites
-      (** the site-sweep domains engine: the sites flagged in
-          [site_done] are complete for all patterns *)
+      (** [units_done] patterns are complete for all sites — written on
+          disk as [mode patterns].  Older builds also wrote [mode sites]
+          from a site-sweep domains engine; {!load} refuses those. *)
 
 val mode_name : mode -> string
 
@@ -30,11 +31,12 @@ type state = {
   pattern_digest : string;
   n_sites : int;
   n_patterns : int;
-  units_done : int;  (** patterns done ([Patterns]) or sites done ([Sites]) *)
+  units_done : int;  (** patterns done *)
   first_detection : int option array;
       (** per-site earliest detecting pattern index, as of the snapshot *)
   site_done : bool array option;
-      (** per-site completion bitmap; present iff [mode = Sites] *)
+      (** always [None]: kept so existing record literals still build;
+          never written *)
   prng_state : string option;
       (** {!Dynmos_util.Prng.save} token of the campaign generator, for
           diagnostics; resume regenerates patterns from the seed and
@@ -49,8 +51,9 @@ val save : ?chaos:Dynmos_chaos.Chaos.t -> string -> state -> unit
 
 val load : string -> state
 (** Parse and validate a checkpoint file.  Raises {!Error} on missing
-    file, bad checksum (truncation), unknown version, or malformed
-    fields. *)
+    file, bad checksum (truncation), unknown version, malformed fields,
+    or a [mode sites] file from an older build (its site-sweep progress
+    has no pattern prefix to resume from). *)
 
 val load_or_backup : string -> state * bool
 (** [load_or_backup path] is [load path], falling back to
@@ -67,10 +70,9 @@ val cleanup_stale : string -> int
 (** {1 Controllers}
 
     The handle engines thread through a run.  It owns the write
-    throttling (every [interval] completed units) and the campaign
-    digests; all writes are mutex-serialized so the domains engine's
-    checkpointing worker uses the same path as single-threaded
-    engines. *)
+    throttling (every [interval] completed patterns) and the campaign
+    digests.  Only the campaign driver's sweeping domain writes through
+    it. *)
 
 type ctl
 
@@ -103,32 +105,14 @@ val resumed_from_backup : ctl -> bool
     rather than the primary file (set by the caller that loaded it; a
     durability stat, not a behavior change). *)
 
-val require_mode : ctl -> mode -> engine:string -> unit
-(** Fail early ({!Error}) when a resume state was produced by the other
-    sweep mode than engine [engine] uses. *)
-
-val tick :
-  ctl ->
-  mode:mode ->
-  units_done:int ->
-  first_detection:int option array ->
-  ?site_done:bool array ->
-  unit ->
-  bool
+val tick : ctl -> units_done:int -> first_detection:int option array -> bool
 (** Interval-gated write: persists a snapshot iff at least [interval]
-    units completed since the last write.  Returns whether a file was
+    patterns completed since the last write.  Returns whether a file was
     written.  A failed write is absorbed (counted in {!failed_writes},
     retried at the next interval) — checkpointing trouble never aborts
-    the simulation itself.  Thread-safe. *)
+    the simulation itself. *)
 
-val finalize :
-  ctl ->
-  mode:mode ->
-  units_done:int ->
-  first_detection:int option array ->
-  ?site_done:bool array ->
-  unit ->
-  unit
+val finalize : ctl -> units_done:int -> first_detection:int option array -> unit
 (** Unconditional write — called at clean completion, deadline stop and
     interrupt, so the published file always reflects the returned
     summary.  Retries once on failure, then absorbs it (counted in

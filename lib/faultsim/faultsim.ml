@@ -18,8 +18,8 @@ module Obs = Dynmos_obs.Obs
      reference;
    - parallel: 62 patterns per machine word, one pass per fault;
    - ppsfp: a group of fault machines per pattern word (Ppsfp);
-   - domains: the bit-parallel kernel with fault sites spread across
-     OCaml 5 domains (Parallel_exec).
+   - domains: the bit-parallel kernel with each unit's fault sites
+     split across OCaml 5 domains (Parallel_exec.split).
 
    Every campaign policy — limits, checkpointing, obs accounting, fault
    dropping, supervision and the all-detected early exit — is implemented
@@ -217,14 +217,26 @@ let detects u site pattern =
 
 let word_bits = 62
 
-(* One builder serves both: the serial engine is the bit-parallel
-   mechanics with one pattern per unit (words are then plain 0/1), which
-   is exactly how the two engines always related — only the packing
-   width differed. *)
-let injection_kernel ~name ~unit_bits ~count_good_evals u patterns =
+(* Work thresholds of the domains engine, in gate evaluations.  A
+   campaign starts at most one domain per [spawn_work] of static estimate
+   (sites x words x gates, as if every site swept the whole circuit on
+   every word), so a small one pays no spawn; once running, the helpers
+   join a unit only after a unit that measured at least [unit_work] cone
+   evaluations (about 0.4 ms on a 2-vCPU Xeon VM) — below that, waking
+   them costs about what they save. *)
+let spawn_work = 50_000
+let unit_work = 10_000
+
+(* One builder serves three engines: the serial engine is the
+   bit-parallel mechanics with one pattern per unit (words are then
+   plain 0/1), which is exactly how the two always related — only the
+   packing width differed; the domains engine is the bit-parallel one
+   with each unit's sites split across the helpers of [pool]. *)
+let injection_kernel ?pool ?(fields = []) ~name ~unit_bits ~count_good_evals u patterns =
   let compiled = u.compiled in
   let n_inputs = Compiled.n_inputs compiled in
   let n_gates = Compiled.n_gates compiled in
+  let n = Array.length u.sites in
   let total = Array.length patterns in
   (* All buffers live outside the loops: good machine in [scratch]
      (doubling as the cone baseline), cone save/restore in [buf]. *)
@@ -232,7 +244,45 @@ let injection_kernel ~name ~unit_bits ~count_good_evals u patterns =
   let buf = Compiled.make_cone_buffer compiled in
   let words = Array.make n_inputs 0 in
   let good_evals = ref 0 in
-  let run_unit (ctx : Kernel.ctx) ~start ~len =
+  (* Sites [lo, hi) of the unit on one domain's buffers.  [words] stays
+     read-only until the unit ends, so recomputing the good machine from
+     it restores a scratch a mid-cone exception left dirty. *)
+  let sweep (ctx : Kernel.ctx) ~start ~mask ~scratch ~buf ~work ~detect lo hi =
+    let restore () = Compiled.eval_words_into compiled ~scratch words in
+    for i = lo to hi - 1 do
+      let site = u.sites.(i) in
+      if ctx.Kernel.failed.(site.sid) then ()
+      else if ctx.Kernel.drop && ctx.Kernel.first.(site.sid) <> None then ()
+      else
+        let eval () =
+          Compiled.eval_cone_into ~tally:work compiled
+            ~override:(site.gate.Netlist.id, site.fn) ~scratch ~buf
+        in
+        match ctx.Kernel.supervise ~sid:site.sid ~restore eval with
+        | None -> ()
+        | Some diff ->
+            let diff = diff land mask in
+            if diff <> 0 && ctx.Kernel.first.(site.sid) = None then begin
+              (* First detecting pattern: lowest set bit. *)
+              let rec lowest j = if (diff lsr j) land 1 = 1 then j else lowest (j + 1) in
+              detect ~sid:site.sid ~pat:(start + lowest 0)
+            end
+    done
+  in
+  (* Per helper slot: private scratch, cone buffer, gate tally and the
+     detections found this unit.  Only the calling domain touches the
+     driver's state; it merges the helpers' tallies and detections once
+     the unit ends. *)
+  let helpers =
+    match pool with
+    | None -> [||]
+    | Some p ->
+        Array.init (Parallel_exec.Scheduler.size p) (fun _ ->
+            (Compiled.make_scratch compiled, Compiled.make_cone_buffer compiled, ref 0, ref []))
+  in
+  let block = max 1 (n / ((Array.length helpers + 1) * 8)) in
+  let last_work = ref max_int (* the first unit always splits *) in
+  let prepare ~start ~len =
     Array.fill words 0 n_inputs 0;
     for j = 0 to len - 1 do
       let p = patterns.(start + j) in
@@ -240,31 +290,43 @@ let injection_kernel ~name ~unit_bits ~count_good_evals u patterns =
         if p.(i) then words.(i) <- words.(i) lor (1 lsl j)
       done
     done;
-    let mask = if len >= word_bits then max_int else (1 lsl len) - 1 in
     Compiled.eval_words_into compiled ~scratch words;
-    incr good_evals;
-    (* a mid-cone exception leaves [scratch] partially overwritten;
-       restore the good-machine baseline before anyone reads it again *)
-    let restore () = Compiled.eval_words_into compiled ~scratch words in
-    Array.iter
-      (fun site ->
-        if ctx.Kernel.failed.(site.sid) then ()
-        else if ctx.Kernel.drop && ctx.Kernel.first.(site.sid) <> None then ()
-        else
-          let eval () =
-            Compiled.eval_cone_into ~tally:ctx.Kernel.work compiled
-              ~override:(site.gate.Netlist.id, site.fn) ~scratch ~buf
-          in
-          match ctx.Kernel.supervise ~sid:site.sid ~restore eval with
-          | None -> ()
-          | Some diff ->
-              let diff = diff land mask in
-              if diff <> 0 && ctx.Kernel.first.(site.sid) = None then begin
-                (* First detecting pattern: lowest set bit. *)
-                let rec lowest j = if (diff lsr j) land 1 = 1 then j else lowest (j + 1) in
-                ctx.Kernel.detect ~sid:site.sid ~pat:(start + lowest 0)
-              end)
-      u.sites
+    incr good_evals
+  in
+  let run_unit (ctx : Kernel.ctx) ~start ~len =
+    let mask = if len >= word_bits then max_int else (1 lsl len) - 1 in
+    let work = ctx.Kernel.work in
+    let w0 = !work in
+    (match pool with
+    | Some pool when !last_work >= unit_work ->
+        Parallel_exec.split pool ~n ~block
+          ~prepare:(fun () ->
+            prepare ~start ~len;
+            Array.iter
+              (fun (s, _, _, _) -> Array.blit scratch 0 s 0 (Array.length scratch))
+              helpers)
+          (fun ~slot lo hi ->
+            if slot = 0 then
+              sweep ctx ~start ~mask ~scratch ~buf ~work ~detect:ctx.Kernel.detect lo hi
+            else begin
+              let scratch, buf, work, hits = helpers.(slot - 1) in
+              sweep ctx ~start ~mask ~scratch ~buf ~work
+                ~detect:(fun ~sid ~pat -> hits := (sid, pat) :: !hits)
+                lo hi
+            end);
+        Array.iter
+          (fun (_, _, w, hits) ->
+            work := !work + !w;
+            w := 0;
+            List.iter (fun (sid, pat) -> ctx.Kernel.detect ~sid ~pat) !hits;
+            hits := [])
+          helpers
+    | _ ->
+        prepare ~start ~len;
+        sweep ctx ~start ~mask ~scratch ~buf ~work ~detect:ctx.Kernel.detect 0 n);
+    (* a unit too small to pay for waking the helpers keeps the next one
+       on this domain alone *)
+    last_work := !work - w0
   in
   let obs_fields (t : Kernel.totals) =
     (if count_good_evals then [ ("good_evals", Obs.Int !good_evals) ] else [])
@@ -274,6 +336,7 @@ let injection_kernel ~name ~unit_bits ~count_good_evals u patterns =
           Obs.Int (((t.Kernel.evals + t.Kernel.evals_saved) * n_gates) - t.Kernel.work) );
         ("cone_gates", Obs.Int (total_cone_gates u));
       ]
+    @ fields
   in
   {
     Kernel.name;
@@ -317,33 +380,42 @@ let run_ppsfp ?drop ?group ?trace_site ?obs ?deadline ?max_evals ?interrupt ?che
 
 (* --- Domain-parallel -------------------------------------------------------- *)
 
-(* Multicore wrapper: fault sites are partitioned across OCaml 5 domains
-   (work-stealing pool in Parallel_exec); inside each site the
-   bit-parallel cone kernel runs unchanged, so first-detection results
-   are bit-identical to [run_serial] for every domain count.  All
-   campaign plumbing lives in [Campaign.run_sites]. *)
-let run_domain_parallel_stats ?drop ?num_domains ?min_work_per_domain ?obs ?deadline ?max_evals
-    ?interrupt ?checkpoint ?max_attempts ?backoff ?crash_hook ?on_progress u
-    (patterns : bool array array) =
-  let jobs =
-    Array.map
-      (fun s -> { Parallel_exec.jid = s.sid; gate_id = s.gate.Netlist.id; fn = s.fn })
-      u.sites
+(* The bit-parallel engine with each unit's sites split across a
+   campaign-private pool of helper domains, spawned once and joined when
+   the campaign ends.  Patterns still advance one unit at a time under
+   the ordinary driver, so results, checkpoints and partial results are
+   those of [run_parallel] for every domain count.  Chaos stays off so a
+   schedule replays from the one sweeping domain. *)
+let run_domain_parallel ?drop ?num_domains ?obs ?deadline ?max_evals ?interrupt ?checkpoint
+    ?max_attempts ?backoff ?crash_hook ?on_progress u (patterns : bool array array) =
+  let requested =
+    match num_domains with
+    | None -> Parallel_exec.default_domains ()
+    | Some d when d >= 1 -> d
+    | Some d ->
+        invalid_arg
+          (Fmt.str "Faultsim.run_domain_parallel: num_domains must be >= 1 (got %d)" d)
   in
-  let summary, _report, stats =
-    Campaign.run_sites ?drop ?num_domains ?min_work_per_domain ?obs ?deadline ?max_evals
-      ?interrupt ?checkpoint ?max_attempts ?backoff ?crash_hook ?on_progress
-      ~extra_fields:[ ("cone_gates", Obs.Int (total_cone_gates u)) ]
-      u.compiled jobs patterns
+  let total = Array.length patterns in
+  let estimate =
+    n_sites u * ((total + word_bits - 1) / word_bits) * Compiled.n_gates u.compiled
   in
-  (summary, stats)
-
-let run_domain_parallel ?drop ?num_domains ?min_work_per_domain ?obs ?deadline ?max_evals
-    ?interrupt ?checkpoint ?max_attempts ?backoff ?crash_hook ?on_progress u patterns =
-  fst
-    (run_domain_parallel_stats ?drop ?num_domains ?min_work_per_domain ?obs ?deadline
-       ?max_evals ?interrupt ?checkpoint ?max_attempts ?backoff ?crash_hook ?on_progress u
-       patterns)
+  let wanted = max 1 (min requested (min (n_sites u) (estimate / spawn_work))) in
+  let pool =
+    if wanted = 1 then None
+    else
+      try Some (Parallel_exec.Scheduler.create ~num_domains:(wanted - 1) ())
+      with Failure _ -> None (* no helper could spawn: run on this domain alone *)
+  in
+  let effective = 1 + Option.fold ~none:0 ~some:Parallel_exec.Scheduler.live_workers pool in
+  Fun.protect ~finally:(fun () -> Option.iter Parallel_exec.Scheduler.shutdown pool)
+  @@ fun () ->
+  Campaign.run_patterns ?drop ?obs ?deadline ?max_evals ?interrupt ?checkpoint ?max_attempts
+    ?backoff ?crash_hook ?on_progress ~n_sites:(n_sites u) ~total
+    (injection_kernel ?pool
+       ~fields:
+         [ ("requested_domains", Obs.Int requested); ("effective_domains", Obs.Int effective) ]
+       ~name:"domains" ~unit_bits:word_bits ~count_good_evals:false u patterns)
 
 (* --- Random-pattern driver ------------------------------------------------ *)
 
@@ -394,8 +466,8 @@ let exhaustive_patterns n_inputs =
 (* Digests pin a checkpoint to the exact campaign that produced it.
    They cover campaign *identity* — topology, fault universe, pattern
    set — not implementation details like engine choice or domain count
-   (any pattern-sweep engine may resume any patterns-mode checkpoint and
-   still be bit-identical). *)
+   (any engine may resume any engine's checkpoint and still be
+   bit-identical). *)
 
 let circuit_digest u =
   let b = Buffer.create 1024 in

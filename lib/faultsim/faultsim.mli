@@ -60,15 +60,12 @@ type summary = Campaign.summary = {
           sites.  Detections gathered before a stop are always
           returned. *)
   patterns_done : int;
-      (** patterns completed for every live site (pattern-sweep
-          engines).  The site-sweep domains engine reports [n_patterns]
-          when complete and [0] on a partial stop — its progress is
-          [sites_done]. *)
+      (** patterns completed for every live site: a partial run's
+          detections are exactly the unlimited run's detections within
+          this prefix, for every engine. *)
   sites_done : int;
       (** sites whose result is final: everything except failed sites on
-          a complete run; on a stopped run, the detected sites
-          (pattern-sweep) or the fully-swept sites (domains engine,
-          including checkpoint-preloaded ones). *)
+          a complete run; the detected sites on a stopped run. *)
 }
 
 val n_detected : summary -> int
@@ -134,7 +131,8 @@ val detects : universe -> site -> bool array -> bool
     order, so no first detection can move.
 
     The single-fault engines ({!run_serial}, {!run_parallel},
-    {!run_domain_parallel}) additionally supervise per-site evaluation:
+    {!run_domain_parallel}) additionally supervise per-site evaluation
+    (on whichever domain evaluates the site):
     a site whose faulty function raises is retried (bounded by
     [?max_attempts], default 3; the good-machine baseline is restored
     first) and, if it keeps raising, excluded and reported in the
@@ -145,13 +143,11 @@ val detects : universe -> site -> bool array -> bool
     jointly, so a raising site cannot be isolated there; it supports
     limits and checkpoints only.
 
-    Every engine also takes [?on_progress] (default no-op), called after
-    each completed unit of work — patterns for the pattern-sweep
-    engines, sites for {!run_domain_parallel} — with the running
-    detection count.  This is the streaming hook [dynmos serve] uses for
-    partial-result responses; the callback must be cheap and must not
-    raise (for the domains engine it runs under the pool's progress
-    mutex, possibly from a worker domain). *)
+    Every engine also takes [?on_progress] (default no-op), called on
+    the sweeping domain after each completed pattern unit with the
+    patterns done and the running detection count.  This is the
+    streaming hook [dynmos serve] uses for partial-result responses; the
+    callback must be cheap and must not raise. *)
 
 val run_serial :
   ?drop:bool ->
@@ -217,7 +213,6 @@ val run_ppsfp :
 val run_domain_parallel :
   ?drop:bool ->
   ?num_domains:int ->
-  ?min_work_per_domain:int ->
   ?obs:Dynmos_obs.Obs.t ->
   ?deadline:float ->
   ?max_evals:int ->
@@ -230,41 +225,27 @@ val run_domain_parallel :
   universe ->
   bool array array ->
   summary
-(** Multicore engine: fault sites partitioned across OCaml 5 domains (a
-    supervised work-stealing pool, see {!Parallel_exec.run_supervised}),
-    each running the bit-parallel cone kernel with private scratch
-    state.  [first_detection] is bit-identical to {!run_serial} for
-    every [num_domains] and [drop].  [num_domains] defaults to
-    [Domain.recommended_domain_count ()] and is clamped to the number of
-    sites and to the estimated work (one domain per
-    [min_work_per_domain] gate-evaluations, see
-    {!Parallel_exec.run_supervised}).
+(** Multicore engine: {!run_parallel} with each 62-pattern unit's live
+    sites split across OCaml 5 domains ({!Parallel_exec.split}).  The
+    calling domain packs the unit and sweeps the good machine once; it
+    and the helpers of a campaign-private {!Parallel_exec.Scheduler},
+    spawned once per campaign, each evaluate blocks of sites with
+    private scratch state.  Patterns advance one unit at a time under
+    the same driver as every other engine, so [first_detection],
+    partial results (pattern prefixes) and checkpoints (interchangeable
+    with the other engines') are {!run_parallel}'s for every
+    [num_domains] and [drop].
 
-    This engine sweeps sites, not patterns, so its checkpoints are
-    site-mode (a done bitmap plus the done sites' detections) and cannot
-    be exchanged with the pattern-sweep engines' — {!Checkpoint.Error}
-    on a mode mismatch.  A failed [Domain.spawn] degrades gracefully to
-    fewer domains (down to the calling one) with results unchanged. *)
-
-val run_domain_parallel_stats :
-  ?drop:bool ->
-  ?num_domains:int ->
-  ?min_work_per_domain:int ->
-  ?obs:Dynmos_obs.Obs.t ->
-  ?deadline:float ->
-  ?max_evals:int ->
-  ?interrupt:(unit -> bool) ->
-  ?checkpoint:Checkpoint.ctl ->
-  ?max_attempts:int ->
-  ?backoff:Parallel_exec.Backoff.t ->
-  ?crash_hook:(int -> unit) ->
-  ?on_progress:(units_done:int -> detected:int -> unit) ->
-  universe ->
-  bool array array ->
-  summary * Parallel_exec.stats
-(** {!run_domain_parallel} plus the scheduling statistics (per-domain
-    jobs/evals/busy/steal, spawn and join cost, effective domain
-    count). *)
+    [num_domains] (default [Domain.recommended_domain_count ()]) is a
+    ceiling: the campaign starts at most one domain per site and per
+    50 000 gate evaluations of static work estimate (sites x words x
+    gates), so a small campaign starts no domain at all; and the helpers
+    sit out any unit after one that performed fewer than 10 000 gate
+    evaluations.
+    The ["faultsim.run"] event reports ["requested_domains"] and
+    ["effective_domains"] (the calling domain plus the helpers that
+    started).  There is no [?chaos]: a chaos schedule replays from one
+    sweeping domain, which {!run_parallel} provides. *)
 
 val random_patterns :
   ?weights:float array -> Prng.t -> n_inputs:int -> count:int -> bool array array
@@ -287,9 +268,8 @@ val exhaustive_patterns : int -> bool array array
     universe and pattern set that produced it; resuming against anything
     else is refused ({!Checkpoint.Error}).  The digests cover campaign
     identity only — engine choice, domain count and [drop] are free to
-    differ between the producing and resuming runs (pattern-sweep
-    checkpoints are interchangeable among serial / bit-parallel / PPSFP;
-    the domains engine uses site-mode checkpoints). *)
+    differ between the producing and resuming runs: every engine's
+    checkpoint resumes under every other engine. *)
 
 val circuit_digest : universe -> string
 val universe_digest : universe -> string
@@ -312,8 +292,7 @@ val checkpoint_ctl :
     [resume] is a fresh start, not an error — a campaign killed before
     its first tick left nothing behind).  Stale temp files from crashed
     writers are cleaned up on creation.  [interval] is in completed
-    pattern-units (patterns for the pattern-sweep engines, sites for the
-    domains engine).  [prng_state] (a {!Prng.save} token) is stored for
+    patterns.  [prng_state] (a {!Prng.save} token) is stored for
     diagnostics; resume regenerates patterns from the seed and validates
     them via the pattern digest.  [chaos] is threaded into every write
     (the [ckpt.write] / [ckpt.fsync] / [ckpt.rename] points). *)

@@ -1,8 +1,9 @@
 (** The driver/kernel interface of the unified campaign driver.
 
     A kernel is one way of evaluating the fault universe over a span of
-    patterns (serial, bit-parallel, PPSFP, or a test oracle).  It owns
-    only the evaluation mechanics;
+    patterns (serial, bit-parallel — on one domain or split across
+    several — PPSFP, or a test oracle).  It owns only the evaluation
+    mechanics;
     every campaign policy — limits, checkpointing, obs accounting, fault
     dropping, supervision/retry and the all-detected early exit — lives
     in {!Campaign.run_patterns}, which drives the kernel one pattern
@@ -30,9 +31,13 @@ type ctx = {
   supervise : sid:int -> restore:(unit -> unit) -> (unit -> int) -> int option;
       (** run one site evaluation under the driver's bounded-retry
           supervision: the crash hook fires before each attempt,
-          [restore] repairs shared scratch state after an exception, and
-          a persistently-raising site is marked [failed] and reported —
-          [None] — instead of killing the campaign *)
+          [restore] repairs the evaluating domain's scratch state after
+          an exception, and a persistently-raising site is marked
+          [failed] and reported — [None] — instead of killing the
+          campaign.  Safe to call from helper domains during
+          [run_unit], as long as no two domains evaluate the same site
+          in one unit; every other service here is the calling
+          domain's alone. *)
 }
 
 type totals = {

@@ -4,17 +4,16 @@
    epoch seconds — the CLI converts a relative [--deadline SEC] before
    calling), a gate-evaluation budget, and a cooperative interrupt
    callback (the CLI's signal handler sets an [Atomic.t] flag the
-   callback reads).  Engines poll {!check} at pattern-unit / scheduling
-   boundaries and stop *cleanly* when it trips: the run returns
+   callback reads).  The campaign driver polls {!check} at pattern-unit
+   boundaries and stops *cleanly* when it trips: the run returns
    [Outcome.Partial] with every detection gathered so far instead of
    raising.
 
-   The gauge is shared across the domains of the parallel pool, so the
-   counter and the tripped cause are [Atomic.t]: the first domain to
-   observe a tripped limit publishes the cause with [compare_and_set]
-   and every later poll sees it.  Polling order fixes the precedence
-   when several limits trip in the same window:
-   interrupt > deadline > max_evals. *)
+   The counter and the tripped cause are [Atomic.t], so a gauge stays
+   safe to share across domains: the first poll to observe a tripped
+   limit publishes the cause with [compare_and_set] and every later poll
+   sees it.  Polling order fixes the precedence when several limits trip
+   in the same window: interrupt > deadline > max_evals. *)
 
 type t = {
   deadline : float option;

@@ -1,11 +1,10 @@
 (** Execution limits for fault-simulation campaigns: wall-clock deadline,
     gate-evaluation budget, cooperative interrupt.
 
-    Engines poll a shared {!gauge} at pattern-unit / scheduling
-    boundaries; when a limit trips they stop cleanly and return
-    [Outcome.Partial] with the detections gathered so far.  The gauge is
-    domain-safe ([Atomic.t] counter and cause), so the parallel pool's
-    workers share one.  Precedence when several limits trip at once:
+    Engines poll a shared {!gauge} at pattern-unit boundaries; when a
+    limit trips they stop cleanly and return [Outcome.Partial] with the
+    detections gathered so far.  The gauge is domain-safe ([Atomic.t]
+    counter and cause).  Precedence when several limits trip at once:
     interrupt > deadline > evaluation budget. *)
 
 type t
@@ -16,7 +15,8 @@ val make :
   ?deadline:float -> ?max_evals:int -> ?interrupt:(unit -> bool) -> unit -> t
 (** [deadline] is absolute epoch seconds ([Unix.gettimeofday]-based);
     [max_evals] is a budget in {e gate evaluations} (the innermost work
-    unit, the same metric as [Parallel_exec.stats_gate_evals]) and must
+    unit, the same metric as the ["gate_evals"] field of the
+    ["faultsim.run"] event) and must
     be positive; [interrupt] is polled and should be cheap (read an
     [Atomic.t] flag). *)
 
@@ -34,9 +34,8 @@ val evals : gauge -> int
 
 val check : gauge -> bool
 (** [true] when the run should stop.  The first limit observed tripping
-    is recorded as the {!stopped} cause; engines may overshoot by at
-    most one scheduling unit (a pattern, a chunk, or a claimed block)
-    between polls. *)
+    is recorded as the {!stopped} cause; a campaign may overshoot by at
+    most one pattern unit between polls. *)
 
 val stopped : gauge -> Outcome.stop_cause option
 

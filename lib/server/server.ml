@@ -229,6 +229,7 @@ type durable = {
   ckpt_dir : string;
   cache_loaded : int;            (* healthy entries rehydrated at boot *)
   cache_corrupt : int;           (* entries quarantined at boot *)
+  cache_stale_removed : int;     (* entries of an older key shape deleted at boot *)
   dur_m : Mutex.t;
   mutable cache_persisted : int;
   mutable cache_persist_failed : int;
@@ -429,6 +430,7 @@ let stats_line t =
           ("cache_persisted", Json.Int 0);
           ("cache_persist_failed", Json.Int 0);
           ("cache_corrupt_quarantined", Json.Int 0);
+          ("cache_stale_removed", Json.Int 0);
           ("cache_loaded", Json.Int 0);
           ("restart_generation", Json.Int 0);
         ]
@@ -449,6 +451,7 @@ let stats_line t =
           ("cache_persisted", Json.Int persisted);
           ("cache_persist_failed", Json.Int persist_failed);
           ("cache_corrupt_quarantined", Json.Int d.cache_corrupt);
+          ("cache_stale_removed", Json.Int d.cache_stale_removed);
           ("cache_loaded", Json.Int d.cache_loaded);
           ("restart_generation", Json.Int (Journal.generation d.journal));
         ])
@@ -500,6 +503,26 @@ let job_ident t r u pats =
            Protocol.engine_name r.Protocol.engine;
            string_of_bool r.Protocol.drop;
          ])
+
+(* Does a persisted cache key have the shape [job_ident] builds today?
+   Five '|'-separated parts: three MD5 hex digests, an engine this build
+   serves, and the drop flag.  An entry keyed by an older shape (a build
+   whose identity still carried the "algo" component, or a removed
+   engine) can never be looked up again — rehydrated, it would only hold
+   an LRU slot. *)
+let current_key key =
+  let digest s =
+    String.length s = 32
+    && String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) s
+  in
+  match String.split_on_char '|' key with
+  | [ c; u; p; engine; drop ] ->
+      digest c && digest u && digest p
+      && List.exists
+           (fun e -> Protocol.engine_name e = engine)
+           [ `Serial; `Parallel; `Ppsfp; `Domains ]
+      && (drop = "true" || drop = "false")
+  | _ -> false
 
 (* Build (or resume) the per-job checkpoint controller.  Only jobs big
    enough to be worth the write amplification get one ([ckpt_patterns]);
@@ -599,9 +622,6 @@ let exec_job t client job =
         match r.Protocol.stream_every with
         | None -> None
         | Some every ->
-            let total_units =
-              match r.Protocol.engine with `Domains -> n_sites | _ -> r.Protocol.patterns
-            in
             let last = ref 0 in
             Some
               (fun ~units_done ~detected ->
@@ -611,7 +631,7 @@ let exec_job t client job =
                     (Protocol.response ~line:job.line_no ?id:r.Protocol.id ~status:"progress"
                        [
                          ("units_done", Json.Int units_done);
-                         ("units_total", Json.Int total_units);
+                         ("units_total", Json.Int r.Protocol.patterns);
                          ("detected", Json.Int detected);
                        ])
                 end)
@@ -902,7 +922,8 @@ let create ?(config = default_config) ?trace ?(known_circuit = Catalog.mem)
   (* Recovery order: journal first (pins the boot generation and the
      replay work list), then the on-disk cache (so replays of jobs whose
      results did land before the crash are answered without
-     re-simulating), then — lazily, per job — the checkpoints. *)
+     re-simulating; entries of an older key shape are deleted), then —
+     lazily, per job — the checkpoints. *)
   let durable, disk_entries =
     match config.data_dir with
     | None -> (None, [])
@@ -914,6 +935,13 @@ let create ?(config = default_config) ?trace ?(known_circuit = Catalog.mem)
         mkdir_p ckpt_dir;
         let journal = Journal.open_ ~chaos:config.chaos (Filename.concat dir "journal") in
         let entries, cache_corrupt = Cache_store.load_all cache_dir in
+        let entries, stale =
+          List.partition (fun (e : Cache_store.entry) -> current_key e.Cache_store.key) entries
+        in
+        List.iter
+          (fun (e : Cache_store.entry) ->
+            try Sys.remove (Cache_store.file_of cache_dir e.Cache_store.key) with Sys_error _ -> ())
+          stale;
         ( Some
             {
               journal;
@@ -921,6 +949,7 @@ let create ?(config = default_config) ?trace ?(known_circuit = Catalog.mem)
               ckpt_dir;
               cache_loaded = List.length entries;
               cache_corrupt;
+              cache_stale_removed = List.length stale;
               dur_m = Mutex.create ();
               cache_persisted = 0;
               cache_persist_failed = 0;

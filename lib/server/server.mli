@@ -152,7 +152,7 @@ val stats_line : t -> (string * Json.t) list
     durability counters ([journal_appends], [journal_fsyncs],
     [journal_recovered], [journal_pending], [journal_truncated_tail],
     [journal_compactions], [cache_persisted], [cache_persist_failed],
-    [cache_corrupt_quarantined], [cache_loaded],
+    [cache_corrupt_quarantined], [cache_stale_removed], [cache_loaded],
     [restart_generation] — all zero without [data_dir]).  Exposed for
     the CLI and tests. *)
 

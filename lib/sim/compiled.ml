@@ -257,17 +257,18 @@ let make_cone_buffer t = Array.make (max 1 t.max_cone) 0
    actually performed (1 when the fault was not activated, the cone size
    otherwise). *)
 let eval_cone_into ?tally t ~override:(gid, fn') ~(scratch : scratch) ~(buf : int array) =
-  let cone = t.cones.(gid) in
-  let n = Array.length cone in
   let cgates = t.cgates in
-  for i = 0 to n - 1 do
-    buf.(i) <- scratch.(cgates.(cone.(i)).out)
-  done;
   let cg0 = cgates.(gid) in
   let faulty0 = eval_fn_from fn' cg0.ins scratch in
   let diff = ref 0 in
   let evaluated = ref 1 in
-  if faulty0 <> buf.(0) then begin
+  if faulty0 <> scratch.(cg0.out) then begin
+    (* activated: save the cone's baseline words, then sweep it *)
+    let cone = t.cones.(gid) in
+    let n = Array.length cone in
+    for i = 0 to n - 1 do
+      buf.(i) <- scratch.(cgates.(cone.(i)).out)
+    done;
     scratch.(cg0.out) <- faulty0;
     for i = 1 to n - 1 do
       let cg = cgates.(cone.(i)) in

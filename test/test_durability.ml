@@ -494,6 +494,95 @@ let test_server_recovery_resumes_checkpoint () =
       (* A completed job's checkpoint is discarded. *)
       check "checkpoint removed on completion" false (Sys.file_exists path))
 
+(* Upgrade path: an older build's domains engine swept sites and wrote
+   [mode sites] job checkpoints.  Such a file is refused on load, so the
+   job must discard it and rerun from scratch — never wedge. *)
+let test_server_discards_sites_mode_checkpoint () =
+  with_dir "dynmos_dur" @@ fun dir ->
+  let patterns = 64 and seed = 7 in
+  let u, pats = workload "carry8" ~patterns ~seed in
+  let clean, _ = run_clean_serial u pats in
+  let ckpt_dir = Filename.concat dir "ckpt" in
+  Unix.mkdir ckpt_dir 0o755;
+  let ident =
+    String.concat "|"
+      [
+        Faultsim.circuit_digest u;
+        Faultsim.universe_digest u;
+        Faultsim.patterns_digest pats;
+        "domains";
+        "true";
+      ]
+  in
+  let path = Filename.concat ckpt_dir (Digest.to_hex (Digest.string ident) ^ ".ckpt") in
+  Legacy_checkpoint.write_sites_mode ~path u pats;
+  check "the file is refused" true
+    (match Checkpoint.load path with exception Checkpoint.Error _ -> true | _ -> false);
+  let config = { (durable_config dir) with Server.ckpt_patterns = 0; ckpt_interval = 1 } in
+  let t = Server.create ~config () in
+  Fun.protect
+    ~finally:(fun () -> Server.shutdown t)
+    (fun () ->
+      let req =
+        Printf.sprintf {|{"circuit":"carry8","patterns":%d,"seed":%d,"engine":"domains"}|}
+          patterns seed
+      in
+      let r = response_for 1 (run_on t [ req ]) in
+      check_s "job reran" "ok" (status r);
+      check "ran fresh" false (bool_field "cached" r);
+      check_i "detected = crash-free" (Faultsim.n_detected clean) (int_field "detected" r);
+      check "old checkpoint gone" false (Sys.file_exists path))
+
+(* Upgrade path for the result cache: an entry persisted under an older
+   [job_ident] shape (here one still carrying the "algo" component) can
+   never hit.  Boot must delete it instead of rehydrating it, and the
+   repeat request runs fresh and leaves exactly one entry. *)
+let test_server_removes_stale_cache_entries () =
+  with_dir "dynmos_dur" @@ fun dir ->
+  let u, pats = workload "carry8" ~patterns:64 ~seed:1 in
+  let cache_dir = Filename.concat dir "cache" in
+  Unix.mkdir cache_dir 0o755;
+  let key =
+    String.concat "|"
+      [
+        Faultsim.circuit_digest u;
+        Faultsim.universe_digest u;
+        Faultsim.patterns_digest pats;
+        "ppsfp";
+        "cone";
+        "true";
+      ]
+  in
+  Cache_store.save cache_dir
+    {
+      Cache_store.key;
+      summary = Faultsim.run_ppsfp u pats;
+      dt_s = 0.01;
+      evals = 1;
+      n_sites = Faultsim.n_sites u;
+    };
+  let stale = Cache_store.file_of cache_dir key in
+  check "stale entry planted" true (Sys.file_exists stale);
+  let t = Server.create ~config:(durable_config dir) () in
+  Fun.protect
+    ~finally:(fun () -> Server.shutdown t)
+    (fun () ->
+      check_i "nothing rehydrated" 0 (stat t "cache_loaded");
+      check_i "stale entry counted" 1 (stat t "cache_stale_removed");
+      check "stale file deleted" false (Sys.file_exists stale);
+      let r =
+        response_for 1
+          (run_on t [ {|{"circuit":"carry8","patterns":64,"seed":1,"engine":"ppsfp"}|} ])
+      in
+      check_s "repeat ok" "ok" (status r);
+      check "repeat ran fresh" false (bool_field "cached" r);
+      let entries =
+        List.filter
+          (fun f -> Filename.check_suffix f ".entry")
+          (Array.to_list (Sys.readdir cache_dir))
+      in
+      check_i "exactly one entry" 1 (List.length entries))
+
 let test_server_journal_admission_gate () =
   with_dir "dynmos_dur" @@ fun dir ->
   (* Log-before-work: if the journal cannot take the admit record, the
@@ -520,15 +609,16 @@ let test_server_journal_admission_gate () =
         | _ -> false);
       check_s "journal recovered, next request runs" "ok" (status r2))
 
-(* --- Sites-mode checkpoints under fire (domains engine) ---------------------------- *)
+(* --- Domains-engine checkpoints under fire ------------------------------------------- *)
 
-let test_sites_checkpoint_backup_rotation () =
+(* The multicore engine writes the same pattern-prefix checkpoints as
+   every other engine, through the same driver; the .bak salvage and
+   torn-write absorption must hold for it too. *)
+let test_domains_checkpoint_backup_rotation () =
   with_dir "dynmos_ckpt" @@ fun dir ->
-  let u, pats = workload "carry8" ~patterns:16 ~seed:5 in
-  let clean =
-    Faultsim.run_domain_parallel ~drop:true ~num_domains:2 u pats
-  in
-  let path = Filename.concat dir "sites.ckpt" in
+  let u, pats = workload "carry8" ~patterns:160 ~seed:5 in
+  let clean = Faultsim.run_domain_parallel ~drop:true ~num_domains:2 u pats in
+  let path = Filename.concat dir "domains.ckpt" in
   let ctl = Faultsim.checkpoint_ctl ~path ~interval:1 u pats in
   let s = Faultsim.run_domain_parallel ~drop:true ~num_domains:2 ~checkpoint:ctl u pats in
   check "campaign complete" true (s.Faultsim.outcome = Outcome.Complete);
@@ -540,22 +630,19 @@ let test_sites_checkpoint_backup_rotation () =
   write_file path (String.sub raw 0 (String.length raw / 2));
   let st, from_bak = Checkpoint.load_or_backup path in
   check "salvaged from backup" true from_bak;
-  check "site-sweep mode" true (st.Checkpoint.mode = Checkpoint.Sites);
+  check "pattern-prefix mode" true (st.Checkpoint.mode = Checkpoint.Patterns);
   let ctl2 = Faultsim.checkpoint_ctl ~path ~interval:1 ~resume:true u pats in
   check "controller records the backup source" true (Checkpoint.resumed_from_backup ctl2);
-  let resumed =
-    Faultsim.run_domain_parallel ~drop:true ~num_domains:2 ~checkpoint:ctl2 u
-      pats
-  in
+  let resumed = Faultsim.run_domain_parallel ~drop:true ~num_domains:2 ~checkpoint:ctl2 u pats in
   check "resume from .bak is bit-identical" true
     (resumed.Faultsim.first_detection = clean.Faultsim.first_detection);
   check_i "all sites final" (Faultsim.n_sites u) resumed.Faultsim.sites_done
 
-let test_sites_checkpoint_torn_write_chaos () =
+let test_domains_checkpoint_torn_write_chaos () =
   with_dir "dynmos_ckpt" @@ fun dir ->
   let u, pats = workload "fig5" ~patterns:12 ~seed:4 in
   let clean = Faultsim.run_domain_parallel ~drop:true ~num_domains:2 u pats in
-  let path = Filename.concat dir "sites.ckpt" in
+  let path = Filename.concat dir "domains.ckpt" in
   (* Pre-plant a stale tmp from a "crashed" writer; the controller must
      sweep it at creation. *)
   write_file (path ^ ".tmp.99999") "garbage";
@@ -566,17 +653,14 @@ let test_sites_checkpoint_torn_write_chaos () =
   in
   let ctl = Faultsim.checkpoint_ctl ~path ~interval:1 ~chaos u pats in
   check "stale tmp swept" true (Checkpoint.stale_cleaned ctl >= 1);
-  let s =
-    Faultsim.run_domain_parallel ~drop:true ~num_domains:2 ~checkpoint:ctl u
-      pats
-  in
+  let s = Faultsim.run_domain_parallel ~drop:true ~num_domains:2 ~checkpoint:ctl u pats in
   check "torn write absorbed, campaign complete" true (s.Faultsim.outcome = Outcome.Complete);
   check "torn write counted" true (Checkpoint.failed_writes ctl >= 1);
   check "detections unaffected by chaos" true
     (s.Faultsim.first_detection = clean.Faultsim.first_detection);
   (* Whatever the chaos left behind, the published pair must still load. *)
   let st, _ = Checkpoint.load_or_backup path in
-  check_i "final state is the full sweep" (Faultsim.n_sites u) st.Checkpoint.units_done
+  check_i "final state is the full sweep" (Array.length pats) st.Checkpoint.units_done
 
 (* --- QCheck soak: kill/restart under random chaos ---------------------------------- *)
 
@@ -717,17 +801,21 @@ let () =
             test_server_recovery_pre_upgrade_envelope;
           Alcotest.test_case "recovery resumes from the job checkpoint" `Quick
             test_server_recovery_resumes_checkpoint;
+          Alcotest.test_case "mode sites job checkpoint discarded" `Quick
+            test_server_discards_sites_mode_checkpoint;
+          Alcotest.test_case "stale cache entries removed at boot" `Quick
+            test_server_removes_stale_cache_entries;
           Alcotest.test_case "admission refused when the journal cannot log" `Quick
             test_server_journal_admission_gate;
           Alcotest.test_case "SIGHUP maintenance compacts and re-persists" `Quick
             test_maintenance_compacts_and_repersists;
         ] );
-      ( "sites-mode checkpoints",
+      ( "domains checkpoint I/O",
         [
           Alcotest.test_case "load_or_backup salvages the .bak rotation" `Quick
-            test_sites_checkpoint_backup_rotation;
+            test_domains_checkpoint_backup_rotation;
           Alcotest.test_case "torn ckpt writes absorbed and counted" `Quick
-            test_sites_checkpoint_torn_write_chaos;
+            test_domains_checkpoint_torn_write_chaos;
         ] );
       ("soak", [ QCheck_alcotest.to_alcotest qcheck_recovery_soak ]);
     ]

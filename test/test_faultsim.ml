@@ -57,7 +57,7 @@ let engines_agree u patterns =
   agree (Faultsim.run_serial ~drop:false u patterns)
   && agree (Faultsim.run_parallel ~drop:false u patterns)
   && agree (Faultsim.run_ppsfp ~drop:false ~group:4 u patterns)
-  && agree (Faultsim.run_domain_parallel ~drop:false ~min_work_per_domain:0 u patterns)
+  && agree (Faultsim.run_domain_parallel ~drop:false u patterns)
 
 let test_engines_agree_fig9 () =
   let u = fig9_u () in
@@ -205,9 +205,9 @@ let test_cone_reconvergent_random () =
 
 (* --- Domain-parallel layer -------------------------------------------------- *)
 
-(* Same results for every domain count.  The tests disable the work
-   clamp (min_work_per_domain:0) so small test circuits genuinely run on
-   several domains. *)
+(* Same results for every domain count.  Circuits this small stay below
+   the engine's work threshold and run on one domain whatever is
+   requested; the rand1k differential below pins the helper path. *)
 let test_domain_counts_equal () =
   let nl = Generators.carry_chain ~technology:Technology.Domino_cmos 6 in
   let u = Faultsim.universe nl in
@@ -219,7 +219,7 @@ let test_domain_counts_equal () =
   List.iter
     (fun n ->
       let s =
-        Faultsim.run_domain_parallel ~drop:false ~num_domains:n ~min_work_per_domain:0 u pats
+        Faultsim.run_domain_parallel ~drop:false ~num_domains:n u pats
       in
       check (Fmt.str "num_domains=%d" n) true
         (s.Faultsim.first_detection = reference.Faultsim.first_detection))
@@ -237,10 +237,10 @@ let test_domain_drop_semantics () =
   List.iter
     (fun n ->
       let with_drop =
-        Faultsim.run_domain_parallel ~drop:true ~num_domains:n ~min_work_per_domain:0 u pats
+        Faultsim.run_domain_parallel ~drop:true ~num_domains:n u pats
       in
       let without =
-        Faultsim.run_domain_parallel ~drop:false ~num_domains:n ~min_work_per_domain:0 u pats
+        Faultsim.run_domain_parallel ~drop:false ~num_domains:n u pats
       in
       check (Fmt.str "drop invariant, num_domains=%d" n) true
         (with_drop.Faultsim.first_detection = without.Faultsim.first_detection);
@@ -252,11 +252,11 @@ let test_domain_drop_semantics () =
 let test_domain_empty_universe () =
   (* More domains than sites, and zero patterns, must both be safe. *)
   let u = fig9_u () in
-  let s = Faultsim.run_domain_parallel ~num_domains:8 ~min_work_per_domain:0 u [||] in
+  let s = Faultsim.run_domain_parallel ~num_domains:8 u [||] in
   check_i "no patterns" 0 s.Faultsim.n_patterns;
   check "nothing detected" true (Array.for_all (( = ) None) s.Faultsim.first_detection);
   let pats = Faultsim.exhaustive_patterns 5 in
-  let s = Faultsim.run_domain_parallel ~num_domains:32 ~min_work_per_domain:0 u pats in
+  let s = Faultsim.run_domain_parallel ~num_domains:32 u pats in
   check "32 domains, 10 sites" true
     (s.Faultsim.first_detection = (Faultsim.run_serial u pats).Faultsim.first_detection)
 
@@ -597,9 +597,7 @@ let test_obs_parity () =
       ("serial", fun obs -> Faultsim.run_serial ~obs u pats);
       ("parallel", fun obs -> Faultsim.run_parallel ~obs u pats);
       ("ppsfp", fun obs -> Faultsim.run_ppsfp ~obs u pats);
-      ( "domains",
-        fun obs ->
-          Faultsim.run_domain_parallel ~num_domains:2 ~min_work_per_domain:0 ~obs u pats );
+      ("domains", fun obs -> Faultsim.run_domain_parallel ~num_domains:2 ~obs u pats);
     ]
   in
   List.iter
@@ -621,12 +619,11 @@ let run_event fetch =
   | [ e ] -> e
   | l -> Alcotest.fail (Fmt.str "expected exactly one faultsim.run event, got %d" (List.length l))
 
-(* The per-domain counters must reconcile with the single-domain
-   engines: the serial engine evaluates sites x patterns without
-   dropping, and the domains engine — the bit-parallel kernel spread
-   over domains — performs exactly the bit-parallel engine's
-   faulty-machine evaluations under the same drop setting, no matter
-   how many domains did the work. *)
+(* The eval counters must reconcile across engines: the serial engine
+   evaluates sites x patterns without dropping, and the domains engine —
+   the bit-parallel kernel with each unit split over domains — performs
+   exactly the bit-parallel engine's faulty-machine evaluations under
+   the same drop setting, whatever domain count was asked for. *)
 let test_obs_eval_reconciliation () =
   let nl = Generators.carry_chain ~technology:Technology.Domino_cmos 6 in
   let u = Faultsim.universe nl in
@@ -634,40 +631,25 @@ let test_obs_eval_reconciliation () =
   let pats =
     Faultsim.random_patterns prng ~n_inputs:(List.length (Netlist.inputs nl)) ~count:70
   in
+  let evals run =
+    let sink, fetch = Obs.memory_sink () in
+    ignore (run (Obs.make sink));
+    Option.get (field_int (run_event fetch) "evals")
+  in
   List.iter
     (fun drop ->
-      let sink, fetch = Obs.memory_sink () in
-      ignore (Faultsim.run_serial ~drop ~obs:(Obs.make sink) u pats);
-      let serial_evals = Option.get (field_int (run_event fetch) "evals") in
+      let serial_evals = evals (fun obs -> Faultsim.run_serial ~drop ~obs u pats) in
       if not drop then
         check_i "no-drop serial evals = sites x patterns"
           (Faultsim.n_sites u * Array.length pats)
           serial_evals;
-      let sink, fetch = Obs.memory_sink () in
-      ignore (Faultsim.run_parallel ~drop ~obs:(Obs.make sink) u pats);
-      let parallel_evals = Option.get (field_int (run_event fetch) "evals") in
+      let parallel_evals = evals (fun obs -> Faultsim.run_parallel ~drop ~obs u pats) in
       List.iter
         (fun n ->
-          let _, st =
-            Faultsim.run_domain_parallel_stats ~drop ~num_domains:n ~min_work_per_domain:0 u
-              pats
-          in
           check_i
             (Fmt.str "domains(%d) drop=%b evals = bit-parallel evals" n drop)
             parallel_evals
-            (Parallel_exec.stats_evals st);
-          let per_domain_sum =
-            Array.fold_left
-              (fun acc d -> acc + d.Parallel_exec.evals)
-              0 st.Parallel_exec.per_domain
-          in
-          check_i "per-domain tallies sum to total" parallel_evals per_domain_sum;
-          let jobs_sum =
-            Array.fold_left
-              (fun acc d -> acc + d.Parallel_exec.jobs_claimed)
-              0 st.Parallel_exec.per_domain
-          in
-          check_i "every job claimed exactly once" st.Parallel_exec.n_jobs jobs_sum)
+            (evals (fun obs -> Faultsim.run_domain_parallel ~drop ~num_domains:n ~obs u pats)))
         [ 1; 2; 3 ])
     [ false; true ]
 
@@ -777,29 +759,95 @@ let test_early_exit_accounting () =
   check "oracle: detections match no-drop" true
     (s.Faultsim.first_detection = (Deductive_oracle.run ~drop:false u pats).Faultsim.first_detection)
 
-(* The domain clamp: requested domains are a ceiling, cut down to the
-   job count and (by default) to the estimated work. *)
-let test_domain_clamp () =
-  let u = fig9_u () in
-  (* 10 sites *)
-  let pats = Faultsim.exhaustive_patterns 5 in
-  let eff ?min_work_per_domain n =
-    let _, st =
-      Faultsim.run_domain_parallel_stats ?min_work_per_domain ~num_domains:n u pats
-    in
-    st.Parallel_exec.effective_domains
-  in
-  check_i "job clamp: 32 requested, 10 sites" 10 (eff ~min_work_per_domain:0 32);
-  check_i "no clamp below job count" 4 (eff ~min_work_per_domain:0 4);
-  (* fig9 x 32 patterns is far below the default work threshold: the
-     engine must refuse to spawn extra domains for it. *)
-  check_i "work clamp collapses a tiny workload" 1 (eff 8);
-  let _, st =
-    Faultsim.run_domain_parallel_stats ~num_domains:8 ~min_work_per_domain:0 u pats
-  in
-  check_i "requested recorded" 8 st.Parallel_exec.requested_domains;
-  check "work estimate positive" true (st.Parallel_exec.work_estimate > 0)
+(* rand1k at 256 patterns clears the domains engine's work threshold
+   for two domains (rand20 and rand60 do not), so these tests exercise
+   the helper path; one universe build serves them all. *)
+let rand1k =
+  lazy
+    (let nl = match Catalog.find "rand1k" with Ok nl -> nl | Error m -> failwith m in
+     let u = Faultsim.universe nl in
+     let prng = Prng.create 1 in
+     (u, Faultsim.random_patterns prng ~n_inputs:(List.length (Netlist.inputs nl)) ~count:256))
 
+let domain_counts ?(num_domains = 2) u pats =
+  let sink, fetch = Obs.memory_sink () in
+  ignore (Faultsim.run_domain_parallel ~num_domains ~obs:(Obs.make sink) u pats);
+  let e = run_event fetch in
+  (Option.get (field_int e "requested_domains"), Option.get (field_int e "effective_domains"))
+
+(* The domain clamp, read off the faultsim.run event: requested domains
+   are a ceiling, cut down to the site count and to one domain per 50k
+   gate evaluations of static work estimate (sites x words x gates). *)
+let test_domain_clamp () =
+  (* fig9 x 32 patterns is far below the work threshold: the engine must
+     not start a single extra domain for it *)
+  let u = fig9_u () in
+  let pats = Faultsim.exhaustive_patterns 5 in
+  check "work clamp: 8 requested, 1 effective" true (domain_counts ~num_domains:8 u pats = (8, 1));
+  (* every rand1k site over 4096 patterns is worth a domain of its own,
+     so on one gate's few sites the site count is the clamp *)
+  let u, _ = Lazy.force rand1k in
+  let u = Faultsim.restrict_universe u ~gates:[ 0 ] in
+  let k = Faultsim.n_sites u in
+  let prng = Prng.create 5 in
+  let pats =
+    Faultsim.random_patterns prng ~n_inputs:(Compiled.n_inputs u.Faultsim.compiled) ~count:4096
+  in
+  check "gate 0 has several sites" true (k >= 2);
+  check "site clamp: k + 1 requested, k effective" true
+    (domain_counts ~num_domains:(k + 1) u pats = (k + 1, k));
+  (* its units are too small for the helpers after the first one, which
+     splits unconditionally: both paths must agree with bit-parallel *)
+  check "split first unit, then one domain: = bit-parallel" true
+    ((Faultsim.run_domain_parallel ~num_domains:(k + 1) u pats).Faultsim.first_detection
+    = (Faultsim.run_parallel u pats).Faultsim.first_detection);
+  let u, pats = Lazy.force rand1k in
+  check "rand1k@256: 2 requested, 2 effective" true (domain_counts u pats = (2, 2))
+
+(* The domains engine against the bit-parallel engine on a workload that
+   really starts a helper domain, with supervision under load: one site
+   fails once, another always.  Detections, failures and the driver's
+   counters must all be [run_parallel]'s. *)
+let test_domains_differential () =
+  let u, pats = Lazy.force rand1k in
+  let transient = 7 and permanent = (Faultsim.n_sites u / 2) + 3 in
+  let crash_hook () =
+    let armed = Atomic.make true in
+    fun sid ->
+      if sid = permanent then failwith "injected permanent crash";
+      if sid = transient && Atomic.exchange armed false then failwith "injected transient crash"
+  in
+  let observe run =
+    let sink, fetch = Obs.memory_sink () in
+    let s = run ~obs:(Obs.make sink) ~crash_hook:(crash_hook ()) in
+    (s, run_event fetch)
+  in
+  let failed s =
+    match s.Faultsim.outcome with
+    | Outcome.Partial p -> List.map fst p.Outcome.failed_sites
+    | Outcome.Complete -> []
+  in
+  let backoff = Parallel_exec.Backoff.none in
+  List.iter
+    (fun drop ->
+      let name = Fmt.str "drop=%b" drop in
+      let s, e =
+        observe (fun ~obs ~crash_hook -> Faultsim.run_parallel ~drop ~obs ~crash_hook ~backoff u pats)
+      in
+      let s', e' =
+        observe (fun ~obs ~crash_hook ->
+            Faultsim.run_domain_parallel ~drop ~num_domains:2 ~obs ~crash_hook ~backoff u pats)
+      in
+      check (name ^ ": first detections") true
+        (s'.Faultsim.first_detection = s.Faultsim.first_detection);
+      check (name ^ ": the permanent crash is the one failed site") true (failed s = [ permanent ]);
+      check (name ^ ": failed sites") true (failed s' = failed s);
+      List.iter
+        (fun k -> check (Fmt.str "%s: %s" name k) true (field_int e' k = field_int e k))
+        [ "evals"; "evals_saved"; "gate_evals"; "retries" ];
+      check (name ^ ": three retries") true (field_int e' "retries" = Some 3);
+      check (name ^ ": two effective domains") true (field_int e' "effective_domains" = Some 2))
+    [ true; false ]
 
 (* --- Robustness: supervision, limits, checkpoint/resume ---------------------- *)
 
@@ -833,8 +881,7 @@ let supervised_engines =
     ("parallel", fun ~crash_hook u pats -> Faultsim.run_parallel ~drop:false ~crash_hook u pats);
     ( "domains",
       fun ~crash_hook u pats ->
-        Faultsim.run_domain_parallel ~drop:false ~num_domains:2 ~min_work_per_domain:0
-          ~crash_hook u pats );
+        Faultsim.run_domain_parallel ~drop:false ~num_domains:2 ~crash_hook u pats );
   ]
 
 (* A site that crashes transiently (fewer times than the attempt budget)
@@ -899,8 +946,7 @@ let limited_engines : (string * limited_run) list =
         Faultsim.run_parallel ?deadline ?max_evals ?interrupt u pats );
     ( "domains",
       fun ?deadline ?max_evals ?interrupt u pats ->
-        Faultsim.run_domain_parallel ~num_domains:2 ~min_work_per_domain:0 ?deadline
-          ?max_evals ?interrupt u pats );
+        Faultsim.run_domain_parallel ~num_domains:2 ?deadline ?max_evals ?interrupt u pats );
   ]
 
 let check_partial name reference expected_cause (s : Faultsim.summary) =
@@ -996,16 +1042,13 @@ let test_checkpoint_resume_domains () =
   with_temp_checkpoint @@ fun path ->
   let ctl = Faultsim.checkpoint_ctl ~path ~interval:3 u pats in
   let s1 =
-    Faultsim.run_domain_parallel ~drop:false ~num_domains:2 ~min_work_per_domain:0
-      ~max_evals:400 ~checkpoint:ctl u pats
+    Faultsim.run_domain_parallel ~drop:false ~num_domains:2 ~max_evals:1 ~checkpoint:ctl u pats
   in
   check "first leg stopped" true (not (Outcome.is_complete s1.Faultsim.outcome));
-  check "sites-mode progress recorded" true (s1.Faultsim.sites_done < Faultsim.n_sites u);
+  check "a pattern prefix recorded" true
+    (s1.Faultsim.patterns_done > 0 && s1.Faultsim.patterns_done < Array.length pats);
   let ctl2 = Faultsim.checkpoint_ctl ~path ~interval:3 ~resume:true u pats in
-  let s2 =
-    Faultsim.run_domain_parallel ~drop:false ~num_domains:2 ~min_work_per_domain:0
-      ~checkpoint:ctl2 u pats
-  in
+  let s2 = Faultsim.run_domain_parallel ~drop:false ~num_domains:2 ~checkpoint:ctl2 u pats in
   check "resumed leg complete" true (Outcome.is_complete s2.Faultsim.outcome);
   check "combined = uninterrupted" true
     (s2.Faultsim.first_detection = reference.Faultsim.first_detection)
@@ -1014,8 +1057,8 @@ let raises_checkpoint_error f =
   match f () with exception Checkpoint.Error _ -> true | _ -> false
 
 (* Digest pinning: a checkpoint written for one campaign must refuse to
-   resume another circuit or pattern set; a pattern-mode file must refuse
-   a sites-sweep engine. *)
+   resume another circuit or pattern set; engine and domain count are
+   free to differ. *)
 let test_checkpoint_validation () =
   let u, pats = robustness_fixture () in
   with_temp_checkpoint @@ fun path ->
@@ -1029,13 +1072,62 @@ let test_checkpoint_validation () =
   check "resume with another circuit refused" true
     (raises_checkpoint_error (fun () ->
          let u2 = Faultsim.universe (Generators.c17 ~style:`Domino ()) in
-         Faultsim.checkpoint_ctl ~path ~interval:5 ~resume:true u2 pats));
-  (* mode mismatch: the file is pattern-mode, the domains engine sweeps sites *)
-  let ctl2 = Faultsim.checkpoint_ctl ~path ~interval:5 ~resume:true u pats in
-  check "pattern-mode file refused by the sites-sweep engine" true
-    (raises_checkpoint_error (fun () ->
-         Faultsim.run_domain_parallel ~num_domains:1 ~min_work_per_domain:0
-           ~checkpoint:ctl2 u pats))
+         Faultsim.checkpoint_ctl ~path ~interval:5 ~resume:true u2 pats))
+
+(* Every engine sweeps patterns in ascending units, so checkpoints are
+   interchangeable: a campaign stopped after two units by one engine
+   resumes under another and ends bit-identical to an uninterrupted
+   run. *)
+type resumable =
+  ?checkpoint:Checkpoint.ctl -> ?interrupt:(unit -> bool) -> unit -> Faultsim.summary
+
+let test_checkpoint_cross_engine () =
+  let u, pats = Lazy.force rand1k in
+  let reference = (Faultsim.run_parallel u pats).Faultsim.first_detection in
+  let engines : (string * resumable) list =
+    [
+      ( "domains",
+        fun ?checkpoint ?interrupt () ->
+          Faultsim.run_domain_parallel ~num_domains:2 ?checkpoint ?interrupt u pats );
+      ( "parallel",
+        fun ?checkpoint ?interrupt () -> Faultsim.run_parallel ?checkpoint ?interrupt u pats );
+      ("ppsfp", fun ?checkpoint ?interrupt () -> Faultsim.run_ppsfp ?checkpoint ?interrupt u pats);
+    ]
+  in
+  List.iter
+    (fun (a, b) ->
+      with_temp_checkpoint @@ fun path ->
+      let polls = ref 0 in
+      let first =
+        (List.assoc a engines)
+          ~checkpoint:(Faultsim.checkpoint_ctl ~path ~interval:62 u pats)
+          ~interrupt:(fun () ->
+            incr polls;
+            !polls >= 2)
+          ()
+      in
+      check (a ^ ": stopped after two units") true (first.Faultsim.patterns_done = 124);
+      let resumed =
+        (List.assoc b engines)
+          ~checkpoint:(Faultsim.checkpoint_ctl ~path ~interval:62 ~resume:true u pats)
+          ()
+      in
+      check (Fmt.str "%s checkpoint resumed by %s is bit-identical" a b) true
+        (Outcome.is_complete resumed.Faultsim.outcome
+        && resumed.Faultsim.first_detection = reference))
+    [ ("domains", "parallel"); ("domains", "ppsfp"); ("parallel", "domains"); ("ppsfp", "domains") ]
+
+(* Older builds' domains engine swept sites and wrote [mode sites]
+   checkpoints with a done bitmap.  Such a file has no pattern prefix to
+   resume from: it must be refused with a named error. *)
+let test_checkpoint_sites_mode_refused () =
+  let u, pats = robustness_fixture () in
+  with_temp_checkpoint @@ fun path ->
+  Legacy_checkpoint.write_sites_mode ~path u pats;
+  match Faultsim.checkpoint_ctl ~path ~interval:5 ~resume:true u pats with
+  | exception Checkpoint.Error msg ->
+      check "the error names mode sites" true (contains msg "mode sites")
+  | _ -> Alcotest.fail "a mode sites checkpoint must not resume"
 
 (* A crash-torn checkpoint (truncated mid-write would only ever be the
    .tmp file thanks to the atomic rename, but disks corrupt too) is
@@ -1090,8 +1182,8 @@ let qcheck_checkpoint_roundtrip =
           (fun ~max_evals ~checkpoint u pats ->
             Faultsim.run_parallel ~drop:false ?max_evals ~checkpoint u pats);
           (fun ~max_evals ~checkpoint u pats ->
-            Faultsim.run_domain_parallel ~drop:false ~num_domains:2 ~min_work_per_domain:0
-              ?max_evals ~checkpoint u pats);
+            Faultsim.run_domain_parallel ~drop:false ~num_domains:2 ?max_evals ~checkpoint u
+              pats);
         ])
 
 (* --- Diagnosis ------------------------------------------------------------- *)
@@ -1277,6 +1369,8 @@ let () =
           Alcotest.test_case "equal across domain counts" `Quick test_domain_counts_equal;
           Alcotest.test_case "drop/no-drop identical" `Quick test_domain_drop_semantics;
           Alcotest.test_case "degenerate shapes" `Quick test_domain_empty_universe;
+          Alcotest.test_case "rand1k = bit-parallel, crashes included" `Quick
+            test_domains_differential;
         ] );
       ( "ppsfp",
         [
@@ -1327,6 +1421,10 @@ let () =
             test_checkpoint_validation;
           Alcotest.test_case "truncated checkpoint detected" `Quick
             test_checkpoint_truncation_detected;
+          Alcotest.test_case "checkpoints resume across engines" `Quick
+            test_checkpoint_cross_engine;
+          Alcotest.test_case "mode sites checkpoint refused" `Quick
+            test_checkpoint_sites_mode_refused;
         ] );
       ( "diagnosis",
         [

@@ -43,8 +43,7 @@ let engines :
     ("ppsfp", "cone", fun ~drop u p -> Faultsim.run_ppsfp ~drop ~group:5 u p);
     ( "domains-bitpar",
       "cone",
-      fun ~drop u p ->
-        Faultsim.run_domain_parallel ~drop ~num_domains:2 ~min_work_per_domain:0 u p );
+      fun ~drop u p -> Faultsim.run_domain_parallel ~drop ~num_domains:2 u p );
   ]
 
 let lines () =

@@ -320,9 +320,9 @@ let test_overload () =
   check_i "nothing lost" 6 (counts "ok" + counts "partial" + counts "overloaded" + counts "error")
 
 (* A request's [jobs] is clamped to the host's recommended domain
-   count before the domains engine sees it: the forwarded
-   parallel_exec.run event reports the clamped request.  carry8's work
-   estimate keeps the effective count at 1, so no extra domain starts. *)
+   count before the domains engine sees it: the forwarded faultsim.run
+   event reports the clamped request.  carry8's work estimate keeps the
+   effective count at 1, so no extra domain starts. *)
 let test_jobs_capped () =
   let mem, fetch = Obs.memory_sink () in
   let t = Server.create ~config:small_config ~trace:mem () in
@@ -332,13 +332,13 @@ let test_jobs_capped () =
       (fun () -> run_on t [ {|{"circuit":"carry8","engine":"domains","jobs":1024}|} ])
   in
   check_s "ok" "ok" (status (response_for 1 resps));
-  match List.filter (fun e -> e.Obs.ev = "parallel_exec.run") (fetch ()) with
+  match List.filter (fun e -> e.Obs.ev = "faultsim.run") (fetch ()) with
   | [ e ] ->
       let get k = Option.get (Obs.int_field e k) in
       check "requested domains within the recommended count" true
         (get "requested_domains" <= Domain.recommended_domain_count ());
       check_i "effective domains" 1 (get "effective_domains")
-  | l -> Alcotest.failf "expected one parallel_exec.run event, got %d" (List.length l)
+  | l -> Alcotest.failf "expected one faultsim.run event, got %d" (List.length l)
 
 (* The global eval budget rejects work once spent. *)
 let test_global_budget () =

@@ -221,11 +221,15 @@ let test_observed_equals_predicted () =
 
 (* QCheck: the central theorem over random switching networks — every
    physical fault of a randomly generated domino cell stays combinational
-   at charge level and exhibits exactly the predicted faulty function. *)
+   at charge level and exhibits exactly the predicted faulty function.
+   The size is drawn from 0..100 (cells of up to about 26 switches):
+   QCheck's default size distribution reaches 10 000 on a few draws in a
+   hundred, and the property costs O(switches^2) per cell, so one such
+   draw could take most of a minute. *)
 let gen_sp_expr =
   let open QCheck2.Gen in
   let var = map (fun i -> Expr.var (Fmt.str "v%d" i)) (int_bound 3) in
-  sized
+  sized_size (int_bound 100)
   @@ fix (fun self n ->
          if n <= 1 then var
          else
