@@ -2,6 +2,7 @@ open Dynmos_util
 open Dynmos_cell
 open Dynmos_faultsim
 open Dynmos_circuits
+module Obs = Dynmos_obs.Obs
 
 (* Driver-level policy tests for the unified campaign driver.  Every
    engine is a thin kernel under [Campaign.run_patterns], so the
@@ -150,6 +151,56 @@ let qcheck_limited_is_prefix =
               QCheck2.Test.fail_reportf "%s: limited run invented a detection" name)
         limited.Faultsim.first_detection reference.Faultsim.first_detection)
 
+(* The per-site reading of the prefix law, on a campaign large enough
+   that the domains engine starts a helper domain (the fixture above
+   runs on one) and, without dropping, splits every one of its ten
+   units (about 21k gate evaluations each): each site of a limited run
+   is reported exactly as in the unlimited run or, if the unlimited run
+   detects it only past the cut, not at all, so a budget stop never
+   loses or leaks part of a merged unit. *)
+let split_fixture =
+  lazy
+    (let nl =
+       Generators.random_monotone ~seed:47 ~n_inputs:16 ~n_gates:300
+         ~technology:Technology.Domino_cmos ()
+     in
+     let u = Faultsim.universe nl in
+     let pats = Faultsim.random_patterns (Prng.create 53) ~n_inputs:16 ~count:620 in
+     (u, pats, Faultsim.run_domain_parallel ~drop:false ~num_domains:2 u pats))
+
+let qcheck_limited_domains_is_site_subset =
+  QCheck2.Test.make ~name:"limited domains run is a site-subset of the unlimited run"
+    ~count:30
+    QCheck2.Gen.(int_range 1 40)
+    (fun scale ->
+      let u, pats, reference = Lazy.force split_fixture in
+      let sink, fetch = Obs.memory_sink () in
+      let limited =
+        Faultsim.run_domain_parallel ~drop:false ~num_domains:2 ~obs:(Obs.make sink)
+          ~max_evals:(scale * 5000) u pats
+      in
+      let effective =
+        List.find_map
+          (fun e ->
+            if e.Obs.ev <> "faultsim.run" then None
+            else
+              match List.assoc_opt "effective_domains" e.Obs.fields with
+              | Some (Obs.Int n) -> Some n
+              | _ -> None)
+          (fetch ())
+      in
+      if effective <> Some 2 then
+        QCheck2.Test.fail_reportf "expected 2 effective domains, got %s"
+          (Option.fold ~none:"none" ~some:string_of_int effective);
+      let cut = limited.Faultsim.patterns_done in
+      Array.for_all2
+        (fun l r ->
+          match (l, r) with
+          | Some _, _ -> l = r
+          | None, Some p -> p >= cut
+          | None, None -> true)
+        limited.Faultsim.first_detection reference.Faultsim.first_detection)
+
 let () =
   Alcotest.run "campaign"
     [
@@ -159,5 +210,6 @@ let () =
           Alcotest.test_case "checkpoint resume through a propagation kernel" `Quick
             test_checkpoint_resume_propagation_kernel;
           QCheck_alcotest.to_alcotest qcheck_limited_is_prefix;
+          QCheck_alcotest.to_alcotest qcheck_limited_domains_is_site_subset;
         ] );
     ]
