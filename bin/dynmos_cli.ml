@@ -88,7 +88,12 @@ let chaos_arg =
 let guard f =
   try f () with
   | Invalid_argument msg | Failure msg | Sys_error msg -> `Error (false, msg)
-  | Checkpoint.Error msg -> `Error (false, "checkpoint: " ^ msg)
+  | Checkpoint.Error msg ->
+      (* a refused or unreadable checkpoint file is not a command-line
+         error: report it once (the message names the file) and exit
+         with cmdliner's generic failure code *)
+      Format.eprintf "dynmos: %s@." msg;
+      `Ok Cmd.Exit.some_error
 
 (* --- Signal handling ------------------------------------------------------- *)
 
@@ -187,9 +192,10 @@ let faultsim_cmd =
              `Domains
          & info [ "engine" ] ~docv:"ENGINE"
              ~doc:
-               "Engine: serial, parallel (bit-parallel), ppsfp (parallel-pattern/parallel-fault \
-                word matrix), or domains (multicore domain-parallel).  Every engine injects \
-                each fault into its fanout cone only; results are bit-identical.")
+               "Engine: serial, parallel (bit-parallel), ppsfp (parallel-pattern \
+                single-fault propagation, the bit-parallel kernel under its literature name), \
+                or domains (multicore domain-parallel).  Every engine propagates each fault \
+                event by event from its own gate; results are bit-identical.")
   in
   let jobs =
     Arg.(value & opt (bounded_int ~what:"--jobs" ~min:0 ()) 0
@@ -198,13 +204,6 @@ let faultsim_cmd =
                "Worker domains for the 'domains' engine (0 = \
                 Domain.recommended_domain_count ()); clamped to the site count and the \
                 estimated work.")
-  in
-  let group =
-    Arg.(value & opt (bounded_int ~what:"--group" ~min:1 ()) Dynmos_faultsim.Ppsfp.default_group
-         & info [ "group" ] ~docv:"G"
-             ~doc:
-               "Fault-group size for the 'ppsfp' engine: G fault machines simulated \
-                together per pattern word on one word matrix.")
   in
   let no_drop =
     Arg.(value & flag & info [ "no-drop" ] ~doc:"Simulate every fault on every pattern.")
@@ -251,7 +250,7 @@ let faultsim_cmd =
              ~doc:"Stop cleanly after a budget of $(docv) faulty gate evaluations and \
                    report the partial result (exit code 2).")
   in
-  let run name patterns seed engine jobs group no_drop stats trace ckpt ckpt_interval resume
+  let run name patterns seed engine jobs no_drop stats trace ckpt ckpt_interval resume
       deadline_in max_evals chaos =
     guard @@ fun () ->
     match circuit_of_name name with
@@ -302,7 +301,7 @@ let faultsim_cmd =
               Faultsim.run_parallel ~drop ~obs ?deadline ?max_evals ~interrupt ?checkpoint
                 ~chaos u pats
           | `Ppsfp ->
-              Faultsim.run_ppsfp ~drop ~group ~obs ?deadline ?max_evals ~interrupt ?checkpoint
+              Faultsim.run_ppsfp ~drop ~obs ?deadline ?max_evals ~interrupt ?checkpoint ~chaos
                 u pats
           | `Domains ->
               Faultsim.run_domain_parallel ~drop ?num_domains ~obs ?deadline ?max_evals
@@ -314,7 +313,7 @@ let faultsim_cmd =
           match engine with
           | `Serial -> "serial"
           | `Parallel -> "parallel"
-          | `Ppsfp -> Fmt.str "ppsfp(group %d)" group
+          | `Ppsfp -> "ppsfp"
           | `Domains -> (
               let count k = List.find_map (fun e -> Obs.int_field e k) run_events in
               match (count "requested_domains", count "effective_domains") with
@@ -417,7 +416,7 @@ let faultsim_cmd =
   Cmd.v (Cmd.info "faultsim" ~doc)
     Term.(
       ret
-        (const run $ circuit_arg $ patterns $ seed $ engine $ jobs $ group $ no_drop $ stats
+        (const run $ circuit_arg $ patterns $ seed $ engine $ jobs $ no_drop $ stats
        $ trace $ ckpt $ ckpt_interval $ resume $ deadline $ max_evals $ chaos_arg))
 
 (* --- protest ---------------------------------------------------------------- *)

@@ -9,9 +9,9 @@ module Chaos = Dynmos_chaos.Chaos
    policies — limits, checkpoint write/resume, supervision, obs
    accounting, fault dropping, the all-detected early exit — drift
    apart, so this module implements each policy exactly once, in
-   {!run_patterns}: it drives a {!Kernel.t} (serial, bit-parallel,
-   PPSFP, the domains engine's split bit-parallel kernel, or a test
-   oracle) one pattern unit at a time.
+   {!run_patterns}: it drives a {!Kernel.t} (the one injection kernel
+   behind serial, bit-parallel and PPSFP, its split form in the domains
+   engine, or a test oracle) one pattern unit at a time.
 
    Limits precedence is fixed by [Limits.check]'s polling order
    (interrupt > deadline > max_evals); every engine polls the same gauge
@@ -40,7 +40,7 @@ let detected_count first =
    pattern unit — identical across every engine with the same unit
    length on the same campaign; "evals_saved" counts the site x unit evaluations
    skipped by fault dropping or the all-detected early exit.  Gate-level
-   work (where the cone restriction shows up) is reported separately as
+   work (where event-driven propagation shows up) is reported separately as
    "gate_evals". *)
 
 let start_time obs = if Obs.enabled obs then Obs.now () else 0.0
@@ -138,9 +138,9 @@ let run_patterns ?(drop = true) ?(obs = Obs.disabled) ?deadline ?max_evals ?inte
     end
   in
   (* Bounded retry at this very unit, so a transient crash cannot skip a
-     pattern and move the site's first detection; a mid-cone exception
-     leaves the evaluating domain's scratch dirty, which [restore]
-     repairs before anyone reads it again.  Retries back off
+     pattern and move the site's first detection; an exception
+     mid-propagation leaves the evaluating domain's scratch dirty, which
+     [restore] repairs before anyone reads it again.  Retries back off
      exponentially with jitter (pass [Backoff.none] for the old
      immediate behavior); the [exec.job] chaos tap sits beside
      [crash_hook], inside the supervised region, so injected faults

@@ -7,9 +7,10 @@
     engines.  Kernels ({!Kernel.t}) carry only evaluation mechanics.
 
     [Faultsim.run_serial], [run_parallel], [run_ppsfp] and
-    [run_domain_parallel] are thin wrappers over {!run_patterns}; the
-    domains engine differs only in splitting each unit's sites across
-    helper domains inside its kernel. *)
+    [run_domain_parallel] are thin wrappers over {!run_patterns} and one
+    event-driven injection kernel; serial packs one pattern per unit,
+    the others a 62-pattern word, and the domains engine differs only in
+    splitting each unit's sites across helper domains. *)
 
 type summary = {
   n_sites : int;

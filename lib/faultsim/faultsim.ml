@@ -10,14 +10,15 @@ module Obs = Dynmos_obs.Obs
    detectable *function classes* of each gate's fault library — this is
    exactly what the paper's model buys: because every physical fault of a
    dynamic gate is combinational, the classical injection-based machinery
-   applies unchanged.  Four engines are provided, all injecting each fault
-   into its fanout cone only, and cross-checked in tests against an
+   applies unchanged.  Four engines are provided, all propagating one
+   fault at a time, event by event, from its own gate
+   (Compiled.eval_fault_into), and cross-checked in tests against an
    independent deductive (fault-list propagation) oracle:
 
-   - serial: one pattern per unit, one pass per fault — the readable
-     reference;
-   - parallel: 62 patterns per machine word, one pass per fault;
-   - ppsfp: a group of fault machines per pattern word (Ppsfp);
+   - serial: one pattern per unit — the readable reference;
+   - parallel: 62 patterns per machine word;
+   - ppsfp: the same kernel under the name the literature gives it
+     (parallel-pattern single-fault propagation);
    - domains: the bit-parallel kernel with each unit's fault sites
      split across OCaml 5 domains (Parallel_exec.split).
 
@@ -193,22 +194,15 @@ let coverage_curve s =
       float_of_int !acc /. total)
     counts
 
-(* --- Injection kernel (serial / bit-parallel) ------------------------------ *)
+(* --- Injection kernel ------------------------------------------------------ *)
 
-(* Each faulty machine re-evaluates only the fault site's transitive
-   fanout cone against the good-machine baseline and compares only the
-   primary outputs that cone reaches (Compiled.eval_cone_into), with an
-   immediate exit when the fault is not activated — bit-identical to
-   whole-circuit injection, since a fault can only influence its fanout
-   cone.  The ["gate_evals_saved"] obs field is the gate evaluations
-   this avoided relative to whole-circuit sweeps (kernel invocations x
-   gates); ["cone_gates"] reports the summed fanout-cone size over all
-   sites. *)
-
-let total_cone_gates u =
-  Array.fold_left
-    (fun acc s -> acc + Array.length (Compiled.fanout_cone u.compiled s.gate.Netlist.id))
-    0 u.sites
+(* Each faulty machine starts from the good-machine baseline and
+   propagates the fault event by event from its own gate
+   (Compiled.eval_fault_into): only gates with a changed input are
+   re-evaluated, and propagation stops where the faulty word equals the
+   good one — bit-identical to whole-circuit injection.  The
+   ["gate_evals_saved"] obs field is the gate evaluations this avoided
+   relative to whole-circuit sweeps (kernel invocations x gates). *)
 
 let detects u site pattern =
   let good = Compiled.eval u.compiled pattern in
@@ -221,17 +215,21 @@ let word_bits = 62
    campaign starts at most one domain per [spawn_work] of static estimate
    (sites x words x gates, as if every site swept the whole circuit on
    every word), so a small one pays no spawn; once running, the helpers
-   join a unit only after a unit that measured at least [unit_work] cone
-   evaluations (about 0.4 ms on a 2-vCPU Xeon VM) — below that, waking
-   them costs about what they save. *)
+   join a unit only after a unit that measured at least [unit_work]
+   event-driven gate evaluations.  On a 2-vCPU Xeon VM an evaluation
+   costs 65-110 ns, and a second domain broke even on units of about
+   2 000 evaluations (0.15 ms): it cost 1.28x one domain's wall time at
+   950 per unit, 1.05x at 2 300 and 0.76x at 4 100 — below the
+   threshold, waking the helpers costs about what they save. *)
 let spawn_work = 50_000
-let unit_work = 10_000
+let unit_work = 2_000
 
-(* One builder serves three engines: the serial engine is the
+(* One builder serves every engine: the serial engine is the
    bit-parallel mechanics with one pattern per unit (words are then
    plain 0/1), which is exactly how the two always related — only the
-   packing width differed; the domains engine is the bit-parallel one
-   with each unit's sites split across the helpers of [pool]. *)
+   packing width differed; ppsfp is the bit-parallel kernel under its
+   own name; the domains engine is the bit-parallel one with each
+   unit's sites split across the helpers of [pool]. *)
 let injection_kernel ?pool ?(fields = []) ~name ~unit_bits ~count_good_evals u patterns =
   let compiled = u.compiled in
   let n_inputs = Compiled.n_inputs compiled in
@@ -239,15 +237,16 @@ let injection_kernel ?pool ?(fields = []) ~name ~unit_bits ~count_good_evals u p
   let n = Array.length u.sites in
   let total = Array.length patterns in
   (* All buffers live outside the loops: good machine in [scratch]
-     (doubling as the cone baseline), cone save/restore in [buf]. *)
+     (doubling as the propagation baseline), queue and restore state in
+     [events]. *)
   let scratch = Compiled.make_scratch compiled in
-  let buf = Compiled.make_cone_buffer compiled in
+  let events = Compiled.make_events compiled in
   let words = Array.make n_inputs 0 in
   let good_evals = ref 0 in
   (* Sites [lo, hi) of the unit on one domain's buffers.  [words] stays
      read-only until the unit ends, so recomputing the good machine from
-     it restores a scratch a mid-cone exception left dirty. *)
-  let sweep (ctx : Kernel.ctx) ~start ~mask ~scratch ~buf ~work ~detect lo hi =
+     it restores a scratch an exception mid-propagation left dirty. *)
+  let sweep (ctx : Kernel.ctx) ~start ~mask ~scratch ~events ~work ~detect lo hi =
     let restore () = Compiled.eval_words_into compiled ~scratch words in
     for i = lo to hi - 1 do
       let site = u.sites.(i) in
@@ -255,8 +254,8 @@ let injection_kernel ?pool ?(fields = []) ~name ~unit_bits ~count_good_evals u p
       else if ctx.Kernel.drop && ctx.Kernel.first.(site.sid) <> None then ()
       else
         let eval () =
-          Compiled.eval_cone_into ~tally:work compiled
-            ~override:(site.gate.Netlist.id, site.fn) ~scratch ~buf
+          Compiled.eval_fault_into ~tally:work compiled
+            ~override:(site.gate.Netlist.id, site.fn) ~scratch ~events
         in
         match ctx.Kernel.supervise ~sid:site.sid ~restore eval with
         | None -> ()
@@ -269,7 +268,7 @@ let injection_kernel ?pool ?(fields = []) ~name ~unit_bits ~count_good_evals u p
             end
     done
   in
-  (* Per helper slot: private scratch, cone buffer, gate tally and the
+  (* Per helper slot: private scratch, event state, gate tally and the
      detections found this unit.  Only the calling domain touches the
      driver's state; it merges the helpers' tallies and detections once
      the unit ends. *)
@@ -278,7 +277,7 @@ let injection_kernel ?pool ?(fields = []) ~name ~unit_bits ~count_good_evals u p
     | None -> [||]
     | Some p ->
         Array.init (Parallel_exec.Scheduler.size p) (fun _ ->
-            (Compiled.make_scratch compiled, Compiled.make_cone_buffer compiled, ref 0, ref []))
+            (Compiled.make_scratch compiled, Compiled.make_events compiled, ref 0, ref []))
   in
   let block = max 1 (n / ((Array.length helpers + 1) * 8)) in
   let last_work = ref max_int (* the first unit always splits *) in
@@ -307,10 +306,10 @@ let injection_kernel ?pool ?(fields = []) ~name ~unit_bits ~count_good_evals u p
               helpers)
           (fun ~slot lo hi ->
             if slot = 0 then
-              sweep ctx ~start ~mask ~scratch ~buf ~work ~detect:ctx.Kernel.detect lo hi
+              sweep ctx ~start ~mask ~scratch ~events ~work ~detect:ctx.Kernel.detect lo hi
             else begin
-              let scratch, buf, work, hits = helpers.(slot - 1) in
-              sweep ctx ~start ~mask ~scratch ~buf ~work
+              let scratch, events, work, hits = helpers.(slot - 1) in
+              sweep ctx ~start ~mask ~scratch ~events ~work
                 ~detect:(fun ~sid ~pat -> hits := (sid, pat) :: !hits)
                 lo hi
             end);
@@ -323,7 +322,7 @@ let injection_kernel ?pool ?(fields = []) ~name ~unit_bits ~count_good_evals u p
           helpers
     | _ ->
         prepare ~start ~len;
-        sweep ctx ~start ~mask ~scratch ~buf ~work ~detect:ctx.Kernel.detect 0 n);
+        sweep ctx ~start ~mask ~scratch ~events ~work ~detect:ctx.Kernel.detect 0 n);
     (* a unit too small to pay for waking the helpers keeps the next one
        on this domain alone *)
     last_work := !work - w0
@@ -334,7 +333,6 @@ let injection_kernel ?pool ?(fields = []) ~name ~unit_bits ~count_good_evals u p
         ("gate_evals", Obs.Int t.Kernel.work);
         ( "gate_evals_saved",
           Obs.Int (((t.Kernel.evals + t.Kernel.evals_saved) * n_gates) - t.Kernel.work) );
-        ("cone_gates", Obs.Int (total_cone_gates u));
       ]
     @ fields
   in
@@ -348,35 +346,23 @@ let injection_kernel ?pool ?(fields = []) ~name ~unit_bits ~count_good_evals u p
 
 (* --- Public engines: thin wrappers over the campaign driver ---------------- *)
 
-let run_serial ?drop ?obs ?deadline ?max_evals ?interrupt ?checkpoint ?max_attempts ?backoff
-    ?chaos ?crash_hook ?on_progress u (patterns : bool array array) =
+(* The single-domain engines differ only in name and packing width. *)
+let run_injection ~name ~unit_bits ~count_good_evals ?drop ?obs ?deadline ?max_evals ?interrupt
+    ?checkpoint ?max_attempts ?backoff ?chaos ?crash_hook ?on_progress u
+    (patterns : bool array array) =
   Campaign.run_patterns ?drop ?obs ?deadline ?max_evals ?interrupt ?checkpoint ?max_attempts
     ?backoff ?chaos ?crash_hook ?on_progress ~n_sites:(n_sites u)
     ~total:(Array.length patterns)
-    (injection_kernel ~name:"serial" ~unit_bits:1 ~count_good_evals:true u patterns)
+    (injection_kernel ~name ~unit_bits ~count_good_evals u patterns)
 
-let run_parallel ?drop ?obs ?deadline ?max_evals ?interrupt ?checkpoint ?max_attempts ?backoff
-    ?chaos ?crash_hook ?on_progress u (patterns : bool array array) =
-  Campaign.run_patterns ?drop ?obs ?deadline ?max_evals ?interrupt ?checkpoint ?max_attempts
-    ?backoff ?chaos ?crash_hook ?on_progress ~n_sites:(n_sites u)
-    ~total:(Array.length patterns)
-    (injection_kernel ~name:"parallel" ~unit_bits:word_bits ~count_good_evals:false u patterns)
+let run_serial = run_injection ~name:"serial" ~unit_bits:1 ~count_good_evals:true
+let run_parallel = run_injection ~name:"parallel" ~unit_bits:word_bits ~count_good_evals:false
 
-(* PPSFP simulates a whole fault group jointly against each pattern
-   word, so a raising site cannot be isolated and the wrapper exposes no
-   supervision knobs.  The kernel itself is generic over (gate, faulty
-   function) pairs; this wrapper instantiates it on the universe's
-   sites. *)
-let run_ppsfp ?drop ?group ?trace_site ?obs ?deadline ?max_evals ?interrupt ?checkpoint
-    ?on_progress u (patterns : bool array array) =
-  let fsites =
-    Array.map
-      (fun s -> { Ppsfp.sid = s.sid; gate = s.gate.Netlist.id; fn = s.fn })
-      u.sites
-  in
-  Campaign.run_patterns ?drop ?obs ?deadline ?max_evals ?interrupt ?checkpoint ?on_progress
-    ~n_sites:(n_sites u) ~total:(Array.length patterns)
-    (Ppsfp.kernel ?group ?trace_site u.compiled fsites patterns)
+(* PPSFP in Waicukauski et al.'s sense — parallel patterns, one fault
+   at a time, event-driven propagation — is the bit-parallel kernel;
+   the engine keeps its own name in obs events, the CLI, the serve
+   protocol and cache keys. *)
+let run_ppsfp = run_injection ~name:"ppsfp" ~unit_bits:word_bits ~count_good_evals:false
 
 (* --- Domain-parallel -------------------------------------------------------- *)
 

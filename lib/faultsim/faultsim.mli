@@ -10,11 +10,12 @@ open Dynmos_sim
     paper's model maps every physical fault of a dynamic gate to a
     combinational function, so classical fault simulation applies
     unchanged.  Four engines — serial (the readable reference),
-    bit-parallel (62 patterns/word), PPSFP (fault groups per pattern
-    word) and the multicore domains engine — inject each fault into its
-    fanout cone only and produce identical detection results
-    (cross-checked in tests against an independent deductive
-    fault-list-propagation oracle and against {!detects}). *)
+    bit-parallel (62 patterns/word), PPSFP (the same parallel-pattern
+    single-fault kernel under its literature name) and the multicore
+    domains engine — propagate one fault at a time, event by event, from
+    its own gate, and produce identical detection results (cross-checked
+    in tests against an independent deductive fault-list-propagation
+    oracle and against {!detects}). *)
 
 type site = {
   sid : int;                 (** dense site id *)
@@ -93,11 +94,11 @@ val detects : universe -> site -> bool array -> bool
     supervision and the all-detected early exit are implemented exactly
     once there, so the four entry points cannot drift apart.
 
-    Every engine re-evaluates only the fault site's transitive fanout
-    cone against the good-machine baseline ({!Compiled.eval_cone_into}),
-    exiting immediately when the fault is not activated.  This is
-    bit-identical to whole-circuit injection: a fault can only influence
-    its fanout cone.
+    Every engine propagates each fault event by event against the
+    good-machine baseline ({!Compiled.eval_fault_into}): it stops at
+    the faulty gate when the fault is not activated, and otherwise
+    re-evaluates only gates with a changed input.  This is bit-identical
+    to whole-circuit injection.
 
     Every engine takes an optional observability recorder [obs] (default
     disabled, one branch of overhead): when enabled it receives one
@@ -110,10 +111,9 @@ val detects : universe -> site -> bool array -> bool
     totals on the same campaign (serial sweeps one pattern per unit;
     bit-parallel, PPSFP and the domains engine sweep one 62-pattern word
     per unit).  Gate-level work is reported separately: every engine
-    carries "gate_evals" (gate evaluations performed) and "cone_gates"
-    (the summed fanout-cone size over all sites), and the pattern-sweep
-    engines add the gate evaluations the cone restriction avoided
-    relative to whole-circuit sweeps ("gate_evals_saved").  The recorder
+    carries "gate_evals" (gate evaluations performed) and
+    "gate_evals_saved" (the gate evaluations event-driven propagation
+    avoided relative to whole-circuit sweeps).  The recorder
     never changes results: with and without [obs], summaries are
     bit-identical (tested).
 
@@ -130,18 +130,15 @@ val detects : universe -> site -> bool array -> bool
     is evaluated exactly once across the combined runs, in ascending
     order, so no first detection can move.
 
-    The single-fault engines ({!run_serial}, {!run_parallel},
-    {!run_domain_parallel}) additionally supervise per-site evaluation
-    (on whichever domain evaluates the site):
+    Every engine also supervises per-site evaluation (on whichever
+    domain evaluates the site):
     a site whose faulty function raises is retried (bounded by
     [?max_attempts], default 3; the good-machine baseline is restored
     first) and, if it keeps raising, excluded and reported in the
     outcome's [failed_sites] — every other site's detections are
     identical to a clean run.  [?crash_hook] (default no-op, called with
     the site id before each evaluation) is the fault-injection point the
-    supervision tests use.  {!run_ppsfp} propagates a group of sites
-    jointly, so a raising site cannot be isolated there; it supports
-    limits and checkpoints only.
+    supervision tests use.
 
     Every engine also takes [?on_progress] (default no-op), called on
     the sweeping domain after each completed pattern unit with the
@@ -164,7 +161,7 @@ val run_serial :
   universe ->
   bool array array ->
   summary
-(** Serial engine: one pattern per unit, one cone evaluation per live
+(** Serial engine: one pattern per unit, one fault propagation per live
     site — the readable reference the other engines are measured
     against. *)
 
@@ -188,27 +185,24 @@ val run_parallel :
 
 val run_ppsfp :
   ?drop:bool ->
-  ?group:int ->
-  ?trace_site:(sid:int -> start:int -> unit) ->
   ?obs:Dynmos_obs.Obs.t ->
   ?deadline:float ->
   ?max_evals:int ->
   ?interrupt:(unit -> bool) ->
   ?checkpoint:Checkpoint.ctl ->
+  ?max_attempts:int ->
+  ?backoff:Parallel_exec.Backoff.t ->
+  ?chaos:Dynmos_chaos.Chaos.t ->
+  ?crash_hook:(int -> unit) ->
   ?on_progress:(units_done:int -> detected:int -> unit) ->
   universe ->
   bool array array ->
   summary
-(** PPSFP engine: a group of [group] (default 16) fault machines
-    simulated together against each 62-pattern word on a flat Bigarray
-    (net x lane) word matrix — one cube decode per gate amortized over
-    the whole group, unit-stride lane loops (see {!Ppsfp}).  Each
-    machine's own gate is probed against the good machine and, when any
-    machine is activated, the group's union fanout cone is swept once.
-    [first_detection] is bit-identical to {!run_parallel} for every
-    [group] and [drop].  Fault dropping compacts groups between pattern
-    units, so retired sites are never re-simulated ([trace_site] is the
-    test hook observing which sites each unit touches). *)
+(** PPSFP engine as Waicukauski et al. define it ("Fault simulation for
+    structured VLSI", 1985): 62 patterns per word, one fault at a time,
+    propagation that stops where the faulty word stops differing from
+    the good one.  That is {!run_parallel}'s kernel, reported under the
+    name ["ppsfp"]; it starts no domain. *)
 
 val run_domain_parallel :
   ?drop:bool ->
@@ -240,7 +234,7 @@ val run_domain_parallel :
     ceiling: the campaign starts at most one domain per site and per
     50 000 gate evaluations of static work estimate (sites x words x
     gates), so a small campaign starts no domain at all; and the helpers
-    sit out any unit after one that performed fewer than 10 000 gate
+    sit out any unit after one that performed fewer than 2 000 gate
     evaluations.
     The ["faultsim.run"] event reports ["requested_domains"] and
     ["effective_domains"] (the calling domain plus the helpers that

@@ -13,8 +13,8 @@ module Prng = Dynmos_util.Prng
    ascending units, so first detections, checkpoints and partial results
    are those of the single-domain engine.  Blocks (rather than single
    sites) amortize the atomic op; a shared cursor (rather than
-   pre-split ranges) load-balances sites whose cones differ wildly in
-   size.
+   pre-split ranges) load-balances sites whose propagation cost differs
+   wildly.
 
    Correctness-critical sharing audit:
    - [Compiled.t] and the unit's packed input words are read-only while

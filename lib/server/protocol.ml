@@ -20,7 +20,6 @@ type run = {
   seed : int;
   engine : engine;
   jobs : int option;
-  group : int option;
   drop : bool;
   gates : int list option;
   deadline_s : float;
@@ -103,17 +102,21 @@ let parse_run ~limits ~known_circuit obj id =
   (* A removed field gets its own message: the generic unknown-field
      list would not say why a request that used to work is refused. *)
   let* () =
-    match Json.member "algo" obj with
-    | Some _ ->
+    match (Json.member "algo" obj, Json.member "group" obj) with
+    | Some _, _ ->
         err "field \"algo\" was removed: fanout-cone injection is the only algorithm"
-    | None -> Ok ()
+    | None, Some _ ->
+        err
+          "field \"group\" was removed: the \"ppsfp\" engine propagates one fault at a time \
+           and has no fault groups"
+    | None, None -> Ok ()
   in
   let* () =
     check_fields ~op:"run"
       ~allowed:
         [
-          "op"; "id"; "circuit"; "patterns"; "seed"; "engine"; "jobs"; "group"; "drop";
-          "gates"; "deadline_s"; "max_evals"; "crash_sid"; "stream_every";
+          "op"; "id"; "circuit"; "patterns"; "seed"; "engine"; "jobs"; "drop"; "gates";
+          "deadline_s"; "max_evals"; "crash_sid"; "stream_every";
         ]
       obj
   in
@@ -156,13 +159,6 @@ let parse_run ~limits ~known_circuit obj id =
     | Some _ when engine <> `Domains -> err "field \"jobs\" only applies to the \"domains\" engine"
     | _ -> Ok ()
   in
-  let* group = opt_field obj "group" to_int in
-  let* () =
-    match group with
-    | Some g when g < 1 || g > 1024 -> err "field \"group\" must be in 1..1024 (got %d)" g
-    | Some _ when engine <> `Ppsfp -> err "field \"group\" only applies to the \"ppsfp\" engine"
-    | _ -> Ok ()
-  in
   let* drop = opt_field obj "drop" to_bool in
   let drop = Option.value ~default:true drop in
   let* gates =
@@ -203,10 +199,6 @@ let parse_run ~limits ~known_circuit obj id =
   let* () =
     match crash_sid with
     | Some s when s < 0 -> err "field \"crash_sid\" must be >= 0 (got %d)" s
-    | Some _ when engine = `Ppsfp ->
-        err
-          "field \"crash_sid\" requires a supervised injection engine (serial, parallel, \
-           domains)"
     | _ -> Ok ()
   in
   Ok
@@ -218,7 +210,6 @@ let parse_run ~limits ~known_circuit obj id =
          seed;
          engine;
          jobs;
-         group;
          drop;
          gates;
          deadline_s;
@@ -272,7 +263,6 @@ let run_envelope r =
         Some ("seed", Json.Int r.seed);
         Some ("engine", Json.String (engine_name r.engine));
         opt "jobs" (fun n -> Json.Int n) r.jobs;
-        opt "group" (fun n -> Json.Int n) r.group;
         Some ("drop", Json.Bool r.drop);
         opt "gates" (fun gs -> Json.List (List.map (fun g -> Json.Int g) gs)) r.gates;
         Some ("deadline_s", Json.Float r.deadline_s);

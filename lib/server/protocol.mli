@@ -30,7 +30,6 @@ type run = {
       (** worker domains, [`Domains] engine only; accepted in 1..1024,
           and the server clamps it to [Domain.recommended_domain_count ()]
           at execution *)
-  group : int option;  (** fault-group size, [`Ppsfp] engine only *)
   drop : bool;
   gates : int list option;
       (** restrict the fault universe to these gate ids (validated
@@ -67,15 +66,16 @@ val parse_request :
     JSON, a non-object, wrong field types, unknown fields or ops,
     unknown circuits, out-of-range pattern counts / seeds / budgets all
     return [Error] with a message naming the offending field.  The
-    removed field ["algo"] gets its own message (fanout-cone injection
-    is the only algorithm). *)
+    removed fields ["algo"] (fanout-cone injection is the only
+    algorithm) and ["group"] (the ppsfp engine has no fault groups) get
+    their own messages. *)
 
 val request_id : request -> Json.t option
 
 val run_envelope : run -> string
 (** The canonical client-independent journal envelope of a run request:
     one JSON line keeping every result-shaping field (circuit, patterns,
-    seed, engine, jobs/group, drop, gates, the clamped deadline and
+    seed, engine, jobs, drop, gates, the clamped deadline and
     eval budget) and dropping the connection-bound ones ([id],
     [stream_every], [crash_sid]).  Restart recovery replays envelopes
     through {!parse_request}, so the encoding cannot drift from the

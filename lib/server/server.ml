@@ -663,8 +663,8 @@ let exec_job t client job =
             Faultsim.run_parallel ~drop ~obs:job_obs ~deadline ?max_evals ~interrupt
               ?checkpoint:ckpt ?crash_hook ?on_progress u pats
         | `Ppsfp ->
-            Faultsim.run_ppsfp ~drop ?group:r.Protocol.group ~obs:job_obs ~deadline ?max_evals
-              ~interrupt ?checkpoint:ckpt ?on_progress u pats
+            Faultsim.run_ppsfp ~drop ~obs:job_obs ~deadline ?max_evals ~interrupt
+              ?checkpoint:ckpt ?crash_hook ?on_progress u pats
         | `Domains ->
             Faultsim.run_domain_parallel ~drop ?num_domains ~obs:job_obs ~deadline ?max_evals
               ~interrupt ?checkpoint:ckpt ?crash_hook ?on_progress u pats

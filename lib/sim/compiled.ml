@@ -9,7 +9,8 @@ open Dynmos_netlist
    a cube cover over the gate's input positions, so evaluation is pure
    word arithmetic: the same cover evaluates one pattern (ints 0/1) or 62
    packed patterns per machine word — the representation bit-parallel
-   fault simulation uses. *)
+   fault simulation uses.  Fault injection propagates events along each
+   gate's consumer list ([eval_fault_into]). *)
 
 type gate_fn = {
   arity : int;
@@ -32,16 +33,12 @@ type t = {
   cgates : cgate array; (* topological order; cgates.(i).g.id = i *)
   index_of_net : (string, int) Hashtbl.t;
   net_names : string array;
-  (* Structural fanout analysis, computed once at compile time: the
-     transitive fanout cone of each gate (every gate a fault at that site
-     can influence), topologically sorted so the cone can be re-evaluated
-     in one forward pass, plus the subset of primary outputs the cone
-     reaches.  This is what lets fault injection re-simulate a handful of
-     gates instead of the whole circuit. *)
-  cones : int array array;    (* per gate id: cone gate ids, ascending; cone.(0) = the gate *)
-  reach_po : int array array; (* per gate id: positions in [po] reachable from it *)
-  gate_po : bool array;       (* per gate id: its output net is a primary output *)
-  max_cone : int;
+  (* Structural fanout, computed once at compile time: per gate id, the
+     gates that read its output, ascending and duplicate-free.  Fault
+     injection follows these edges from the faulty gate instead of
+     storing every gate's transitive cone. *)
+  consumers : int array array;
+  net_po : bool array;  (* per net: is it a primary output *)
 }
 
 let fn_of_table table =
@@ -85,67 +82,28 @@ let compile netlist =
   let po = Array.of_list (List.map idx (Netlist.outputs netlist)) in
   let net_names = Array.make n_nets "" in
   Hashtbl.iter (fun net i -> net_names.(i) <- net) index_of_net;
-  (* Fanout analysis.  Gate ids are dense topological indices (validated
-     by Netlist), so gate i's output net is n_inputs + i and a cone
-     collected in ascending id order is already topologically sorted. *)
+  (* Gate ids are dense topological indices (validated by Netlist), so
+     gate i's output net is n_inputs + i and every consumer of gate i
+     has a larger id.  Walking gates in descending id order and
+     prepending builds each list ascending; a gate reading one net on
+     several inputs is listed once. *)
   let n_g = Array.length cgates in
   Array.iteri (fun i cg -> assert (cg.g.Netlist.id = i && cg.out = n_inputs + i)) cgates;
   let consumers = Array.make n_g [] in
-  Array.iteri
-    (fun gi cg ->
-      Array.iter
-        (fun net -> if net >= n_inputs then consumers.(net - n_inputs) <- gi :: consumers.(net - n_inputs))
-        cg.ins)
-    cgates;
-  let gate_po = Array.make n_g false in
-  let po_positions = Array.make n_g [] in
-  Array.iteri
-    (fun k net ->
-      if net >= n_inputs then begin
-        gate_po.(net - n_inputs) <- true;
-        po_positions.(net - n_inputs) <- k :: po_positions.(net - n_inputs)
-      end)
-    po;
-  let mark = Array.make n_g (-1) in
-  let cones = Array.make n_g [||] in
-  let reach_po = Array.make n_g [||] in
-  let max_cone = ref 0 in
-  for g0 = 0 to n_g - 1 do
-    (* DFS over consumer edges, stamping [mark] with g0 (no clearing
-       between gates); explicit stack so deep chains cannot overflow. *)
-    mark.(g0) <- g0;
-    let stack = ref consumers.(g0) in
-    while !stack <> [] do
-      match !stack with
-      | [] -> ()
-      | g :: rest ->
-          stack := rest;
-          if mark.(g) <> g0 then begin
-            mark.(g) <- g0;
-            stack := List.rev_append consumers.(g) !stack
-          end
-    done;
-    let count = ref 0 in
-    for g = g0 to n_g - 1 do
-      if mark.(g) = g0 then incr count
-    done;
-    let cone = Array.make !count 0 in
-    let pos = ref [] in
-    let j = ref 0 in
-    for g = g0 to n_g - 1 do
-      if mark.(g) = g0 then begin
-        cone.(!j) <- g;
-        incr j;
-        List.iter (fun k -> pos := k :: !pos) po_positions.(g)
-      end
-    done;
-    cones.(g0) <- cone;
-    reach_po.(g0) <- Array.of_list (List.rev !pos);
-    if !count > !max_cone then max_cone := !count
+  for gi = n_g - 1 downto 0 do
+    Array.iter
+      (fun net ->
+        if net >= n_inputs then
+          match consumers.(net - n_inputs) with
+          | g :: _ when g = gi -> ()
+          | l -> consumers.(net - n_inputs) <- gi :: l)
+      cgates.(gi).ins
   done;
+  let net_po = Array.make n_nets false in
+  Array.iter (fun net -> net_po.(net) <- true) po;
   {
     netlist; n_nets; n_inputs; po; cgates; index_of_net; net_names;
-    cones; reach_po; gate_po; max_cone = !max_cone;
+    consumers = Array.map Array.of_list consumers; net_po;
   }
 
 let netlist t = t.netlist
@@ -157,9 +115,7 @@ let po_indices t = t.po
 let net_index t net = Hashtbl.find_opt t.index_of_net net
 let net_name t i = t.net_names.(i)
 let gates t = t.cgates
-let fanout_cone t gid = t.cones.(gid)
-let reachable_outputs t gid = t.reach_po.(gid)
-let max_cone_size t = t.max_cone
+let consumers t gid = t.consumers.(gid)
 
 (* Evaluate one gate function on word-packed inputs: bit j of the result is
    the function applied to bit j of each input word. *)
@@ -228,219 +184,143 @@ let eval_words_into ?override t ~(scratch : scratch) (pi_words : int array) =
       scratch.(cg.out) <- eval_fn_from fn cg.ins scratch)
     t.cgates
 
-(* --- Cone-restricted fault injection ------------------------------------- *)
+(* --- Event-driven fault injection ------------------------------------------ *)
 
-let make_cone_buffer t = Array.make (max 1 t.max_cone) 0
+(* Per-domain state of [eval_fault_into]: a binary min-heap of gate ids
+   (ids are topological, so popping the smallest evaluates every gate
+   after all of its changed inputs), a stamp per gate marking it queued
+   in the current call, and the nets the call overwrote with their good
+   words.  Every array is preallocated to the gate count: each gate is
+   queued and evaluated at most once per call. *)
+type events = {
+  heap : int array;
+  mutable size : int;
+  stamp : int array;
+  mutable epoch : int;
+  touched : int array;  (* net indices overwritten, in write order *)
+  saved : int array;    (* their good words *)
+  mutable n_touched : int;
+}
 
-(* Faulty evaluation restricted to the fault site's fanout cone.
+let make_events t =
+  let n = max 1 (Array.length t.cgates) in
+  {
+    heap = Array.make n 0;
+    size = 0;
+    stamp = Array.make n 0;
+    epoch = 0;
+    touched = Array.make n 0;
+    saved = Array.make n 0;
+    n_touched = 0;
+  }
+
+let push ev g =
+  if ev.stamp.(g) <> ev.epoch then begin
+    ev.stamp.(g) <- ev.epoch;
+    let h = ev.heap in
+    let i = ref ev.size in
+    ev.size <- ev.size + 1;
+    while !i > 0 && h.((!i - 1) / 2) > g do
+      h.(!i) <- h.((!i - 1) / 2);
+      i := (!i - 1) / 2
+    done;
+    h.(!i) <- g
+  end
+
+let pop_min ev =
+  let h = ev.heap in
+  let top = h.(0) in
+  ev.size <- ev.size - 1;
+  let n = ev.size in
+  if n > 0 then begin
+    (* sift the last element down from the root *)
+    let last = h.(n) in
+    let i = ref 0 in
+    let sifting = ref true in
+    while !sifting do
+      let l = (2 * !i) + 1 in
+      if l >= n then sifting := false
+      else begin
+        let c = if l + 1 < n && h.(l + 1) < h.(l) then l + 1 else l in
+        if h.(c) < last then begin
+          h.(!i) <- h.(c);
+          i := c
+        end
+        else sifting := false
+      end
+    done;
+    h.(!i) <- last
+  end;
+  top
+
+let push_consumers t ev g =
+  let cs = t.consumers.(g) in
+  for i = 0 to Array.length cs - 1 do
+    push ev cs.(i)
+  done
+
+(* Write a changed word into [scratch], saving the good word for the
+   restore, and return the net's contribution to the output diff. *)
+let set_changed t ev (scratch : scratch) net w =
+  let good = scratch.(net) in
+  ev.touched.(ev.n_touched) <- net;
+  ev.saved.(ev.n_touched) <- good;
+  ev.n_touched <- ev.n_touched + 1;
+  scratch.(net) <- w;
+  if t.net_po.(net) then w lxor good else 0
+
+(* Event-driven faulty evaluation (parallel-pattern single-fault
+   propagation, Waicukauski et al. 1985).
 
    [scratch] must hold a completed good-machine evaluation
    ([eval_words_into] on the same PI words); it is used in place as the
-   baseline and is restored before returning, so one buffer serves any
+   baseline and restored before returning, so one buffer serves any
    number of consecutive fault injections against the same patterns.
-   [buf] (>= the cone size, see [make_cone_buffer]) saves the baseline
-   words of the cone outputs.
 
    The overridden gate is evaluated first: when its faulty word equals
-   the good word on every packed pattern the fault is not activated,
-   nothing downstream can diverge, and the kernel exits after that
-   single gate — the dominant saving, since most patterns do not
-   activate most faults.  Otherwise the rest of the cone is re-evaluated
-   in topological order (nets outside the cone cannot change, their
-   values are read from the baseline) and only the primary outputs the
-   cone reaches are compared; unreachable outputs are untouched by
-   construction, so the returned word is bit-identical to a whole-
-   circuit faulty evaluation XORed against the good one over all
-   outputs.
+   the good word on every packed pattern the fault is not activated and
+   the call ends there — the common case.  Otherwise its consumers are
+   queued, and gates are popped in ascending id order and re-evaluated;
+   a gate whose word differs from the good word writes it, ORs the
+   difference into the result when its net is a primary output, and
+   queues its own consumers.  Propagation stops wherever the faulty
+   word equals the good one.  Nets no event reached still hold their
+   good words, so the result is bit-identical to a whole-circuit faulty
+   evaluation XORed against the good one over all outputs.  Only the
+   touched nets are restored.
 
-   [tally], when given, accumulates the number of gate evaluations
-   actually performed (1 when the fault was not activated, the cone size
-   otherwise). *)
-let eval_cone_into ?tally t ~override:(gid, fn') ~(scratch : scratch) ~(buf : int array) =
+   [tally], when given, accumulates the gate evaluations performed: 1
+   when the fault is not activated, otherwise 1 plus the gates
+   re-evaluated, each at most once and all in the fault's transitive
+   fanout. *)
+let eval_fault_into ?tally t ~override:(gid, fn') ~(scratch : scratch) ~events:ev =
   let cgates = t.cgates in
   let cg0 = cgates.(gid) in
   let faulty0 = eval_fn_from fn' cg0.ins scratch in
   let diff = ref 0 in
   let evaluated = ref 1 in
   if faulty0 <> scratch.(cg0.out) then begin
-    (* activated: save the cone's baseline words, then sweep it *)
-    let cone = t.cones.(gid) in
-    let n = Array.length cone in
-    for i = 0 to n - 1 do
-      buf.(i) <- scratch.(cgates.(cone.(i)).out)
+    ev.size <- 0;
+    ev.n_touched <- 0;
+    ev.epoch <- ev.epoch + 1;
+    diff := set_changed t ev scratch cg0.out faulty0;
+    push_consumers t ev gid;
+    while ev.size > 0 do
+      let g = pop_min ev in
+      let cg = cgates.(g) in
+      let w = eval_fn_from cg.fn cg.ins scratch in
+      incr evaluated;
+      if w <> scratch.(cg.out) then begin
+        diff := !diff lor set_changed t ev scratch cg.out w;
+        push_consumers t ev g
+      end
     done;
-    scratch.(cg0.out) <- faulty0;
-    for i = 1 to n - 1 do
-      let cg = cgates.(cone.(i)) in
-      scratch.(cg.out) <- eval_fn_from cg.fn cg.ins scratch
-    done;
-    evaluated := n;
-    (* Compare the reachable outputs and restore the baseline in one
-       backwards pass. *)
-    for i = n - 1 downto 0 do
-      let g = cone.(i) in
-      let out = cgates.(g).out in
-      if t.gate_po.(g) then diff := !diff lor (scratch.(out) lxor buf.(i));
-      scratch.(out) <- buf.(i)
+    for i = ev.n_touched - 1 downto 0 do
+      scratch.(ev.touched.(i)) <- ev.saved.(i)
     done
   end;
   (match tally with Some r -> r := !r + !evaluated | None -> ());
   !diff
-
-(* --- Word-matrix evaluation (PPSFP) --------------------------------------- *)
-
-(* A flat (net x lane) matrix of pattern words: row [net] holds [width]
-   machine words, one per fault machine ("lane"), at [net * width + lane].
-   Net-major order makes the lane loop unit-stride, so evaluating one
-   gate for a whole fault group decodes the cube cover once and streams
-   over contiguous memory.  Backed by [Bigarray.int] rather than the
-   boxed-on-read [Int64]: OCaml's native 63-bit int fits the engines'
-   62-pattern packing and [Array1.unsafe_get] on the int kind is a bare
-   load, no allocation on any path. *)
-type word_matrix = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-let make_word_matrix t ~width =
-  if width < 1 then invalid_arg "Compiled.make_word_matrix: width must be >= 1";
-  let m = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (max 1 (t.n_nets * width)) in
-  Bigarray.Array1.fill m 0;
-  m
-
-let matrix_fill_row (m : word_matrix) ~width ~net w =
-  let base = net * width in
-  for l = 0 to width - 1 do
-    Bigarray.Array1.unsafe_set m (base + l) w
-  done
-
-(* Grouped single-gate evaluation: for every lane, bit j of row [out]
-   becomes [fn] applied to bit j of each input row.  The cube cover is
-   decoded once for all [width] lanes — cube outer, literal middle, lane
-   inner — with the output row itself as the per-cube mask buffer (legal
-   because a combinational gate never reads its own output) and [tmp]
-   (caller scratch, length >= width) as the OR-accumulator, so the call
-   allocates nothing. *)
-let eval_fn_rows fn (ins : int array) (m : word_matrix) ~width ~out ~(tmp : int array) =
-  let base_out = out * width in
-  (* AND one literal's input row into the output row, in place. *)
-  let and_literal care value i =
-    if care land (1 lsl i) <> 0 then begin
-      let base_in = Array.unsafe_get ins i * width in
-      if value land (1 lsl i) <> 0 then
-        for l = 0 to width - 1 do
-          Bigarray.Array1.unsafe_set m (base_out + l)
-            (Bigarray.Array1.unsafe_get m (base_out + l)
-            land Bigarray.Array1.unsafe_get m (base_in + l))
-        done
-      else
-        for l = 0 to width - 1 do
-          Bigarray.Array1.unsafe_set m (base_out + l)
-            (Bigarray.Array1.unsafe_get m (base_out + l)
-            land lnot (Bigarray.Array1.unsafe_get m (base_in + l)))
-        done
-    end
-  in
-  let cubes = fn.cubes in
-  let n_cubes = Array.length cubes in
-  (* Two specializations cover the common cell covers (a minimized
-     monotone AND is one cube; a minimized OR is single-literal cubes)
-     without the accumulator round-trips of the general shape. *)
-  if n_cubes = 0 then
-    for l = 0 to width - 1 do
-      Bigarray.Array1.unsafe_set m (base_out + l) 0
-    done
-  else if n_cubes = 1 then begin
-    (* One cube: AND the literals straight into the output row. *)
-    let care, value = Array.unsafe_get cubes 0 in
-    for l = 0 to width - 1 do
-      Bigarray.Array1.unsafe_set m (base_out + l) (-1)
-    done;
-    let rec lits i =
-      if 1 lsl i <= care then begin
-        and_literal care value i;
-        lits (i + 1)
-      end
-    in
-    lits 0
-  end
-  else begin
-    let single_literal = ref true in
-    for c = 0 to n_cubes - 1 do
-      let care, _ = Array.unsafe_get cubes c in
-      if care = 0 || care land (care - 1) <> 0 then single_literal := false
-    done;
-    if !single_literal then begin
-      (* Every cube is one literal: OR them straight into the output row. *)
-      for l = 0 to width - 1 do
-        Bigarray.Array1.unsafe_set m (base_out + l) 0
-      done;
-      for c = 0 to n_cubes - 1 do
-        let care, value = Array.unsafe_get cubes c in
-        let rec idx i = if care lsr i = 1 then i else idx (i + 1) in
-        let base_in = Array.unsafe_get ins (idx 0) * width in
-        if value land care <> 0 then
-          for l = 0 to width - 1 do
-            Bigarray.Array1.unsafe_set m (base_out + l)
-              (Bigarray.Array1.unsafe_get m (base_out + l)
-              lor Bigarray.Array1.unsafe_get m (base_in + l))
-          done
-        else
-          for l = 0 to width - 1 do
-            Bigarray.Array1.unsafe_set m (base_out + l)
-              (Bigarray.Array1.unsafe_get m (base_out + l)
-              lor lnot (Bigarray.Array1.unsafe_get m (base_in + l)))
-          done
-      done
-    end
-    else begin
-      (* General cover: the output row is the per-cube mask buffer and
-         [tmp] the OR-accumulator. *)
-      Array.fill tmp 0 width 0;
-      for c = 0 to n_cubes - 1 do
-        let care, value = Array.unsafe_get cubes c in
-        for l = 0 to width - 1 do
-          Bigarray.Array1.unsafe_set m (base_out + l) (-1)
-        done;
-        let rec lits i =
-          if 1 lsl i <= care then begin
-            and_literal care value i;
-            lits (i + 1)
-          end
-        in
-        lits 0;
-        for l = 0 to width - 1 do
-          Array.unsafe_set tmp l
-            (Array.unsafe_get tmp l lor Bigarray.Array1.unsafe_get m (base_out + l))
-        done
-      done;
-      for l = 0 to width - 1 do
-        Bigarray.Array1.unsafe_set m (base_out + l) (Array.unsafe_get tmp l)
-      done
-    end
-  end
-
-(* Scalar evaluation of one lane out of the matrix — the per-machine
-   override fixup of the PPSFP sweep (a faulty gate function applies to
-   exactly one lane, so it is evaluated alone against that lane's input
-   words). *)
-let eval_fn_in_matrix fn (ins : int array) (m : word_matrix) ~width ~lane =
-  let out = ref 0 in
-  Array.iter
-    (fun (care, value) ->
-      let mask = ref (-1) in
-      let rec lits i =
-        if 1 lsl i <= care then begin
-          if care land (1 lsl i) <> 0 then begin
-            let w = Bigarray.Array1.unsafe_get m ((Array.unsafe_get ins i * width) + lane) in
-            mask := !mask land (if value land (1 lsl i) <> 0 then w else lnot w)
-          end;
-          lits (i + 1)
-        end
-      in
-      lits 0;
-      out := !out lor !mask)
-    fn.cubes;
-  !out
-
-let gate_is_po t gid = t.gate_po.(gid)
 
 let eval_words ?override t (pi_words : int array) =
   let scratch = make_scratch t in

@@ -7,7 +7,9 @@ open Dynmos_netlist
     topological order); every distinct cell function is compiled once to a
     cube cover evaluated with word arithmetic, so the same code evaluates
     one pattern or 62 packed patterns per word (bit-parallel fault
-    simulation). *)
+    simulation).  Each gate keeps its consumer list, and fault injection
+    ({!eval_fault_into}) propagates a fault event by event along those
+    lists against a good-machine baseline held in a {!scratch}. *)
 
 type gate_fn = {
   arity : int;
@@ -39,28 +41,11 @@ val net_index : t -> string -> int option
 val net_name : t -> int -> string
 val gates : t -> cgate array
 
-(** {1 Structural fanout analysis}
-
-    Computed once at [compile] time: for every gate, the transitive
-    fanout cone (every gate whose value a fault at that site can
-    influence) and the subset of primary outputs it reaches.  Fault
-    injection only ever needs to re-evaluate the cone and compare the
-    reachable outputs. *)
-
-val fanout_cone : t -> int -> int array
-(** [fanout_cone t gid] is the transitive fanout cone of gate [gid]
-    (inclusive): gate ids in ascending — hence topological — order,
-    starting with [gid] itself. *)
-
-val reachable_outputs : t -> int -> int array
-(** [reachable_outputs t gid]: positions in [po_indices] of the primary
-    outputs reachable from gate [gid].  A faulty machine differing only
-    at gate [gid]'s function can differ from the good machine on exactly
-    these outputs. *)
-
-val max_cone_size : t -> int
-(** Largest [fanout_cone] length over all gates (0 for a gateless
-    netlist); the buffer size {!eval_cone_into} needs. *)
+val consumers : t -> int -> int array
+(** [consumers t gid]: the gates that read gate [gid]'s output, in
+    ascending — hence topological — id order, each listed once.
+    Computed once at [compile] time; fault propagation follows these
+    edges. *)
 
 val eval_fn : gate_fn -> int array -> int
 (** Word-parallel single-gate evaluation: bit j of the result applies the
@@ -90,57 +75,34 @@ val eval_fn_from : gate_fn -> int array -> int array -> int
     [nets.(ins.(i))] — {!eval_fn} without materializing the input
     gather. *)
 
-val make_cone_buffer : t -> int array
-(** A save buffer of {!max_cone_size} words for {!eval_cone_into}. *)
+(** {1 Event-driven fault injection} *)
 
-val eval_cone_into :
-  ?tally:int ref -> t -> override:int * gate_fn -> scratch:scratch -> buf:int array -> int
-(** Cone-restricted faulty evaluation.  [scratch] must hold a completed
-    good-machine evaluation of the PI words of interest; only the
-    overridden gate's fanout cone is re-evaluated against it and only
-    the reachable primary outputs are compared.  Returns the OR over all
-    primary outputs of [faulty lxor good] — bit-identical to evaluating
-    the whole faulty circuit — and restores [scratch] to the baseline
-    before returning.  When the overridden gate's faulty word equals its
-    good word the fault is not activated and the kernel exits after that
-    single gate evaluation.  [tally], when given, accumulates the gate
-    evaluations performed (1 or the cone size). *)
+type events
+(** The mutable state of one {!eval_fault_into} call chain: the gate
+    queue, the per-gate queued stamps, and the nets a call overwrote
+    with their good words.  Like {!scratch}, it belongs to one domain;
+    every call starts from an empty queue, so a call that raised
+    leaves nothing behind for the next one. *)
 
-(** {1 Word-matrix evaluation (PPSFP)}
+val make_events : t -> events
 
-    A flat (net x lane) matrix of pattern words for parallel-pattern /
-    parallel-fault simulation: row [net] holds [width] machine words at
-    [net * width + lane], one per fault machine.  Net-major order makes
-    the lane loop unit-stride, so one cube-cover decode is amortized
-    over the whole fault group.  Backed by [Bigarray.int] (native 63-bit
-    ints, unboxed loads) — the engines pack 62 patterns per word, so the
-    narrower element loses nothing and every [unsafe_get] stays
-    allocation-free. *)
-
-type word_matrix = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-val make_word_matrix : t -> width:int -> word_matrix
-(** A zeroed [n_nets x width] matrix.  Raises [Invalid_argument] when
-    [width < 1]. *)
-
-val matrix_fill_row : word_matrix -> width:int -> net:int -> int -> unit
-(** Broadcast one word to every lane of row [net] (good-machine frontier
-    values entering a fault group's cone). *)
-
-val eval_fn_rows :
-  gate_fn -> int array -> word_matrix -> width:int -> out:int -> tmp:int array -> unit
-(** Grouped single-gate evaluation: for every lane, row [out] becomes
-    the function applied to the input rows ([ins], net indices).  Cube
-    outer, literal middle, lane inner; [tmp] (length >= [width]) is the
-    caller-owned accumulator making the call allocation-free. *)
-
-val eval_fn_in_matrix : gate_fn -> int array -> word_matrix -> width:int -> lane:int -> int
-(** Scalar one-lane evaluation out of the matrix — the per-machine
-    faulty-function fixup of a PPSFP sweep. *)
-
-val gate_is_po : t -> int -> bool
-(** Is gate [gid]'s output net a primary output?  (The PO-diff test of
-    the cone-restricted kernels.) *)
+val eval_fault_into :
+  ?tally:int ref -> t -> override:int * gate_fn -> scratch:scratch -> events:events -> int
+(** Event-driven faulty evaluation of one fault over 62 packed patterns.
+    [scratch] must hold a completed good-machine evaluation of the PI
+    words of interest.  The overridden gate is evaluated first; when its
+    faulty word equals its good word the fault is not activated and the
+    call ends there.  Otherwise gate ids are popped from a min-queue
+    (ids are topological) and only gates with a changed input are
+    re-evaluated; a net counts as changed only when its word differs
+    from the good word, and primary-output differences are ORed as they
+    appear.  Returns the OR over all primary outputs of
+    [faulty lxor good] — bit-identical to evaluating the whole faulty
+    circuit — and restores the nets it touched, so [scratch] holds the
+    good machine again on return.  [tally], when given, accumulates the
+    gate evaluations performed: 1 when the fault is not activated,
+    otherwise 1 plus the gates re-evaluated (each at most once, all in
+    the fault's transitive fanout). *)
 
 val outputs_of_nets : t -> int array -> int array
 (** Select the primary-output words from an [eval_words] result. *)

@@ -1,17 +1,18 @@
 (* The deductive fault simulator, kept as the test oracle every engine is
    checked against.
 
-   The four library engines all inject a fault and re-evaluate its
-   fanout cone ([Compiled.eval_cone_into]); an oracle sharing that code
-   could share its bugs.  This one shares no evaluation code with it:
-   one pass per pattern, each net carrying the set of fault sites whose
-   presence would invert the net's good value (Armstrong's deductive
-   method).  A gate's output list is computed by re-evaluating its
-   function with the inputs inverted exactly on each fault's membership
-   pattern — which handles multiple faulted inputs from reconvergent
-   fan-out correctly — plus the gate's own local faults whose faulty
-   function differs under the applied input vector.  Every gate is
-   processed on every pattern (no cone restriction).
+   The four library engines all inject a fault and propagate it event by
+   event from its own gate ([Compiled.eval_fault_into]); an oracle
+   sharing that code could share its bugs.  This one shares no
+   evaluation code with it: one pass per pattern, each net carrying the
+   set of fault sites whose presence would invert the net's good value
+   (Armstrong's deductive method).  A gate's output list is computed by
+   re-evaluating its function with the inputs inverted exactly on each
+   fault's membership pattern — which handles multiple faulted inputs
+   from reconvergent fan-out correctly — plus the gate's own local
+   faults whose faulty function differs under the applied input vector.
+   Every gate is processed on every pattern (no event-driven
+   restriction).
 
    Campaign policies (dropping, limits, checkpoints, obs accounting) come
    from the same [Campaign.run_patterns] driver the library engines use,

@@ -40,7 +40,7 @@ let engines : (string * run) list =
         Faultsim.run_parallel ?deadline ?max_evals ?interrupt u pats );
     ( "ppsfp",
       fun ?deadline ?max_evals ?interrupt u pats ->
-        Faultsim.run_ppsfp ~group:5 ?deadline ?max_evals ?interrupt u pats );
+        Faultsim.run_ppsfp ?deadline ?max_evals ?interrupt u pats );
     ( "domains",
       fun ?deadline ?max_evals ?interrupt u pats ->
         Faultsim.run_domain_parallel ~num_domains:2 ?deadline ?max_evals ?interrupt u pats );
@@ -154,10 +154,12 @@ let qcheck_limited_is_prefix =
 (* The per-site reading of the prefix law, on a campaign large enough
    that the domains engine starts a helper domain (the fixture above
    runs on one) and, without dropping, splits every one of its ten
-   units (about 21k gate evaluations each): each site of a limited run
-   is reported exactly as in the unlimited run or, if the unlimited run
-   detects it only past the cut, not at all, so a budget stop never
-   loses or leaks part of a merged unit. *)
+   units (11.1k-12.1k gate evaluations each, 116k in all, against the
+   engine's 2 000-evaluation threshold).  Budgets of 2.5k-100k stop the
+   run after one to nine units.  Each site of a limited run is reported
+   exactly as in the unlimited run or, if the unlimited run detects it
+   only past the cut, not at all, so a budget stop never loses or leaks
+   part of a merged unit. *)
 let split_fixture =
   lazy
     (let nl =
@@ -177,7 +179,7 @@ let qcheck_limited_domains_is_site_subset =
       let sink, fetch = Obs.memory_sink () in
       let limited =
         Faultsim.run_domain_parallel ~drop:false ~num_domains:2 ~obs:(Obs.make sink)
-          ~max_evals:(scale * 5000) u pats
+          ~max_evals:(scale * 2500) u pats
       in
       let effective =
         List.find_map
@@ -193,6 +195,8 @@ let qcheck_limited_domains_is_site_subset =
         QCheck2.Test.fail_reportf "expected 2 effective domains, got %s"
           (Option.fold ~none:"none" ~some:string_of_int effective);
       let cut = limited.Faultsim.patterns_done in
+      if cut >= Array.length pats then
+        QCheck2.Test.fail_reportf "budget %d did not stop the run" (scale * 2500);
       Array.for_all2
         (fun l r ->
           match (l, r) with

@@ -398,12 +398,14 @@ let test_server_recovers_journaled_job () =
         (float_field "coverage" r = Faultsim.coverage clean))
 
 (* Upgrade path: builds before the "algo" field was removed journaled it
-   in every envelope ("cone" by default).  A job such a build left
-   pending is rejected by today's schema, so boot must complete, close
-   the job out with an error done record and drain the journal; the
-   client's retry then runs fresh.  The journal is written by hand — its
-   own CRC-32 — exactly as that build wrote it. *)
-let test_server_recovery_pre_upgrade_envelope () =
+   in every envelope ("cone" by default), and builds before the "group"
+   field was removed journaled it in every ppsfp envelope that set it.
+   A job such a build left pending is rejected by today's schema, so
+   boot must complete, close the job out with an error done record and
+   drain the journal; the client's retry then runs fresh.  The journal
+   is written by hand — its own CRC-32 — exactly as that build wrote
+   it. *)
+let pre_upgrade_envelope_closed_out ~engine envelope =
   with_dir "dynmos_dur" @@ fun dir ->
   let crc32 s =
     let c = ref 0xffffffff in
@@ -417,9 +419,6 @@ let test_server_recovery_pre_upgrade_envelope () =
     !c lxor 0xffffffff
   in
   let record payload = Printf.sprintf "%08x %s\n" (crc32 payload) payload in
-  let envelope =
-    {|{"op":"run","circuit":"carry8","patterns":48,"seed":11,"engine":"serial","drop":true,"algo":"cone","deadline_s":30}|}
-  in
   let path = Filename.concat dir "journal" in
   write_file path ("dynmos-journal v1\n" ^ record "gen 1" ^ record ("admit 0 " ^ envelope));
   let t = Server.create ~config:(durable_config dir) () in
@@ -433,10 +432,21 @@ let test_server_recovery_pre_upgrade_envelope () =
         (List.mem (record "done 0 error")
            (List.map (fun l -> l ^ "\n") (String.split_on_char '\n' (read_file path))));
       let r =
-        response_for 1 (run_on t [ {|{"circuit":"carry8","patterns":48,"seed":11}|} ])
+        response_for 1
+          (run_on t
+             [
+               Printf.sprintf {|{"circuit":"carry8","patterns":48,"seed":11,"engine":"%s"}|}
+                 engine;
+             ])
       in
       check_s "retry ok" "ok" (status r);
       check "retry ran fresh" false (bool_field "cached" r))
+
+let test_server_recovery_pre_upgrade_envelope () =
+  pre_upgrade_envelope_closed_out ~engine:"serial"
+    {|{"op":"run","circuit":"carry8","patterns":48,"seed":11,"engine":"serial","drop":true,"algo":"cone","deadline_s":30}|};
+  pre_upgrade_envelope_closed_out ~engine:"ppsfp"
+    {|{"op":"run","circuit":"carry8","patterns":48,"seed":11,"engine":"ppsfp","group":16,"drop":true,"deadline_s":30}|}
 
 let test_server_recovery_resumes_checkpoint () =
   with_dir "dynmos_dur" @@ fun dir ->

@@ -56,7 +56,7 @@ let engines_agree u patterns =
   let agree s = s.Faultsim.first_detection = reference.Faultsim.first_detection in
   agree (Faultsim.run_serial ~drop:false u patterns)
   && agree (Faultsim.run_parallel ~drop:false u patterns)
-  && agree (Faultsim.run_ppsfp ~drop:false ~group:4 u patterns)
+  && agree (Faultsim.run_ppsfp ~drop:false u patterns)
   && agree (Faultsim.run_domain_parallel ~drop:false u patterns)
 
 let test_engines_agree_fig9 () =
@@ -150,14 +150,15 @@ let test_engines_agree_multi_output () =
         ~technology:Technology.Domino_cmos ();
     ]
 
-(* --- Fanout-cone structural analysis ----------------------------------------- *)
+(* --- Fanout structure ------------------------------------------------------------ *)
 
 module Compiled = Dynmos_sim.Compiled
 
 (* An explicitly reconvergent circuit: g1 fans out along two paths (g2,
    g3) that reconverge at g4, and g2 is additionally tapped as a second
    primary output — the shape where naive difference propagation goes
-   wrong and the cone kernel must still match whole-circuit injection. *)
+   wrong and event-driven injection must still match whole-circuit
+   injection. *)
 let reconvergent_netlist () =
   let and2 = Stdcells.and_gate 2 Technology.Domino_cmos in
   let or2 = Stdcells.or_gate 2 Technology.Domino_cmos in
@@ -175,14 +176,11 @@ let reconvergent_netlist () =
 let test_cone_reconvergent () =
   let nl = reconvergent_netlist () in
   let c = Compiled.compile nl in
-  (* g1 (gate id 0) influences every gate through two reconvergent paths
-     and reaches both primary outputs. *)
-  check "g1 cone is everything" true (Compiled.fanout_cone c 0 = [| 0; 1; 2; 3 |]);
-  check_i "g1 reaches both POs" 2 (Array.length (Compiled.reachable_outputs c 0));
-  (* g3 (id 2) only feeds g4: one reachable output. *)
-  check "g3 cone" true (Compiled.fanout_cone c 2 = [| 2; 3 |]);
-  check_i "g3 reaches one PO" 1 (Array.length (Compiled.reachable_outputs c 2));
-  check_i "max cone" 4 (Compiled.max_cone_size c);
+  (* g1 (gate id 0) fans out along two paths that reconverge at g4. *)
+  check "g1 feeds g2 and g3" true (Compiled.consumers c 0 = [| 1; 2 |]);
+  check "g2 feeds g4" true (Compiled.consumers c 1 = [| 3 |]);
+  check "g3 feeds g4" true (Compiled.consumers c 2 = [| 3 |]);
+  check "g4 feeds nothing" true (Compiled.consumers c 3 = [||]);
   (* and the engines agree on it, exhaustively *)
   let u = Faultsim.universe nl in
   check "engines agree on reconvergent circuit" true
@@ -307,7 +305,23 @@ let test_drop_consistency () =
        (fun a b -> (a = None) = (b = None))
        with_drop.Faultsim.first_detection without.Faultsim.first_detection);
   check "same first pattern" true
-    (with_drop.Faultsim.first_detection = without.Faultsim.first_detection)
+    (with_drop.Faultsim.first_detection = without.Faultsim.first_detection);
+  (* A dropped site is never evaluated again: the crash hook fires once
+     per site evaluation, so a detected site is evaluated in exactly the
+     62-pattern units up to the one holding its first detection, and an
+     undetected one in every unit. *)
+  let pats = Faultsim.random_patterns prng ~n_inputs:11 ~count:200 in
+  let evaluated = Array.make (Faultsim.n_sites u) 0 in
+  let s =
+    Faultsim.run_ppsfp ~drop:true
+      ~crash_hook:(fun sid -> evaluated.(sid) <- evaluated.(sid) + 1)
+      u pats
+  in
+  let n_units = (Array.length pats + 61) / 62 in
+  check "dropped sites never re-evaluated" true
+    (Array.for_all2
+       (fun n first -> n = match first with Some p -> (p / 62) + 1 | None -> n_units)
+       evaluated s.Faultsim.first_detection)
 
 let test_weighted_patterns () =
   let prng = Prng.create 23 in
@@ -434,81 +448,8 @@ let test_restrict_universe () =
 
 (* --- PPSFP ------------------------------------------------------------------- *)
 
-(* Group size is a pure performance knob: every G — including 1, a
-   non-divisor of the site count, and one exceeding the whole universe —
-   reproduces the bit-parallel engine's first_detection under both drop
-   settings. *)
-let test_ppsfp_group_sizes () =
-  let nl =
-    Generators.random_monotone ~seed:21 ~n_inputs:8 ~n_gates:30
-      ~technology:Technology.Domino_cmos ()
-  in
-  let u = Faultsim.universe nl in
-  let prng = Prng.create 83 in
-  let pats = Faultsim.random_patterns prng ~n_inputs:8 ~count:100 in
-  let reference = Faultsim.run_parallel ~drop:false u pats in
-  List.iter
-    (fun group ->
-      List.iter
-        (fun drop ->
-          let s = Faultsim.run_ppsfp ~drop ~group u pats in
-          check
-            (Fmt.str "group=%d drop=%b" group drop)
-            true
-            (s.Faultsim.first_detection = reference.Faultsim.first_detection))
-        [ false; true ])
-    [ 1; 3; 16; 64; 1000 ];
-  check "group 0 raises" true
-    (raises_invalid (fun () -> Faultsim.run_ppsfp ~group:0 u pats))
-
-(* Fault dropping compacts the group partition between pattern units:
-   once a site is detected it is never simulated again.  [trace_site]
-   fires once per live site per 62-pattern unit, so the recorded unit
-   starts pin the compaction exactly: a detected site's last trace is
-   the unit containing its first detection, an undetected site is
-   traced in every unit, and no (site, unit) pair repeats. *)
-let test_ppsfp_compaction_never_resimulates () =
-  let nl =
-    Generators.random_monotone ~seed:3 ~n_inputs:8 ~n_gates:30
-      ~technology:Technology.Domino_cmos ()
-  in
-  let u = Faultsim.universe nl in
-  let prng = Prng.create 89 in
-  let pats = Faultsim.random_patterns prng ~n_inputs:8 ~count:200 in
-  let traces : (int, int list) Hashtbl.t = Hashtbl.create 64 in
-  let trace_site ~sid ~start =
-    Hashtbl.replace traces sid
-      (start :: Option.value ~default:[] (Hashtbl.find_opt traces sid))
-  in
-  let s = Faultsim.run_ppsfp ~drop:true ~group:7 ~trace_site u pats in
-  let n_units = (Array.length pats + 61) / 62 in
-  Hashtbl.iter
-    (fun sid starts ->
-      check
-        (Fmt.str "site %d traced at most once per unit" sid)
-        true
-        (List.length (List.sort_uniq compare starts) = List.length starts))
-    traces;
-  Array.iteri
-    (fun sid first ->
-      let starts = Option.value ~default:[] (Hashtbl.find_opt traces sid) in
-      match first with
-      | Some p ->
-          let detecting_unit = p - (p mod 62) in
-          check (Fmt.str "site %d simulated in its detecting unit" sid) true
-            (List.mem detecting_unit starts);
-          check (Fmt.str "site %d retired after detection" sid) true
-            (List.for_all (fun st -> st <= detecting_unit) starts)
-      | None ->
-          check (Fmt.str "undetected site %d simulated in every unit" sid) true
-            (List.length starts = n_units))
-    s.Faultsim.first_detection;
-  check "compaction changes no detections" true
-    (s.Faultsim.first_detection
-    = (Faultsim.run_ppsfp ~drop:false ~group:7 u pats).Faultsim.first_detection)
-
-(* Restricted universes (arbitrary site subsets, still ascending sid /
-   non-decreasing gate order) go through the same kernel. *)
+(* Restricted universes (arbitrary site subsets) go through the same
+   kernel. *)
 let test_ppsfp_restricted_universe () =
   let nl =
     Generators.random_monotone ~seed:21 ~n_inputs:8 ~n_gates:30
@@ -520,63 +461,8 @@ let test_ppsfp_restricted_universe () =
   let pats = Faultsim.random_patterns prng ~n_inputs:8 ~count:90 in
   let reference = Faultsim.run_parallel ~drop:false ru pats in
   check "restricted universe" true
-    ((Faultsim.run_ppsfp ~drop:false ~group:4 ru pats).Faultsim.first_detection
+    ((Faultsim.run_ppsfp ~drop:false ru pats).Faultsim.first_detection
     = reference.Faultsim.first_detection)
-
-(* The word-matrix primitives against the scalar evaluator: sweeping a
-   whole circuit with [eval_fn_rows] (fast paths included) must leave
-   every lane equal to an independent [eval_words_into] run on that
-   lane's input words, and the scalar [eval_fn_in_matrix] path must
-   agree with the grouped rows. *)
-let test_word_matrix_matches_scalar () =
-  let nl =
-    Generators.random_monotone ~seed:17 ~n_inputs:6 ~n_gates:20
-      ~technology:Technology.Domino_cmos ()
-  in
-  let c = Compiled.compile nl in
-  let width = 5 in
-  let m = Compiled.make_word_matrix c ~width in
-  let prng = Prng.create 93 in
-  let n_in = Compiled.n_inputs c in
-  let lane_inputs =
-    Array.init width (fun _ -> Array.init n_in (fun _ -> Prng.bits62 prng))
-  in
-  for net = 0 to n_in - 1 do
-    for lane = 0 to width - 1 do
-      Bigarray.Array1.set m ((net * width) + lane) lane_inputs.(lane).(net)
-    done
-  done;
-  let tmp = Array.make width 0 in
-  let gates = Compiled.gates c in
-  Array.iter
-    (fun g ->
-      Compiled.eval_fn_rows g.Compiled.fn g.Compiled.ins m ~width ~out:g.Compiled.out
-        ~tmp)
-    gates;
-  let scratch = Compiled.make_scratch c in
-  for lane = 0 to width - 1 do
-    Compiled.eval_words_into c ~scratch lane_inputs.(lane);
-    for net = 0 to Compiled.n_nets c - 1 do
-      check_i
-        (Fmt.str "lane %d net %d" lane net)
-        scratch.(net)
-        (Bigarray.Array1.get m ((net * width) + lane))
-    done
-  done;
-  Array.iter
-    (fun g ->
-      for lane = 0 to width - 1 do
-        check_i "eval_fn_in_matrix agrees with eval_fn_rows"
-          (Bigarray.Array1.get m ((g.Compiled.out * width) + lane))
-          (Compiled.eval_fn_in_matrix g.Compiled.fn g.Compiled.ins m ~width ~lane)
-      done)
-    gates;
-  Compiled.matrix_fill_row m ~width ~net:0 12345;
-  for lane = 0 to width - 1 do
-    check_i "matrix_fill_row broadcasts" 12345 (Bigarray.Array1.get m lane)
-  done;
-  check "width 0 raises" true
-    (raises_invalid (fun () -> Compiled.make_word_matrix c ~width:0))
 
 (* --- Observability ---------------------------------------------------------- *)
 
@@ -1244,80 +1130,130 @@ let test_diagnosing_patterns () =
       | _ -> Alcotest.fail "ambiguous under diagnosing set")
     u.Faultsim.sites
 
-(* QCheck: structural properties of the compile-time fanout analysis on
-   random circuits — every cone starts with its own gate, is strictly
-   ascending (= topologically ordered, since gate ids are a topological
-   order), is transitively closed over the consumer relation, and
-   reachable_outputs is exactly the set of POs driven from cone gates. *)
-let qcheck_cone_structure =
-  QCheck2.Test.make ~name:"fanout cones closed, ordered, PO-consistent" ~count:30
-    QCheck2.Gen.(pair (int_range 1 1000) (int_range 4 8))
-    (fun (seed, n_inputs) ->
-      let nl =
-        Generators.random_monotone ~seed ~n_inputs ~n_gates:15
-          ~technology:Technology.Domino_cmos ()
-      in
-      let c = Compiled.compile nl in
-      let n_g = Compiled.n_gates c in
-      let n_in = Compiled.n_inputs c in
+(* The random circuits of the structural properties: [random_monotone]
+   (uniform connectivity, so fanout reconverges; every unconsumed net is
+   a primary output, so most circuits have several), rebuilt with every
+   [tap]-th gate output (none when [tap] = 0) also tapped as a primary
+   output — outputs that feed further gates too. *)
+let random_circuit ~seed ~n_inputs ~tap =
+  let nl =
+    Generators.random_monotone ~seed ~n_inputs ~n_gates:15
+      ~technology:Technology.Domino_cmos ()
+  in
+  let b = Netlist.Builder.create (Netlist.name nl) in
+  Netlist.Builder.inputs b (Netlist.inputs nl);
+  let gates = Netlist.gate_array nl in
+  Array.iter
+    (fun g ->
+      ignore
+        (Netlist.Builder.add b g.Netlist.cell ~inputs:g.Netlist.input_nets
+           ~output:g.Netlist.output_net))
+    gates;
+  let outs = Netlist.outputs nl in
+  List.iter (Netlist.Builder.output b) outs;
+  Array.iteri
+    (fun i g ->
+      if tap > 0 && i mod tap = 0 && not (List.mem g.Netlist.output_net outs) then
+        Netlist.Builder.output b g.Netlist.output_net)
+    gates;
+  Netlist.Builder.finish b
+
+let circuit_gen = QCheck2.Gen.(triple (int_range 1 1000) (int_range 4 8) (int_range 0 5))
+
+(* Gates in the transitive fanout of [gid] (excluding [gid]), by DFS over
+   the consumer lists. *)
+let fanout_size c gid =
+  let seen = Array.make (Compiled.n_gates c) false in
+  let rec go g =
+    Array.iter
+      (fun h ->
+        if not seen.(h) then begin
+          seen.(h) <- true;
+          go h
+        end)
+      (Compiled.consumers c g)
+  in
+  go gid;
+  Array.fold_left (fun n b -> if b then n + 1 else n) 0 seen
+
+(* QCheck: each gate's consumer list holds exactly the gates that read
+   its output, in ascending order, with no duplicates. *)
+let qcheck_consumer_lists =
+  QCheck2.Test.make ~name:"consumer lists exact, ascending, duplicate-free" ~count:30
+    circuit_gen
+    (fun (seed, n_inputs, tap) ->
+      let c = Compiled.compile (random_circuit ~seed ~n_inputs ~tap) in
       let cg = Compiled.gates c in
+      Array.for_all
+        (fun g ->
+          let out = g.Compiled.out in
+          let readers =
+            List.filter
+              (fun h -> Array.exists (( = ) out) cg.(h).Compiled.ins)
+              (List.init (Array.length cg) Fun.id)
+          in
+          Compiled.consumers c g.Compiled.g.Netlist.id = Array.of_list readers)
+        cg)
+
+(* QCheck: event-driven injection against whole-circuit injection, for
+   every gate and random faulty functions (plus the gate's own function,
+   which never activates): the result is the OR over all primary
+   outputs of faulty lxor good, the scratch is the good sweep again
+   afterwards, and the tally is 1 for a fault that is not activated and
+   at most 1 plus the transitive fanout otherwise. *)
+let qcheck_event_driven_injection =
+  QCheck2.Test.make ~name:"event-driven injection = whole-circuit injection" ~count:30
+    circuit_gen
+    (fun (seed, n_inputs, tap) ->
+      let c = Compiled.compile (random_circuit ~seed ~n_inputs ~tap) in
+      let prng = Prng.create seed in
+      let words = Array.init (Compiled.n_inputs c) (fun _ -> Prng.bits62 prng) in
+      let scratch = Compiled.make_scratch c in
+      Compiled.eval_words_into c ~scratch words;
+      let good = Array.copy scratch in
+      let events = Compiled.make_events c in
       let po = Compiled.po_indices c in
-      let sorted a =
-        let a = Array.copy a in
-        Array.sort compare a;
-        a
-      in
-      let ok = ref true in
-      let widest = ref 0 in
-      for g0 = 0 to n_g - 1 do
-        let cone = Compiled.fanout_cone c g0 in
-        widest := max !widest (Array.length cone);
-        if Array.length cone = 0 || cone.(0) <> g0 then ok := false;
-        for i = 1 to Array.length cone - 1 do
-          if cone.(i) <= cone.(i - 1) then ok := false
-        done;
-        let mem = Array.make n_g false in
-        Array.iter (fun g -> mem.(g) <- true) cone;
-        (* closure: any gate consuming a cone member's output is a member *)
-        Array.iter
-          (fun g ->
-            let out = cg.(g).Compiled.out in
-            Array.iteri
-              (fun h ch ->
-                if Array.exists (( = ) out) ch.Compiled.ins && not mem.(h) then ok := false)
-              cg)
-          cone;
-        (* reachable outputs = the PO positions driven by cone gates *)
-        let expected = ref [] in
-        Array.iteri
-          (fun k p -> if p >= n_in && mem.(p - n_in) then expected := k :: !expected)
-          po;
-        if
-          sorted (Compiled.reachable_outputs c g0)
-          <> sorted (Array.of_list !expected)
-        then ok := false
-      done;
-      !ok && !widest = Compiled.max_cone_size c)
+      Array.for_all
+        (fun cg ->
+          let gid = cg.Compiled.g.Netlist.id in
+          let arity = cg.Compiled.fn.Compiled.arity in
+          let random_fn () =
+            let mask = Prng.bits62 prng in
+            Compiled.fn_of_table
+              (Dynmos_expr.Truth_table.create (Array.init arity (Fmt.str "x%d")) (fun row ->
+                   (mask lsr row) land 1 = 1))
+          in
+          List.for_all
+            (fun fn ->
+              let tally = ref 0 in
+              let diff = Compiled.eval_fault_into ~tally c ~override:(gid, fn) ~scratch ~events in
+              let faulty = Compiled.eval_words ~override:(gid, fn) c words in
+              let expected =
+                Array.fold_left (fun acc p -> acc lor (faulty.(p) lxor good.(p))) 0 po
+              in
+              let activated = Compiled.eval_fn_from fn cg.Compiled.ins good <> good.(cg.Compiled.out) in
+              diff = expected && scratch = good
+              && if activated then !tally <= 1 + fanout_size c gid else !tally = 1)
+            (cg.Compiled.fn :: List.init 4 (fun _ -> random_fn ())))
+        (Compiled.gates c))
 
 (* QCheck: PPSFP differential — first detections equal the bit-parallel
-   engine's on random circuits x random group sizes, for both drop
-   settings. *)
+   engine's on random circuits, for both drop settings. *)
 let qcheck_ppsfp_differential =
-  QCheck2.Test.make ~name:"ppsfp = bit-parallel on random circuits x group sizes"
-    ~count:25
-    QCheck2.Gen.(triple (int_range 1 1000) (int_range 4 8) (int_range 1 12))
-    (fun (seed, n_inputs, group) ->
+  QCheck2.Test.make ~name:"ppsfp = bit-parallel on random circuits" ~count:25
+    QCheck2.Gen.(pair (int_range 1 1000) (int_range 4 8))
+    (fun (seed, n_inputs) ->
       let nl =
         Generators.random_monotone ~seed ~n_inputs ~n_gates:14
           ~technology:Technology.Domino_cmos ()
       in
       let u = Faultsim.universe nl in
-      let prng = Prng.create (seed + group) in
+      let prng = Prng.create seed in
       let pats = Faultsim.random_patterns prng ~n_inputs ~count:70 in
       let reference = Faultsim.run_parallel ~drop:false u pats in
       List.for_all
         (fun drop ->
-          (Faultsim.run_ppsfp ~drop ~group u pats).Faultsim.first_detection
+          (Faultsim.run_ppsfp ~drop u pats).Faultsim.first_detection
           = reference.Faultsim.first_detection)
         [ false; true ])
 
@@ -1374,12 +1310,7 @@ let () =
         ] );
       ( "ppsfp",
         [
-          Alcotest.test_case "group sizes all agree" `Quick test_ppsfp_group_sizes;
-          Alcotest.test_case "compaction never re-simulates" `Quick
-            test_ppsfp_compaction_never_resimulates;
           Alcotest.test_case "restricted universes" `Quick test_ppsfp_restricted_universe;
-          Alcotest.test_case "word matrix = scalar evaluator" `Quick
-            test_word_matrix_matches_scalar;
         ] );
       ( "results",
         [
@@ -1437,7 +1368,8 @@ let () =
         [
           QCheck_alcotest.to_alcotest qcheck_engines;
           QCheck_alcotest.to_alcotest qcheck_ppsfp_differential;
-          QCheck_alcotest.to_alcotest qcheck_cone_structure;
+          QCheck_alcotest.to_alcotest qcheck_consumer_lists;
+          QCheck_alcotest.to_alcotest qcheck_event_driven_injection;
           QCheck_alcotest.to_alcotest qcheck_checkpoint_roundtrip;
         ] );
     ]

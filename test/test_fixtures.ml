@@ -29,8 +29,8 @@ let fd_digest (first : int option array) =
 
 (* Every public engine surface, plus the test-side deductive oracle.
    The "algo" column keeps the baseline lines byte-identical: the
-   engines inject into fanout cones ("cone"); the oracle propagates
-   fault lists through every gate ("full"). *)
+   engines propagate each fault within its fanout cone ("cone"); the
+   oracle propagates fault lists through every gate ("full"). *)
 let engines :
     (string * string * (drop:bool -> Faultsim.universe -> bool array array -> Faultsim.summary))
     list =
@@ -38,9 +38,7 @@ let engines :
     ("serial", "cone", fun ~drop u p -> Faultsim.run_serial ~drop u p);
     ("parallel", "cone", fun ~drop u p -> Faultsim.run_parallel ~drop u p);
     ("deductive", "full", fun ~drop u p -> Deductive_oracle.run ~drop u p);
-    (* Group size 5 deliberately misaligns with the site count so the
-       ragged final group and drop-compaction repacking are both pinned. *)
-    ("ppsfp", "cone", fun ~drop u p -> Faultsim.run_ppsfp ~drop ~group:5 u p);
+    ("ppsfp", "cone", fun ~drop u p -> Faultsim.run_ppsfp ~drop u p);
     ( "domains-bitpar",
       "cone",
       fun ~drop u p -> Faultsim.run_domain_parallel ~drop ~num_domains:2 u p );

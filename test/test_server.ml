@@ -168,7 +168,7 @@ let test_request_rejections () =
   rejected {|{"op":"selfdestruct"}|};
   rejected {|{"circuit":"carry8","engine":"warp"}|};
   rejected {|{"circuit":"carry8","jobs":2}|};  (* jobs without domains engine *)
-  rejected {|{"circuit":"carry8","engine":"ppsfp","crash_sid":0}|};
+  rejected {|{"circuit":"carry8","crash_sid":-1}|};
   rejected {|{"circuit":"carry8","deadline_s":0}|};
   rejected {|{"circuit":"carry8","max_evals":0}|};
   rejected {|{"circuit":"carry8","gates":"all"}|};
@@ -176,8 +176,9 @@ let test_request_rejections () =
   rejected {|"just a string"|}
 
 (* Names removed from the protocol fail by name: a removed engine gets
-   the enum error listing the four engines, and the removed "algo" field
-   says why it is refused — even carrying its old default. *)
+   the enum error listing the four engines, and the removed "algo" and
+   "group" fields say why they are refused — even carrying values the
+   old builds accepted. *)
 let test_request_removed_names () =
   let error_of line =
     match parse line with Error m -> m | Ok _ -> Alcotest.failf "must be rejected: %s" line
@@ -199,38 +200,35 @@ let test_request_removed_names () =
       let m = error_of (Printf.sprintf {|{"circuit":"carry8","algo":"%s"}|} algo) in
       check ("algo " ^ algo ^ ": removal explained") true
         (contains m "\"algo\" was removed" && contains m "cone"))
-    [ "cone"; "full" ]
-
-(* The ppsfp engine's [group] knob: accepted (and optional) for ppsfp,
-   rejected out of range, for every other engine, and alongside
-   crash_sid (joint group propagation cannot isolate one site). *)
-let test_request_ppsfp () =
-  (match parse {|{"circuit":"carry8","engine":"ppsfp","group":64}|} with
-  | Ok (Protocol.Run r) ->
-      check "engine ppsfp" true (r.Protocol.engine = `Ppsfp);
-      check "group carried" true (r.Protocol.group = Some 64)
-  | _ -> Alcotest.fail "expected a Run request");
-  (match parse {|{"circuit":"carry8","engine":"ppsfp"}|} with
-  | Ok (Protocol.Run r) -> check "group optional" true (r.Protocol.group = None)
-  | _ -> Alcotest.fail "expected a Run request");
-  let rejected s = check s true (Result.is_error (parse s)) in
-  rejected {|{"circuit":"carry8","group":8}|};  (* group without ppsfp *)
-  rejected {|{"circuit":"carry8","engine":"parallel","group":8}|};
-  rejected {|{"circuit":"carry8","engine":"ppsfp","group":0}|};
-  rejected {|{"circuit":"carry8","engine":"ppsfp","group":1025}|};
-  rejected {|{"circuit":"carry8","engine":"ppsfp","crash_sid":0}|}
+    [ "cone"; "full" ];
+  List.iter
+    (fun line ->
+      check (line ^ ": removal explained") true
+        (contains (error_of line) "\"group\" was removed"))
+    [
+      {|{"circuit":"carry8","engine":"ppsfp","group":16}|};
+      {|{"circuit":"carry8","group":8}|};
+    ]
 
 (* End-to-end: a ppsfp job through the server produces the bit-parallel
-   engine's coverage. *)
+   engine's coverage, and ppsfp is supervised like the other engines: a
+   crash-injected site is isolated and reported. *)
 let test_server_ppsfp_engine () =
   let _, resps, _ =
     run_server ~config:small_config
       [
-        {|{"circuit":"rand20","patterns":128,"seed":7,"engine":"ppsfp","group":8,"id":"p"}|};
+        {|{"circuit":"rand20","patterns":128,"seed":7,"engine":"ppsfp","id":"p"}|};
         {|{"circuit":"rand20","patterns":128,"seed":7,"engine":"parallel","id":"q"}|};
+        {|{"circuit":"carry8","patterns":64,"engine":"ppsfp","crash_sid":0,"id":"c"}|};
       ]
   in
-  check_i "two responses" 2 (List.length resps);
+  check_i "three responses" 3 (List.length resps);
+  let crash = response_for 3 resps in
+  check_s "crash partial" "partial" (status crash);
+  (match field "failed_sites" crash with
+  | Json.List [ Json.Obj fields ] ->
+      check "failed site 0" true (List.assoc_opt "sid" fields = Some (Json.Int 0))
+  | _ -> Alcotest.fail "expected one failed site");
   let p = response_for 1 resps and q = response_for 2 resps in
   check_s "ppsfp ok" "ok" (status p);
   check "coverage identical to bit-parallel" true
@@ -912,7 +910,6 @@ let () =
           Alcotest.test_case "defaults" `Quick test_request_defaults;
           Alcotest.test_case "caps applied" `Quick test_request_caps;
           Alcotest.test_case "rejections" `Quick test_request_rejections;
-          Alcotest.test_case "ppsfp group knob" `Quick test_request_ppsfp;
           Alcotest.test_case "removed names fail by name" `Quick test_request_removed_names;
         ] );
       ( "serve",

@@ -52,11 +52,12 @@ let test_override () =
   check "good is 1" true (Compiled.eval c pi).(0);
   check "faulty is 0" false (Compiled.eval ~override:(gate.Compiled.g.Netlist.id, stuck0) c pi).(0)
 
-(* Cone-restricted faulty evaluation: for every gate and a batch of
-   packed patterns, eval_cone_into must (a) return the exact OR over all
-   POs of faulty lxor good that whole-circuit injection computes, and
-   (b) leave the scratch baseline bit-identical afterwards. *)
-let test_eval_cone_into () =
+(* Event-driven faulty evaluation: for every gate and a batch of packed
+   patterns, eval_fault_into must (a) return the exact OR over all POs
+   of faulty lxor good that whole-circuit injection computes, and (b)
+   leave the scratch baseline bit-identical afterwards, evaluating no
+   gate outside the fault's transitive fanout. *)
+let test_eval_fault_into () =
   let nl =
     Generators.random_monotone ~seed:9 ~n_inputs:6 ~n_gates:20
       ~technology:Technology.Domino_cmos ()
@@ -73,17 +74,24 @@ let test_eval_cone_into () =
   let scratch = Compiled.make_scratch c in
   Compiled.eval_words_into c ~scratch words;
   let baseline = Array.copy scratch in
-  let buf = Compiled.make_cone_buffer c in
+  let events = Compiled.make_events c in
+  let rec fanout seen g =
+    Array.iter
+      (fun h -> if not (List.mem h !seen) then (seen := h :: !seen; fanout seen h))
+      (Compiled.consumers c g)
+  in
   for gid = 0 to Compiled.n_gates c - 1 do
     let tally = ref 0 in
-    let diff = Compiled.eval_cone_into ~tally c ~override:(gid, stuck0) ~scratch ~buf in
+    let diff = Compiled.eval_fault_into ~tally c ~override:(gid, stuck0) ~scratch ~events in
     check (Fmt.str "gate %d: scratch restored" gid) true (scratch = baseline);
     let fscratch = Compiled.make_scratch c in
     Compiled.eval_words_into ~override:(gid, stuck0) c ~scratch:fscratch words;
     let expected = Array.fold_left (fun acc p -> acc lor (baseline.(p) lxor fscratch.(p))) 0 po in
     check (Fmt.str "gate %d: diff matches whole-circuit injection" gid) true (diff = expected);
-    check (Fmt.str "gate %d: tally bounded by cone" gid) true
-      (!tally >= 1 && !tally <= Array.length (Compiled.fanout_cone c gid))
+    let seen = ref [] in
+    fanout seen gid;
+    check (Fmt.str "gate %d: tally bounded by the fanout" gid) true
+      (!tally >= 1 && !tally <= 1 + List.length !seen)
   done
 
 let test_output_expr () =
@@ -448,7 +456,7 @@ let () =
           Alcotest.test_case "matches reference eval" `Quick test_compiled_vs_reference;
           Alcotest.test_case "word packing" `Quick test_eval_words_packing;
           Alcotest.test_case "fault override" `Quick test_override;
-          Alcotest.test_case "cone-restricted injection kernel" `Quick test_eval_cone_into;
+          Alcotest.test_case "cone-restricted injection kernel" `Quick test_eval_fault_into;
           Alcotest.test_case "cone extraction" `Quick test_output_expr;
         ] );
       ( "charge_fig1",
