@@ -20,8 +20,8 @@ type ctx = {
       (** sites excluded by supervision; kernels must skip them *)
   dropped : bool array;
       (** [drop] && detected (including checkpoint-preloaded
-          detections) — the engines that propagate all sites jointly
-          read this mid-unit *)
+          detections) — a kernel that propagates all sites jointly
+          (the test-side deductive oracle) reads this mid-unit *)
   work : int ref;
       (** gate-level work counter: kernels add every gate(-function)
           evaluation they perform; the driver feeds the deltas to the

@@ -35,8 +35,7 @@ type t = {
   net_names : string array;
   (* Structural fanout, computed once at compile time: per gate id, the
      gates that read its output, ascending and duplicate-free.  Fault
-     injection follows these edges from the faulty gate instead of
-     storing every gate's transitive cone. *)
+     injection follows these edges from the faulty gate. *)
   consumers : int array array;
   net_po : bool array;  (* per net: is it a primary output *)
 }
