@@ -1,8 +1,11 @@
 (* Frozen coverage fixtures: every engine, plus the deductive test
-   oracle, under both drop settings on the rand20/rand60 catalog circuits
-   must keep producing bit-identical detection results.  [--gen] prints the current lines (used once to
-   freeze a baseline into fixtures.expected); the default mode, run
-   under [dune runtest] and as a dedicated CI job, recomputes them and
+   oracle, under both drop settings on the rand20, rand60 and rand1k
+   catalog circuits must keep producing bit-identical detection results.
+   rand1k is the deep, layered one (ten levels of a hundred gates), so a
+   fault's events spread over many gates per level.  [--gen] prints the
+   current lines (used once to freeze a baseline into fixtures.expected);
+   the default mode, run under [dune runtest] and as a dedicated CI job,
+   recomputes them and
    fails on the first divergence.  Only detection results are frozen —
    coverage, detection counts and a digest of the full first_detection
    array — never cost counters, which are allowed to improve. *)
@@ -14,7 +17,7 @@ module Prng = Dynmos_util.Prng
 
 let fixture_count = 256
 
-let circuits = [ ("rand20", 101); ("rand60", 202) ]
+let circuits = [ ("rand20", 101); ("rand60", 202); ("rand1k", 303) ]
 
 let fd_digest (first : int option array) =
   let b = Buffer.create 256 in
