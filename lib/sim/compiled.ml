@@ -9,12 +9,20 @@ open Dynmos_netlist
    a cube cover over the gate's input positions, so evaluation is pure
    word arithmetic: the same cover evaluates one pattern (ints 0/1) or 62
    packed patterns per machine word — the representation bit-parallel
-   fault simulation uses.  Fault injection propagates events along each
-   gate's consumer list ([eval_fault_into]). *)
+   fault simulation uses.
+
+   The evaluators read only flat int arrays: each gate's good function is
+   a literal program inside one [code] array, and gate inputs, consumer
+   lists and the per-level event buckets are offset-indexed flat arrays.
+   Fault injection ([eval_fault_into]) propagates events along the
+   consumer lists, level by level. *)
 
 type gate_fn = {
   arity : int;
   cubes : (int * int) array;  (* (care, value) over input positions *)
+  prog : int array;
+      (* the cubes as a literal program: per cube its literal count, then
+         one [position * 2 + negated] per literal *)
   table : Truth_table.t;      (* over the cell's formal inputs *)
 }
 
@@ -33,22 +41,60 @@ type t = {
   cgates : cgate array; (* topological order; cgates.(i).g.id = i *)
   index_of_net : (string, int) Hashtbl.t;
   net_names : string array;
-  (* Structural fanout, computed once at compile time: per gate id, the
-     gates that read its output, ascending and duplicate-free.  Fault
-     injection follows these edges from the faulty gate. *)
-  consumers : int array array;
   net_po : bool array;  (* per net: is it a primary output *)
+  (* The flat layout the evaluators read.  Gate g's output is net
+     [n_inputs + g]; the entries of gate g in [code], [inputs] and
+     [cons] run from [X_off.(g)] up to [X_off.(g + 1)]. *)
+  code : int array;
+      (* good functions as literal programs over nets: per cube its
+         literal count, then one [net * 2 + negated] per literal *)
+  code_off : int array;
+  inputs : int array;   (* gate input nets, positional *)
+  inputs_off : int array;
+  cons : int array;
+      (* consumers: the gates that read gate g's output, ascending and
+         duplicate-free *)
+  cons_off : int array;
+  level : int array;
+      (* per gate: 0 when it reads only primary inputs, else 1 + the
+         deepest level among the gates it reads *)
+  level_off : int array;
+      (* bucket l of the event queue spans [level_off.(l)] up to
+         [level_off.(l + 1)]: one slot per gate at level l *)
 }
+
+let popcount x =
+  let rec go x n = if x = 0 then n else go (x land (x - 1)) (n + 1) in
+  go x 0
 
 let fn_of_table table =
   let sop = Minimize.of_table table in
-  {
-    arity = Truth_table.n_vars table;
-    cubes = Array.of_list (List.map (fun c -> (Cube.care c, Cube.value c)) sop);
-    table;
-  }
+  let cubes = Array.of_list (List.map (fun c -> (Cube.care c, Cube.value c)) sop) in
+  let prog =
+    Array.make (Array.fold_left (fun n (care, _) -> n + 1 + popcount care) 0 cubes) 0
+  in
+  let pc = ref 0 in
+  Array.iter
+    (fun (care, value) ->
+      prog.(!pc) <- popcount care;
+      incr pc;
+      for i = 0 to Sys.int_size - 2 do
+        if (care lsr i) land 1 = 1 then begin
+          prog.(!pc) <- (i * 2) lor (1 - ((value lsr i) land 1));
+          incr pc
+        end
+      done)
+    cubes;
+  { arity = Truth_table.n_vars table; cubes; prog; table }
 
 let fn_of_cell cell = fn_of_table (Cell.logic_table cell)
+
+(* Offsets of a flat array from per-entry counts: entry i spans
+   [off.(i), off.(i + 1)). *)
+let offsets counts =
+  let off = Array.make (Array.length counts + 1) 0 in
+  Array.iteri (fun i c -> off.(i + 1) <- off.(i) + c) counts;
+  off
 
 let compile netlist =
   let index_of_net = Hashtbl.create 64 in
@@ -81,28 +127,69 @@ let compile netlist =
   let po = Array.of_list (List.map idx (Netlist.outputs netlist)) in
   let net_names = Array.make n_nets "" in
   Hashtbl.iter (fun net i -> net_names.(i) <- net) index_of_net;
-  (* Gate ids are dense topological indices (validated by Netlist), so
-     gate i's output net is n_inputs + i and every consumer of gate i
-     has a larger id.  Walking gates in descending id order and
-     prepending builds each list ascending; a gate reading one net on
-     several inputs is listed once. *)
-  let n_g = Array.length cgates in
-  Array.iteri (fun i cg -> assert (cg.g.Netlist.id = i && cg.out = n_inputs + i)) cgates;
-  let consumers = Array.make n_g [] in
-  for gi = n_g - 1 downto 0 do
-    Array.iter
-      (fun net ->
-        if net >= n_inputs then
-          match consumers.(net - n_inputs) with
-          | g :: _ when g = gi -> ()
-          | l -> consumers.(net - n_inputs) <- gi :: l)
-      cgates.(gi).ins
-  done;
   let net_po = Array.make n_nets false in
   Array.iter (fun net -> net_po.(net) <- true) po;
+  (* Gate ids are dense topological indices (validated by Netlist), so
+     gate i's output net is n_inputs + i and every gate it reads has a
+     smaller id.  Each flat array is built by a counting pass that sizes
+     it and a pass that fills it; no per-gate list is built. *)
+  let n_g = Array.length cgates in
+  Array.iteri (fun i cg -> assert (cg.g.Netlist.id = i && cg.out = n_inputs + i)) cgates;
+  let inputs_off = offsets (Array.map (fun (cg : cgate) -> Array.length cg.ins) cgates) in
+  let inputs = Array.make inputs_off.(n_g) 0 in
+  Array.iteri
+    (fun g (cg : cgate) -> Array.blit cg.ins 0 inputs inputs_off.(g) (Array.length cg.ins))
+    cgates;
+  (* A gate's good program is its function's program with each literal's
+     input position replaced by the net wired there. *)
+  let code_off = offsets (Array.map (fun cg -> Array.length cg.fn.prog) cgates) in
+  let code = Array.make code_off.(n_g) 0 in
+  Array.iteri
+    (fun g cg ->
+      let prog = cg.fn.prog and base = code_off.(g) in
+      let pc = ref 0 in
+      while !pc < Array.length prog do
+        let k = prog.(!pc) in
+        code.(base + !pc) <- k;
+        for j = !pc + 1 to !pc + k do
+          code.(base + j) <- (cg.ins.(prog.(j) lsr 1) * 2) lor (prog.(j) land 1)
+        done;
+        pc := !pc + k + 1
+      done)
+    cgates;
+  (* Consumer lists: [f producer reader] once per distinct pair, readers
+     ascending, so a gate reading one net on several inputs is listed
+     once. *)
+  let mark = Array.make n_g (-1) in
+  let each_edge f =
+    Array.fill mark 0 n_g (-1);
+    Array.iteri
+      (fun reader cg ->
+        Array.iter
+          (fun net ->
+            let p = net - n_inputs in
+            if p >= 0 && mark.(p) <> reader then begin
+              mark.(p) <- reader;
+              f p reader
+            end)
+          cg.ins)
+      cgates
+  in
+  let fill = Array.make n_g 0 in
+  each_edge (fun p _ -> fill.(p) <- fill.(p) + 1);
+  let cons_off = offsets fill in
+  let cons = Array.make cons_off.(n_g) 0 in
+  Array.blit cons_off 0 fill 0 n_g;
+  each_edge (fun p reader ->
+      cons.(fill.(p)) <- reader;
+      fill.(p) <- fill.(p) + 1);
+  let level = Array.make n_g 0 in
+  each_edge (fun p reader -> level.(reader) <- max level.(reader) (level.(p) + 1));
+  let per_level = Array.make (1 + Array.fold_left max (-1) level) 0 in
+  Array.iter (fun l -> per_level.(l) <- per_level.(l) + 1) level;
   {
-    netlist; n_nets; n_inputs; po; cgates; index_of_net; net_names;
-    consumers = Array.map Array.of_list consumers; net_po;
+    netlist; n_nets; n_inputs; po; cgates; index_of_net; net_names; net_po;
+    code; code_off; inputs; inputs_off; cons; cons_off; level; level_off = offsets per_level;
   }
 
 let netlist t = t.netlist
@@ -114,49 +201,72 @@ let po_indices t = t.po
 let net_index t net = Hashtbl.find_opt t.index_of_net net
 let net_name t i = t.net_names.(i)
 let gates t = t.cgates
-let consumers t gid = t.consumers.(gid)
+let consumers t gid = Array.sub t.cons t.cons_off.(gid) (t.cons_off.(gid + 1) - t.cons_off.(gid))
 
-(* Evaluate one gate function on word-packed inputs: bit j of the result is
-   the function applied to bit j of each input word. *)
+(* Evaluate one gate function on word-packed inputs through its cubes:
+   bit j of the result is the function applied to bit j of each input
+   word.  It deliberately ignores [prog], so the tests and the deductive
+   oracle that evaluate through it share nothing with the compiled
+   programs. *)
 let eval_fn fn (input_words : int array) =
   let out = ref 0 in
-  Array.iter
-    (fun (care, value) ->
-      let m = ref (-1) in
-      let rec lits i =
-        if 1 lsl i <= care then begin
-          if care land (1 lsl i) <> 0 then
-            m := !m land (if value land (1 lsl i) <> 0 then input_words.(i) else lnot input_words.(i));
-          lits (i + 1)
-        end
-      in
-      lits 0;
-      out := !out lor !m)
-    fn.cubes;
+  for c = 0 to Array.length fn.cubes - 1 do
+    let care, value = fn.cubes.(c) in
+    let m = ref (-1) in
+    for i = 0 to Sys.int_size - 2 do
+      if (care lsr i) land 1 = 1 then
+        m := !m land (if (value lsr i) land 1 = 1 then input_words.(i) else lnot input_words.(i))
+    done;
+    out := !out lor !m
+  done;
   !out
 
-(* [eval_fn] with the input gather folded into the cube loop: literal i
-   reads [nets.(ins.(i))] directly, so evaluating a gate allocates
-   nothing (the old hot path built a fresh [Array.map] of input words
-   per gate per evaluation). *)
-let eval_fn_from fn (ins : int array) (nets : int array) =
-  let out = ref 0 in
-  Array.iter
-    (fun (care, value) ->
-      let m = ref (-1) in
-      let rec lits i =
-        if 1 lsl i <= care then begin
-          if care land (1 lsl i) <> 0 then begin
-            let w = nets.(ins.(i)) in
-            m := !m land (if value land (1 lsl i) <> 0 then w else lnot w)
-          end;
-          lits (i + 1)
-        end
-      in
-      lits 0;
-      out := !out lor !m)
-    fn.cubes;
+(* A literal [x * 2 + negated] reads word [w] of its net (or input) as
+   [w lxor -negated]: [w] itself, or [lnot w] when negated. *)
+
+(* Gate [g]'s good word, from its program in [t.code]. *)
+let eval_gate t g (nets : int array) =
+  let code = t.code in
+  let out = ref 0 and pc = ref t.code_off.(g) in
+  let hi = t.code_off.(g + 1) in
+  while !pc < hi do
+    let k = code.(!pc) in
+    let m = ref (-1) in
+    for j = !pc + 1 to !pc + k do
+      let l = code.(j) in
+      m := !m land (nets.(l lsr 1) lxor - (l land 1))
+    done;
+    out := !out lor !m;
+    pc := !pc + k + 1
+  done;
   !out
+
+(* [fn]'s word at gate [g]: its program's positions read through the
+   gate's inputs.  Callers have checked the arity ([check_override]). *)
+let eval_override t g fn (nets : int array) =
+  let prog = fn.prog and inputs = t.inputs and base = t.inputs_off.(g) in
+  let out = ref 0 and pc = ref 0 in
+  while !pc < Array.length prog do
+    let k = prog.(!pc) in
+    let m = ref (-1) in
+    for j = !pc + 1 to !pc + k do
+      let l = prog.(j) in
+      m := !m land (nets.(inputs.(base + (l lsr 1))) lxor - (l land 1))
+    done;
+    out := !out lor !m;
+    pc := !pc + k + 1
+  done;
+  !out
+
+(* The flat input array has no per-gate bounds: an override wider than
+   its gate would silently read the next gate's inputs. *)
+let check_override t gid fn =
+  if gid < 0 || gid >= Array.length t.cgates then
+    invalid_arg (Printf.sprintf "Compiled: override of gate %d outside the circuit" gid);
+  let n_ins = t.inputs_off.(gid + 1) - t.inputs_off.(gid) in
+  if fn.arity > n_ins then
+    invalid_arg
+      (Printf.sprintf "Compiled: override arity %d exceeds gate %d's %d inputs" fn.arity gid n_ins)
 
 (* Evaluation scratch state.  All mutable state of an evaluation lives in
    the caller-provided [scratch] buffer: [t] itself is never written after
@@ -167,33 +277,37 @@ type scratch = int array
 
 let make_scratch t = Array.make t.n_nets 0
 
+let sweep t (scratch : scratch) lo hi =
+  for g = lo to hi - 1 do
+    scratch.(t.n_inputs + g) <- eval_gate t g scratch
+  done
+
 (* [override] substitutes the function of one gate (fault injection).
    Writes every net's word into [scratch] (length [n_nets]). *)
 let eval_words_into ?override t ~(scratch : scratch) (pi_words : int array) =
   if Array.length pi_words <> t.n_inputs then invalid_arg "Compiled.eval_words: PI arity";
   if Array.length scratch <> t.n_nets then invalid_arg "Compiled.eval_words_into: scratch size";
   Array.blit pi_words 0 scratch 0 t.n_inputs;
-  Array.iter
-    (fun cg ->
-      let fn =
-        match override with
-        | Some (gid, fn') when gid = cg.g.id -> fn'
-        | _ -> cg.fn
-      in
-      scratch.(cg.out) <- eval_fn_from fn cg.ins scratch)
-    t.cgates
+  match override with
+  | None -> sweep t scratch 0 (Array.length t.cgates)
+  | Some (gid, fn) ->
+      check_override t gid fn;
+      sweep t scratch 0 gid;
+      scratch.(t.n_inputs + gid) <- eval_override t gid fn scratch;
+      sweep t scratch (gid + 1) (Array.length t.cgates)
 
 (* --- Event-driven fault injection ------------------------------------------ *)
 
-(* Per-domain state of [eval_fault_into]: a binary min-heap of gate ids
-   (ids are topological, so popping the smallest evaluates every gate
-   after all of its changed inputs), a stamp per gate marking it queued
-   in the current call, and the nets the call overwrote with their good
-   words.  Every array is preallocated to the gate count: each gate is
-   queued and evaluated at most once per call. *)
+(* Per-domain state of [eval_fault_into]: the event queue as one bucket
+   per logic level (bucket l holds the gates of level l queued in the
+   current call, [fill.(l)] of them, from [level_off.(l)] on), a stamp
+   per gate marking it queued in the current call, and the nets the call
+   overwrote with their good words.  Each gate is queued and evaluated
+   at most once per call, so no bucket and no restore array can
+   overflow. *)
 type events = {
-  heap : int array;
-  mutable size : int;
+  queue : int array;
+  fill : int array;     (* per level *)
   stamp : int array;
   mutable epoch : int;
   touched : int array;  (* net indices overwritten, in write order *)
@@ -204,59 +318,14 @@ type events = {
 let make_events t =
   let n = max 1 (Array.length t.cgates) in
   {
-    heap = Array.make n 0;
-    size = 0;
+    queue = Array.make n 0;
+    fill = Array.make (Array.length t.level_off - 1) 0;
     stamp = Array.make n 0;
     epoch = 0;
     touched = Array.make n 0;
     saved = Array.make n 0;
     n_touched = 0;
   }
-
-let push ev g =
-  if ev.stamp.(g) <> ev.epoch then begin
-    ev.stamp.(g) <- ev.epoch;
-    let h = ev.heap in
-    let i = ref ev.size in
-    ev.size <- ev.size + 1;
-    while !i > 0 && h.((!i - 1) / 2) > g do
-      h.(!i) <- h.((!i - 1) / 2);
-      i := (!i - 1) / 2
-    done;
-    h.(!i) <- g
-  end
-
-let pop_min ev =
-  let h = ev.heap in
-  let top = h.(0) in
-  ev.size <- ev.size - 1;
-  let n = ev.size in
-  if n > 0 then begin
-    (* sift the last element down from the root *)
-    let last = h.(n) in
-    let i = ref 0 in
-    let sifting = ref true in
-    while !sifting do
-      let l = (2 * !i) + 1 in
-      if l >= n then sifting := false
-      else begin
-        let c = if l + 1 < n && h.(l + 1) < h.(l) then l + 1 else l in
-        if h.(c) < last then begin
-          h.(!i) <- h.(c);
-          i := c
-        end
-        else sifting := false
-      end
-    done;
-    h.(!i) <- last
-  end;
-  top
-
-let push_consumers t ev g =
-  let cs = t.consumers.(g) in
-  for i = 0 to Array.length cs - 1 do
-    push ev cs.(i)
-  done
 
 (* Write a changed word into [scratch], saving the good word for the
    restore, and return the net's contribution to the output diff. *)
@@ -267,6 +336,22 @@ let set_changed t ev (scratch : scratch) net w =
   ev.n_touched <- ev.n_touched + 1;
   scratch.(net) <- w;
   if t.net_po.(net) then w lxor good else 0
+
+(* Queue gate [g]'s consumers not yet queued in this call, each in the
+   bucket of its level; returns the highest level now holding a gate. *)
+let push_readers t ev g top =
+  let top = ref top in
+  for j = t.cons_off.(g) to t.cons_off.(g + 1) - 1 do
+    let h = t.cons.(j) in
+    if ev.stamp.(h) <> ev.epoch then begin
+      ev.stamp.(h) <- ev.epoch;
+      let l = t.level.(h) in
+      ev.queue.(t.level_off.(l) + ev.fill.(l)) <- h;
+      ev.fill.(l) <- ev.fill.(l) + 1;
+      if l > !top then top := l
+    end
+  done;
+  !top
 
 (* Event-driven faulty evaluation (parallel-pattern single-fault
    propagation, Waicukauski et al. 1985).
@@ -279,40 +364,51 @@ let set_changed t ev (scratch : scratch) net w =
    The overridden gate is evaluated first: when its faulty word equals
    the good word on every packed pattern the fault is not activated and
    the call ends there — the common case.  Otherwise its consumers are
-   queued, and gates are popped in ascending id order and re-evaluated;
-   a gate whose word differs from the good word writes it, ORs the
-   difference into the result when its net is a primary output, and
-   queues its own consumers.  Propagation stops wherever the faulty
-   word equals the good one.  Nets no event reached still hold their
-   good words, so the result is bit-identical to a whole-circuit faulty
-   evaluation XORed against the good one over all outputs.  Only the
-   touched nets are restored.
+   queued, and the level buckets are drained in increasing level order.
+   A gate is only queued by a gate of a lower level, so a bucket is
+   complete when it is reached, and every gate is evaluated after all of
+   its changed inputs.  A gate whose word differs from the good word
+   writes it, ORs the difference into the result when its net is a
+   primary output, and queues its own consumers.  Propagation stops
+   wherever the faulty word equals the good one.  Nets no event reached
+   still hold their good words, so the result is bit-identical to a
+   whole-circuit faulty evaluation XORed against the good one over all
+   outputs.  Only the touched nets are restored.
 
    [tally], when given, accumulates the gate evaluations performed: 1
    when the fault is not activated, otherwise 1 plus the gates
    re-evaluated, each at most once and all in the fault's transitive
    fanout. *)
 let eval_fault_into ?tally t ~override:(gid, fn') ~(scratch : scratch) ~events:ev =
-  let cgates = t.cgates in
-  let cg0 = cgates.(gid) in
-  let faulty0 = eval_fn_from fn' cg0.ins scratch in
+  check_override t gid fn';
+  let faulty0 = eval_override t gid fn' scratch in
   let diff = ref 0 in
   let evaluated = ref 1 in
-  if faulty0 <> scratch.(cg0.out) then begin
-    ev.size <- 0;
+  if faulty0 <> scratch.(t.n_inputs + gid) then begin
+    (* Only buckets above the faulty gate's level are used; clearing
+       them here means a call that raised leaves nothing behind. *)
+    let first = t.level.(gid) + 1 in
+    for l = first to Array.length ev.fill - 1 do
+      ev.fill.(l) <- 0
+    done;
     ev.n_touched <- 0;
     ev.epoch <- ev.epoch + 1;
-    diff := set_changed t ev scratch cg0.out faulty0;
-    push_consumers t ev gid;
-    while ev.size > 0 do
-      let g = pop_min ev in
-      let cg = cgates.(g) in
-      let w = eval_fn_from cg.fn cg.ins scratch in
-      incr evaluated;
-      if w <> scratch.(cg.out) then begin
-        diff := !diff lor set_changed t ev scratch cg.out w;
-        push_consumers t ev g
-      end
+    diff := set_changed t ev scratch (t.n_inputs + gid) faulty0;
+    let top = ref (push_readers t ev gid (first - 1)) in
+    let l = ref first in
+    while !l <= !top do
+      let base = t.level_off.(!l) in
+      for i = base to base + ev.fill.(!l) - 1 do
+        let g = ev.queue.(i) in
+        let w = eval_gate t g scratch in
+        incr evaluated;
+        let net = t.n_inputs + g in
+        if w <> scratch.(net) then begin
+          diff := !diff lor set_changed t ev scratch net w;
+          top := push_readers t ev g !top
+        end
+      done;
+      incr l
     done;
     for i = ev.n_touched - 1 downto 0 do
       scratch.(ev.touched.(i)) <- ev.saved.(i)

@@ -1231,7 +1231,10 @@ let qcheck_event_driven_injection =
               let expected =
                 Array.fold_left (fun acc p -> acc lor (faulty.(p) lxor good.(p))) 0 po
               in
-              let activated = Compiled.eval_fn_from fn cg.Compiled.ins good <> good.(cg.Compiled.out) in
+              let activated =
+                Compiled.eval_fn fn (Array.map (fun net -> good.(net)) cg.Compiled.ins)
+                <> good.(cg.Compiled.out)
+              in
               diff = expected && scratch = good
               && if activated then !tally <= 1 + fanout_size c gid else !tally = 1)
             (cg.Compiled.fn :: List.init 4 (fun _ -> random_fn ())))

@@ -16,16 +16,68 @@ let e = Parse.expr
 
 (* --- Compiled evaluation -------------------------------------------------- *)
 
+(* The compiled evaluator against evaluation through the cell
+   expressions, on every catalog circuit but rand10k (0.9 s on its own):
+   c17-static and parity6-static carry negated literals, rand1k is deep
+   and wide. *)
 let test_compiled_vs_reference () =
-  let nl = Generators.c17 ~style:`Static () in
-  let c = Compiled.compile nl in
-  let n = Compiled.n_inputs c in
-  for row = 0 to (1 lsl n) - 1 do
-    let pi = Array.init n (fun i -> (row lsr i) land 1 = 1) in
-    if Compiled.eval c pi <> Compiled.eval_reference c pi then
-      Alcotest.fail (Fmt.str "mismatch at row %d" row)
-  done;
-  check "c17 ok" true true
+  let prng = Dynmos_util.Prng.create 17 in
+  List.iter
+    (fun name ->
+      if name <> "rand10k" then begin
+        let c =
+          Compiled.compile (match Catalog.find name with Ok n -> n | Error m -> failwith m)
+        in
+        for k = 1 to 200 do
+          let pi =
+            Array.init (Compiled.n_inputs c) (fun _ -> Dynmos_util.Prng.bernoulli prng 0.5)
+          in
+          if Compiled.eval c pi <> Compiled.eval_reference c pi then
+            Alcotest.fail (Fmt.str "%s: mismatch at pattern %d" name k)
+        done
+      end)
+    Catalog.names
+
+(* QCheck: the literal program [fn_of_table] compiles, run by the
+   evaluator as an override of a gate with as many inputs, agrees with
+   the cube cover ([eval_fn]) and with the truth table on every row. *)
+let qcheck_fn_program =
+  QCheck2.Test.make ~name:"compiled program = cubes = truth table" ~count:200
+    QCheck2.Gen.(pair (int_range 1 6) (int_bound max_int))
+    (fun (n, bits) ->
+      let tt =
+        Truth_table.create (Array.init n (Fmt.str "x%d")) (fun row -> (bits lsr row) land 1 = 1)
+      in
+      let fn = Compiled.fn_of_table tt in
+      let b = Netlist.Builder.create "one-gate" in
+      let ins = List.init n (fun i -> Netlist.Builder.input b (Fmt.str "i%d" i)) in
+      let z = Netlist.Builder.add b (Stdcells.and_gate n Technology.Domino_cmos) ~inputs:ins ~output:"z" in
+      Netlist.Builder.output b z;
+      let c = Compiled.compile (Netlist.Builder.finish b) in
+      let out = (Compiled.gates c).(0).Compiled.out in
+      (* rows [lo, lo + 62) packed one per bit *)
+      let rows = 1 lsl n in
+      let ok = ref true in
+      let lo = ref 0 in
+      while !lo < rows do
+        let words =
+          Array.init n (fun i ->
+              let w = ref 0 in
+              for j = 0 to min 62 (rows - !lo) - 1 do
+                if ((!lo + j) lsr i) land 1 = 1 then w := !w lor (1 lsl j)
+              done;
+              !w)
+        in
+        let prog = (Compiled.eval_words ~override:(0, fn) c words).(out) in
+        let cubes = Compiled.eval_fn fn words in
+        for j = 0 to min 62 (rows - !lo) - 1 do
+          let bit w = (w lsr j) land 1 = 1 in
+          let want = Truth_table.get tt (!lo + j) in
+          if bit prog <> want || bit cubes <> want then ok := false
+        done;
+        lo := !lo + 62
+      done;
+      !ok)
 
 let test_eval_words_packing () =
   let nl = Generators.carry_chain ~technology:Technology.Domino_cmos 4 in
@@ -93,6 +145,43 @@ let test_eval_fault_into () =
     check (Fmt.str "gate %d: tally bounded by the fanout" gid) true
       (!tally >= 1 && !tally <= 1 + List.length !seen)
   done
+
+(* The evaluators allocate nothing: 100 good sweeps of rand1k, then one
+   injection per fault site against one good sweep, with each site's
+   override pair and the [Some tally] built beforehand.  Either loop
+   stays below 0.01 minor words per gate evaluation. *)
+let test_evaluators_allocate_nothing () =
+  let u =
+    Dynmos_faultsim.Faultsim.universe
+      (match Catalog.find "rand1k" with Ok n -> n | Error m -> failwith m)
+  in
+  let c = u.Dynmos_faultsim.Faultsim.compiled in
+  let overrides =
+    Array.map
+      (fun s -> (s.Dynmos_faultsim.Faultsim.gate.Netlist.id, s.Dynmos_faultsim.Faultsim.fn))
+      u.Dynmos_faultsim.Faultsim.sites
+  in
+  let prng = Dynmos_util.Prng.create 23 in
+  let words = Array.init (Compiled.n_inputs c) (fun _ -> Dynmos_util.Prng.bits62 prng) in
+  let scratch = Compiled.make_scratch c in
+  let events = Compiled.make_events c in
+  let tally = ref 0 in
+  let some_tally = Some tally in
+  Compiled.eval_words_into c ~scratch words;
+  let per_eval name words_before evals =
+    let w = (Gc.minor_words () -. words_before) /. float_of_int evals in
+    check (Fmt.str "%s: %.4f minor words per gate evaluation" name w) true (w < 0.01)
+  in
+  let before = Gc.minor_words () in
+  for _ = 1 to 100 do
+    Compiled.eval_words_into c ~scratch words
+  done;
+  per_eval "eval_words_into" before (100 * Compiled.n_gates c);
+  let before = Gc.minor_words () in
+  for i = 0 to Array.length overrides - 1 do
+    ignore (Compiled.eval_fault_into ?tally:some_tally c ~override:overrides.(i) ~scratch ~events)
+  done;
+  per_eval "eval_fault_into" before !tally
 
 let test_output_expr () =
   let nl = Generators.carry_chain ~technology:Technology.Domino_cmos 3 in
@@ -457,7 +546,10 @@ let () =
           Alcotest.test_case "word packing" `Quick test_eval_words_packing;
           Alcotest.test_case "fault override" `Quick test_override;
           Alcotest.test_case "cone-restricted injection kernel" `Quick test_eval_fault_into;
+          Alcotest.test_case "evaluators allocate nothing" `Quick
+            test_evaluators_allocate_nothing;
           Alcotest.test_case "cone extraction" `Quick test_output_expr;
+          QCheck_alcotest.to_alcotest qcheck_fn_program;
         ] );
       ( "charge_fig1",
         [
