@@ -88,8 +88,15 @@ let cells text =
     | None, _, _ -> error "cell without TECHNOLOGY statement"
     | _, None, _ -> error "cell without INPUT statement"
     | _, _, None -> error "cell without OUTPUT statement"
-    | Some technology, Some inputs, Some output ->
-        Cell.make ?name ~technology ~inputs ~output (List.rev assigns)
+    | Some technology, Some inputs, Some output -> (
+        (* A cell that does not elaborate, or is too wide for a truth
+           table, is as malformed as a syntax error: report it as one. *)
+        let label = Option.value name ~default:output in
+        let n = List.length inputs in
+        if n > Truth_table.max_vars then
+          error "cell %s: %d inputs, at most %d are supported" label n Truth_table.max_vars;
+        try Cell.make ?name ~technology ~inputs ~output (List.rev assigns)
+        with Cell.Invalid msg -> error "cell %s: %s" label msg)
   in
   let rec go acc current = function
     | [] -> ( match current with None -> List.rev acc | Some c -> List.rev (finish c :: acc))

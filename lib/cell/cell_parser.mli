@@ -17,7 +17,9 @@ exception Error of string
 
 val cells : string -> Cell.t list
 (** Parse all cells in a file.  @raise Error on syntax or elaboration
-    problems (with a message naming the offending statement). *)
+    problems (with a message naming the offending statement or cell),
+    including a cell with more than {!Dynmos_expr.Truth_table.max_vars}
+    inputs; no other exception escapes. *)
 
 val cell : string -> Cell.t
 (** Parse a file that must contain exactly one cell. *)

@@ -150,6 +150,18 @@ let test_parse_errors () =
   check "bad expression" true
     (fails "TECHNOLOGY domino-CMOS;\nINPUT a;\nOUTPUT z;\nz := a+*;\n");
   check "missing output stmt" true (fails "TECHNOLOGY domino-CMOS;\nINPUT a;\nz := a;\n");
+  (* elaboration errors and over-wide cells are reported the same way *)
+  check "undefined signal" true
+    (fails "TECHNOLOGY domino-CMOS;\nINPUT a,b;\nOUTPUT u;\nu := a*c;\n");
+  check "net assigned twice" true
+    (fails "TECHNOLOGY domino-CMOS;\nINPUT a,b;\nOUTPUT u;\nu := a;\nu := b;\n");
+  check "output never assigned" true
+    (fails "TECHNOLOGY domino-CMOS;\nINPUT a,b;\nOUTPUT u;\nx := a*b;\n");
+  (let inputs = List.init 40 (Fmt.str "i%d") in
+   check "40 inputs" true
+     (fails
+        (Fmt.str "TECHNOLOGY domino-CMOS;\nINPUT %s;\nOUTPUT u;\nu := %s;\n"
+           (String.concat "," inputs) (String.concat "*" inputs))));
   check "empty" true (fails "");
   check "single-cell check" true
     (match
@@ -166,6 +178,50 @@ let test_pp_roundtrip () =
   let reparsed = Cell_parser.cell printed in
   check "pp/parse roundtrip preserves logic" true
     (equal_fn (Cell.logic reparsed) (Cell.logic c))
+
+(* Seeded mutation fuzzer over the parser: byte flips, truncation,
+   duplicated statements and deep "(a*" nesting, applied to fig9's text
+   and two small cells.  Every input must parse to cells or raise
+   [Cell_parser.Error]; any other exception fails the property. *)
+let fuzz_bases =
+  [
+    Stdcells.fig9_text;
+    "TECHNOLOGY dynamic-nMOS;\nNAME nor3;\nINPUT a,b,c;\nOUTPUT z;\nz := a+b+c;\n";
+    "TECHNOLOGY static-CMOS;\nINPUT x,y;\nOUTPUT w;\nt := x*y;\nw := t+!x^y; -- xor\n";
+  ]
+
+let gen_mutated_cell_text =
+  let open QCheck2.Gen in
+  let syntax = "abcdexyzu;:=*+^!/()#-, \n01TNIOP" in
+  let byte = oneof [ map (String.get syntax) (int_bound (String.length syntax - 1)); char ] in
+  let flip s =
+    if s = "" then return s
+    else
+      let* i = int_bound (String.length s - 1) and* c = byte in
+      return (String.mapi (fun j x -> if j = i then c else x) s)
+  in
+  let truncate s = map (fun i -> String.sub s 0 i) (int_bound (String.length s)) in
+  let duplicate s =
+    let stmts = String.split_on_char ';' s in
+    let+ i = int_bound (List.length stmts - 1) in
+    String.concat ";" (List.concat (List.mapi (fun j x -> if j = i then [ x; x ] else [ x ]) stmts))
+  in
+  let nest s =
+    let+ i = int_bound (String.length s) and+ depth = int_range 1 3000 and+ closed = bool in
+    let opening = String.concat "" (List.init depth (fun _ -> "(a*")) in
+    let closing = if closed then "b" ^ String.make depth ')' else "" in
+    String.sub s 0 i ^ opening ^ closing ^ String.sub s i (String.length s - i)
+  in
+  let rec mutations k s =
+    if k = 0 then return s else oneof [ flip s; truncate s; duplicate s; nest s ] >>= mutations (k - 1)
+  in
+  let* base = oneofl fuzz_bases and* k = int_range 1 4 in
+  mutations k base
+
+let qcheck_parser_fuzz =
+  QCheck2.Test.make ~name:"mutated cell text: cells or Cell_parser.Error" ~count:2000
+    ~print:String.escaped gen_mutated_cell_text (fun text ->
+      match Cell_parser.cells text with _ -> true | exception Cell_parser.Error _ -> true)
 
 (* --- Standard cells ----------------------------------------------------------- *)
 
@@ -226,6 +282,7 @@ let () =
           Alcotest.test_case "comments" `Quick test_parse_comments;
           Alcotest.test_case "errors" `Quick test_parse_errors;
           Alcotest.test_case "pp roundtrip" `Quick test_pp_roundtrip;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 15 |]) qcheck_parser_fuzz;
         ] );
       ( "stdcells",
         [
