@@ -12,8 +12,9 @@ module Obs = Dynmos_obs.Obs
    dynamic gate is combinational, the classical injection-based machinery
    applies unchanged.  Four engines are provided, all propagating one
    fault at a time, event by event, from its own gate
-   (Compiled.eval_fault_into), and cross-checked in tests against an
-   independent deductive (fault-list propagation) oracle:
+   (Compiled.eval_fault_into: flat literal programs, one event bucket
+   per logic level), and cross-checked in tests against an independent
+   deductive (fault-list propagation) oracle:
 
    - serial: one pattern per unit — the readable reference;
    - parallel: 62 patterns per machine word;
@@ -198,9 +199,9 @@ let coverage_curve s =
 
 (* Each faulty machine starts from the good-machine baseline and
    propagates the fault event by event from its own gate
-   (Compiled.eval_fault_into): only gates with a changed input are
-   re-evaluated, and propagation stops where the faulty word equals the
-   good one — bit-identical to whole-circuit injection.  The
+   (Compiled.eval_fault_into), level by level: only gates with a changed
+   input are re-evaluated, and propagation stops where the faulty word
+   equals the good one — bit-identical to whole-circuit injection.  The
    ["gate_evals_saved"] obs field is the gate evaluations this avoided
    relative to whole-circuit sweeps (kernel invocations x gates). *)
 
@@ -216,11 +217,15 @@ let word_bits = 62
    (sites x words x gates, as if every site swept the whole circuit on
    every word), so a small one pays no spawn; once running, the helpers
    join a unit only after a unit that measured at least [unit_work]
-   event-driven gate evaluations.  On a 2-vCPU Xeon VM an evaluation
-   costs 65-110 ns, and a second domain broke even on units of about
-   2 000 evaluations (0.15 ms): it cost 1.28x one domain's wall time at
-   950 per unit, 1.05x at 2 300 and 0.76x at 4 100 — below the
-   threshold, waking the helpers costs about what they save. *)
+   event-driven gate evaluations.  On a 2-vCPU Xeon VM, with the flat
+   level-bucket evaluator (27-39 ns per evaluation, good sweeps
+   included), a second domain broke even on units of about 2 000
+   evaluations (0.06 ms): on random circuits without dropping it cost
+   1.01-1.09x one domain's wall time at 1 200-1 600 evaluations per
+   unit, 0.73-1.22x at 1 700-1 950, and 0.65-0.76x at 2 300-3 200 —
+   below the threshold, waking the helpers costs about what they save.
+   The same threshold was first derived at 65-110 ns per evaluation;
+   halving that cost did not move the break-even unit. *)
 let spawn_work = 50_000
 let unit_work = 2_000
 
