@@ -78,7 +78,7 @@ let fn_of_table table =
     (fun (care, value) ->
       prog.(!pc) <- popcount care;
       incr pc;
-      for i = 0 to Sys.int_size - 2 do
+      for i = 0 to Truth_table.n_vars table - 1 do
         if (care lsr i) land 1 = 1 then begin
           prog.(!pc) <- (i * 2) lor (1 - ((value lsr i) land 1));
           incr pc
@@ -213,7 +213,7 @@ let eval_fn fn (input_words : int array) =
   for c = 0 to Array.length fn.cubes - 1 do
     let care, value = fn.cubes.(c) in
     let m = ref (-1) in
-    for i = 0 to Sys.int_size - 2 do
+    for i = 0 to fn.arity - 1 do
       if (care lsr i) land 1 = 1 then
         m := !m land (if (value lsr i) land 1 = 1 then input_words.(i) else lnot input_words.(i))
     done;
@@ -221,10 +221,9 @@ let eval_fn fn (input_words : int array) =
   done;
   !out
 
-(* A literal [x * 2 + negated] reads word [w] of its net (or input) as
-   [w lxor -negated]: [w] itself, or [lnot w] when negated. *)
-
-(* Gate [g]'s good word, from its program in [t.code]. *)
+(* Gate [g]'s good word, from its program in [t.code].  A literal
+   [net * 2 + negated] reads the net's word [w] as [w lxor -negated]:
+   [w] itself, or [lnot w] when negated, without a branch. *)
 let eval_gate t g (nets : int array) =
   let code = t.code in
   let out = ref 0 and pc = ref t.code_off.(g) in
