@@ -286,11 +286,11 @@ let sweep t (scratch : scratch) lo hi =
 let eval_words_into ?override t ~(scratch : scratch) (pi_words : int array) =
   if Array.length pi_words <> t.n_inputs then invalid_arg "Compiled.eval_words: PI arity";
   if Array.length scratch <> t.n_nets then invalid_arg "Compiled.eval_words_into: scratch size";
+  (match override with Some (gid, fn) -> check_override t gid fn | None -> ());
   Array.blit pi_words 0 scratch 0 t.n_inputs;
   match override with
   | None -> sweep t scratch 0 (Array.length t.cgates)
   | Some (gid, fn) ->
-      check_override t gid fn;
       sweep t scratch 0 gid;
       scratch.(t.n_inputs + gid) <- eval_override t gid fn scratch;
       sweep t scratch (gid + 1) (Array.length t.cgates)
