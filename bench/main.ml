@@ -839,18 +839,24 @@ let e17 () =
           let overhead = ratios.(reps / 2) -. 1.0 in
           let tap_loops = 20_000_000 in
           let time_taps c =
-            let best = ref infinity in
-            for _ = 1 to 3 do
-              let t0 = Unix.gettimeofday () in
-              for _ = 1 to tap_loops do
-                Chaos.tap c Chaos.Exec_job
-              done;
-              best := Float.min !best (Unix.gettimeofday () -. t0)
+            let t0 = Unix.gettimeofday () in
+            for _ = 1 to tap_loops do
+              Chaos.tap c Chaos.Exec_job
             done;
-            !best /. float_of_int tap_loops
+            (Unix.gettimeofday () -. t0) /. float_of_int tap_loops
           in
-          let tap_off = time_taps Chaos.disabled in
-          let tap_armed = time_taps inert in
+          (* Both registries run the same instructions at an unconfigured
+             point, so what separates their loops is host drift between
+             them.  Alternate the two, five loops each, and keep each
+             one's best: timed back to back (three loops of one, then
+             three of the other), the drift read as -3.4 % to +1.6 %
+             against the sweep of the faster kernel. *)
+          let tap_off = ref infinity and tap_armed = ref infinity in
+          for _ = 1 to 5 do
+            tap_off := Float.min !tap_off (time_taps Chaos.disabled);
+            tap_armed := Float.min !tap_armed (time_taps inert)
+          done;
+          let tap_off = !tap_off and tap_armed = !tap_armed in
           (* drop:false serial sweep taps Exec_job once per site per
              pattern. *)
           let taps_per_sweep = float_of_int (Faultsim.n_sites u * cn_count) in
