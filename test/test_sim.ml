@@ -101,7 +101,26 @@ let test_override () =
   let gate = (Compiled.gates c).(0) in
   let pi = [| true; true; false; false; false |] in
   check "good is 1" true (Compiled.eval c pi).(0);
-  check "faulty is 0" false (Compiled.eval ~override:(gate.Compiled.g.Netlist.id, stuck0) c pi).(0)
+  check "faulty is 0" false (Compiled.eval ~override:(gate.Compiled.g.Netlist.id, stuck0) c pi).(0);
+  (* An override wider than its gate would read the next gate's inputs
+     from the flat input array: both evaluators refuse it up front. *)
+  let c = Compiled.compile (Generators.carry_chain ~technology:Technology.Domino_cmos 3) in
+  let n0 = Array.length (Compiled.gates c).(0).Compiled.ins in
+  let wide =
+    Compiled.fn_of_table
+      (Truth_table.of_expr ~vars:(Array.init (n0 + 1) (Fmt.str "x%d")) (Expr.var (Fmt.str "x%d" n0)))
+  in
+  let raises f = match f () with _ -> false | exception Invalid_argument _ -> true in
+  let words = Array.make (Compiled.n_inputs c) (-1) in
+  let scratch = Compiled.make_scratch c in
+  Compiled.eval_words_into c ~scratch words;
+  let good = Array.copy scratch in
+  check "eval_words_into refuses an override wider than its gate" true
+    (raises (fun () -> Compiled.eval_words_into ~override:(0, wide) c ~scratch words));
+  check "eval_fault_into refuses it" true
+    (raises (fun () ->
+         Compiled.eval_fault_into c ~override:(0, wide) ~scratch ~events:(Compiled.make_events c)));
+  check "scratch untouched" true (scratch = good)
 
 (* Event-driven faulty evaluation: for every gate and a batch of packed
    patterns, eval_fault_into must (a) return the exact OR over all POs
