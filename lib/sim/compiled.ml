@@ -157,9 +157,11 @@ let compile netlist =
         pc := !pc + k + 1
       done)
     cgates;
-  (* Consumer lists: [f producer reader] once per distinct pair, readers
-     ascending, so a gate reading one net on several inputs is listed
-     once. *)
+  (* [each_edge f] calls [f producer reader] once per distinct pair,
+     readers ascending, so a gate reading one net on several inputs
+     counts once.  The first pass counts consumers and sets levels (a
+     producer's level is final before any of its readers is reached);
+     the second fills the consumer lists. *)
   let mark = Array.make n_g (-1) in
   let each_edge f =
     Array.fill mark 0 n_g (-1);
@@ -175,16 +177,16 @@ let compile netlist =
           cg.ins)
       cgates
   in
-  let fill = Array.make n_g 0 in
-  each_edge (fun p _ -> fill.(p) <- fill.(p) + 1);
+  let fill = Array.make n_g 0 and level = Array.make n_g 0 in
+  each_edge (fun p reader ->
+      fill.(p) <- fill.(p) + 1;
+      level.(reader) <- max level.(reader) (level.(p) + 1));
   let cons_off = offsets fill in
   let cons = Array.make cons_off.(n_g) 0 in
   Array.blit cons_off 0 fill 0 n_g;
   each_edge (fun p reader ->
       cons.(fill.(p)) <- reader;
       fill.(p) <- fill.(p) + 1);
-  let level = Array.make n_g 0 in
-  each_edge (fun p reader -> level.(reader) <- max level.(reader) (level.(p) + 1));
   let per_level = Array.make (1 + Array.fold_left max (-1) level) 0 in
   Array.iter (fun l -> per_level.(l) <- per_level.(l) + 1) level;
   {
