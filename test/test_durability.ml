@@ -332,6 +332,52 @@ let test_cache_store_quarantine () =
   check_i "rescan stable (healthy)" 1 (List.length entries2);
   check_i "rescan stable (corrupt)" 0 corrupt2
 
+(* --- Identity bytes ------------------------------------------------------------ *)
+
+let entry_files cache_dir =
+  List.sort compare
+    (List.filter
+       (fun f -> Filename.check_suffix f ".entry")
+       (Array.to_list (Sys.readdir cache_dir)))
+
+(* Cache keys, cache file names and checkpoint names are built from the
+   campaign digests, so a change to their bytes silently orphans every
+   result and checkpoint persisted before it.  The other tests rebuild
+   keys with the same functions and cannot see such a drift; these
+   literals can. *)
+let test_identity_bytes () =
+  let pinned name ~circuit ~universe ~patterns ~restricted_sites ~restricted =
+    let u, pats = workload name ~patterns:64 ~seed:7 in
+    let ru = Faultsim.restrict_universe u ~gates:[ 0; 1; 2 ] in
+    check_s (name ^ " circuit digest") circuit (Faultsim.circuit_digest u);
+    check_s (name ^ " universe digest") universe (Faultsim.universe_digest u);
+    check_s (name ^ " patterns digest") patterns (Faultsim.patterns_digest pats);
+    check_i (name ^ " restricted sites") restricted_sites (Faultsim.n_sites ru);
+    check_s (name ^ " restricted universe digest") restricted (Faultsim.universe_digest ru)
+  in
+  pinned "carry8" ~circuit:"f82e2109aa03c2eab66c12bdd28e4614"
+    ~universe:"26f0597218404879eb91a9f98f182471" ~patterns:"9802d74595eb6acb88b754c27a9972c3"
+    ~restricted_sites:18 ~restricted:"ef20c54c63e23ebe1ea780f93d376cd8";
+  pinned "rand60" ~circuit:"b612a97d4eb696fead2aee8fd350a1cd"
+    ~universe:"a89ef75a7a240e097c60ff4b6f5df8b9" ~patterns:"67b7de40e5bd6ff0ca7beb777c864d1a"
+    ~restricted_sites:14 ~restricted:"bde2908c626c42a091723023043760f3";
+  (* The file names a durable server writes for the same campaigns. *)
+  with_dir "dynmos_dur" @@ fun dir ->
+  let t = Server.create ~config:(durable_config dir) () in
+  Fun.protect
+    ~finally:(fun () -> Server.shutdown t)
+    (fun () ->
+      let cache_dir = Filename.concat dir "cache" in
+      let req = {|{"circuit":"carry8","patterns":64,"seed":7,"engine":"ppsfp"}|} in
+      check_s "unrestricted ok" "ok" (status (response_for 1 (run_on t [ req ])));
+      check "unrestricted entry file" true
+        (entry_files cache_dir = [ "a0802939a0abe65cb3a0a1cbebba0578.entry" ]);
+      let req = {|{"circuit":"carry8","patterns":64,"seed":7,"engine":"ppsfp","gates":[0,1,2]}|} in
+      check_s "restricted ok" "ok" (status (response_for 1 (run_on t [ req ])));
+      check "restricted entry file" true
+        (entry_files cache_dir
+        = [ "a0802939a0abe65cb3a0a1cbebba0578.entry"; "c1f760b08ac6de696c5f9523772298b9.entry" ]))
+
 (* --- Server: warm-restart cache ---------------------------------------------------- *)
 
 let test_server_warm_restart_cache () =
@@ -801,6 +847,8 @@ let () =
           Alcotest.test_case "corrupt entries quarantined" `Quick
             test_cache_store_quarantine;
         ] );
+      ( "identity",
+        [ Alcotest.test_case "digests and cache file names pinned" `Quick test_identity_bytes ] );
       ( "server recovery",
         [
           Alcotest.test_case "warm restart serves bit-identical cached results" `Quick
