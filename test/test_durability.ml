@@ -498,37 +498,51 @@ let test_server_recovery_resumes_checkpoint () =
   with_dir "dynmos_dur" @@ fun dir ->
   let patterns = 64 and seed = 7 in
   let u, pats = workload "carry8" ~patterns ~seed in
-  let clean, clean_evals = run_clean_serial u pats in
-  (* The crashed campaign: ran under the server's checkpoint identity,
-     died roughly halfway (eval budget stands in for kill -9 — both
-     leave the same on-disk state: a valid checkpoint, no done record). *)
-  let ident =
-    String.concat "|"
-      [
-        Faultsim.circuit_digest u;
-        Faultsim.universe_digest u;
-        Faultsim.patterns_digest pats;
-        "serial";
-        "true";
-      ]
-  in
   let ckpt_dir = Filename.concat dir "ckpt" in
   Unix.mkdir ckpt_dir 0o755;
-  let path = Filename.concat ckpt_dir (Digest.to_hex (Digest.string ident) ^ ".ckpt") in
-  let ctl = Faultsim.checkpoint_ctl ~path ~interval:1 u pats in
-  let partial =
-    Faultsim.run_serial ~drop:true ~max_evals:(clean_evals / 2) ~checkpoint:ctl
-      u pats
+  (* Each crashed campaign ran under the server's checkpoint identity and
+     died roughly halfway (eval budget stands in for kill -9 — both
+     leave the same on-disk state: a valid checkpoint, no done record).
+     A [gates] job's identity pairs the circuit's digest with its own
+     restricted universe's. *)
+  let crash ju req =
+    let clean, clean_evals = run_clean_serial ju pats in
+    let ident =
+      String.concat "|"
+        [
+          Faultsim.circuit_digest u;
+          Faultsim.universe_digest ju;
+          Faultsim.patterns_digest pats;
+          "serial";
+          "true";
+        ]
+    in
+    let path = Filename.concat ckpt_dir (Digest.to_hex (Digest.string ident) ^ ".ckpt") in
+    let ctl = Faultsim.checkpoint_ctl ~path ~interval:1 ju pats in
+    let partial =
+      Faultsim.run_serial ~drop:true ~max_evals:(clean_evals / 2) ~checkpoint:ctl ju pats
+    in
+    (match partial.Faultsim.outcome with
+    | Outcome.Partial _ -> ()
+    | Outcome.Complete -> Alcotest.fail "budget was meant to stop the first run");
+    check "first run made progress" true (partial.Faultsim.patterns_done > 0);
+    (req, ju, clean, clean_evals, path)
   in
-  (match partial.Faultsim.outcome with
-  | Outcome.Partial _ -> ()
-  | Outcome.Complete -> Alcotest.fail "budget was meant to stop the first run");
-  check "first run made progress" true (partial.Faultsim.patterns_done > 0);
-  let req = Printf.sprintf {|{"circuit":"carry8","patterns":%d,"seed":%d}|} patterns seed in
+  let jobs =
+    [
+      crash u (Printf.sprintf {|{"circuit":"carry8","patterns":%d,"seed":%d}|} patterns seed);
+      crash
+        (Faultsim.restrict_universe u ~gates:[ 0; 1; 2 ])
+        (Printf.sprintf {|{"circuit":"carry8","patterns":%d,"seed":%d,"gates":[0,1,2]}|}
+           patterns seed);
+    ]
+  in
   let j = Journal.open_ (Filename.concat dir "journal") in
-  ignore (Journal.append_admit j ~envelope:(envelope_of req) : int);
+  List.iter
+    (fun (req, _, _, _, _) -> ignore (Journal.append_admit j ~envelope:(envelope_of req) : int))
+    jobs;
   Journal.close j;
-  (* Reboot with per-job checkpointing on: recovery must resume the
+  (* Reboot with per-job checkpointing on: recovery must resume each
      campaign, not restart it — strictly fewer evaluations than a cold
      run, identical detections. *)
   let config = { (durable_config dir) with Server.ckpt_patterns = 0; ckpt_interval = 1 } in
@@ -538,17 +552,21 @@ let test_server_recovery_resumes_checkpoint () =
     (fun () ->
       Server.wait_recovery t;
       check_i "journal drained" 0 (stat t "journal_pending");
-      let r = response_for 1 (run_on t [ req ]) in
-      check_s "retry ok" "ok" (status r);
-      check "retry cached" true (bool_field "cached" r);
-      check "retry flagged recovered" true (bool_field "recovered" r);
-      check_i "detected = crash-free" (Faultsim.n_detected clean) (int_field "detected" r);
-      check "coverage = crash-free" true
-        (float_field "coverage" r = Faultsim.coverage clean);
-      let resumed_evals = int_field "gate_evals" r in
-      check "resumed, not restarted" true (resumed_evals > 0 && resumed_evals < clean_evals);
-      (* A completed job's checkpoint is discarded. *)
-      check "checkpoint removed on completion" false (Sys.file_exists path))
+      List.iter
+        (fun (req, ju, clean, clean_evals, path) ->
+          let r = response_for 1 (run_on t [ req ]) in
+          check_s "retry ok" "ok" (status r);
+          check "retry cached" true (bool_field "cached" r);
+          check "retry flagged recovered" true (bool_field "recovered" r);
+          check_i "sites" (Faultsim.n_sites ju) (int_field "sites" r);
+          check_i "detected = crash-free" (Faultsim.n_detected clean) (int_field "detected" r);
+          check "coverage = crash-free" true
+            (float_field "coverage" r = Faultsim.coverage clean);
+          let resumed_evals = int_field "gate_evals" r in
+          check "resumed, not restarted" true (resumed_evals > 0 && resumed_evals < clean_evals);
+          (* A completed job's checkpoint is discarded. *)
+          check "checkpoint removed on completion" false (Sys.file_exists path))
+        jobs)
 
 (* Upgrade path: an older build's domains engine swept sites and wrote
    [mode sites] job checkpoints.  Such a file is refused on load, so the

@@ -636,6 +636,29 @@ let test_result_cache () =
     (int_field "global_evals_used" s1)
     (int_field "global_evals_used" s2)
 
+(* A [gates] request shares its circuit with the unrestricted request of
+   the same seed and pattern count, but not its fault universe: keyed by
+   the circuit's whole universe it would be answered from the full run's
+   entry, with the full run's sites and detections. *)
+let test_restricted_cache_key () =
+  let t = Server.create ~config:small_config () in
+  Fun.protect ~finally:(fun () -> Server.shutdown t) @@ fun () ->
+  let answer job =
+    let _, resps, _ = run_on t [ job ] in
+    response_for 1 resps
+  in
+  let full = answer {|{"circuit":"carry8","patterns":64,"seed":7,"engine":"ppsfp"}|} in
+  let restricted = {|{"circuit":"carry8","patterns":64,"seed":7,"engine":"ppsfp","gates":[0,1,2]}|} in
+  let a = answer restricted in
+  let b = answer restricted in
+  check_s "full run ok" "ok" (status full);
+  check_s "restricted run ok" "ok" (status a);
+  check "restricted run not served from the full run's entry" true
+    (field "cached" a = Json.Bool false);
+  check "restricted run covers 18 sites" true (field "sites" a = Json.Int 18);
+  check "restricted repeat served from cache" true (field "cached" b = Json.Bool true);
+  check "restricted repeat detects the same" true (field "detected" b = field "detected" a)
+
 (* stream_every: progress lines flow while the job runs; they are not
    the response — exactly one terminal line still answers the request,
    with the standalone-identical result. *)
@@ -934,6 +957,8 @@ let () =
           Alcotest.test_case "scheduler fairness, cancel, crash" `Quick test_scheduler;
           Alcotest.test_case "concurrent clients" `Quick test_concurrent_clients;
           Alcotest.test_case "result cache" `Quick test_result_cache;
+          Alcotest.test_case "gates requests keyed by their own universe" `Quick
+            test_restricted_cache_key;
         ] );
       ( "robustness",
         [
