@@ -505,7 +505,7 @@ let patterns_digest (patterns : bool array array) =
     patterns;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-let checkpoint_ctl ~path ~interval ?(resume = false) ?prng_state ?chaos u patterns =
+let checkpoint_ctl ~path ~interval ?(resume = false) ?prng_state ?chaos ?digests u patterns =
   (* a missing file under [resume] is a fresh start, not an error: a
      campaign killed before its first tick leaves no checkpoint, and its
      retry must still come up.  A corrupt primary falls back to the .bak
@@ -516,8 +516,11 @@ let checkpoint_ctl ~path ~interval ?(resume = false) ?prng_state ?chaos u patter
       (Some st, from_bak)
     else (None, false)
   in
+  let circuit_digest, universe_digest, pattern_digest =
+    match digests with
+    | Some d -> d
+    | None -> (circuit_digest u, universe_digest u, patterns_digest patterns)
+  in
   Checkpoint.create ~path ~interval ?prng_state ?resume:resume_state ~resumed_from_backup
-    ?chaos
-    ~circuit_digest:(circuit_digest u) ~universe_digest:(universe_digest u)
-    ~pattern_digest:(patterns_digest patterns) ~n_sites:(n_sites u)
+    ?chaos ~circuit_digest ~universe_digest ~pattern_digest ~n_sites:(n_sites u)
     ~n_patterns:(Array.length patterns) ()

@@ -275,6 +275,7 @@ val checkpoint_ctl :
   ?resume:bool ->
   ?prng_state:string ->
   ?chaos:Dynmos_chaos.Chaos.t ->
+  ?digests:string * string * string ->
   universe ->
   bool array array ->
   Checkpoint.ctl
@@ -289,4 +290,9 @@ val checkpoint_ctl :
     patterns.  [prng_state] (a {!Prng.save} token) is stored for
     diagnostics; resume regenerates patterns from the seed and validates
     them via the pattern digest.  [chaos] is threaded into every write
-    (the [ckpt.write] / [ckpt.fsync] / [ckpt.rename] points). *)
+    (the [ckpt.write] / [ckpt.fsync] / [ckpt.rename] points).
+    [digests], when given, is [(circuit_digest u, universe_digest u,
+    patterns_digest patterns)] as the caller already computed it, and
+    is used unchecked in place of hashing the circuit, universe and
+    patterns again: the server keeps the first two per circuit and
+    hashes each job's patterns once for its cache key. *)

@@ -236,6 +236,15 @@ type durable = {
   mutable recovered_jobs : int;  (* journaled jobs replayed to a terminal outcome *)
 }
 
+(* A circuit's fault universe and the two structural digests of its
+   result-cache key.  None of them can change while the server runs, so
+   each is computed once per circuit instead of on every request. *)
+type prepared = {
+  universe : Faultsim.universe;
+  circuit_digest : string;
+  universe_digest : string;
+}
+
 type t = {
   config : config;
   counters : counters;
@@ -244,7 +253,7 @@ type t = {
   total_events : unit -> int;
   known_circuit : string -> bool;
   find_circuit : string -> (Netlist.t, string) result;
-  universes : (string, Faultsim.universe) Hashtbl.t;
+  universes : (string, prepared) Hashtbl.t;
   universes_m : Mutex.t;
   rcache : Cache.t;
   sched : Scheduler.t;
@@ -354,17 +363,17 @@ let limits t =
   }
 
 (* Universe construction is deterministic per circuit name, so one build
-   serves every request; the mutex covers concurrent first requests.
-   A failing lookup is a [Reject] — a structured error response — never
-   an exception that could take an executor down (the old [failwith]
-   here killed the executor domain mid-service). *)
+   (digests included) serves every request; the mutex covers concurrent
+   first requests.  A failing lookup is a [Reject] — a structured error
+   response — never an exception that could take an executor down (the
+   old [failwith] here killed the executor domain mid-service). *)
 let universe_of t name =
   Mutex.lock t.universes_m;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.universes_m)
     (fun () ->
       match Hashtbl.find_opt t.universes name with
-      | Some u -> u
+      | Some p -> p
       | None ->
           let nl =
             match t.find_circuit name with
@@ -372,8 +381,15 @@ let universe_of t name =
             | Error e -> raise (Reject (Printf.sprintf "circuit lookup failed: %s" e))
           in
           let u = Faultsim.universe nl in
-          Hashtbl.add t.universes name u;
-          u)
+          let p =
+            {
+              universe = u;
+              circuit_digest = Faultsim.circuit_digest u;
+              universe_digest = Faultsim.universe_digest u;
+            }
+          in
+          Hashtbl.add t.universes name p;
+          p)
 
 (* --- Stats -------------------------------------------------------------------- *)
 
@@ -489,20 +505,33 @@ let stop_cause_field (p : Outcome.partial) =
    field's meaning for a [Complete] run's coverage.  The same identity
    also names the job's on-disk checkpoint — a replayed campaign after a
    crash finds its own progress file by content, not by connection.
+   Returns the key with the three digests it was built from, for the
+   checkpoint.  The circuit's digests come from [p]; a [gates] request
+   runs on a restricted [u] that shares the circuit (so its digest) but
+   hashes its own sites here, per request — clients choose the gate
+   lists, so a memo of them would grow without bound.
    [None] = no durable identity (crash injection is a test hook). *)
-let job_ident t r u pats =
+let job_ident t r p u pats =
   if r.Protocol.crash_sid <> None then None
   else if t.config.cache_capacity = 0 && t.durable = None then None
   else
-    Some
-      (String.concat "|"
-         [
-           Faultsim.circuit_digest u;
-           Faultsim.universe_digest u;
-           Faultsim.patterns_digest pats;
-           Protocol.engine_name r.Protocol.engine;
-           string_of_bool r.Protocol.drop;
-         ])
+    let universe_digest =
+      match r.Protocol.gates with
+      | None -> p.universe_digest
+      | Some _ -> Faultsim.universe_digest u
+    in
+    let patterns_digest = Faultsim.patterns_digest pats in
+    let key =
+      String.concat "|"
+        [
+          p.circuit_digest;
+          universe_digest;
+          patterns_digest;
+          Protocol.engine_name r.Protocol.engine;
+          string_of_bool r.Protocol.drop;
+        ]
+    in
+    Some (key, (p.circuit_digest, universe_digest, patterns_digest))
 
 (* Does a persisted cache key have the shape [job_ident] builds today?
    Five '|'-separated parts: three MD5 hex digests, an engine this build
@@ -528,15 +557,15 @@ let current_key key =
    enough to be worth the write amplification get one ([ckpt_patterns]);
    a checkpoint corrupted beyond its [.bak] is discarded and the job
    restarts from scratch — durability must never wedge a request. *)
-let job_checkpoint t ident u pats ~patterns =
+let job_checkpoint t (key, digests) u pats ~patterns =
   match t.durable with
   | Some d when patterns >= t.config.ckpt_patterns ->
       let path =
-        Filename.concat d.ckpt_dir (Digest.to_hex (Digest.string ident) ^ ".ckpt")
+        Filename.concat d.ckpt_dir (Digest.to_hex (Digest.string key) ^ ".ckpt")
       in
       let make ~resume =
         Faultsim.checkpoint_ctl ~path ~interval:t.config.ckpt_interval ~resume
-          ~chaos:t.config.chaos u pats
+          ~chaos:t.config.chaos ~digests u pats
       in
       (try Some (make ~resume:true)
        with Checkpoint.Error _ -> (
@@ -559,11 +588,11 @@ let ckpt_discard ckpt =
 let exec_job t client job =
   let r = job.run in
   let replay = job.replay in
-  let u = universe_of t r.Protocol.circuit in
+  let p = universe_of t r.Protocol.circuit in
   let u =
     match r.Protocol.gates with
-    | None -> u
-    | Some gates -> Faultsim.restrict_universe u ~gates  (* Invalid_argument on bad ids *)
+    | None -> p.universe
+    | Some gates -> Faultsim.restrict_universe p.universe ~gates  (* Invalid_argument on bad ids *)
   in
   let n_sites = Faultsim.n_sites u in
   (match r.Protocol.crash_sid with
@@ -579,8 +608,8 @@ let exec_job t client job =
       ~n_inputs:(List.length (Netlist.inputs nl))
       ~count:r.Protocol.patterns
   in
-  let ident = job_ident t r u pats in
-  let key = if t.config.cache_capacity = 0 then None else ident in
+  let ident = job_ident t r p u pats in
+  let key = if t.config.cache_capacity = 0 then None else Option.map fst ident in
   match Option.bind key (fun k -> Cache.find t.rcache k) with
   | Some e ->
       (* Served from the cache: zero gate evaluations, nothing charged
@@ -649,9 +678,7 @@ let exec_job t client job =
         Option.map (fun j -> min j (Domain.recommended_domain_count ())) r.Protocol.jobs
       in
       let ckpt =
-        match ident with
-        | Some id -> job_checkpoint t id u pats ~patterns:r.Protocol.patterns
-        | None -> None
+        Option.bind ident (fun id -> job_checkpoint t id u pats ~patterns:r.Protocol.patterns)
       in
       let t0 = Obs.now () in
       let summary =
