@@ -158,9 +158,13 @@ module Cache = struct
       r
     end
 
+  (* Returns the key evicted to make room, if any, so the caller can
+     delete its disk copy. *)
   let add c key entry =
-    if c.cap > 0 then begin
+    if c.cap = 0 then None
+    else begin
       Mutex.lock c.m;
+      let evicted = ref None in
       (* two identical in-flight requests can both miss and both store;
          first insert wins, the duplicate is dropped *)
       if not (Hashtbl.mem c.tbl key) then begin
@@ -176,14 +180,16 @@ module Cache = struct
           match victim with
           | Some (k, _) ->
               Hashtbl.remove c.tbl k;
-              c.evictions <- c.evictions + 1
+              c.evictions <- c.evictions + 1;
+              evicted := Some k
           | None -> ()
         end;
         c.clock <- c.clock + 1;
         entry.stamp <- c.clock;
         Hashtbl.add c.tbl key entry
       end;
-      Mutex.unlock c.m
+      Mutex.unlock c.m;
+      !evicted
     end
 
   let stats c =
@@ -585,6 +591,18 @@ let ckpt_discard ckpt =
       (try Sys.remove path with Sys_error _ -> ());
       (try Sys.remove (path ^ ".bak") with Sys_error _ -> ())
 
+(* Publish an entry in memory and delete the disk copy of the entry it
+   evicted, so the cache directory holds no more entries than the LRU
+   does and a boot re-reads only those.  The unlink runs outside the
+   cache mutex, and a file already gone is fine.  Should the evicted key
+   be computed and persisted again in between, the new file goes too;
+   that costs one miss after the next restart. *)
+let cache_add t key entry =
+  match (Cache.add t.rcache key entry, t.durable) with
+  | Some victim, Some d -> (
+      try Sys.remove (Cache_store.file_of d.cache_dir victim) with Sys_error _ -> ())
+  | _ -> ()
+
 let exec_job t client job =
   let r = job.run in
   let replay = job.replay in
@@ -746,7 +764,7 @@ let exec_job t client job =
                           Mutex.lock d.dur_m;
                           d.cache_persist_failed <- d.cache_persist_failed + 1;
                           Mutex.unlock d.dur_m));
-                  Cache.add t.rcache k entry)
+                  cache_add t k entry)
           | None -> ())
       | Outcome.Partial _ -> ());
       (summary, dt, evals, n_sites, false, replay)
@@ -1010,9 +1028,12 @@ let create ?(config = default_config) ?trace ?(known_circuit = Catalog.mem)
       t0 = Obs.now ();
     }
   in
+  (* Loaded in file-name order; past [cache_capacity] (a lower limit
+     than the data dir was written under), the LRU evicts and
+     [cache_add] deletes the overflow. *)
   List.iter
     (fun (e : Cache_store.entry) ->
-      Cache.add t.rcache e.Cache_store.key
+      cache_add t e.Cache_store.key
         {
           Cache.summary = e.Cache_store.summary;
           dt_s = e.Cache_store.dt_s;

@@ -657,6 +657,38 @@ let test_server_removes_stale_cache_entries () =
       in
       check_i "exactly one entry" 1 (List.length entries))
 
+(* The cache directory is bounded by the LRU: an evicted entry's file is
+   deleted, live or at boot, so a restart re-reads only what the cache
+   can hold — and holds the most recent results. *)
+let test_server_cache_dir_bounded () =
+  with_dir "dynmos_dur" @@ fun dir ->
+  let config = { (durable_config dir) with Server.cache_capacity = 2 } in
+  let cache_dir = Filename.concat dir "cache" in
+  let reqs =
+    List.init 5 (fun i -> Printf.sprintf {|{"circuit":"carry8","patterns":32,"seed":%d}|} (i + 1))
+  in
+  let t = Server.create ~config () in
+  Fun.protect
+    ~finally:(fun () -> Server.shutdown t)
+    (fun () ->
+      let resps = run_on t reqs in
+      List.iteri (fun i _ -> check_s "job ok" "ok" (status (response_for (i + 1) resps))) reqs;
+      check_i "three evictions" 3 (stat t "cache_evictions"));
+  check_i "two entry files" 2 (List.length (entry_files cache_dir));
+  let t2 = Server.create ~config () in
+  Fun.protect
+    ~finally:(fun () -> Server.shutdown t2)
+    (fun () ->
+      check_i "two entries loaded" 2 (stat t2 "cache_loaded");
+      List.iter
+        (fun req ->
+          check "recent job cached after restart" true
+            (bool_field "cached" (response_for 1 (run_on t2 [ req ]))))
+        [ List.nth reqs 3; List.nth reqs 4 ]);
+  let t3 = Server.create ~config:{ config with Server.cache_capacity = 1 } () in
+  Server.shutdown t3;
+  check_i "a smaller boot deletes what it evicts" 1 (List.length (entry_files cache_dir))
+
 let test_server_journal_admission_gate () =
   with_dir "dynmos_dur" @@ fun dir ->
   (* Log-before-work: if the journal cannot take the admit record, the
@@ -881,6 +913,8 @@ let () =
             test_server_discards_sites_mode_checkpoint;
           Alcotest.test_case "stale cache entries removed at boot" `Quick
             test_server_removes_stale_cache_entries;
+          Alcotest.test_case "cache directory bounded by the LRU" `Quick
+            test_server_cache_dir_bounded;
           Alcotest.test_case "admission refused when the journal cannot log" `Quick
             test_server_journal_admission_gate;
           Alcotest.test_case "SIGHUP maintenance compacts and re-persists" `Quick
