@@ -26,7 +26,7 @@ module Chaos = Dynmos_chaos.Chaos
    knobs, so a repeat request is answered without simulating a single
    gate.  Content addressing means there is nothing to invalidate — a
    key changes whenever any input it covers changes; the LRU bound only
-   reclaims space. *)
+   reclaims space, in memory and in the data dir. *)
 
 type config = {
   queue_capacity : int;

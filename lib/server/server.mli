@@ -25,9 +25,12 @@ open Dynmos_obs
       LRU cache keyed by the checkpoint digests (circuit x universe x
       patterns) plus engine/drop; a repeat request is answered
       bit-identically with zero new gate evaluations and no charge to
-      the global budget.  Content addressing makes invalidation moot —
-      any input change changes the key — so the LRU bound exists only to
-      reclaim space;
+      the global budget.  The circuit and universe digests are computed
+      once per circuit, with its universe; a request hashes only its
+      patterns (and a [gates] request its restricted sites).  Content
+      addressing makes invalidation moot — any input change changes the
+      key — so the LRU bound exists only to reclaim space, in memory and
+      in the [data_dir] copy;
     - {e admission control}: run requests pass through a bounded pending
       queue; once full, new work is rejected immediately with
       [{"status":"overloaded"}] — backpressure instead of unbounded
@@ -56,7 +59,8 @@ type config = {
   events_capacity : int;       (** ring size of the bounded in-memory obs sink
                                    backing the [stats] op (default 1024) *)
   cache_capacity : int;        (** result-cache entries before LRU eviction
-                                   (default 256; 0 disables caching) *)
+                                   (default 256; 0 disables caching); with
+                                   [data_dir], an evicted entry's file goes too *)
   idle_timeout_s : float option;  (** socket connections silent this long with no
                                       work in flight are reaped — dead peers free
                                       their reader thread (default [None] = never) *)
@@ -107,7 +111,7 @@ val create :
     With [config.data_dir] set, boot also runs crash recovery, in
     order: the journal is opened (torn tail truncated, boot generation
     stamped), the persistent result cache is rehydrated (corrupt
-    entries quarantined), and every journaled-but-unfinished job is
+    entries quarantined, files past [cache_capacity] deleted), and every journaled-but-unfinished job is
     re-enqueued on a background thread, replayed through the ordinary
     execution path — resuming from its checkpoint when one was written
     — and closed out in the journal; its result lands in the cache, so
