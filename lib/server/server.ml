@@ -369,10 +369,10 @@ let limits t =
   }
 
 (* Universe construction is deterministic per circuit name, so one build
-   (digests included) serves every request; the mutex covers concurrent
-   first requests.  A failing lookup is a [Reject] — a structured error
-   response — never an exception that could take an executor down (the
-   old [failwith] here killed the executor domain mid-service). *)
+   serves every request; the mutex covers concurrent first requests.
+   A failing lookup is a [Reject] — a structured error response — never
+   an exception that could take an executor down (the old [failwith]
+   here killed the executor domain mid-service). *)
 let universe_of t name =
   Mutex.lock t.universes_m;
   Fun.protect
