@@ -394,18 +394,27 @@ let test_stats_and_ping () =
   | _ -> Alcotest.fail "missing rejected_invalid"
 
 (* Gate restriction: a sub-universe request matches the full run on the
-   corresponding sites, and bad gate ids are named errors. *)
+   corresponding sites, and bad gate ids are named errors.  It shares its
+   circuit with the unrestricted request before it but not its fault
+   universe: keyed by the circuit's whole universe, it would be answered
+   from the full run's cache entry, with the full run's sites. *)
 let test_gates_restriction () =
+  let restricted = {|{"circuit":"carry8","patterns":64,"gates":[0,1,2]}|} in
   let _, resps, _ =
     run_server ~config:small_config
       [
-        {|{"circuit":"carry8","patterns":64,"gates":[0,1,2]}|};
+        {|{"circuit":"carry8","patterns":64}|};
+        restricted;
         {|{"circuit":"carry8","gates":[0,99]}|};
         {|{"circuit":"carry8","gates":[1,1]}|};
+        restricted;
       ]
   in
-  let ok = response_for 1 resps in
+  let ok = response_for 2 resps in
   check_s "restricted run ok" "ok" (status ok);
+  check "restricted run not served from the full run's entry" true
+    (field "cached" ok = Json.Bool false);
+  check "restricted run covers 18 sites" true (field "sites" ok = Json.Int 18);
   let detected = match field "detected" ok with Json.Int n -> n | _ -> -1 in
   let nl = match Catalog.find "carry8" with Ok nl -> nl | Error e -> Alcotest.fail e in
   let u = Faultsim.universe nl in
@@ -417,8 +426,11 @@ let test_gates_restriction () =
       ~count:64
   in
   check_i "restricted detections match library run" (Faultsim.n_detected (Faultsim.run_serial ru pats)) detected;
-  check_s "out-of-range gate id" "error" (status (response_for 2 resps));
-  check_s "duplicate gate id" "error" (status (response_for 3 resps))
+  check_s "out-of-range gate id" "error" (status (response_for 3 resps));
+  check_s "duplicate gate id" "error" (status (response_for 4 resps));
+  let again = response_for 5 resps in
+  check "restricted repeat served from cache" true (field "cached" again = Json.Bool true);
+  check "restricted repeat detects the same" true (field "detected" again = field "detected" ok)
 
 (* The obs ring stays bounded however many requests are served. *)
 let test_bounded_events () =
@@ -635,29 +647,6 @@ let test_result_cache () =
   check_i "a cache hit performs zero new gate evaluations"
     (int_field "global_evals_used" s1)
     (int_field "global_evals_used" s2)
-
-(* A [gates] request shares its circuit with the unrestricted request of
-   the same seed and pattern count, but not its fault universe: keyed by
-   the circuit's whole universe it would be answered from the full run's
-   entry, with the full run's sites and detections. *)
-let test_restricted_cache_key () =
-  let t = Server.create ~config:small_config () in
-  Fun.protect ~finally:(fun () -> Server.shutdown t) @@ fun () ->
-  let answer job =
-    let _, resps, _ = run_on t [ job ] in
-    response_for 1 resps
-  in
-  let full = answer {|{"circuit":"carry8","patterns":64,"seed":7,"engine":"ppsfp"}|} in
-  let restricted = {|{"circuit":"carry8","patterns":64,"seed":7,"engine":"ppsfp","gates":[0,1,2]}|} in
-  let a = answer restricted in
-  let b = answer restricted in
-  check_s "full run ok" "ok" (status full);
-  check_s "restricted run ok" "ok" (status a);
-  check "restricted run not served from the full run's entry" true
-    (field "cached" a = Json.Bool false);
-  check "restricted run covers 18 sites" true (field "sites" a = Json.Int 18);
-  check "restricted repeat served from cache" true (field "cached" b = Json.Bool true);
-  check "restricted repeat detects the same" true (field "detected" b = field "detected" a)
 
 (* stream_every: progress lines flow while the job runs; they are not
    the response — exactly one terminal line still answers the request,
@@ -957,8 +946,6 @@ let () =
           Alcotest.test_case "scheduler fairness, cancel, crash" `Quick test_scheduler;
           Alcotest.test_case "concurrent clients" `Quick test_concurrent_clients;
           Alcotest.test_case "result cache" `Quick test_result_cache;
-          Alcotest.test_case "gates requests keyed by their own universe" `Quick
-            test_restricted_cache_key;
         ] );
       ( "robustness",
         [
