@@ -315,10 +315,10 @@ let e10 () =
   in
   List.iter
     (fun k ->
-      let cov pats n = Faultsim.coverage (Faultsim.run_parallel u (Array.sub pats 0 n)) in
+      let cov pats n = Faultsim.coverage (Faultsim.run_ppsfp u (Array.sub pats 0 n)) in
       let podem_cov =
         let n = min k (Array.length podem.Podem.vectors) in
-        Faultsim.coverage (Faultsim.run_parallel u (Array.sub podem.Podem.vectors 0 n))
+        Faultsim.coverage (Faultsim.run_ppsfp u (Array.sub podem.Podem.vectors 0 n))
       in
       pf "  %8d | %13.1f%% %15.1f%% %7.1f%%@." k
         (100.0 *. cov uniform k)
@@ -671,8 +671,6 @@ let e17 () =
       in
       let t_serial = time_reps ~reps (fun () -> Faultsim.run_serial ~drop:false u pats) in
       entry "serial" t_serial "";
-      let t_bitpar = time_reps ~reps (fun () -> Faultsim.run_parallel ~drop:false u pats) in
-      entry "bit-parallel" t_bitpar "";
       (* One observed run per domain count reads the effective domain
          count the clamp settled on off its faultsim.run event; the timed
          runs then use the exact same configuration. *)
@@ -682,14 +680,14 @@ let e17 () =
             let module Obs = Dynmos_obs.Obs in
             let mem, fetch = Obs.memory_sink () in
             ignore
-              (Faultsim.run_domain_parallel ~drop:false ~num_domains:n ~obs:(Obs.make mem) u pats);
+              (Faultsim.run_ppsfp ~drop:false ~num_domains:n ~obs:(Obs.make mem) u pats);
             let eff =
               Option.value ~default:1
                 (List.find_map (fun e -> Obs.int_field e "effective_domains") (fetch ()))
             in
             let t =
               time_reps ~reps (fun () ->
-                  Faultsim.run_domain_parallel ~drop:false ~num_domains:n u pats)
+                  Faultsim.run_ppsfp ~drop:false ~num_domains:n u pats)
             in
             (n, eff, t))
           domain_counts
@@ -724,9 +722,6 @@ let e17 () =
       in
       let work_serial =
         gate_work "serial/work" (fun obs -> Faultsim.run_serial ~drop:false ?obs u pats)
-      in
-      let work_bitpar =
-        gate_work "bit-parallel/work" (fun obs -> Faultsim.run_parallel ~drop:false ?obs u pats)
       in
       let work_ppsfp =
         gate_work "ppsfp/work" (fun obs -> Faultsim.run_ppsfp ~drop:false ?obs u pats)
@@ -908,14 +903,8 @@ let e17 () =
             \"engines\": {%s},\n     \"gate_work\": {%s}%s%s}%s\n"
            name (Netlist.n_gates nl) (Faultsim.n_sites u) count
            (String.concat ", "
-              ([ json_engine "serial" t_serial; json_engine "bit_parallel" t_bitpar ]
-              @ json_scaled "domains" dom))
-           (String.concat ", "
-              [
-                json_work "serial" work_serial;
-                json_work "bit_parallel" work_bitpar;
-                json_work "ppsfp" work_ppsfp;
-              ])
+              (json_engine "serial" t_serial :: json_scaled "domains" dom))
+           (String.concat ", " [ json_work "serial" work_serial; json_work "ppsfp" work_ppsfp ])
            checkpoint_json chaos_json
            (if ci = n_circuits - 1 then "" else ",")))
     circuits;
@@ -1136,8 +1125,8 @@ let bechamel_tests () =
                 (Array.make 8 0.5))));
     Test.make ~name:"e9_a2_eval_nets"
       (Staged.stage (fun () -> ignore (Compiled.eval_nets carry6 pi_carry)));
-    Test.make ~name:"e10_parallel_faultsim_64"
-      (Staged.stage (fun () -> ignore (Faultsim.run_parallel ~drop:false u_c17 pats64)));
+    Test.make ~name:"e10_ppsfp_faultsim_64"
+      (Staged.stage (fun () -> ignore (Faultsim.run_ppsfp ~drop:false u_c17 pats64)));
     Test.make ~name:"e11_library_12T"
       (Staged.stage (fun () -> ignore (Faultlib.generate big_cell)));
     Test.make ~name:"e12_domino_evaluate"

@@ -181,27 +181,19 @@ let faultsim_cmd =
   in
   let engine =
     Arg.(value
-         & opt
-             (enum
-                [
-                  ("serial", `Serial);
-                  ("parallel", `Parallel);
-                  ("ppsfp", `Ppsfp);
-                  ("domains", `Domains);
-                ])
-             `Domains
+         & opt (enum Dynmos_server.Protocol.engines) `Ppsfp
          & info [ "engine" ] ~docv:"ENGINE"
              ~doc:
-               "Engine: serial, parallel (bit-parallel), ppsfp (parallel-pattern \
-                single-fault propagation, the bit-parallel kernel under its literature name), \
-                or domains (multicore domain-parallel).  Every engine propagates each fault \
-                event by event from its own gate; results are bit-identical.")
+               "Engine: ppsfp (parallel-pattern single-fault propagation, 62 patterns per \
+                word, on --jobs domains) or serial (one pattern at a time, the readable \
+                reference).  Both propagate each fault event by event from its own gate; \
+                results are bit-identical.")
   in
   let jobs =
     Arg.(value & opt (bounded_int ~what:"--jobs" ~min:0 ()) 0
          & info [ "jobs"; "j" ] ~docv:"N"
              ~doc:
-               "Worker domains for the 'domains' engine (0 = \
+               "Worker domains for the 'ppsfp' engine (0 = \
                 Domain.recommended_domain_count ()); clamped to the site count and the \
                 estimated work.")
   in
@@ -212,7 +204,7 @@ let faultsim_cmd =
     Arg.(value & flag
          & info [ "stats" ]
              ~doc:"Print the run counters of the engine's faultsim.run event (for the \
-                   'domains' engine including requested and effective domain counts) after \
+                   'ppsfp' engine including requested and effective domain counts) after \
                    the summary.")
   in
   let trace =
@@ -267,7 +259,7 @@ let faultsim_cmd =
             ~count:patterns
         in
         let drop = not no_drop in
-        let num_domains = if jobs <= 0 then None else Some jobs in
+        let num_domains = if jobs <= 0 then Parallel_exec.default_domains () else jobs in
         let checkpoint =
           Option.map
             (fun path ->
@@ -297,28 +289,20 @@ let faultsim_cmd =
           | `Serial ->
               Faultsim.run_serial ~drop ~obs ?deadline ?max_evals ~interrupt ?checkpoint ~chaos
                 u pats
-          | `Parallel ->
-              Faultsim.run_parallel ~drop ~obs ?deadline ?max_evals ~interrupt ?checkpoint
-                ~chaos u pats
           | `Ppsfp ->
-              Faultsim.run_ppsfp ~drop ~obs ?deadline ?max_evals ~interrupt ?checkpoint ~chaos
-                u pats
-          | `Domains ->
-              Faultsim.run_domain_parallel ~drop ?num_domains ~obs ?deadline ?max_evals
-                ~interrupt ?checkpoint u pats
+              Faultsim.run_ppsfp ~drop ~num_domains ~obs ?deadline ?max_evals ~interrupt
+                ?checkpoint ~chaos u pats
         in
         let dt = Unix.gettimeofday () -. t0 in
         let run_events = List.filter (fun e -> e.Obs.ev = "faultsim.run") (fetch_events ()) in
         let engine_name =
           match engine with
           | `Serial -> "serial"
-          | `Parallel -> "parallel"
-          | `Ppsfp -> "ppsfp"
-          | `Domains -> (
+          | `Ppsfp -> (
               let count k = List.find_map (fun e -> Obs.int_field e k) run_events in
               match (count "requested_domains", count "effective_domains") with
-              | Some r, Some e -> Fmt.str "domains(%d requested, %d effective)" r e
-              | _ -> "domains")
+              | Some r, Some e -> Fmt.str "ppsfp(%d requested, %d effective)" r e
+              | _ -> "ppsfp")
         in
         Format.printf "%s: %d sites, %d patterns -> %.2f%% coverage (%d detected)@."
           (Netlist.name nl) (Faultsim.n_sites u) patterns
@@ -484,7 +468,7 @@ let atpg_cmd =
     | Ok nl ->
         let u = Faultsim.universe nl in
         let r = Podem.generate_set u in
-        let s = Faultsim.run_parallel u r.Podem.vectors in
+        let s = Faultsim.run_ppsfp u r.Podem.vectors in
         let untestable =
           Array.to_list r.Podem.per_site
           |> List.filter (function Podem.Untestable -> true | _ -> false)

@@ -38,7 +38,7 @@ let () =
 
   (* Deterministic baseline: PODEM with fault dropping. *)
   let r = Podem.generate_set u in
-  let s = Faultsim.run_parallel u r.Podem.vectors in
+  let s = Faultsim.run_ppsfp u r.Podem.vectors in
   Format.printf "PODEM: %d vectors -> %.2f%% coverage (%d faults dropped by simulation)@."
     (Array.length r.Podem.vectors)
     (100.0 *. Faultsim.coverage s)
@@ -56,6 +56,6 @@ let () =
   let uniform =
     Faultsim.random_patterns prng ~n_inputs:(List.length (Netlist.inputs nl)) ~count:budget
   in
-  let su = Faultsim.run_parallel u uniform in
+  let su = Faultsim.run_ppsfp u uniform in
   Format.printf "uniform random with the same %d-vector budget: %.2f%% coverage@." budget
     (100.0 *. Faultsim.coverage su)

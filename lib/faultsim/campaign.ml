@@ -10,8 +10,8 @@ module Chaos = Dynmos_chaos.Chaos
    accounting, fault dropping, the all-detected early exit — drift
    apart, so this module implements each policy exactly once, in
    {!run_patterns}: it drives a {!Kernel.t} (the one injection kernel
-   behind serial, bit-parallel and PPSFP, its split form in the domains
-   engine, or a test oracle) one pattern unit at a time.
+   behind serial and PPSFP, at any domain count, or a test oracle) one
+   pattern unit at a time.
 
    Limits precedence is fixed by [Limits.check]'s polling order
    (interrupt > deadline > max_evals); every engine polls the same gauge

@@ -3,14 +3,14 @@
     One implementation of every campaign policy — {!Limits} (precedence
     interrupt > deadline > budget, fixed by the gauge's polling order),
     {!Checkpoint} write/resume, supervision/retry, obs events, fault
-    dropping and the all-detected early exit — shared by all four public
-    engines.  Kernels ({!Kernel.t}) carry only evaluation mechanics.
+    dropping and the all-detected early exit — shared by both public
+    entry points.  Kernels ({!Kernel.t}) carry only evaluation
+    mechanics.
 
-    [Faultsim.run_serial], [run_parallel], [run_ppsfp] and
-    [run_domain_parallel] are thin wrappers over {!run_patterns} and one
-    event-driven injection kernel; serial packs one pattern per unit,
-    the others a 62-pattern word, and the domains engine differs only in
-    splitting each unit's sites across helper domains. *)
+    [Faultsim.run_serial] and [Faultsim.run_ppsfp] are thin wrappers over
+    {!run_patterns} and one event-driven injection kernel; serial packs
+    one pattern per unit, ppsfp a 62-pattern word, optionally splitting
+    each unit's sites across helper domains. *)
 
 type summary = {
   n_sites : int;

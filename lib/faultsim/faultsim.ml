@@ -10,18 +10,16 @@ module Obs = Dynmos_obs.Obs
    detectable *function classes* of each gate's fault library — this is
    exactly what the paper's model buys: because every physical fault of a
    dynamic gate is combinational, the classical injection-based machinery
-   applies unchanged.  Four engines are provided, all propagating one
+   applies unchanged.  Two entry points run one kernel, propagating one
    fault at a time, event by event, from its own gate
    (Compiled.eval_fault_into: flat literal programs, one event bucket
-   per logic level), and cross-checked in tests against an independent
-   deductive (fault-list propagation) oracle:
+   per logic level), and are cross-checked in tests against an
+   independent deductive (fault-list propagation) oracle:
 
    - serial: one pattern per unit — the readable reference;
-   - parallel: 62 patterns per machine word;
-   - ppsfp: the same kernel under the name the literature gives it
-     (parallel-pattern single-fault propagation);
-   - domains: the bit-parallel kernel with each unit's fault sites
-     split across OCaml 5 domains (Parallel_exec.split).
+   - ppsfp: parallel-pattern single-fault propagation, 62 patterns per
+     machine word, with each unit's fault sites optionally split across
+     OCaml 5 domains (Parallel_exec.split).
 
    Every campaign policy — limits, checkpointing, obs accounting, fault
    dropping, supervision and the all-detected early exit — is implemented
@@ -212,7 +210,7 @@ let detects u site pattern =
 
 let word_bits = 62
 
-(* Work thresholds of the domains engine, in gate evaluations.  A
+(* Work thresholds of [run_ppsfp ~num_domains], in gate evaluations.  A
    campaign starts at most one domain per [spawn_work] of static estimate
    (sites x words x gates, as if every site swept the whole circuit on
    every word), so a small one pays no spawn; once running, the helpers
@@ -229,12 +227,10 @@ let word_bits = 62
 let spawn_work = 50_000
 let unit_work = 2_000
 
-(* One builder serves every engine: the serial engine is the
-   bit-parallel mechanics with one pattern per unit (words are then
-   plain 0/1), which is exactly how the two always related — only the
-   packing width differed; ppsfp is the bit-parallel kernel under its
-   own name; the domains engine is the bit-parallel one with each
-   unit's sites split across the helpers of [pool]. *)
+(* One builder serves both entry points: serial is the bit-parallel
+   mechanics with one pattern per unit (words are then plain 0/1), and
+   ppsfp packs 62 patterns per unit, with each unit's sites split
+   across the helpers of [pool] when it has one. *)
 let injection_kernel ?pool ?(fields = []) ~name ~unit_bits ~count_good_evals u patterns =
   let compiled = u.compiled in
   let n_inputs = Compiled.n_inputs compiled in
@@ -349,49 +345,32 @@ let injection_kernel ?pool ?(fields = []) ~name ~unit_bits ~count_good_evals u p
     obs_fields;
   }
 
-(* --- Public engines: thin wrappers over the campaign driver ---------------- *)
+(* --- Public entry points: thin wrappers over the campaign driver ------------ *)
 
-(* The single-domain engines differ only in name and packing width. *)
-let run_injection ~name ~unit_bits ~count_good_evals ?drop ?obs ?deadline ?max_evals ?interrupt
-    ?checkpoint ?max_attempts ?backoff ?chaos ?crash_hook ?on_progress u
-    (patterns : bool array array) =
+let run_serial ?drop ?obs ?deadline ?max_evals ?interrupt ?checkpoint ?max_attempts ?backoff
+    ?chaos ?crash_hook ?on_progress u (patterns : bool array array) =
   Campaign.run_patterns ?drop ?obs ?deadline ?max_evals ?interrupt ?checkpoint ?max_attempts
     ?backoff ?chaos ?crash_hook ?on_progress ~n_sites:(n_sites u)
     ~total:(Array.length patterns)
-    (injection_kernel ~name ~unit_bits ~count_good_evals u patterns)
+    (injection_kernel ~name:"serial" ~unit_bits:1 ~count_good_evals:true u patterns)
 
-let run_serial = run_injection ~name:"serial" ~unit_bits:1 ~count_good_evals:true
-let run_parallel = run_injection ~name:"parallel" ~unit_bits:word_bits ~count_good_evals:false
-
-(* PPSFP in Waicukauski et al.'s sense — parallel patterns, one fault
-   at a time, event-driven propagation — is the bit-parallel kernel;
-   the engine keeps its own name in obs events, the CLI, the serve
-   protocol and cache keys. *)
-let run_ppsfp = run_injection ~name:"ppsfp" ~unit_bits:word_bits ~count_good_evals:false
-
-(* --- Domain-parallel -------------------------------------------------------- *)
-
-(* The bit-parallel engine with each unit's sites split across a
-   campaign-private pool of helper domains, spawned once and joined when
-   the campaign ends.  Patterns still advance one unit at a time under
-   the ordinary driver, so results, checkpoints and partial results are
-   those of [run_parallel] for every domain count.  Chaos stays off so a
-   schedule replays from the one sweeping domain. *)
-let run_domain_parallel ?drop ?num_domains ?obs ?deadline ?max_evals ?interrupt ?checkpoint
-    ?max_attempts ?backoff ?crash_hook ?on_progress u (patterns : bool array array) =
-  let requested =
-    match num_domains with
-    | None -> Parallel_exec.default_domains ()
-    | Some d when d >= 1 -> d
-    | Some d ->
-        invalid_arg
-          (Fmt.str "Faultsim.run_domain_parallel: num_domains must be >= 1 (got %d)" d)
-  in
+(* PPSFP in Waicukauski et al.'s sense: parallel patterns, one fault at
+   a time, event-driven propagation.  Helper domains, spawned once per
+   campaign and joined when it ends, split each unit's sites; an armed
+   chaos registry starts none, so its schedule replays from the one
+   sweeping domain. *)
+let run_ppsfp ?drop ?(num_domains = 1) ?obs ?deadline ?max_evals ?interrupt ?checkpoint
+    ?max_attempts ?backoff ?chaos ?crash_hook ?on_progress u (patterns : bool array array) =
+  if num_domains < 1 then
+    invalid_arg (Fmt.str "Faultsim.run_ppsfp: num_domains must be >= 1 (got %d)" num_domains);
   let total = Array.length patterns in
   let estimate =
     n_sites u * ((total + word_bits - 1) / word_bits) * Compiled.n_gates u.compiled
   in
-  let wanted = max 1 (min requested (min (n_sites u) (estimate / spawn_work))) in
+  let wanted =
+    if Option.fold ~none:false ~some:Dynmos_chaos.Chaos.enabled chaos then 1
+    else max 1 (min num_domains (min (n_sites u) (estimate / spawn_work)))
+  in
   let pool =
     if wanted = 1 then None
     else
@@ -402,11 +381,11 @@ let run_domain_parallel ?drop ?num_domains ?obs ?deadline ?max_evals ?interrupt 
   Fun.protect ~finally:(fun () -> Option.iter Parallel_exec.Scheduler.shutdown pool)
   @@ fun () ->
   Campaign.run_patterns ?drop ?obs ?deadline ?max_evals ?interrupt ?checkpoint ?max_attempts
-    ?backoff ?crash_hook ?on_progress ~n_sites:(n_sites u) ~total
+    ?backoff ?chaos ?crash_hook ?on_progress ~n_sites:(n_sites u) ~total
     (injection_kernel ?pool
        ~fields:
-         [ ("requested_domains", Obs.Int requested); ("effective_domains", Obs.Int effective) ]
-       ~name:"domains" ~unit_bits:word_bits ~count_good_evals:false u patterns)
+         [ ("requested_domains", Obs.Int num_domains); ("effective_domains", Obs.Int effective) ]
+       ~name:"ppsfp" ~unit_bits:word_bits ~count_good_evals:false u patterns)
 
 (* --- Random-pattern driver ------------------------------------------------ *)
 

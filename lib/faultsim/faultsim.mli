@@ -9,13 +9,12 @@ open Dynmos_sim
     classes of each gate's fault library — valid precisely because the
     paper's model maps every physical fault of a dynamic gate to a
     combinational function, so classical fault simulation applies
-    unchanged.  Four engines — serial (the readable reference),
-    bit-parallel (62 patterns/word), PPSFP (the same parallel-pattern
-    single-fault kernel under its literature name) and the multicore
-    domains engine — propagate one fault at a time, event by event, from
-    its own gate, and produce identical detection results (cross-checked
-    in tests against an independent deductive fault-list-propagation
-    oracle and against {!detects}). *)
+    unchanged.  Two campaign entry points — {!run_serial} (the readable
+    reference, one pattern per unit) and {!run_ppsfp} (62 patterns per
+    word, optionally split across domains) — propagate one fault at a
+    time, event by event, from its own gate, and produce identical
+    detection results (cross-checked in tests against an independent
+    deductive fault-list-propagation oracle and against {!detects}). *)
 
 type site = {
   sid : int;                 (** dense site id *)
@@ -89,10 +88,10 @@ val coverage_curve : summary -> float array
 val detects : universe -> site -> bool array -> bool
 (** Does one pattern detect one site? *)
 
-(** Every engine is a thin wrapper over the unified campaign driver
-    ({!Campaign}): limits, checkpointing, obs accounting, fault dropping,
-    supervision and the all-detected early exit are implemented exactly
-    once there, so the four entry points cannot drift apart.
+(** Both entry points are thin wrappers over the unified campaign
+    driver ({!Campaign}): limits, checkpointing, obs accounting, fault
+    dropping, supervision and the all-detected early exit are
+    implemented exactly once there, so the two cannot drift apart.
 
     Every engine propagates each fault event by event against the
     good-machine baseline ({!Compiled.eval_fault_into}): it stops at
@@ -107,10 +106,10 @@ val detects : universe -> site -> bool array -> bool
     performed ("evals") and the evaluations skipped by fault dropping or
     the all-detected early exit ("evals_saved").  Both counts follow one
     driver-level definition — {e one evaluation per live site per
-    pattern unit} — so engines with the same unit report identical
-    totals on the same campaign (serial sweeps one pattern per unit;
-    bit-parallel, PPSFP and the domains engine sweep one 62-pattern word
-    per unit).  Gate-level work is reported separately: every engine
+    pattern unit} — so runs with the same unit report identical totals
+    on the same campaign (serial sweeps one pattern per unit; PPSFP one
+    62-pattern word per unit, at every domain count).  Gate-level work
+    is reported separately: every engine
     carries "gate_evals" (gate evaluations performed) and
     "gate_evals_saved" (the gate evaluations event-driven propagation
     avoided relative to whole-circuit sweeps).  The recorder
@@ -162,29 +161,11 @@ val run_serial :
   bool array array ->
   summary
 (** Serial engine: one pattern per unit, one fault propagation per live
-    site — the readable reference the other engines are measured
-    against. *)
-
-val run_parallel :
-  ?drop:bool ->
-  ?obs:Dynmos_obs.Obs.t ->
-  ?deadline:float ->
-  ?max_evals:int ->
-  ?interrupt:(unit -> bool) ->
-  ?checkpoint:Checkpoint.ctl ->
-  ?max_attempts:int ->
-  ?backoff:Parallel_exec.Backoff.t ->
-  ?chaos:Dynmos_chaos.Chaos.t ->
-  ?crash_hook:(int -> unit) ->
-  ?on_progress:(units_done:int -> detected:int -> unit) ->
-  universe ->
-  bool array array ->
-  summary
-(** Bit-parallel engine: the serial kernel with 62 patterns packed per
-    machine word. *)
+    site — the readable reference {!run_ppsfp} is measured against. *)
 
 val run_ppsfp :
   ?drop:bool ->
+  ?num_domains:int ->
   ?obs:Dynmos_obs.Obs.t ->
   ?deadline:float ->
   ?max_evals:int ->
@@ -201,45 +182,21 @@ val run_ppsfp :
 (** PPSFP engine as Waicukauski et al. define it ("Fault simulation for
     structured VLSI", 1985): 62 patterns per word, one fault at a time,
     propagation that stops where the faulty word stops differing from
-    the good one.  That is {!run_parallel}'s kernel, reported under the
-    name ["ppsfp"]; it starts no domain. *)
+    the good one.
 
-val run_domain_parallel :
-  ?drop:bool ->
-  ?num_domains:int ->
-  ?obs:Dynmos_obs.Obs.t ->
-  ?deadline:float ->
-  ?max_evals:int ->
-  ?interrupt:(unit -> bool) ->
-  ?checkpoint:Checkpoint.ctl ->
-  ?max_attempts:int ->
-  ?backoff:Parallel_exec.Backoff.t ->
-  ?crash_hook:(int -> unit) ->
-  ?on_progress:(units_done:int -> detected:int -> unit) ->
-  universe ->
-  bool array array ->
-  summary
-(** Multicore engine: {!run_parallel} with each 62-pattern unit's live
-    sites split across OCaml 5 domains ({!Parallel_exec.split}).  The
-    calling domain packs the unit and sweeps the good machine once; it
-    and the helpers of a campaign-private {!Parallel_exec.Scheduler},
-    spawned once per campaign, each evaluate blocks of sites with
-    private scratch state.  Patterns advance one unit at a time under
-    the same driver as every other engine, so [first_detection],
-    partial results (pattern prefixes) and checkpoints (interchangeable
-    with the other engines') are {!run_parallel}'s for every
-    [num_domains] and [drop].
-
-    [num_domains] (default [Domain.recommended_domain_count ()]) is a
-    ceiling: the campaign starts at most one domain per site and per
-    50 000 gate evaluations of static work estimate (sites x words x
-    gates), so a small campaign starts no domain at all; and the helpers
-    sit out any unit after one that performed fewer than 2 000 gate
-    evaluations.
-    The ["faultsim.run"] event reports ["requested_domains"] and
-    ["effective_domains"] (the calling domain plus the helpers that
-    started).  There is no [?chaos]: a chaos schedule replays from one
-    sweeping domain, which {!run_parallel} provides. *)
+    [num_domains] (default 1) caps the domains that split each unit's
+    live sites ({!Parallel_exec.split}): the calling domain packs the
+    unit and sweeps the good machine, then it and the helpers of a
+    campaign-private {!Parallel_exec.Scheduler} evaluate blocks of
+    sites.  At most one domain starts per site and per 50 000 gate
+    evaluations of static estimate (sites x words x gates), none under
+    an armed [chaos] registry (its schedule replays from one domain),
+    and helpers sit out any unit after one of fewer than 2 000 gate
+    evaluations.  Results, partial results and checkpoints do not depend
+    on [num_domains].  The ["faultsim.run"] event reports
+    ["requested_domains"] and ["effective_domains"] (the calling domain
+    plus the helpers that started).  Raises [Invalid_argument] when
+    [num_domains] < 1. *)
 
 val random_patterns :
   ?weights:float array -> Prng.t -> n_inputs:int -> count:int -> bool array array

@@ -1,9 +1,9 @@
 (** The driver/kernel interface of the unified campaign driver.
 
     A kernel is one way of evaluating the fault universe over a span of
-    patterns: the event-driven injection kernel behind every public
-    engine (one pattern or a 62-pattern word per unit, on one domain or
-    split across several), or a test oracle.  It owns only the
+    patterns: the event-driven injection kernel behind both public
+    entry points (one pattern or a 62-pattern word per unit, on one
+    domain or split across several), or a test oracle.  It owns only the
     evaluation mechanics;
     every campaign policy — limits, checkpointing, obs accounting, fault
     dropping, supervision/retry and the all-detected early exit — lives

@@ -5,14 +5,14 @@ module Prng = Dynmos_util.Prng
    serve loop: retry backoff, a persistent supervised domain pool, and
    [split], which spreads one pattern unit's fault sites over that pool.
 
-   The domains engine is the bit-parallel kernel under the ordinary
-   campaign driver; only the inside of a unit is parallel.  The calling
-   domain packs the unit's patterns and sweeps the good machine once,
-   then it and the pool's helpers claim blocks of sites from one atomic
-   cursor, each with private scratch.  Patterns are still consumed in
-   ascending units, so first detections, checkpoints and partial results
-   are those of the single-domain engine.  Blocks (rather than single
-   sites) amortize the atomic op; a shared cursor (rather than
+   [Faultsim.run_ppsfp ~num_domains] runs the PPSFP kernel under the
+   ordinary campaign driver; only the inside of a unit is parallel.  The
+   calling domain packs the unit's patterns and sweeps the good machine
+   once, then it and the pool's helpers claim blocks of sites from one
+   atomic cursor, each with private scratch.  Patterns are still
+   consumed in ascending units, so first detections, checkpoints and
+   partial results are those of a one-domain run.  Blocks (rather than
+   single sites) amortize the atomic op; a shared cursor (rather than
    pre-split ranges) load-balances sites whose propagation cost differs
    wildly.
 

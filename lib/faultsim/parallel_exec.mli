@@ -3,7 +3,7 @@
     pool ({!Scheduler}) and {!split}, which spreads one pattern unit's
     fault sites over such a pool.
 
-    [Faultsim.run_domain_parallel] is the bit-parallel kernel under the
+    [Faultsim.run_ppsfp ~num_domains] runs the PPSFP kernel under the
     ordinary campaign driver with each 62-pattern unit split across a
     campaign-private {!Scheduler}; the serve loop runs its executors on
     another. *)

@@ -101,7 +101,7 @@ let proposed_length report =
 let validate ?(seed = 1) report =
   match proposed_length report with
   | None ->
-      let summary = Faultsim.run_parallel report.universe [||] in
+      let summary = Faultsim.run_ppsfp report.universe [||] in
       {
         applied = 0;
         summary;
@@ -110,7 +110,7 @@ let validate ?(seed = 1) report =
       }
   | Some n ->
       let pats = patterns ~seed report ~count:n in
-      let summary = Faultsim.run_parallel report.universe pats in
+      let summary = Faultsim.run_ppsfp report.universe pats in
       (* Predict with the detection probabilities under the weights the
          patterns were actually drawn from. *)
       let weights =

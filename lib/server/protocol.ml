@@ -5,13 +5,11 @@
    checks like gate-id ranges are the one exception, resolved at
    execution time when the compiled circuit is in hand). *)
 
-type engine = [ `Serial | `Parallel | `Ppsfp | `Domains ]
+type engine = [ `Serial | `Ppsfp ]
 
-let engine_name = function
-  | `Serial -> "serial"
-  | `Parallel -> "parallel"
-  | `Ppsfp -> "ppsfp"
-  | `Domains -> "domains"
+let engines = [ ("serial", `Serial); ("ppsfp", `Ppsfp) ]
+
+let engine_name = function `Serial -> "serial" | `Ppsfp -> "ppsfp"
 
 type run = {
   id : Json.t option;
@@ -70,14 +68,6 @@ let opt_field obj field conv =
   | Some v ->
       let* x = conv ~field v in
       Ok (Some x)
-
-let enum_field ~field choices v =
-  let* s = to_string ~field v in
-  match List.assoc_opt s choices with
-  | Some x -> Ok x
-  | None ->
-      err "field %S: unknown value %S (expected one of: %s)" field s
-        (String.concat ", " (List.map fst choices))
 
 (* Strictness: an unknown field is a rejected request.  A misspelled
    "max_evls" silently ignored would run without its budget — the
@@ -141,22 +131,24 @@ let parse_run ~limits ~known_circuit obj id =
   let seed = Option.value ~default:42 seed in
   let* engine =
     match Json.member "engine" obj with
-    | None -> Ok `Serial
-    | Some v ->
-        enum_field ~field:"engine"
-          [
-            ("serial", `Serial);
-            ("parallel", `Parallel);
-            ("ppsfp", `Ppsfp);
-            ("domains", `Domains);
-          ]
-          v
+    | None -> Ok `Ppsfp
+    | Some v -> (
+        let* name = to_string ~field:"engine" v in
+        match List.assoc_opt name engines with
+        | Some e -> Ok e
+        | None ->
+            err "field \"engine\": %s %S (expected one of: %s)"
+              (if name = "parallel" || name = "domains" then
+                 "\"ppsfp\" (with \"jobs\" for domains) runs the kernel of the removed engine"
+               else "unknown value")
+              name
+              (String.concat ", " (List.map fst engines)))
   in
   let* jobs = opt_field obj "jobs" to_int in
   let* () =
     match jobs with
     | Some j when j < 1 || j > 1024 -> err "field \"jobs\" must be in 1..1024 (got %d)" j
-    | Some _ when engine <> `Domains -> err "field \"jobs\" only applies to the \"domains\" engine"
+    | Some _ when engine <> `Ppsfp -> err "field \"jobs\" only applies to the \"ppsfp\" engine"
     | _ -> Ok ()
   in
   let* drop = opt_field obj "drop" to_bool in

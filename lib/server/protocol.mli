@@ -16,7 +16,11 @@
     {e not} the response; the one-response-per-line invariant counts
     terminal statuses only (everything except "progress"). *)
 
-type engine = [ `Serial | `Parallel | `Ppsfp | `Domains ]
+type engine = [ `Serial | `Ppsfp ]
+
+val engines : (string * engine) list
+(** Every engine a request (or [dynmos faultsim --engine]) may name, by
+    its protocol name. *)
 
 val engine_name : engine -> string
 
@@ -25,9 +29,9 @@ type run = {
   circuit : string;    (** validated against the catalog at admission *)
   patterns : int;
   seed : int;
-  engine : engine;
+  engine : engine;  (** [`Ppsfp] when the request names none *)
   jobs : int option;
-      (** worker domains, [`Domains] engine only; accepted in 1..1024,
+      (** worker domains, [`Ppsfp] engine only; accepted in 1..1024,
           and the server clamps it to [Domain.recommended_domain_count ()]
           at execution *)
   drop : bool;
@@ -45,7 +49,7 @@ type run = {
           exercising the supervised pool's crash isolation end to end *)
   stream_every : int option;
       (** emit a ["progress"] line roughly every this many completed
-          work units (patterns, or sites for the domains engine) *)
+          patterns *)
 }
 
 type request =
@@ -67,8 +71,9 @@ val parse_request :
     unknown circuits, out-of-range pattern counts / seeds / budgets all
     return [Error] with a message naming the offending field.  The
     removed fields ["algo"] (fanout-cone injection is the only
-    algorithm) and ["group"] (the ppsfp engine has no fault groups) get
-    their own messages. *)
+    algorithm) and ["group"] (the ppsfp engine has no fault groups), and
+    the removed engines ["parallel"] and ["domains"] (["ppsfp"] runs
+    their kernel, on [jobs] domains), get their own messages. *)
 
 val request_id : request -> Json.t option
 

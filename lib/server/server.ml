@@ -553,9 +553,7 @@ let current_key key =
   match String.split_on_char '|' key with
   | [ c; u; p; engine; drop ] ->
       digest c && digest u && digest p
-      && List.exists
-           (fun e -> Protocol.engine_name e = engine)
-           [ `Serial; `Parallel; `Ppsfp; `Domains ]
+      && List.mem_assoc engine Protocol.engines
       && (drop = "true" || drop = "false")
   | _ -> false
 
@@ -704,15 +702,9 @@ let exec_job t client job =
         | `Serial ->
             Faultsim.run_serial ~drop ~obs:job_obs ~deadline ?max_evals ~interrupt
               ?checkpoint:ckpt ?crash_hook ?on_progress u pats
-        | `Parallel ->
-            Faultsim.run_parallel ~drop ~obs:job_obs ~deadline ?max_evals ~interrupt
-              ?checkpoint:ckpt ?crash_hook ?on_progress u pats
         | `Ppsfp ->
-            Faultsim.run_ppsfp ~drop ~obs:job_obs ~deadline ?max_evals ~interrupt
+            Faultsim.run_ppsfp ~drop ?num_domains ~obs:job_obs ~deadline ?max_evals ~interrupt
               ?checkpoint:ckpt ?crash_hook ?on_progress u pats
-        | `Domains ->
-            Faultsim.run_domain_parallel ~drop ?num_domains ~obs:job_obs ~deadline ?max_evals
-              ~interrupt ?checkpoint:ckpt ?crash_hook ?on_progress u pats
       in
       let dt = Obs.now () -. t0 in
       let events = fetch () in

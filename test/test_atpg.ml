@@ -25,7 +25,7 @@ let test_single_fault () =
 let full_coverage nl =
   let u = Faultsim.universe nl in
   let r = Podem.generate_set u in
-  let s = Faultsim.run_parallel u r.Podem.vectors in
+  let s = Faultsim.run_ppsfp u r.Podem.vectors in
   (u, r, Faultsim.coverage s)
 
 let test_full_sets () =
@@ -52,7 +52,7 @@ let test_full_sets () =
         cov;
       let n_in = List.length (Netlist.inputs nl) in
       if n_in <= 10 then begin
-        let s = Faultsim.run_parallel ~drop:false u (Faultsim.exhaustive_patterns n_in) in
+        let s = Faultsim.run_ppsfp ~drop:false u (Faultsim.exhaustive_patterns n_in) in
         Array.iteri
           (fun sid verdict ->
             match (verdict, s.Faultsim.first_detection.(sid)) with
@@ -104,7 +104,7 @@ let test_untestable_redundancy () =
   check "some untestable faults" true (List.length untestable > 0);
   (* PODEM's untestable verdicts are consistent with exhaustive
      simulation. *)
-  let s = Faultsim.run_parallel u (Faultsim.exhaustive_patterns 2) in
+  let s = Faultsim.run_ppsfp u (Faultsim.exhaustive_patterns 2) in
   Array.iteri
     (fun sid verdict ->
       match (verdict, s.Faultsim.first_detection.(sid)) with
@@ -218,7 +218,7 @@ let qcheck_podem_complete =
           ~technology:Technology.Domino_cmos ()
       in
       let u = Faultsim.universe nl in
-      let s = Faultsim.run_parallel ~drop:false u (Faultsim.exhaustive_patterns 5) in
+      let s = Faultsim.run_ppsfp ~drop:false u (Faultsim.exhaustive_patterns 5) in
       Array.for_all
         (fun site ->
           let detectable = s.Faultsim.first_detection.(site.Faultsim.sid) <> None in

@@ -35,15 +35,12 @@ let engines : (string * run) list =
     ( "serial",
       fun ?deadline ?max_evals ?interrupt u pats ->
         Faultsim.run_serial ?deadline ?max_evals ?interrupt u pats );
-    ( "parallel",
-      fun ?deadline ?max_evals ?interrupt u pats ->
-        Faultsim.run_parallel ?deadline ?max_evals ?interrupt u pats );
     ( "ppsfp",
       fun ?deadline ?max_evals ?interrupt u pats ->
         Faultsim.run_ppsfp ?deadline ?max_evals ?interrupt u pats );
-    ( "domains",
+    ( "ppsfp x2",
       fun ?deadline ?max_evals ?interrupt u pats ->
-        Faultsim.run_domain_parallel ~num_domains:2 ?deadline ?max_evals ?interrupt u pats );
+        Faultsim.run_ppsfp ~num_domains:2 ?deadline ?max_evals ?interrupt u pats );
   ]
 
 let stop_cause (s : Faultsim.summary) =
@@ -109,12 +106,12 @@ let test_checkpoint_resume_propagation_kernel () =
    the unlimited run: a site is detected iff the unlimited run detects
    it within the first [patterns_done] patterns, at the same pattern.
    This is the strongest statement of "limits lose only the tail" and
-   it holds exactly for every engine, the domains engine included,
-   because the driver stops only at unit boundaries. *)
+   it holds exactly for every engine, at every domain count, because
+   the driver stops only at unit boundaries. *)
 let qcheck_limited_is_prefix =
   QCheck2.Test.make ~name:"any kernel x limits is a prefix of the unlimited run"
     ~count:60
-    QCheck2.Gen.(triple (int_range 0 3) (int_range 0 2) (int_range 1 60))
+    QCheck2.Gen.(triple (int_range 0 (List.length engines - 1)) (int_range 0 2) (int_range 1 60))
     (fun (engine_ix, limit_kind, scale) ->
       let u, pats = fixture () in
       let name, (run : run) = List.nth engines engine_ix in
@@ -152,7 +149,7 @@ let qcheck_limited_is_prefix =
         limited.Faultsim.first_detection reference.Faultsim.first_detection)
 
 (* The per-site reading of the prefix law, on a campaign large enough
-   that the domains engine starts a helper domain (the fixture above
+   that [run_ppsfp ~num_domains:2] starts a helper domain (the fixture above
    runs on one) and, without dropping, splits every one of its ten
    units (11.1k-12.1k gate evaluations each, 116k in all, against the
    engine's 2 000-evaluation threshold).  Budgets of 2.5k-100k stop the
@@ -168,7 +165,7 @@ let split_fixture =
      in
      let u = Faultsim.universe nl in
      let pats = Faultsim.random_patterns (Prng.create 53) ~n_inputs:16 ~count:620 in
-     (u, pats, Faultsim.run_domain_parallel ~drop:false ~num_domains:2 u pats))
+     (u, pats, Faultsim.run_ppsfp ~drop:false ~num_domains:2 u pats))
 
 let qcheck_limited_domains_is_site_subset =
   QCheck2.Test.make ~name:"limited domains run is a site-subset of the unlimited run"
@@ -178,7 +175,7 @@ let qcheck_limited_domains_is_site_subset =
       let u, pats, reference = Lazy.force split_fixture in
       let sink, fetch = Obs.memory_sink () in
       let limited =
-        Faultsim.run_domain_parallel ~drop:false ~num_domains:2 ~obs:(Obs.make sink)
+        Faultsim.run_ppsfp ~drop:false ~num_domains:2 ~obs:(Obs.make sink)
           ~max_evals:(scale * 2500) u pats
       in
       let effective =

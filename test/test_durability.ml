@@ -444,14 +444,16 @@ let test_server_recovers_journaled_job () =
         (float_field "coverage" r = Faultsim.coverage clean))
 
 (* Upgrade path: builds before the "algo" field was removed journaled it
-   in every envelope ("cone" by default), and builds before the "group"
-   field was removed journaled it in every ppsfp envelope that set it.
-   A job such a build left pending is rejected by today's schema, so
-   boot must complete, close the job out with an error done record and
-   drain the journal; the client's retry then runs fresh.  The journal
-   is written by hand — its own CRC-32 — exactly as that build wrote
-   it. *)
-let pre_upgrade_envelope_closed_out ~engine envelope =
+   in every envelope ("cone" by default), builds before the "group"
+   field was removed journaled it in every ppsfp envelope that set it,
+   and builds before the "parallel" and "domains" engines were removed
+   journaled those names.  A job such a build left pending is rejected
+   by today's schema, so boot must complete, close the job out with an
+   error done record and drain the journal; the client's retry (naming
+   [engine], or no engine when it is absent) then runs fresh.  The
+   journal is written by hand — its own CRC-32 — exactly as that build
+   wrote it. *)
+let pre_upgrade_envelope_closed_out ?engine envelope =
   with_dir "dynmos_dur" @@ fun dir ->
   let crc32 s =
     let c = ref 0xffffffff in
@@ -477,13 +479,11 @@ let pre_upgrade_envelope_closed_out ~engine envelope =
       check "job closed out as error" true
         (List.mem (record "done 0 error")
            (List.map (fun l -> l ^ "\n") (String.split_on_char '\n' (read_file path))));
+      let engine_field = Option.fold ~none:"" ~some:(Printf.sprintf {|,"engine":"%s"|}) engine in
       let r =
         response_for 1
           (run_on t
-             [
-               Printf.sprintf {|{"circuit":"carry8","patterns":48,"seed":11,"engine":"%s"}|}
-                 engine;
-             ])
+             [ Printf.sprintf {|{"circuit":"carry8","patterns":48,"seed":11%s}|} engine_field ])
       in
       check_s "retry ok" "ok" (status r);
       check "retry ran fresh" false (bool_field "cached" r))
@@ -492,7 +492,9 @@ let test_server_recovery_pre_upgrade_envelope () =
   pre_upgrade_envelope_closed_out ~engine:"serial"
     {|{"op":"run","circuit":"carry8","patterns":48,"seed":11,"engine":"serial","drop":true,"algo":"cone","deadline_s":30}|};
   pre_upgrade_envelope_closed_out ~engine:"ppsfp"
-    {|{"op":"run","circuit":"carry8","patterns":48,"seed":11,"engine":"ppsfp","group":16,"drop":true,"deadline_s":30}|}
+    {|{"op":"run","circuit":"carry8","patterns":48,"seed":11,"engine":"ppsfp","group":16,"drop":true,"deadline_s":30}|};
+  pre_upgrade_envelope_closed_out
+    {|{"op":"run","circuit":"carry8","patterns":48,"seed":11,"engine":"domains","jobs":2,"drop":true,"deadline_s":30}|}
 
 let test_server_recovery_resumes_checkpoint () =
   with_dir "dynmos_dur" @@ fun dir ->
@@ -506,21 +508,23 @@ let test_server_recovery_resumes_checkpoint () =
      A [gates] job's identity pairs the circuit's digest with its own
      restricted universe's. *)
   let crash ju req =
-    let clean, clean_evals = run_clean_serial ju pats in
+    let mem, fetch = Obs.memory_sink () in
+    let clean = Faultsim.run_ppsfp ~drop:true ~obs:(Obs.make mem) ju pats in
+    let clean_evals = evals_of (fetch ()) in
     let ident =
       String.concat "|"
         [
           Faultsim.circuit_digest u;
           Faultsim.universe_digest ju;
           Faultsim.patterns_digest pats;
-          "serial";
+          "ppsfp";
           "true";
         ]
     in
     let path = Filename.concat ckpt_dir (Digest.to_hex (Digest.string ident) ^ ".ckpt") in
     let ctl = Faultsim.checkpoint_ctl ~path ~interval:1 ju pats in
     let partial =
-      Faultsim.run_serial ~drop:true ~max_evals:(clean_evals / 2) ~checkpoint:ctl ju pats
+      Faultsim.run_ppsfp ~drop:true ~max_evals:(clean_evals / 2) ~checkpoint:ctl ju pats
     in
     (match partial.Faultsim.outcome with
     | Outcome.Partial _ -> ()
@@ -584,7 +588,7 @@ let test_server_discards_sites_mode_checkpoint () =
         Faultsim.circuit_digest u;
         Faultsim.universe_digest u;
         Faultsim.patterns_digest pats;
-        "domains";
+        "ppsfp";
         "true";
       ]
   in
@@ -598,7 +602,7 @@ let test_server_discards_sites_mode_checkpoint () =
     ~finally:(fun () -> Server.shutdown t)
     (fun () ->
       let req =
-        Printf.sprintf {|{"circuit":"carry8","patterns":%d,"seed":%d,"engine":"domains"}|}
+        Printf.sprintf {|{"circuit":"carry8","patterns":%d,"seed":%d,"engine":"ppsfp"}|}
           patterns seed
       in
       let r = response_for 1 (run_on t [ req ]) in
@@ -608,42 +612,36 @@ let test_server_discards_sites_mode_checkpoint () =
       check "old checkpoint gone" false (Sys.file_exists path))
 
 (* Upgrade path for the result cache: an entry persisted under an older
-   [job_ident] shape (here one still carrying the "algo" component) can
-   never hit.  Boot must delete it instead of rehydrating it, and the
-   repeat request runs fresh and leaves exactly one entry. *)
+   [job_ident] shape (one still carrying the "algo" component, or one
+   keyed by the removed "parallel" or "domains" engine) can never hit.
+   Boot must delete it instead of rehydrating it, and the repeat request
+   runs fresh and leaves exactly one entry. *)
 let test_server_removes_stale_cache_entries () =
   with_dir "dynmos_dur" @@ fun dir ->
   let u, pats = workload "carry8" ~patterns:64 ~seed:1 in
   let cache_dir = Filename.concat dir "cache" in
   Unix.mkdir cache_dir 0o755;
-  let key =
-    String.concat "|"
-      [
-        Faultsim.circuit_digest u;
-        Faultsim.universe_digest u;
-        Faultsim.patterns_digest pats;
-        "ppsfp";
-        "cone";
-        "true";
-      ]
+  let digests =
+    [ Faultsim.circuit_digest u; Faultsim.universe_digest u; Faultsim.patterns_digest pats ]
   in
-  Cache_store.save cache_dir
-    {
-      Cache_store.key;
-      summary = Faultsim.run_ppsfp u pats;
-      dt_s = 0.01;
-      evals = 1;
-      n_sites = Faultsim.n_sites u;
-    };
-  let stale = Cache_store.file_of cache_dir key in
-  check "stale entry planted" true (Sys.file_exists stale);
+  let summary = Faultsim.run_ppsfp u pats in
+  let stale =
+    List.map
+      (fun tail ->
+        let key = String.concat "|" (digests @ tail) in
+        Cache_store.save cache_dir
+          { Cache_store.key; summary; dt_s = 0.01; evals = 1; n_sites = Faultsim.n_sites u };
+        Cache_store.file_of cache_dir key)
+      [ [ "ppsfp"; "cone"; "true" ]; [ "parallel"; "true" ]; [ "domains"; "true" ] ]
+  in
+  check "stale entries planted" true (List.for_all Sys.file_exists stale);
   let t = Server.create ~config:(durable_config dir) () in
   Fun.protect
     ~finally:(fun () -> Server.shutdown t)
     (fun () ->
       check_i "nothing rehydrated" 0 (stat t "cache_loaded");
-      check_i "stale entry counted" 1 (stat t "cache_stale_removed");
-      check "stale file deleted" false (Sys.file_exists stale);
+      check_i "stale entries counted" 3 (stat t "cache_stale_removed");
+      check "stale files deleted" false (List.exists Sys.file_exists stale);
       let r =
         response_for 1
           (run_on t [ {|{"circuit":"carry8","patterns":64,"seed":1,"engine":"ppsfp"}|} ])
@@ -723,10 +721,10 @@ let test_server_journal_admission_gate () =
 let test_domains_checkpoint_backup_rotation () =
   with_dir "dynmos_ckpt" @@ fun dir ->
   let u, pats = workload "carry8" ~patterns:160 ~seed:5 in
-  let clean = Faultsim.run_domain_parallel ~drop:true ~num_domains:2 u pats in
+  let clean = Faultsim.run_ppsfp ~drop:true ~num_domains:2 u pats in
   let path = Filename.concat dir "domains.ckpt" in
   let ctl = Faultsim.checkpoint_ctl ~path ~interval:1 u pats in
-  let s = Faultsim.run_domain_parallel ~drop:true ~num_domains:2 ~checkpoint:ctl u pats in
+  let s = Faultsim.run_ppsfp ~drop:true ~num_domains:2 ~checkpoint:ctl u pats in
   check "campaign complete" true (s.Faultsim.outcome = Outcome.Complete);
   check "interval 1 wrote repeatedly" true (Checkpoint.writes ctl >= 2);
   check "rotation left a backup" true (Sys.file_exists (path ^ ".bak"));
@@ -739,7 +737,7 @@ let test_domains_checkpoint_backup_rotation () =
   check "pattern-prefix mode" true (st.Checkpoint.mode = Checkpoint.Patterns);
   let ctl2 = Faultsim.checkpoint_ctl ~path ~interval:1 ~resume:true u pats in
   check "controller records the backup source" true (Checkpoint.resumed_from_backup ctl2);
-  let resumed = Faultsim.run_domain_parallel ~drop:true ~num_domains:2 ~checkpoint:ctl2 u pats in
+  let resumed = Faultsim.run_ppsfp ~drop:true ~num_domains:2 ~checkpoint:ctl2 u pats in
   check "resume from .bak is bit-identical" true
     (resumed.Faultsim.first_detection = clean.Faultsim.first_detection);
   check_i "all sites final" (Faultsim.n_sites u) resumed.Faultsim.sites_done
@@ -747,7 +745,7 @@ let test_domains_checkpoint_backup_rotation () =
 let test_domains_checkpoint_torn_write_chaos () =
   with_dir "dynmos_ckpt" @@ fun dir ->
   let u, pats = workload "fig5" ~patterns:12 ~seed:4 in
-  let clean = Faultsim.run_domain_parallel ~drop:true ~num_domains:2 u pats in
+  let clean = Faultsim.run_ppsfp ~drop:true ~num_domains:2 u pats in
   let path = Filename.concat dir "domains.ckpt" in
   (* Pre-plant a stale tmp from a "crashed" writer; the controller must
      sweep it at creation. *)
@@ -759,7 +757,7 @@ let test_domains_checkpoint_torn_write_chaos () =
   in
   let ctl = Faultsim.checkpoint_ctl ~path ~interval:1 ~chaos u pats in
   check "stale tmp swept" true (Checkpoint.stale_cleaned ctl >= 1);
-  let s = Faultsim.run_domain_parallel ~drop:true ~num_domains:2 ~checkpoint:ctl u pats in
+  let s = Faultsim.run_ppsfp ~drop:true ~num_domains:2 ~checkpoint:ctl u pats in
   check "torn write absorbed, campaign complete" true (s.Faultsim.outcome = Outcome.Complete);
   check "torn write counted" true (Checkpoint.failed_writes ctl >= 1);
   check "detections unaffected by chaos" true

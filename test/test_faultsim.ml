@@ -6,7 +6,7 @@ open Dynmos_faultsim
 open Dynmos_circuits
 
 (* Tests for fault simulation: universe construction and the agreement of
-   the four engines with the deductive oracle — which is itself a
+   the two engines with the deductive oracle — which is itself a
    reproduction artefact: the paper's point is that dynamic-MOS faults stay
    combinational so classical fault-simulation machinery applies. *)
 
@@ -47,22 +47,21 @@ let test_detects () =
   check "11000 detects a-open" true (Faultsim.detects u site [| true; true; false; false; false |]);
   check "00011 does not" false (Faultsim.detects u site [| false; false; false; true; true |])
 
-(* The four engines — serial, bit-parallel, PPSFP and the domains
-   engine — must produce the first_detection of the deductive oracle,
-   which propagates fault lists through every gate and shares no
-   evaluation code with the engines' cone injection. *)
+(* Both engines — serial, and PPSFP asked for one domain and for two —
+   must produce the first_detection of the deductive oracle, which
+   propagates fault lists through every gate and shares no evaluation
+   code with the engines' cone injection. *)
 let engines_agree u patterns =
   let reference = Deductive_oracle.run ~drop:false u patterns in
   let agree s = s.Faultsim.first_detection = reference.Faultsim.first_detection in
   agree (Faultsim.run_serial ~drop:false u patterns)
-  && agree (Faultsim.run_parallel ~drop:false u patterns)
   && agree (Faultsim.run_ppsfp ~drop:false u patterns)
-  && agree (Faultsim.run_domain_parallel ~drop:false u patterns)
+  && agree (Faultsim.run_ppsfp ~drop:false ~num_domains:2 u patterns)
 
 let test_engines_agree_fig9 () =
   let u = fig9_u () in
   let patterns = Faultsim.exhaustive_patterns 5 in
-  check "serial = parallel = ppsfp = domains = oracle" true (engines_agree u patterns)
+  check "serial = ppsfp (1 and 2 domains) = oracle" true (engines_agree u patterns)
 
 (* The oracle itself against brute force: a [Faultsim.detects] scan of
    every site over every pattern, first hit wins, under both drop
@@ -217,7 +216,7 @@ let test_domain_counts_equal () =
   List.iter
     (fun n ->
       let s =
-        Faultsim.run_domain_parallel ~drop:false ~num_domains:n u pats
+        Faultsim.run_ppsfp ~drop:false ~num_domains:n u pats
       in
       check (Fmt.str "num_domains=%d" n) true
         (s.Faultsim.first_detection = reference.Faultsim.first_detection))
@@ -235,10 +234,10 @@ let test_domain_drop_semantics () =
   List.iter
     (fun n ->
       let with_drop =
-        Faultsim.run_domain_parallel ~drop:true ~num_domains:n u pats
+        Faultsim.run_ppsfp ~drop:true ~num_domains:n u pats
       in
       let without =
-        Faultsim.run_domain_parallel ~drop:false ~num_domains:n u pats
+        Faultsim.run_ppsfp ~drop:false ~num_domains:n u pats
       in
       check (Fmt.str "drop invariant, num_domains=%d" n) true
         (with_drop.Faultsim.first_detection = without.Faultsim.first_detection);
@@ -250,11 +249,11 @@ let test_domain_drop_semantics () =
 let test_domain_empty_universe () =
   (* More domains than sites, and zero patterns, must both be safe. *)
   let u = fig9_u () in
-  let s = Faultsim.run_domain_parallel ~num_domains:8 u [||] in
+  let s = Faultsim.run_ppsfp ~num_domains:8 u [||] in
   check_i "no patterns" 0 s.Faultsim.n_patterns;
   check "nothing detected" true (Array.for_all (( = ) None) s.Faultsim.first_detection);
   let pats = Faultsim.exhaustive_patterns 5 in
-  let s = Faultsim.run_domain_parallel ~num_domains:32 u pats in
+  let s = Faultsim.run_ppsfp ~num_domains:32 u pats in
   check "32 domains, 10 sites" true
     (s.Faultsim.first_detection = (Faultsim.run_serial u pats).Faultsim.first_detection)
 
@@ -262,7 +261,7 @@ let test_exhaustive_full_coverage () =
   (* Every site of the fig9 universe is detectable (library excluded the
      redundant ones), so exhaustive patterns reach 100%. *)
   let u = fig9_u () in
-  let s = Faultsim.run_parallel u (Faultsim.exhaustive_patterns 5) in
+  let s = Faultsim.run_ppsfp u (Faultsim.exhaustive_patterns 5) in
   Alcotest.(check (float 1e-9)) "full coverage" 1.0 (Faultsim.coverage s);
   check_i "all detected" (Faultsim.n_sites u) (Faultsim.n_detected s);
   check "no undetected" true (Faultsim.undetected u s = [])
@@ -273,14 +272,14 @@ let test_more_patterns_dont_hurt () =
   let n_in = Dynmos_sim.Compiled.n_inputs u.Faultsim.compiled in
   let pats = Faultsim.random_patterns prng ~n_inputs:n_in ~count:64 in
   let half = Array.sub pats 0 32 in
-  let c1 = Faultsim.coverage (Faultsim.run_parallel u half) in
-  let c2 = Faultsim.coverage (Faultsim.run_parallel u pats) in
+  let c1 = Faultsim.coverage (Faultsim.run_ppsfp u half) in
+  let c2 = Faultsim.coverage (Faultsim.run_ppsfp u pats) in
   check "monotone coverage" true (c2 >= c1)
 
 let test_coverage_curve () =
   let u = fig9_u () in
   let pats = Faultsim.exhaustive_patterns 5 in
-  let s = Faultsim.run_parallel u pats in
+  let s = Faultsim.run_ppsfp u pats in
   let curve = Faultsim.coverage_curve s in
   check_i "curve length" (Array.length pats + 1) (Array.length curve);
   Alcotest.(check (float 1e-9)) "starts at 0" 0.0 curve.(0);
@@ -298,8 +297,8 @@ let test_drop_consistency () =
   let u = Faultsim.universe (Generators.carry_chain ~technology:Technology.Domino_cmos 5) in
   let prng = Prng.create 19 in
   let pats = Faultsim.random_patterns prng ~n_inputs:11 ~count:80 in
-  let with_drop = Faultsim.run_parallel ~drop:true u pats in
-  let without = Faultsim.run_parallel ~drop:false u pats in
+  let with_drop = Faultsim.run_ppsfp ~drop:true u pats in
+  let without = Faultsim.run_ppsfp ~drop:false u pats in
   check "same detection set" true
     (Array.for_all2
        (fun a b -> (a = None) = (b = None))
@@ -449,7 +448,8 @@ let test_restrict_universe () =
 (* --- PPSFP ------------------------------------------------------------------- *)
 
 (* Restricted universes (arbitrary site subsets) go through the same
-   kernel. *)
+   kernel: 62-pattern words give the one-pattern reference's first
+   detections. *)
 let test_ppsfp_restricted_universe () =
   let nl =
     Generators.random_monotone ~seed:21 ~n_inputs:8 ~n_gates:30
@@ -459,7 +459,7 @@ let test_ppsfp_restricted_universe () =
   let ru = Faultsim.restrict_universe u ~gates:[ 0; 5; 7; 13; 22 ] in
   let prng = Prng.create 91 in
   let pats = Faultsim.random_patterns prng ~n_inputs:8 ~count:90 in
-  let reference = Faultsim.run_parallel ~drop:false ru pats in
+  let reference = Faultsim.run_serial ~drop:false ru pats in
   check "restricted universe" true
     ((Faultsim.run_ppsfp ~drop:false ru pats).Faultsim.first_detection
     = reference.Faultsim.first_detection)
@@ -481,9 +481,8 @@ let test_obs_parity () =
   let engines =
     [
       ("serial", fun obs -> Faultsim.run_serial ~obs u pats);
-      ("parallel", fun obs -> Faultsim.run_parallel ~obs u pats);
       ("ppsfp", fun obs -> Faultsim.run_ppsfp ~obs u pats);
-      ("domains", fun obs -> Faultsim.run_domain_parallel ~num_domains:2 ~obs u pats);
+      ("ppsfp x2", fun obs -> Faultsim.run_ppsfp ~num_domains:2 ~obs u pats);
     ]
   in
   List.iter
@@ -506,10 +505,10 @@ let run_event fetch =
   | l -> Alcotest.fail (Fmt.str "expected exactly one faultsim.run event, got %d" (List.length l))
 
 (* The eval counters must reconcile across engines: the serial engine
-   evaluates sites x patterns without dropping, and the domains engine —
-   the bit-parallel kernel with each unit split over domains — performs
-   exactly the bit-parallel engine's faulty-machine evaluations under
-   the same drop setting, whatever domain count was asked for. *)
+   evaluates sites x patterns without dropping, and PPSFP with each unit
+   split over domains performs exactly the one-domain run's
+   faulty-machine evaluations under the same drop setting, whatever
+   domain count was asked for. *)
 let test_obs_eval_reconciliation () =
   let nl = Generators.carry_chain ~technology:Technology.Domino_cmos 6 in
   let u = Faultsim.universe nl in
@@ -529,14 +528,14 @@ let test_obs_eval_reconciliation () =
         check_i "no-drop serial evals = sites x patterns"
           (Faultsim.n_sites u * Array.length pats)
           serial_evals;
-      let parallel_evals = evals (fun obs -> Faultsim.run_parallel ~drop ~obs u pats) in
+      let one_domain_evals = evals (fun obs -> Faultsim.run_ppsfp ~drop ~obs u pats) in
       List.iter
         (fun n ->
           check_i
-            (Fmt.str "domains(%d) drop=%b evals = bit-parallel evals" n drop)
-            parallel_evals
-            (evals (fun obs -> Faultsim.run_domain_parallel ~drop ~num_domains:n ~obs u pats)))
-        [ 1; 2; 3 ])
+            (Fmt.str "ppsfp(%d domains) drop=%b evals = one-domain evals" n drop)
+            one_domain_evals
+            (evals (fun obs -> Faultsim.run_ppsfp ~drop ~num_domains:n ~obs u pats)))
+        [ 2; 3 ])
     [ false; true ]
 
 (* The unified driver owns one accounting definition — one kernel
@@ -544,8 +543,8 @@ let test_obs_eval_reconciliation () =
    one pattern per unit (the serial engine, the deductive oracle) must
    report the SAME evals/evals_saved totals for the same campaign: the
    numbers are a property of the campaign, not of the kernel.
-   Bit-parallel units are 62-pattern words, so its totals scale by the
-   chunk count instead. *)
+   PPSFP units are 62-pattern words, so its totals scale by the chunk
+   count instead. *)
 let test_unified_accounting_totals () =
   let nl = Generators.carry_chain ~technology:Technology.Domino_cmos 6 in
   let u = Faultsim.universe nl in
@@ -569,13 +568,13 @@ let test_unified_accounting_totals () =
       check_i (Fmt.str "drop=%b: oracle evals = serial evals" drop) se oe;
       check_i (Fmt.str "drop=%b: oracle evals_saved = serial evals_saved" drop) ss os;
       let chunks = (Array.length pats + 61) / 62 in
-      let pe, ps = totals (fun obs -> Faultsim.run_parallel ~drop ~obs u pats) in
+      let pe, ps = totals (fun obs -> Faultsim.run_ppsfp ~drop ~obs u pats) in
       check_i
-        (Fmt.str "drop=%b: parallel accounts sites x chunks" drop)
+        (Fmt.str "drop=%b: ppsfp accounts sites x chunks" drop)
         (Faultsim.n_sites u * chunks)
         (pe + ps);
       if not drop then
-        check_i "no-drop parallel evals = sites x chunks" (Faultsim.n_sites u * chunks) pe)
+        check_i "no-drop ppsfp evals = sites x chunks" (Faultsim.n_sites u * chunks) pe)
     [ false; true ]
 
 (* Cone bookkeeping: on a circuit with meaningful structure the cone
@@ -603,7 +602,7 @@ let test_cone_gate_evals () =
       check_i (name ^ ": saved = evals x gates - gate evals") whole_circuit (gate_evals + saved))
     [
       ("serial", fun obs -> Faultsim.run_serial ~drop:false ~obs u pats);
-      ("parallel", fun obs -> Faultsim.run_parallel ~drop:false ~obs u pats);
+      ("ppsfp", fun obs -> Faultsim.run_ppsfp ~drop:false ~obs u pats);
     ]
 
 (* All-detected early exit: once every site is detected under drop, the
@@ -613,14 +612,14 @@ let test_cone_gate_evals () =
 let test_early_exit_accounting () =
   let u = fig9_u () in
   (* exhaustive fig9 reaches full coverage within the first 32 vectors;
-     doubling the set to 64 patterns (2 bit-parallel chunks) guarantees
+     doubling the set to 64 patterns (2 ppsfp chunks) guarantees
      there is a wholly-redundant tail for the early exit to skip *)
   let pats = Faultsim.exhaustive_patterns 5 in
   let pats = Array.append pats pats in
   let totals =
     [
       ("serial", (fun obs -> Faultsim.run_serial ~obs u pats), Faultsim.n_sites u * 64);
-      ("parallel", (fun obs -> Faultsim.run_parallel ~obs u pats), Faultsim.n_sites u * 2);
+      ("ppsfp", (fun obs -> Faultsim.run_ppsfp ~obs u pats), Faultsim.n_sites u * 2);
     ]
   in
   List.iter
@@ -645,8 +644,8 @@ let test_early_exit_accounting () =
   check "oracle: detections match no-drop" true
     (s.Faultsim.first_detection = (Deductive_oracle.run ~drop:false u pats).Faultsim.first_detection)
 
-(* rand1k at 256 patterns clears the domains engine's work threshold
-   for two domains (rand20 and rand60 do not), so these tests exercise
+(* rand1k at 256 patterns clears PPSFP's work threshold for two
+   domains (rand20 and rand60 do not), so these tests exercise
    the helper path; one universe build serves them all. *)
 let rand1k =
   lazy
@@ -657,9 +656,14 @@ let rand1k =
 
 let domain_counts ?(num_domains = 2) u pats =
   let sink, fetch = Obs.memory_sink () in
-  ignore (Faultsim.run_domain_parallel ~num_domains ~obs:(Obs.make sink) u pats);
+  ignore (Faultsim.run_ppsfp ~num_domains ~obs:(Obs.make sink) u pats);
   let e = run_event fetch in
   (Option.get (field_int e "requested_domains"), Option.get (field_int e "effective_domains"))
+
+let failed_sids s =
+  match s.Faultsim.outcome with
+  | Outcome.Partial p -> List.map fst p.Outcome.failed_sites
+  | Outcome.Complete -> []
 
 (* The domain clamp, read off the faultsim.run event: requested domains
    are a ceiling, cut down to the site count and to one domain per 50k
@@ -683,17 +687,17 @@ let test_domain_clamp () =
   check "site clamp: k + 1 requested, k effective" true
     (domain_counts ~num_domains:(k + 1) u pats = (k + 1, k));
   (* its units are too small for the helpers after the first one, which
-     splits unconditionally: both paths must agree with bit-parallel *)
-  check "split first unit, then one domain: = bit-parallel" true
-    ((Faultsim.run_domain_parallel ~num_domains:(k + 1) u pats).Faultsim.first_detection
-    = (Faultsim.run_parallel u pats).Faultsim.first_detection);
+     splits unconditionally: both paths must agree with one domain *)
+  check "split first unit, then one domain: = one domain" true
+    ((Faultsim.run_ppsfp ~num_domains:(k + 1) u pats).Faultsim.first_detection
+    = (Faultsim.run_ppsfp u pats).Faultsim.first_detection);
   let u, pats = Lazy.force rand1k in
   check "rand1k@256: 2 requested, 2 effective" true (domain_counts u pats = (2, 2))
 
-(* The domains engine against the bit-parallel engine on a workload that
-   really starts a helper domain, with supervision under load: one site
-   fails once, another always.  Detections, failures and the driver's
-   counters must all be [run_parallel]'s. *)
+(* PPSFP on two domains against one, on a workload that really starts a
+   helper domain, with supervision under load: one site fails once,
+   another always.  Detections, failures and the driver's counters must
+   all be the one-domain run's. *)
 let test_domains_differential () =
   let u, pats = Lazy.force rand1k in
   let transient = 7 and permanent = (Faultsim.n_sites u / 2) + 3 in
@@ -708,32 +712,58 @@ let test_domains_differential () =
     let s = run ~obs:(Obs.make sink) ~crash_hook:(crash_hook ()) in
     (s, run_event fetch)
   in
-  let failed s =
-    match s.Faultsim.outcome with
-    | Outcome.Partial p -> List.map fst p.Outcome.failed_sites
-    | Outcome.Complete -> []
-  in
   let backoff = Parallel_exec.Backoff.none in
   List.iter
     (fun drop ->
       let name = Fmt.str "drop=%b" drop in
       let s, e =
-        observe (fun ~obs ~crash_hook -> Faultsim.run_parallel ~drop ~obs ~crash_hook ~backoff u pats)
+        observe (fun ~obs ~crash_hook ->
+            Faultsim.run_ppsfp ~drop ~num_domains:1 ~obs ~crash_hook ~backoff u pats)
       in
       let s', e' =
         observe (fun ~obs ~crash_hook ->
-            Faultsim.run_domain_parallel ~drop ~num_domains:2 ~obs ~crash_hook ~backoff u pats)
+            Faultsim.run_ppsfp ~drop ~num_domains:2 ~obs ~crash_hook ~backoff u pats)
       in
       check (name ^ ": first detections") true
         (s'.Faultsim.first_detection = s.Faultsim.first_detection);
-      check (name ^ ": the permanent crash is the one failed site") true (failed s = [ permanent ]);
-      check (name ^ ": failed sites") true (failed s' = failed s);
+      check (name ^ ": the permanent crash is the one failed site") true
+        (failed_sids s = [ permanent ]);
+      check (name ^ ": failed sites") true (failed_sids s' = failed_sids s);
       List.iter
         (fun k -> check (Fmt.str "%s: %s" name k) true (field_int e' k = field_int e k))
         [ "evals"; "evals_saved"; "gate_evals"; "retries" ];
       check (name ^ ": three retries") true (field_int e' "retries" = Some 3);
       check (name ^ ": two effective domains") true (field_int e' "effective_domains" = Some 2))
     [ true; false ]
+
+(* An armed chaos registry keeps PPSFP on the one sweeping domain, so an
+   [exec.job] schedule replays whatever domain count is asked for: on a
+   campaign where two domains start a helper without chaos, one spec
+   gives the same detections, failed sites and injection count at one
+   domain and at two.  Each run gets a fresh registry from the spec. *)
+let test_chaos_keeps_one_domain () =
+  let u, pats = Lazy.force rand1k in
+  check "without chaos, two domains start a helper" true (domain_counts u pats = (2, 2));
+  let run num_domains =
+    let chaos =
+      match Dynmos_chaos.Chaos.of_spec "exec.job=fail_prob:0.05,seed=7" with
+      | Ok c -> c
+      | Error e -> Alcotest.fail e
+    in
+    let sink, fetch = Obs.memory_sink () in
+    let s =
+      Faultsim.run_ppsfp ~num_domains ~chaos ~backoff:Parallel_exec.Backoff.none
+        ~obs:(Obs.make sink) u pats
+    in
+    (s, run_event fetch)
+  in
+  let s1, e1 = run 1 in
+  let s2, e2 = run 2 in
+  check "armed chaos: one effective domain" true (field_int e2 "effective_domains" = Some 1);
+  check "first detections" true (s2.Faultsim.first_detection = s1.Faultsim.first_detection);
+  check "failed sites" true (failed_sids s2 = failed_sids s1);
+  check "injections" true (field_int e2 "chaos_injected" = field_int e1 "chaos_injected");
+  check "the schedule injected" true (Option.get (field_int e1 "chaos_injected") > 0)
 
 (* --- Robustness: supervision, limits, checkpoint/resume ---------------------- *)
 
@@ -764,10 +794,9 @@ let robustness_fixture () =
 let supervised_engines =
   [
     ("serial", fun ~crash_hook u pats -> Faultsim.run_serial ~drop:false ~crash_hook u pats);
-    ("parallel", fun ~crash_hook u pats -> Faultsim.run_parallel ~drop:false ~crash_hook u pats);
-    ( "domains",
-      fun ~crash_hook u pats ->
-        Faultsim.run_domain_parallel ~drop:false ~num_domains:2 ~crash_hook u pats );
+    ("ppsfp", fun ~crash_hook u pats -> Faultsim.run_ppsfp ~drop:false ~crash_hook u pats);
+    ( "ppsfp x2",
+      fun ~crash_hook u pats -> Faultsim.run_ppsfp ~drop:false ~num_domains:2 ~crash_hook u pats );
   ]
 
 (* A site that crashes transiently (fewer times than the attempt budget)
@@ -827,12 +856,12 @@ let limited_engines : (string * limited_run) list =
     ( "serial",
       fun ?deadline ?max_evals ?interrupt u pats ->
         Faultsim.run_serial ?deadline ?max_evals ?interrupt u pats );
-    ( "parallel",
+    ( "ppsfp",
       fun ?deadline ?max_evals ?interrupt u pats ->
-        Faultsim.run_parallel ?deadline ?max_evals ?interrupt u pats );
-    ( "domains",
+        Faultsim.run_ppsfp ?deadline ?max_evals ?interrupt u pats );
+    ( "ppsfp x2",
       fun ?deadline ?max_evals ?interrupt u pats ->
-        Faultsim.run_domain_parallel ~num_domains:2 ?deadline ?max_evals ?interrupt u pats );
+        Faultsim.run_ppsfp ~num_domains:2 ?deadline ?max_evals ?interrupt u pats );
   ]
 
 let check_partial name reference expected_cause (s : Faultsim.summary) =
@@ -928,13 +957,13 @@ let test_checkpoint_resume_domains () =
   with_temp_checkpoint @@ fun path ->
   let ctl = Faultsim.checkpoint_ctl ~path ~interval:3 u pats in
   let s1 =
-    Faultsim.run_domain_parallel ~drop:false ~num_domains:2 ~max_evals:1 ~checkpoint:ctl u pats
+    Faultsim.run_ppsfp ~drop:false ~num_domains:2 ~max_evals:1 ~checkpoint:ctl u pats
   in
   check "first leg stopped" true (not (Outcome.is_complete s1.Faultsim.outcome));
   check "a pattern prefix recorded" true
     (s1.Faultsim.patterns_done > 0 && s1.Faultsim.patterns_done < Array.length pats);
   let ctl2 = Faultsim.checkpoint_ctl ~path ~interval:3 ~resume:true u pats in
-  let s2 = Faultsim.run_domain_parallel ~drop:false ~num_domains:2 ~checkpoint:ctl2 u pats in
+  let s2 = Faultsim.run_ppsfp ~drop:false ~num_domains:2 ~checkpoint:ctl2 u pats in
   check "resumed leg complete" true (Outcome.is_complete s2.Faultsim.outcome);
   check "combined = uninterrupted" true
     (s2.Faultsim.first_detection = reference.Faultsim.first_detection)
@@ -962,22 +991,23 @@ let test_checkpoint_validation () =
 
 (* Every engine sweeps patterns in ascending units, so checkpoints are
    interchangeable: a campaign stopped after two units by one engine
-   resumes under another and ends bit-identical to an uninterrupted
-   run. *)
+   resumes under another — or at another domain count — and ends
+   bit-identical to an uninterrupted run.  Serial resumes a file left
+   by 62-pattern units with one-pattern units. *)
 type resumable =
   ?checkpoint:Checkpoint.ctl -> ?interrupt:(unit -> bool) -> unit -> Faultsim.summary
 
 let test_checkpoint_cross_engine () =
   let u, pats = Lazy.force rand1k in
-  let reference = (Faultsim.run_parallel u pats).Faultsim.first_detection in
+  let reference = (Faultsim.run_ppsfp u pats).Faultsim.first_detection in
   let engines : (string * resumable) list =
     [
-      ( "domains",
+      ( "ppsfp x2",
         fun ?checkpoint ?interrupt () ->
-          Faultsim.run_domain_parallel ~num_domains:2 ?checkpoint ?interrupt u pats );
-      ( "parallel",
-        fun ?checkpoint ?interrupt () -> Faultsim.run_parallel ?checkpoint ?interrupt u pats );
+          Faultsim.run_ppsfp ~num_domains:2 ?checkpoint ?interrupt u pats );
       ("ppsfp", fun ?checkpoint ?interrupt () -> Faultsim.run_ppsfp ?checkpoint ?interrupt u pats);
+      ( "serial",
+        fun ?checkpoint ?interrupt () -> Faultsim.run_serial ?checkpoint ?interrupt u pats );
     ]
   in
   List.iter
@@ -1001,7 +1031,7 @@ let test_checkpoint_cross_engine () =
       check (Fmt.str "%s checkpoint resumed by %s is bit-identical" a b) true
         (Outcome.is_complete resumed.Faultsim.outcome
         && resumed.Faultsim.first_detection = reference))
-    [ ("domains", "parallel"); ("domains", "ppsfp"); ("parallel", "domains"); ("ppsfp", "domains") ]
+    [ ("ppsfp x2", "ppsfp"); ("ppsfp", "ppsfp x2"); ("ppsfp x2", "serial") ]
 
 (* Older builds' domains engine swept sites and wrote [mode sites]
    checkpoints with a done bitmap.  Such a file has no pattern prefix to
@@ -1038,8 +1068,8 @@ let test_checkpoint_truncation_detected () =
 
 (* QCheck: checkpoint round-trip on random circuits — stop a campaign
    with a tiny evaluation budget, resume from the file, and the combined
-   detections are bit-identical to an uninterrupted run, for the
-   pattern-sweep engines and for the sites-sweep domains engine. *)
+   detections are bit-identical to an uninterrupted run, for serial and
+   for PPSFP on one domain and on two. *)
 let qcheck_checkpoint_roundtrip =
   QCheck2.Test.make ~name:"checkpoint resume is bit-identical" ~count:15
     QCheck2.Gen.(pair (int_range 1 1000) (int_range 4 8))
@@ -1066,10 +1096,9 @@ let qcheck_checkpoint_roundtrip =
           (fun ~max_evals ~checkpoint u pats ->
             Faultsim.run_serial ~drop:false ?max_evals ~checkpoint u pats);
           (fun ~max_evals ~checkpoint u pats ->
-            Faultsim.run_parallel ~drop:false ?max_evals ~checkpoint u pats);
+            Faultsim.run_ppsfp ~drop:false ?max_evals ~checkpoint u pats);
           (fun ~max_evals ~checkpoint u pats ->
-            Faultsim.run_domain_parallel ~drop:false ~num_domains:2 ?max_evals ~checkpoint u
-              pats);
+            Faultsim.run_ppsfp ~drop:false ~num_domains:2 ?max_evals ~checkpoint u pats);
         ])
 
 (* --- Diagnosis ------------------------------------------------------------- *)
@@ -1240,8 +1269,9 @@ let qcheck_event_driven_injection =
             (cg.Compiled.fn :: List.init 4 (fun _ -> random_fn ())))
         (Compiled.gates c))
 
-(* QCheck: PPSFP differential — first detections equal the bit-parallel
-   engine's on random circuits, for both drop settings. *)
+(* QCheck: PPSFP differential — the 62-pattern bit-parallel words give
+   the first detections of the one-pattern serial reference on random
+   circuits, for both drop settings. *)
 let qcheck_ppsfp_differential =
   QCheck2.Test.make ~name:"ppsfp = bit-parallel on random circuits" ~count:25
     QCheck2.Gen.(pair (int_range 1 1000) (int_range 4 8))
@@ -1253,7 +1283,7 @@ let qcheck_ppsfp_differential =
       let u = Faultsim.universe nl in
       let prng = Prng.create seed in
       let pats = Faultsim.random_patterns prng ~n_inputs ~count:70 in
-      let reference = Faultsim.run_parallel ~drop:false u pats in
+      let reference = Faultsim.run_serial ~drop:false u pats in
       List.for_all
         (fun drop ->
           (Faultsim.run_ppsfp ~drop u pats).Faultsim.first_detection
@@ -1310,6 +1340,8 @@ let () =
           Alcotest.test_case "degenerate shapes" `Quick test_domain_empty_universe;
           Alcotest.test_case "rand1k = bit-parallel, crashes included" `Quick
             test_domains_differential;
+          Alcotest.test_case "armed chaos keeps one sweeping domain" `Quick
+            test_chaos_keeps_one_domain;
         ] );
       ( "ppsfp",
         [

@@ -1,5 +1,5 @@
-(* Frozen coverage fixtures: every engine, plus the deductive test
-   oracle, under both drop settings on the rand20, rand60 and rand1k
+(* Frozen coverage fixtures: both engines (ppsfp on one domain and on
+   two), plus the deductive test oracle, under both drop settings on the rand20, rand60 and rand1k
    catalog circuits must keep producing bit-identical detection results.
    rand1k is the deep, layered one (ten levels of a hundred gates), so a
    fault's events spread over many gates per level.  [--gen] prints the
@@ -33,18 +33,19 @@ let fd_digest (first : int option array) =
 (* Every public engine surface, plus the test-side deductive oracle.
    The "algo" column keeps the baseline lines byte-identical: the
    engines propagate each fault within its fanout cone ("cone"); the
-   oracle propagates fault lists through every gate ("full"). *)
+   oracle propagates fault lists through every gate ("full").  The
+   "domains-bitpar" lines keep the label of the engine that produced
+   them when they were frozen; ppsfp on two domains produces them now. *)
 let engines :
     (string * string * (drop:bool -> Faultsim.universe -> bool array array -> Faultsim.summary))
     list =
   [
     ("serial", "cone", fun ~drop u p -> Faultsim.run_serial ~drop u p);
-    ("parallel", "cone", fun ~drop u p -> Faultsim.run_parallel ~drop u p);
     ("deductive", "full", fun ~drop u p -> Deductive_oracle.run ~drop u p);
     ("ppsfp", "cone", fun ~drop u p -> Faultsim.run_ppsfp ~drop u p);
     ( "domains-bitpar",
       "cone",
-      fun ~drop u p -> Faultsim.run_domain_parallel ~drop ~num_domains:2 u p );
+      fun ~drop u p -> Faultsim.run_ppsfp ~drop ~num_domains:2 u p );
   ]
 
 let lines () =

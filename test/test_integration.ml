@@ -51,13 +51,13 @@ let test_podem_beats_uniform_on_hard_circuit () =
   let nl = Generators.wide_and ~technology:Technology.Domino_cmos 12 in
   let u = Faultsim.universe nl in
   let r = Podem.generate_set u in
-  let podem_cov = Faultsim.coverage (Faultsim.run_parallel u r.Podem.vectors) in
+  let podem_cov = Faultsim.coverage (Faultsim.run_ppsfp u r.Podem.vectors) in
   Alcotest.(check (float 1e-9)) "PODEM full" 1.0 podem_cov;
   let prng = Prng.create 99 in
   let same_budget =
     Faultsim.random_patterns prng ~n_inputs:12 ~count:(Array.length r.Podem.vectors)
   in
-  let random_cov = Faultsim.coverage (Faultsim.run_parallel u same_budget) in
+  let random_cov = Faultsim.coverage (Faultsim.run_ppsfp u same_budget) in
   check "uniform random misses" true (random_cov < 1.0)
 
 let test_optimized_random_matches_podem () =

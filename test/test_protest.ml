@@ -152,7 +152,7 @@ let test_length_matches_simulation () =
   let successes = ref 0 in
   for _ = 1 to trials do
     let pats = Faultsim.random_patterns prng ~n_inputs:n_in ~count:n in
-    let s = Faultsim.run_parallel u pats in
+    let s = Faultsim.run_ppsfp u pats in
     if Faultsim.coverage s >= 1.0 then incr successes
   done;
   let rate = float_of_int !successes /. float_of_int trials in

@@ -143,7 +143,8 @@ let test_request_defaults () =
       check_s "circuit" "carry8" r.Protocol.circuit;
       check_i "patterns" 256 r.Protocol.patterns;
       check_i "seed" 42 r.Protocol.seed;
-      check "engine" true (r.Protocol.engine = `Serial);
+      check "engine" true (r.Protocol.engine = `Ppsfp);
+      check "jobs" true (r.Protocol.jobs = None);
       check "drop" true r.Protocol.drop;
       check "deadline capped to max_seconds" true (r.Protocol.deadline_s = 5.0);
       check "max_evals defaults to cap" true (r.Protocol.max_evals = Some 10_000)
@@ -167,18 +168,21 @@ let test_request_rejections () =
   rejected {|{"circuit":"carry8","typo_field":1}|};
   rejected {|{"op":"selfdestruct"}|};
   rejected {|{"circuit":"carry8","engine":"warp"}|};
-  rejected {|{"circuit":"carry8","jobs":2}|};  (* jobs without domains engine *)
+  rejected {|{"circuit":"carry8","engine":"serial","jobs":2}|};  (* jobs is ppsfp's *)
   rejected {|{"circuit":"carry8","crash_sid":-1}|};
   rejected {|{"circuit":"carry8","deadline_s":0}|};
   rejected {|{"circuit":"carry8","max_evals":0}|};
   rejected {|{"circuit":"carry8","gates":"all"}|};
   rejected {|[1,2,3]|};
-  rejected {|"just a string"|}
+  rejected {|"just a string"|};
+  check "jobs with the default engine accepted" true
+    (Result.is_ok (parse {|{"circuit":"carry8","jobs":2}|}))
 
 (* Names removed from the protocol fail by name: a removed engine gets
-   the enum error listing the four engines, and the removed "algo" and
-   "group" fields say why they are refused — even carrying values the
-   old builds accepted. *)
+   an error naming it and listing the two engines ("parallel" and
+   "domains", whose kernel ppsfp runs, also name "ppsfp"), and the
+   removed "algo" and "group" fields say why they are refused — even
+   carrying values the old builds accepted. *)
 let test_request_removed_names () =
   let error_of line =
     match parse line with Error m -> m | Ok _ -> Alcotest.failf "must be rejected: %s" line
@@ -192,9 +196,10 @@ let test_request_removed_names () =
     (fun engine ->
       let m = error_of (Printf.sprintf {|{"circuit":"carry8","engine":"%s"}|} engine) in
       check (engine ^ " named") true (contains m (Printf.sprintf "%S" engine));
-      check (engine ^ ": survivors listed") true
-        (contains m "expected one of: serial, parallel, ppsfp, domains"))
-    [ "deductive"; "concurrent" ];
+      check (engine ^ ": survivors listed") true (contains m "expected one of: serial, ppsfp");
+      if engine = "parallel" || engine = "domains" then
+        check (engine ^ ": ppsfp named") true (contains m {|"ppsfp"|}))
+    [ "deductive"; "concurrent"; "parallel"; "domains" ];
   List.iter
     (fun algo ->
       let m = error_of (Printf.sprintf {|{"circuit":"carry8","algo":"%s"}|} algo) in
@@ -210,15 +215,15 @@ let test_request_removed_names () =
       {|{"circuit":"carry8","group":8}|};
     ]
 
-(* End-to-end: a ppsfp job through the server produces the bit-parallel
-   engine's coverage, and ppsfp is supervised like the other engines: a
+(* End-to-end: a request without "engine" runs ppsfp and produces the
+   serial engine's coverage, and ppsfp is supervised like serial: a
    crash-injected site is isolated and reported. *)
 let test_server_ppsfp_engine () =
   let _, resps, _ =
     run_server ~config:small_config
       [
-        {|{"circuit":"rand20","patterns":128,"seed":7,"engine":"ppsfp","id":"p"}|};
-        {|{"circuit":"rand20","patterns":128,"seed":7,"engine":"parallel","id":"q"}|};
+        {|{"circuit":"rand20","patterns":128,"seed":7,"id":"p"}|};
+        {|{"circuit":"rand20","patterns":128,"seed":7,"engine":"serial","id":"q"}|};
         {|{"circuit":"carry8","patterns":64,"engine":"ppsfp","crash_sid":0,"id":"c"}|};
       ]
   in
@@ -231,9 +236,10 @@ let test_server_ppsfp_engine () =
   | _ -> Alcotest.fail "expected one failed site");
   let p = response_for 1 resps and q = response_for 2 resps in
   check_s "ppsfp ok" "ok" (status p);
-  check "coverage identical to bit-parallel" true
+  check "the default engine is ppsfp" true (field "engine" p = Json.String "ppsfp");
+  check "coverage identical to serial" true
     (field "coverage" p = field "coverage" q);
-  check "detected identical to bit-parallel" true
+  check "detected identical to serial" true
     (field "detected" p = field "detected" q)
 
 (* --- End-to-end: the robustness contract ----------------------------------------- *)
@@ -318,7 +324,7 @@ let test_overload () =
   check_i "nothing lost" 6 (counts "ok" + counts "partial" + counts "overloaded" + counts "error")
 
 (* A request's [jobs] is clamped to the host's recommended domain
-   count before the domains engine sees it: the forwarded faultsim.run
+   count before the ppsfp engine sees it: the forwarded faultsim.run
    event reports the clamped request.  carry8's work estimate keeps the
    effective count at 1, so no extra domain starts. *)
 let test_jobs_capped () =
@@ -327,7 +333,7 @@ let test_jobs_capped () =
   let _, resps, _ =
     Fun.protect
       ~finally:(fun () -> Server.shutdown t)
-      (fun () -> run_on t [ {|{"circuit":"carry8","engine":"domains","jobs":1024}|} ])
+      (fun () -> run_on t [ {|{"circuit":"carry8","engine":"ppsfp","jobs":1024}|} ])
   in
   check_s "ok" "ok" (status (response_for 1 resps));
   match List.filter (fun e -> e.Obs.ev = "faultsim.run") (fetch ()) with
@@ -614,11 +620,15 @@ let test_concurrent_clients () =
 
 (* The content-addressed result cache: a repeat of a completed run is
    answered bit-identically — the response line differs only in the
-   [cached] flag — with zero new gate evaluations charged anywhere. *)
+   [cached] flag — with zero new gate evaluations charged anywhere.  The
+   job names no engine, so it runs ppsfp, keyed apart from the same
+   campaign under serial, with serial's detections. *)
 let test_result_cache () =
   let t = Server.create ~config:small_config () in
   Fun.protect ~finally:(fun () -> Server.shutdown t) @@ fun () ->
-  let job = {|{"circuit":"rand20","patterns":128,"seed":7,"engine":"parallel","id":"j"}|} in
+  let job = {|{"circuit":"rand20","patterns":128,"seed":7,"id":"j"}|} in
+  let _, r0, _ = run_on t [ {|{"circuit":"rand20","patterns":128,"seed":7,"engine":"serial"}|} ] in
+  let serial = response_for 1 r0 in
   let stats () =
     let _, resps, _ = run_on t [ {|{"op":"stats"}|} ] in
     response_for 1 resps
@@ -642,6 +652,9 @@ let test_result_cache () =
     | _ -> Alcotest.fail "response is not an object"
   in
   check "responses identical except the cached flag" true (strip a = strip b);
+  check "the default engine is ppsfp" true (field "engine" a = Json.String "ppsfp");
+  check "coverage identical to serial" true (field "coverage" a = field "coverage" serial);
+  check "detected identical to serial" true (field "detected" a = field "detected" serial);
   check_i "no hits before the repeat" 0 (int_field "cache_hits" s1);
   check_i "the repeat hit the cache" 1 (int_field "cache_hits" s2);
   check_i "a cache hit performs zero new gate evaluations"
