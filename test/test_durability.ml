@@ -378,6 +378,132 @@ let test_identity_bytes () =
         (entry_files cache_dir
         = [ "a0802939a0abe65cb3a0a1cbebba0578.entry"; "c1f760b08ac6de696c5f9523772298b9.entry" ]))
 
+(* --- Golden files -------------------------------------------------------------------- *)
+
+(* Files the durable writers produced, pinned byte for byte under
+   test/golden/, because data dirs and checkpoints written by one build
+   must stay readable by the next: carry8_s7.ckpt and its .bak rotation
+   (a carry8@64 seed-7 campaign after 64 and after 62 patterns, with a
+   prng line), empty.ckpt (no sites, so its "first " line ends in a
+   space), carry8_s7.entry (that campaign's cache entry, dt_s in %h) and
+   journal (after one auto-compaction and one forced compaction). *)
+let golden name =
+  let beside = Filename.concat (Filename.dirname Sys.executable_name) "golden" in
+  Filename.concat (if Sys.file_exists beside then beside else "test/golden") name
+
+let golden_files =
+  [ "carry8_s7.ckpt"; "carry8_s7.ckpt.bak"; "empty.ckpt"; "carry8_s7.entry"; "journal" ]
+
+let golden_run =
+  lazy
+    (let u, pats = workload "carry8" ~patterns:64 ~seed:7 in
+     (u, pats, Faultsim.run_ppsfp u pats))
+
+let golden_state ~units_done =
+  let u, pats, s = Lazy.force golden_run in
+  {
+    Checkpoint.mode = Checkpoint.Patterns;
+    circuit_digest = Faultsim.circuit_digest u;
+    universe_digest = Faultsim.universe_digest u;
+    pattern_digest = Faultsim.patterns_digest pats;
+    n_sites = Faultsim.n_sites u;
+    n_patterns = Array.length pats;
+    units_done;
+    first_detection =
+      Array.map
+        (function Some p when p < units_done -> Some p | _ -> None)
+        s.Faultsim.first_detection;
+    site_done = None;
+    prng_state = Some (Prng.save (Prng.create 7));
+  }
+
+let golden_empty_state =
+  {
+    Checkpoint.mode = Checkpoint.Patterns;
+    circuit_digest = String.make 32 'c';
+    universe_digest = String.make 32 'a';
+    pattern_digest = String.make 32 'b';
+    n_sites = 0;
+    n_patterns = 0;
+    units_done = 0;
+    first_detection = [||];
+    site_done = None;
+    prng_state = None;
+  }
+
+let golden_entry () =
+  let u, pats, s = Lazy.force golden_run in
+  {
+    Cache_store.key =
+      String.concat "|"
+        [
+          Faultsim.circuit_digest u;
+          Faultsim.universe_digest u;
+          Faultsim.patterns_digest pats;
+          "ppsfp";
+          "true";
+        ];
+    summary = s;
+    dt_s = 0.1;
+    evals = 1234;
+    n_sites = Faultsim.n_sites u;
+  }
+
+let golden_envelope id = Printf.sprintf {|{"circuit":"carry8","id":"%s"}|} id
+
+let write_golden dir =
+  let ckpt = Filename.concat dir "carry8_s7.ckpt" in
+  Checkpoint.save ckpt (golden_state ~units_done:62);
+  Checkpoint.save ckpt (golden_state ~units_done:64);
+  Checkpoint.save (Filename.concat dir "empty.ckpt") golden_empty_state;
+  let e = golden_entry () in
+  Cache_store.save dir e;
+  Sys.rename (Cache_store.file_of dir e.Cache_store.key) (Filename.concat dir "carry8_s7.entry");
+  let j = Journal.open_ ~rotate_limit:4 (Filename.concat dir "journal") in
+  let a = Journal.append_admit j ~envelope:(golden_envelope "a") in
+  ignore (Journal.append_admit j ~envelope:(golden_envelope "b"));
+  (* the segment's fourth record: auto-compaction keeps gen and b *)
+  Journal.append_done j ~jid:a ~status:"ok";
+  ignore (Journal.append_admit j ~envelope:(golden_envelope "c"));
+  Journal.compact j;
+  ignore (Journal.append_admit j ~envelope:(golden_envelope "d"));
+  Journal.close j
+
+let test_golden_writers () =
+  with_dir "dynmos_golden" @@ fun dir ->
+  write_golden dir;
+  List.iter
+    (fun f ->
+      check_s (f ^ " byte for byte") (read_file (golden f)) (read_file (Filename.concat dir f)))
+    golden_files
+
+let test_golden_readers () =
+  let ckpt = Checkpoint.load (golden "carry8_s7.ckpt") in
+  check_i "checkpoint units_done" 64 ckpt.Checkpoint.units_done;
+  check_i "checkpoint sites" 48 ckpt.Checkpoint.n_sites;
+  check "checkpoint values" true (ckpt = golden_state ~units_done:64);
+  check "rotated checkpoint values" true
+    (Checkpoint.load (golden "carry8_s7.ckpt.bak") = golden_state ~units_done:62);
+  check "zero-site checkpoint values" true
+    (Checkpoint.load (golden "empty.ckpt") = golden_empty_state);
+  let e = Cache_store.load (golden "carry8_s7.entry") in
+  check "cache entry dt_s exact" true (e.Cache_store.dt_s = 0.1);
+  check "cache entry values" true (e = golden_entry ());
+  with_dir "dynmos_golden" @@ fun dir ->
+  let path = Filename.concat dir "journal" in
+  write_file path (read_file (golden "journal"));
+  let j = Journal.open_ path in
+  Fun.protect
+    ~finally:(fun () -> Journal.close j)
+    (fun () ->
+      check "journal pending admits" true
+        (Journal.recovered j
+        = List.map
+            (fun (jid, id) -> { Journal.jid; envelope = golden_envelope id })
+            [ (1, "b"); (2, "c"); (3, "d") ]);
+      check_i "journal generation" 2 (Journal.generation j);
+      check_i "journal intact" 0 (Journal.truncated_tail j))
+
 (* --- Server: warm-restart cache ---------------------------------------------------- *)
 
 let test_server_warm_restart_cache () =
@@ -897,6 +1023,11 @@ let () =
         ] );
       ( "identity",
         [ Alcotest.test_case "digests and cache file names pinned" `Quick test_identity_bytes ] );
+      ( "golden files",
+        [
+          Alcotest.test_case "writers reproduce the golden bytes" `Quick test_golden_writers;
+          Alcotest.test_case "readers return the pinned values" `Quick test_golden_readers;
+        ] );
       ( "server recovery",
         [
           Alcotest.test_case "warm restart serves bit-identical cached results" `Quick
