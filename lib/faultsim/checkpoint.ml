@@ -3,12 +3,10 @@
    resumed bit-identically instead of being thrown away.
 
    Design constraints:
-   - *atomic*: the state is written to a sibling temporary file and
-     published with [Sys.rename], so a reader never observes a
-     half-written checkpoint, even if the writer is killed mid-write;
-   - *self-validating*: a trailing MD5 checksum over the payload detects
-     truncation or corruption at load time (a torn tmp file left behind
-     by a crash is never the published checkpoint);
+   - *atomic* and *self-validating*: a checkpoint is a [Durable] record,
+     published by tmp + fsync + [.bak] rotation + rename under the
+     [ckpt.write] / [ckpt.fsync] / [ckpt.rename] chaos points, and its
+     checksum trailer is verified before any field is read;
    - *digest-pinned*: the circuit, fault-universe and pattern digests of
      the producing campaign are stored, and resume refuses to continue
      against different ones — silently mixing campaigns would produce
@@ -16,18 +14,12 @@
    - *engine-neutral*: every engine sweeps patterns in ascending units
      and checkpoints "patterns 0..K done for every site", so any engine
      resumes any engine's file.  Files from older builds whose domains
-     engine swept sites ([mode sites]) are refused by name.
-
-   The format is deliberately plain text (one [key value] line each, the
-   detection array space-separated) rather than [Marshal]: it survives
-   compiler upgrades, is inspectable with [cat], and parsing failures
-   produce named errors instead of segfaults. *)
+     engine swept sites ([mode sites]) are refused by name. *)
 
 module Chaos = Dynmos_chaos.Chaos
+module Durable = Dynmos_durable.Durable
 
-exception Error of string
-
-let version = 1
+exception Error = Durable.Error
 
 type mode = Patterns
 
@@ -46,163 +38,54 @@ type state = {
   prng_state : string option;
 }
 
-let fail fmt = Format.kasprintf (fun msg -> raise (Error msg)) fmt
+let fail = Durable.fail
+let header = "dynmos-checkpoint v1"
 
 (* --- Serialization ---------------------------------------------------------- *)
 
-let payload st =
-  let buf = Buffer.create (256 + (8 * st.n_sites)) in
-  let line fmt = Format.kasprintf (fun s -> Buffer.add_string buf s; Buffer.add_char buf '\n') fmt in
-  line "dynmos-checkpoint v%d" version;
-  line "mode %s" (mode_name st.mode);
-  line "circuit %s" st.circuit_digest;
-  line "universe %s" st.universe_digest;
-  line "patterns %s" st.pattern_digest;
-  line "n_sites %d" st.n_sites;
-  line "n_patterns %d" st.n_patterns;
-  line "units_done %d" st.units_done;
-  (match st.prng_state with Some s -> line "prng %s" s | None -> ());
-  line "first %s"
-    (String.concat " "
-       (Array.to_list
-          (Array.map (function None -> "-" | Some p -> string_of_int p) st.first_detection)));
-  Buffer.contents buf
-
-let save ?(chaos = Chaos.disabled) path st =
-  let body = payload st in
-  let body = body ^ Printf.sprintf "checksum %s\n" (Digest.to_hex (Digest.string body)) in
-  let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
-  (match Chaos.decide chaos Chaos.Ckpt_write with
-  | Chaos.Pass -> ()
-  | Chaos.Fail -> fail "checkpoint: injected write failure for %s" tmp
-  | Chaos.Torn ->
-      (* Simulate a crash mid-write: a truncated tmp file stays behind
-         (its checksum can never validate), exactly what [cleanup_stale]
-         and the [.bak] fallback exist to absorb. *)
-      let oc = open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o644 tmp in
-      output_string oc (String.sub body 0 (String.length body / 2));
-      close_out_noerr oc;
-      fail "checkpoint: injected torn write to %s" tmp);
-  let oc =
-    try open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o644 tmp
-    with Sys_error msg -> fail "checkpoint: cannot write %s: %s" tmp msg
-  in
-  (try
-     output_string oc body;
-     flush oc;
-     (* fsync before rename: without it a power loss can publish a name
-        pointing at data the disk never received — the classic torn-rename
-        window.  An injected fsync fault silently skips the sync (the
-        write still "works"), modeling exactly that window. *)
-     (match Chaos.decide chaos Chaos.Ckpt_fsync with
-     | Chaos.Pass -> (
-         try Unix.fsync (Unix.descr_of_out_channel oc) with Unix.Unix_error _ -> ())
-     | Chaos.Fail | Chaos.Torn -> ());
-     close_out oc
-   with Sys_error msg ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     fail "checkpoint: short write to %s: %s" tmp msg);
-  (* Rotate the last good checkpoint to [.bak] before publishing, so a
-     later corruption of the primary still leaves a resumable state. *)
-  (if Sys.file_exists path then try Sys.rename path (path ^ ".bak") with Sys_error _ -> ());
-  (match Chaos.decide chaos Chaos.Ckpt_rename with
-  | Chaos.Pass -> ()
-  | Chaos.Fail | Chaos.Torn ->
-      (try Sys.remove tmp with Sys_error _ -> ());
-      fail "checkpoint: injected rename failure publishing %s" path);
-  try Sys.rename tmp path
-  with Sys_error msg ->
-    (try Sys.remove tmp with Sys_error _ -> ());
-    fail "checkpoint: cannot publish %s: %s" path msg
+let save ?chaos path st =
+  Durable.publish ?chaos ~write:Chaos.Ckpt_write ~fsync:Chaos.Ckpt_fsync ~rename:Chaos.Ckpt_rename
+    ~backup:true ~what:"checkpoint" path
+    (Durable.encode ~header
+       ([
+          ("mode", mode_name st.mode);
+          ("circuit", st.circuit_digest);
+          ("universe", st.universe_digest);
+          ("patterns", st.pattern_digest);
+          ("n_sites", string_of_int st.n_sites);
+          ("n_patterns", string_of_int st.n_patterns);
+          ("units_done", string_of_int st.units_done);
+        ]
+       @ Option.to_list (Option.map (fun s -> ("prng", s)) st.prng_state)
+       @ [ ("first", Durable.first_to_string st.first_detection) ]))
 
 let load path =
-  let ic =
-    try open_in_bin path with Sys_error msg -> fail "checkpoint: cannot read %s: %s" path msg
-  in
-  let raw =
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  (* split the trailing checksum line off and verify it first: any
-     truncation or bit-rot is reported as such, not as a parse error *)
-  let body, sum =
-    match String.rindex_opt (String.trim raw) '\n' with
-    | None -> fail "checkpoint %s: not a checkpoint file" path
-    | Some i ->
-        let raw = String.trim raw in
-        (String.sub raw 0 (i + 1), String.sub raw (i + 1) (String.length raw - i - 1))
-  in
-  (match String.split_on_char ' ' sum with
-  | [ "checksum"; hex ] ->
-      if not (String.equal hex (Digest.to_hex (Digest.string body))) then
-        fail "checkpoint %s: checksum mismatch (truncated or corrupted file)" path
-  | _ -> fail "checkpoint %s: missing checksum line (truncated file?)" path);
-  let lines = String.split_on_char '\n' body |> List.filter (fun l -> l <> "") in
-  let kv =
-    List.map
-      (fun l ->
-        match String.index_opt l ' ' with
-        | Some i -> (String.sub l 0 i, String.sub l (i + 1) (String.length l - i - 1))
-        | None -> (l, ""))
-      lines
-  in
-  let get k =
-    match List.assoc_opt k kv with
-    | Some v -> v
-    | None -> fail "checkpoint %s: missing field %S" path k
-  in
-  let get_int k =
-    match int_of_string_opt (get k) with
-    | Some n -> n
-    | None -> fail "checkpoint %s: field %S is not an integer (%S)" path k (get k)
-  in
-  (match get "dynmos-checkpoint" with
-  | "v1" -> ()
-  | v -> fail "checkpoint %s: unsupported version %s (this build reads v%d)" path v version);
-  let mode =
-    match get "mode" with
-    | "patterns" -> Patterns
-    | "sites" ->
-        fail
-          "checkpoint %s: mode sites was written by the site-sweep domains engine of an \
-           older build and cannot be resumed; rerun the campaign"
-          path
-    | m -> fail "checkpoint %s: unknown mode %S" path m
-  in
-  let n_sites = get_int "n_sites" in
-  let n_patterns = get_int "n_patterns" in
-  let units_done = get_int "units_done" in
-  if n_sites < 0 || n_patterns < 0 || units_done < 0 then
-    fail "checkpoint %s: negative counts" path;
-  let first_detection =
-    let words =
-      String.split_on_char ' ' (get "first") |> List.filter (fun w -> w <> "") |> Array.of_list
-    in
-    if Array.length words <> n_sites then
-      fail "checkpoint %s: %d detection entries for %d sites" path (Array.length words) n_sites;
-    Array.map
-      (fun w ->
-        if w = "-" then None
-        else
-          match int_of_string_opt w with
-          | Some p when p >= 0 && p < n_patterns -> Some p
-          | Some p -> fail "checkpoint %s: detection index %d out of range" path p
-          | None -> fail "checkpoint %s: bad detection entry %S" path w)
-      words
-  in
+  let r = Durable.load ~what:"checkpoint" ~header path in
+  (match Durable.field r "mode" with
+  | "patterns" -> ()
+  | "sites" ->
+      fail
+        "checkpoint %s: mode sites was written by the site-sweep domains engine of an \
+         older build and cannot be resumed; rerun the campaign"
+        path
+  | m -> fail "checkpoint %s: unknown mode %S" path m);
+  let n_sites = Durable.int_field r "n_sites" in
+  let n_patterns = Durable.int_field r "n_patterns" in
+  (* Every writer keeps detections < units_done <= n_patterns: a
+     detection at or past units_done would override the resumed run's
+     own earlier one. *)
+  let units_done = Durable.int_field ~max:n_patterns r "units_done" in
   {
-    mode;
-    circuit_digest = get "circuit";
-    universe_digest = get "universe";
-    pattern_digest = get "patterns";
+    mode = Patterns;
+    circuit_digest = Durable.field r "circuit";
+    universe_digest = Durable.field r "universe";
+    pattern_digest = Durable.field r "patterns";
     n_sites;
     n_patterns;
     units_done;
-    first_detection;
+    first_detection = Durable.first_field r ~n:n_sites ~before:units_done;
     site_done = None;
-    prng_state = List.assoc_opt "prng" kv;
+    prng_state = Durable.field_opt r "prng";
   }
 
 let load_or_backup path =
@@ -217,26 +100,9 @@ let load_or_backup path =
       | st -> (st, true)
       | exception Error _ -> raise (Error primary_err))
 
-let cleanup_stale path =
-  (* Remove [<path>.tmp.<pid>] leftovers from writers that crashed between
-     opening the tmp file and publishing it.  Called when a campaign
-     starts or resumes; by construction no live writer for [path] exists
-     then, so every matching sibling is garbage. *)
-  let dir = Filename.dirname path in
-  let prefix = Filename.basename path ^ ".tmp." in
-  let plen = String.length prefix in
-  match Sys.readdir dir with
-  | exception Sys_error _ -> 0
-  | entries ->
-      Array.fold_left
-        (fun n entry ->
-          if String.length entry > plen && String.sub entry 0 plen = prefix then (
-            try
-              Sys.remove (Filename.concat dir entry);
-              n + 1
-            with Sys_error _ -> n)
-          else n)
-        0 entries
+(* Called when a campaign starts or resumes; by construction no live
+   writer for [path] exists then, so every tmp sibling is garbage. *)
+let cleanup_stale = Durable.sweep_stale
 
 (* --- Controllers ------------------------------------------------------------- *)
 

@@ -4,17 +4,25 @@
 
     A checkpoint pins the campaign it belongs to with digests of the
     circuit, the fault universe and the pattern set; {!create} refuses to
-    resume against mismatched digests.  Files are published with a
-    write-to-temporary + [rename] so readers never see a torn file, and
-    carry a trailing checksum so truncation is detected at {!load}.
+    resume against mismatched digests.  It is a record of the one
+    durable codec ([Dynmos_durable.Durable]): header
+    [dynmos-checkpoint v1], [key value] lines, the detection array on its
+    [first] line, and a checksum trailer verified at {!load} before any
+    field is read.
+
+    Chaos artifacts: [ckpt.write] Fail leaves no file and Torn leaves
+    half a tmp; [ckpt.fsync] skips the sync; [ckpt.rename] drops the tmp.
+    The published file and its [.bak] are never torn.
 
     Every engine sweeps patterns in ascending units, so there is one
     checkpoint mode and any engine resumes any engine's file. *)
 
 exception Error of string
-(** Raised on unreadable, corrupted, version-incompatible or
-    digest-mismatched checkpoint files.  Never raised for a merely
-    missing file at the CLI level — see [Faultsim.resume]. *)
+(** [Dynmos_durable.Durable.Error], shared with [Cache_store] and
+    [Journal].  Raised on unreadable, corrupted, version-incompatible or
+    digest-mismatched checkpoint files, with a message that starts
+    [checkpoint FILE:].  Never raised for a merely missing file at the
+    CLI level — see [Faultsim.checkpoint_ctl]. *)
 
 type mode =
   | Patterns
@@ -52,8 +60,10 @@ val save : ?chaos:Dynmos_chaos.Chaos.t -> string -> state -> unit
 val load : string -> state
 (** Parse and validate a checkpoint file.  Raises {!Error} on missing
     file, bad checksum (truncation), unknown version, malformed fields,
-    or a [mode sites] file from an older build (its site-sweep progress
-    has no pattern prefix to resume from). *)
+    counts no writer produces ([units_done] past [n_patterns], a
+    detection at or past [units_done]), or a [mode sites] file from an
+    older build (its site-sweep progress has no pattern prefix to resume
+    from). *)
 
 val load_or_backup : string -> state * bool
 (** [load_or_backup path] is [load path], falling back to

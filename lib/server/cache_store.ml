@@ -3,23 +3,21 @@
 
    One file per entry under the data dir's cache/ subdirectory, named by
    the MD5 of the cache key (the key itself contains '|' separators and
-   digests, so it is stored inside the file and verified on load).  The
-   write discipline is the checkpoint one — tmp + fsync + rename, a
-   whole-file MD5 on the last line — so a crash mid-persist never
-   publishes a torn entry; what CAN appear on disk is bit-rot or a torn
-   write injected by the [cache.persist] chaos point, and the loader's
-   answer to both is quarantine: the file is renamed to [*.corrupt]
-   (kept for inspection, never rescanned) and counted, and the boot
-   continues with every healthy entry. *)
+   digests, so it is stored inside the file and verified on load).  An
+   entry is a [Durable] record published by tmp + fsync + rename, so a
+   crash mid-persist never publishes a torn entry; what CAN appear on
+   disk is bit-rot or a torn write injected by the [cache.persist] chaos
+   point, and the loader's answer to both is quarantine: the file is
+   renamed to [*.corrupt] (kept for inspection, never rescanned) and
+   counted, and the boot continues with every healthy entry. *)
 
 open Dynmos_faultsim
 module Chaos = Dynmos_chaos.Chaos
+module Durable = Dynmos_durable.Durable
 
-exception Error of string
+exception Error = Durable.Error
 
-let fail fmt = Format.kasprintf (fun msg -> raise (Error msg)) fmt
-
-let version = 1
+let header = "dynmos-cache v1"
 
 type entry = {
   key : string;
@@ -33,146 +31,63 @@ let file_of dir key = Filename.concat dir (Digest.to_hex (Digest.string key) ^ "
 
 (* --- Serialization ------------------------------------------------------------ *)
 
-let payload e =
+let encode e =
   let s = e.summary in
-  if s.Faultsim.outcome <> Dynmos_faultsim.Outcome.Complete then
+  if s.Faultsim.outcome <> Outcome.Complete then
     invalid_arg "Cache_store: only Complete results are persisted";
-  let buf = Buffer.create (256 + (8 * s.Faultsim.n_sites)) in
-  let line fmt =
-    Format.kasprintf (fun l -> Buffer.add_string buf l; Buffer.add_char buf '\n') fmt
-  in
-  line "dynmos-cache v%d" version;
-  line "key %s" e.key;
-  line "n_sites %d" s.Faultsim.n_sites;
-  line "n_patterns %d" s.Faultsim.n_patterns;
-  line "patterns_done %d" s.Faultsim.patterns_done;
-  line "sites_done %d" s.Faultsim.sites_done;
-  (* %h: exact hex float round-trip — a warm restart must serve the very
-     bytes a cold run reported. *)
-  line "dt_s %h" e.dt_s;
-  line "evals %d" e.evals;
-  line "universe_sites %d" e.n_sites;
-  line "first %s"
-    (String.concat " "
-       (Array.to_list
-          (Array.map
-             (function None -> "-" | Some p -> string_of_int p)
-             s.Faultsim.first_detection)));
-  Buffer.contents buf
+  Durable.encode ~header
+    [
+      ("key", e.key);
+      ("n_sites", string_of_int s.Faultsim.n_sites);
+      ("n_patterns", string_of_int s.Faultsim.n_patterns);
+      ("patterns_done", string_of_int s.Faultsim.patterns_done);
+      ("sites_done", string_of_int s.Faultsim.sites_done);
+      (* %h: exact hex float round-trip — a warm restart must serve the
+         very bytes a cold run reported. *)
+      ("dt_s", Printf.sprintf "%h" e.dt_s);
+      ("evals", string_of_int e.evals);
+      ("universe_sites", string_of_int e.n_sites);
+      ("first", Durable.first_to_string s.Faultsim.first_detection);
+    ]
 
 let save ?(chaos = Chaos.disabled) dir e =
   let path = file_of dir e.key in
-  let body = payload e in
-  let body = body ^ Printf.sprintf "checksum %s\n" (Digest.to_hex (Digest.string body)) in
-  (match Chaos.decide chaos Chaos.Cache_persist with
-  | Chaos.Pass -> ()
-  | Chaos.Fail -> fail "cache entry %s: injected persist failure" path
+  let bytes = encode e in
+  match Chaos.decide chaos Chaos.Cache_persist with
+  | Chaos.Pass -> Durable.publish ~what:"cache entry" path bytes
+  | Chaos.Fail -> Durable.fail "cache entry %s: injected persist failure" path
   | Chaos.Torn ->
       (* Model corruption the atomic rename cannot prevent: a truncated
          entry at the FINAL name, which the next boot must quarantine. *)
-      let oc = open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o644 path in
-      output_string oc (String.sub body 0 (String.length body / 2));
-      close_out_noerr oc;
-      fail "cache entry %s: injected torn persist" path);
-  let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
-  let oc =
-    try open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o644 tmp
-    with Sys_error msg -> fail "cache entry: cannot write %s: %s" tmp msg
-  in
-  (try
-     output_string oc body;
-     flush oc;
-     (try Unix.fsync (Unix.descr_of_out_channel oc) with Unix.Unix_error _ -> ());
-     close_out oc
-   with Sys_error msg ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     fail "cache entry: short write to %s: %s" tmp msg);
-  try Sys.rename tmp path
-  with Sys_error msg ->
-    (try Sys.remove tmp with Sys_error _ -> ());
-    fail "cache entry: cannot publish %s: %s" path msg
+      Durable.write_half path bytes;
+      Durable.fail "cache entry %s: injected torn persist" path
 
 let load path =
-  let ic =
-    try open_in_bin path with Sys_error msg -> fail "cache entry: cannot read %s: %s" path msg
-  in
-  let raw =
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  let body, sum =
-    match String.rindex_opt (String.trim raw) '\n' with
-    | None -> fail "cache entry %s: not an entry file" path
-    | Some i ->
-        let raw = String.trim raw in
-        (String.sub raw 0 (i + 1), String.sub raw (i + 1) (String.length raw - i - 1))
-  in
-  (match String.split_on_char ' ' sum with
-  | [ "checksum"; hex ] ->
-      if not (String.equal hex (Digest.to_hex (Digest.string body))) then
-        fail "cache entry %s: checksum mismatch (truncated or corrupted)" path
-  | _ -> fail "cache entry %s: missing checksum line" path);
-  let lines = String.split_on_char '\n' body |> List.filter (fun l -> l <> "") in
-  let kv =
-    List.map
-      (fun l ->
-        match String.index_opt l ' ' with
-        | Some i -> (String.sub l 0 i, String.sub l (i + 1) (String.length l - i - 1))
-        | None -> (l, ""))
-      lines
-  in
-  let get k =
-    match List.assoc_opt k kv with
-    | Some v -> v
-    | None -> fail "cache entry %s: missing field %S" path k
-  in
-  let get_int k =
-    match int_of_string_opt (get k) with
-    | Some n -> n
-    | None -> fail "cache entry %s: field %S is not an integer (%S)" path k (get k)
-  in
-  (match get "dynmos-cache" with
-  | "v1" -> ()
-  | v -> fail "cache entry %s: unsupported version %s (this build reads v%d)" path v version);
-  let n_sites = get_int "n_sites" in
-  let n_patterns = get_int "n_patterns" in
-  if n_sites < 0 || n_patterns < 0 then fail "cache entry %s: negative counts" path;
-  let first_detection =
-    let words =
-      String.split_on_char ' ' (get "first") |> List.filter (fun w -> w <> "") |> Array.of_list
-    in
-    if Array.length words <> n_sites then
-      fail "cache entry %s: %d detection entries for %d sites" path (Array.length words) n_sites;
-    Array.map
-      (fun w ->
-        if w = "-" then None
-        else
-          match int_of_string_opt w with
-          | Some p when p >= 0 && p < n_patterns -> Some p
-          | _ -> fail "cache entry %s: bad detection entry %S" path w)
-      words
-  in
+  let r = Durable.load ~what:"cache entry" ~header path in
+  let n_sites = Durable.int_field r "n_sites" in
+  let n_patterns = Durable.int_field r "n_patterns" in
+  (* Every writer keeps detections < patterns_done <= n_patterns and
+     sites_done <= n_sites. *)
+  let patterns_done = Durable.int_field ~max:n_patterns r "patterns_done" in
   let dt_s =
-    match float_of_string_opt (get "dt_s") with
+    match float_of_string_opt (Durable.field r "dt_s") with
     | Some f when Float.is_finite f && f >= 0.0 -> f
-    | _ -> fail "cache entry %s: bad dt_s %S" path (get "dt_s")
+    | _ -> Durable.fail "cache entry %s: bad dt_s %S" path (Durable.field r "dt_s")
   in
   {
-    key = get "key";
+    key = Durable.field r "key";
     summary =
       {
         Faultsim.n_sites;
         n_patterns;
-        first_detection;
-        outcome = Dynmos_faultsim.Outcome.Complete;
-        patterns_done = get_int "patterns_done";
-        sites_done = get_int "sites_done";
+        first_detection = Durable.first_field r ~n:n_sites ~before:patterns_done;
+        outcome = Outcome.Complete;
+        patterns_done;
+        sites_done = Durable.int_field ~max:n_sites r "sites_done";
       };
     dt_s;
-    evals = get_int "evals";
-    n_sites = get_int "universe_sites";
+    evals = Durable.int_field r "evals";
+    n_sites = Durable.int_field r "universe_sites";
   }
 
 let quarantine path =

@@ -1,13 +1,22 @@
 (** Persistent backing for the server's content-addressed result cache.
 
-    One checksummed file per completed run under [data-dir/cache],
-    written atomically (tmp + fsync + rename) at insertion time and
-    loaded back on boot, so a warm restart serves repeat requests at
-    zero gate evaluations.  Corrupt files — bit-rot, or the torn writes
-    the [cache.persist] chaos point injects — are quarantined (renamed
-    [*.corrupt]) and counted, never trusted and never fatal. *)
+    One file per completed run under [data-dir/cache], written at
+    insertion time and loaded back on boot, so a warm restart serves
+    repeat requests at zero gate evaluations.  An entry is a record of
+    the one durable codec ([Dynmos_durable.Durable]): header
+    [dynmos-cache v1], [key value] lines with [dt_s] in [%h], the
+    detection array on its [first] line, and a checksum trailer,
+    published by tmp + fsync + rename.
+
+    Chaos artifacts: [cache.persist] Fail writes nothing; Torn leaves a
+    truncated file at the {e final} name, which the next boot must
+    quarantine.  Corrupt files — bit-rot or that torn write — are
+    quarantined (renamed [*.corrupt]) and counted, never trusted and
+    never fatal. *)
 
 exception Error of string
+(** [Dynmos_durable.Durable.Error], shared with [Checkpoint] and
+    [Journal]. *)
 
 type entry = {
   key : string;  (** the in-memory cache's content-addressed key *)
@@ -26,7 +35,10 @@ val save : ?chaos:Dynmos_chaos.Chaos.t -> string -> entry -> unit
     cache still holds the entry, only warm-restart reuse is lost. *)
 
 val load : string -> entry
-(** Load and verify one entry file.  Raises {!Error} on any mismatch. *)
+(** Load and verify one entry file.  Raises {!Error} on any mismatch,
+    including counts no writer produces ([patterns_done] past
+    [n_patterns], [sites_done] past [n_sites], a detection at or past
+    [patterns_done]). *)
 
 val load_all : string -> entry list * int
 (** Scan a cache directory: [(healthy entries in deterministic order,

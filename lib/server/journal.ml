@@ -27,16 +27,17 @@
    them would replay corrupt envelopes.
 
    Compaction rewrites the segment as header + latest generation +
-   pending admits (completed pairs are dropped), via the same
-   tmp + fsync + rename discipline as checkpoints: a crash mid-compaction
-   leaves the original segment untouched plus a stale tmp that the next
-   open sweeps. *)
+   pending admits (completed pairs are dropped) and publishes it with
+   [Durable.publish], the checkpoints' tmp + fsync + rename: a crash
+   mid-compaction leaves the original segment untouched plus a stale
+   tmp that the next open sweeps. *)
 
 module Chaos = Dynmos_chaos.Chaos
+module Durable = Dynmos_durable.Durable
 
-exception Error of string
+exception Error = Durable.Error
 
-let fail fmt = Format.kasprintf (fun msg -> raise (Error msg)) fmt
+let fail = Durable.fail
 
 let version = 1
 let header = Printf.sprintf "dynmos-journal v%d" version
@@ -89,6 +90,11 @@ let encode payload = crc_hex payload ^ " " ^ payload
 (* A record payload parses to one of the three kinds, or is rejected. *)
 type record = Gen of int | Admit of int * string | Done of int * string
 
+(* Generations and jids are counters the writer starts at 1 and 0.  A
+   value it cannot have written — negative, or [max_int], whose
+   successor wraps — is as corrupt as a failed CRC. *)
+let counter s = match int_of_string_opt s with Some n when n >= 0 && n < max_int -> Some n | _ -> None
+
 let parse_record line =
   (* "<8 hex> <payload>" with a matching CRC *)
   if String.length line < 10 || line.[8] <> ' ' then None
@@ -98,74 +104,49 @@ let parse_record line =
     if not (String.equal crc (crc_hex payload)) then None
     else
       match String.split_on_char ' ' payload with
-      | "gen" :: [ n ] -> Option.map (fun n -> Gen n) (int_of_string_opt n)
+      | "gen" :: [ n ] -> Option.map (fun n -> Gen n) (counter n)
       | "admit" :: jid :: (_ :: _ as rest) ->
-          Option.map
-            (fun jid -> Admit (jid, String.concat " " rest))
-            (int_of_string_opt jid)
-      | [ "done"; jid; status ] ->
-          Option.map (fun jid -> Done (jid, status)) (int_of_string_opt jid)
+          Option.map (fun jid -> Admit (jid, String.concat " " rest)) (counter jid)
+      | [ "done"; jid; status ] -> Option.map (fun jid -> Done (jid, status)) (counter jid)
       | _ -> None
 
 (* --- Open / recovery ----------------------------------------------------------- *)
-
-let cleanup_stale path =
-  let dir = Filename.dirname path in
-  let prefix = Filename.basename path ^ ".tmp." in
-  let plen = String.length prefix in
-  match Sys.readdir dir with
-  | exception Sys_error _ -> 0
-  | entries ->
-      Array.fold_left
-        (fun n entry ->
-          if String.length entry > plen && String.sub entry 0 plen = prefix then (
-            try
-              Sys.remove (Filename.concat dir entry);
-              n + 1
-            with Sys_error _ -> n)
-          else n)
-        0 entries
 
 (* Scan an existing segment: validate the header, replay records until
    the torn tail (if any), and report where the good prefix ends.
    Returns (good_bytes, generation, pending, max_jid, records, tail_torn). *)
 let scan path =
-  let ic = try open_in_bin path with Sys_error msg -> fail "journal: cannot read %s: %s" path msg in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let len = in_channel_length ic in
-      let raw = really_input_string ic len in
-      let hlen = String.length header in
-      if len < hlen + 1 || not (String.equal (String.sub raw 0 hlen) header) || raw.[hlen] <> '\n'
-      then
-        fail "journal %s: bad header (not a dynmos-journal v%d file)" path version;
-      let pending = Hashtbl.create 16 in
-      let generation = ref 0 in
-      let max_jid = ref (-1) in
-      let records = ref 0 in
-      let pos = ref (hlen + 1) in
-      let good = ref !pos in
-      let torn = ref false in
-      while (not !torn) && !pos < len do
-        match String.index_from_opt raw !pos '\n' with
-        | None -> torn := true (* no newline: the appender died mid-record *)
-        | Some nl -> (
-            let line = String.sub raw !pos (nl - !pos) in
-            match parse_record line with
-            | None -> torn := true (* CRC or shape failure: trust nothing beyond *)
-            | Some r ->
-                (match r with
-                | Gen g -> generation := max !generation g
-                | Admit (jid, envelope) ->
-                    Hashtbl.replace pending jid envelope;
-                    max_jid := max !max_jid jid
-                | Done (jid, _) -> Hashtbl.remove pending jid);
-                incr records;
-                pos := nl + 1;
-                good := !pos)
-      done;
-      (!good, !generation, pending, !max_jid, !records, !torn))
+  let raw = Durable.read ~what:"journal" path in
+  let len = String.length raw in
+  let hlen = String.length header in
+  if len < hlen + 1 || not (String.equal (String.sub raw 0 hlen) header) || raw.[hlen] <> '\n'
+  then fail "journal %s: bad header (not a dynmos-journal v%d file)" path version;
+  let pending = Hashtbl.create 16 in
+  let generation = ref 0 in
+  let max_jid = ref (-1) in
+  let records = ref 0 in
+  let pos = ref (hlen + 1) in
+  let good = ref !pos in
+  let torn = ref false in
+  while (not !torn) && !pos < len do
+    match String.index_from_opt raw !pos '\n' with
+    | None -> torn := true (* no newline: the appender died mid-record *)
+    | Some nl -> (
+        let line = String.sub raw !pos (nl - !pos) in
+        match parse_record line with
+        | None -> torn := true (* CRC or shape failure: trust nothing beyond *)
+        | Some r ->
+            (match r with
+            | Gen g -> generation := max !generation g
+            | Admit (jid, envelope) ->
+                Hashtbl.replace pending jid envelope;
+                max_jid := max !max_jid jid
+            | Done (jid, _) -> Hashtbl.remove pending jid);
+            incr records;
+            pos := nl + 1;
+            good := !pos)
+  done;
+  (!good, !generation, pending, !max_jid, !records, !torn)
 
 let fsync_oc t oc =
   match Chaos.decide t.chaos Chaos.Journal_fsync with
@@ -214,44 +195,20 @@ let pending_list t =
 
 let compact_locked t =
   with_oc t @@ fun old_oc ->
-  let tmp = Printf.sprintf "%s.tmp.%d" t.path (Unix.getpid ()) in
-  (match Chaos.decide t.chaos Chaos.Journal_compact with
-  | Chaos.Pass -> ()
-  | Chaos.Fail -> fail "journal %s: injected compaction failure" t.path
-  | Chaos.Torn ->
-      (* Crash mid-compaction: a truncated replacement segment exists
-         only under its tmp name, the live segment is untouched, and the
-         next open sweeps the garbage. *)
-      let oc = open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o644 tmp in
-      output_string oc (header ^ "\n");
-      output_string oc (String.sub (encode (Printf.sprintf "gen %d" t.generation)) 0 5);
-      close_out_noerr oc;
-      fail "journal %s: injected torn compaction" t.path);
-  let oc =
-    try open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o644 tmp
-    with Sys_error msg -> fail "journal %s: cannot write %s: %s" t.path tmp msg
-  in
   let entries = pending_list t in
-  (try
-     output_string oc (header ^ "\n");
-     output_string oc (encode (Printf.sprintf "gen %d" t.generation));
-     output_char oc '\n';
-     List.iter
-       (fun { jid; envelope } ->
-         output_string oc (encode (Printf.sprintf "admit %d %s" jid envelope));
-         output_char oc '\n')
-       entries;
-     flush oc;
-     (try Unix.fsync (Unix.descr_of_out_channel oc) with Unix.Unix_error _ -> ());
-     close_out oc
-   with Sys_error msg ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     fail "journal %s: compaction write failed: %s" t.path msg);
-  (try Sys.rename tmp t.path
-   with Sys_error msg ->
-     (try Sys.remove tmp with Sys_error _ -> ());
-     fail "journal %s: cannot publish compacted segment: %s" t.path msg);
+  let buf = Buffer.create 4096 in
+  let line s =
+    Buffer.add_string buf s;
+    Buffer.add_char buf '\n'
+  in
+  line header;
+  line (encode (Printf.sprintf "gen %d" t.generation));
+  List.iter (fun { jid; envelope } -> line (encode (Printf.sprintf "admit %d %s" jid envelope))) entries;
+  (* A crash mid-compaction ([journal.compact] Torn) leaves the truncated
+     replacement only under its tmp name: the live segment is untouched,
+     and the next open sweeps the garbage. *)
+  Durable.publish ~chaos:t.chaos ~write:Chaos.Journal_compact ~what:"journal" t.path
+    (Buffer.contents buf);
   (* The old channel points at an unlinked inode; all future appends go
      to the fresh segment. *)
   close_out_noerr old_oc;
@@ -269,7 +226,7 @@ let compact t = locked t (fun () -> compact_locked t)
 
 let open_ ?(chaos = Chaos.disabled) ?(rotate_limit = 1024) path =
   if rotate_limit < 2 then fail "journal: rotate_limit must be >= 2 (got %d)" rotate_limit;
-  let stale_cleaned = cleanup_stale path in
+  let stale_cleaned = Durable.sweep_stale path in
   let fresh = not (Sys.file_exists path) in
   let good, generation, pending, max_jid, records, torn =
     if fresh then (0, 0, Hashtbl.create 16, -1, 0, false) else scan path

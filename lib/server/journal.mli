@@ -16,19 +16,24 @@
     record, or anything whose CRC fails) back to the last good record.
 
     Compaction rewrites the segment keeping only the latest generation
-    and the pending admits, using tmp + fsync + rename — a crash
-    mid-compaction leaves the live segment untouched (the truncated
-    replacement exists only under a tmp name, swept at the next open).
+    and the pending admits, and publishes it through the one durable
+    codec's tmp + fsync + rename ([Dynmos_durable.Durable.publish]),
+    which also reads segments and sweeps stale tmps at {!open_}.  The
+    per-line CRC framing, the append path and torn-tail truncation stay
+    here: a whole-file checksum cannot survive appends.
     {!append_done} auto-compacts once the segment exceeds the rotate
     limit and at least half its records are completed pairs.
 
-    Chaos points: [journal.append] (Fail = clean append failure, Torn =
-    half a record with no newline), [journal.fsync] (skip the sync),
-    [journal.compact] (Fail = abort, Torn = crash mid-rewrite).  All
-    appends are serialized under one internal mutex — reader threads
-    admit and executor domains complete concurrently. *)
+    Chaos artifacts: [journal.append] Fail writes nothing and Torn
+    leaves half a record with no newline; [journal.fsync] skips the
+    sync; [journal.compact] Fail aborts, Torn leaves a truncated tmp and
+    an intact segment.  All appends are serialized under one internal
+    mutex — reader threads admit and executor domains complete
+    concurrently. *)
 
 exception Error of string
+(** [Dynmos_durable.Durable.Error], shared with [Checkpoint] and
+    [Cache_store]. *)
 
 type t
 
@@ -39,7 +44,9 @@ val open_ : ?chaos:Dynmos_chaos.Chaos.t -> ?rotate_limit:int -> string -> t
     compaction tmps, scan the segment, truncate any torn tail, and stamp
     a new boot generation.  [rotate_limit] (default 1024, min 2) bounds
     the segment's record count before auto-compaction.  Raises {!Error}
-    on an unreadable file or a foreign header. *)
+    on an unreadable file or a foreign header.  A record with a negative
+    or [max_int] generation or jid is corrupt, like a failed CRC: it
+    starts the torn tail. *)
 
 val recovered : t -> entry list
 (** The admitted-but-unfinished jobs found at {!open_} (plus any

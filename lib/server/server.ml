@@ -557,6 +557,9 @@ let current_key key =
       && (drop = "true" || drop = "false")
   | _ -> false
 
+let remove_checkpoint path =
+  List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ path; path ^ ".bak" ]
+
 (* Build (or resume) the per-job checkpoint controller.  Only jobs big
    enough to be worth the write amplification get one ([ckpt_patterns]);
    a checkpoint corrupted beyond its [.bak] is discarded and the job
@@ -573,8 +576,7 @@ let job_checkpoint t (key, digests) u pats ~patterns =
       in
       (try Some (make ~resume:true)
        with Checkpoint.Error _ -> (
-         (try Sys.remove path with Sys_error _ -> ());
-         (try Sys.remove (path ^ ".bak") with Sys_error _ -> ());
+         remove_checkpoint path;
          try Some (make ~resume:false) with Checkpoint.Error _ -> None))
   | _ -> None
 
@@ -585,9 +587,7 @@ let ckpt_discard ckpt =
       (* A completed job's checkpoint is dead weight — worse, a stale one
          would preload a finished state into an unrelated future run of
          the same identity (harmlessly, but pointlessly). *)
-      let path = Checkpoint.path ctl in
-      (try Sys.remove path with Sys_error _ -> ());
-      (try Sys.remove (path ^ ".bak") with Sys_error _ -> ())
+      remove_checkpoint (Checkpoint.path ctl)
 
 (* Publish an entry in memory and delete the disk copy of the entry it
    evicted, so the cache directory holds no more entries than the LRU
@@ -600,6 +600,30 @@ let cache_add t key entry =
   | Some victim, Some d -> (
       try Sys.remove (Cache_store.file_of d.cache_dir victim) with Sys_error _ -> ())
   | _ -> ()
+
+(* Write one entry to the data dir and count the outcome.  A failed
+   persist is absorbed: the in-memory entry still serves this boot, only
+   warm-restart reuse is lost (the maintenance hook retries). *)
+let persist t d key (e : Cache.entry) =
+  let ok =
+    match
+      Cache_store.save ~chaos:t.config.chaos d.cache_dir
+        {
+          Cache_store.key;
+          summary = e.Cache.summary;
+          dt_s = e.Cache.dt_s;
+          evals = e.Cache.evals;
+          n_sites = e.Cache.n_sites;
+        }
+    with
+    | () -> true
+    | exception Cache_store.Error _ -> false
+  in
+  e.Cache.persisted <- ok;
+  Mutex.lock d.dur_m;
+  if ok then d.cache_persisted <- d.cache_persisted + 1
+  else d.cache_persist_failed <- d.cache_persist_failed + 1;
+  Mutex.unlock d.dur_m
 
 let exec_job t client job =
   let r = job.run in
@@ -736,26 +760,8 @@ let exec_job t client job =
                     }
                   in
                   (* Persist before publishing in memory so [persisted]
-                     never claims a write that didn't happen.  A failed
-                     persist is absorbed: the in-memory entry still
-                     serves this boot, only warm-restart reuse is lost
-                     (the maintenance hook retries). *)
-                  (match t.durable with
-                  | None -> ()
-                  | Some d -> (
-                      match
-                        Cache_store.save ~chaos:t.config.chaos d.cache_dir
-                          { Cache_store.key = k; summary; dt_s = dt; evals; n_sites }
-                      with
-                      | () ->
-                          entry.Cache.persisted <- true;
-                          Mutex.lock d.dur_m;
-                          d.cache_persisted <- d.cache_persisted + 1;
-                          Mutex.unlock d.dur_m
-                      | exception Cache_store.Error _ ->
-                          Mutex.lock d.dur_m;
-                          d.cache_persist_failed <- d.cache_persist_failed + 1;
-                          Mutex.unlock d.dur_m));
+                     never claims a write that didn't happen. *)
+                  Option.iter (fun d -> persist t d k entry) t.durable;
                   cache_add t k entry)
           | None -> ())
       | Outcome.Partial _ -> ());
@@ -1054,27 +1060,7 @@ let maintenance t =
   | Some d ->
       (try Journal.compact d.journal with Journal.Error _ -> ());
       List.iter
-        (fun (k, (e : Cache.entry)) ->
-          if not e.Cache.persisted then
-            match
-              Cache_store.save ~chaos:t.config.chaos d.cache_dir
-                {
-                  Cache_store.key = k;
-                  summary = e.Cache.summary;
-                  dt_s = e.Cache.dt_s;
-                  evals = e.Cache.evals;
-                  n_sites = e.Cache.n_sites;
-                }
-            with
-            | () ->
-                e.Cache.persisted <- true;
-                Mutex.lock d.dur_m;
-                d.cache_persisted <- d.cache_persisted + 1;
-                Mutex.unlock d.dur_m
-            | exception Cache_store.Error _ ->
-                Mutex.lock d.dur_m;
-                d.cache_persist_failed <- d.cache_persist_failed + 1;
-                Mutex.unlock d.dur_m)
+        (fun (k, (e : Cache.entry)) -> if not e.Cache.persisted then persist t d k e)
         (Cache.snapshot t.rcache);
       if Obs.enabled t.obs then
         Obs.emit t.obs ~ev:"serve.maintenance"

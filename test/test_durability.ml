@@ -504,6 +504,187 @@ let test_golden_readers () =
       check_i "journal generation" 2 (Journal.generation j);
       check_i "journal intact" 0 (Journal.truncated_tail j))
 
+(* --- Decoder fuzzers ----------------------------------------------------------------- *)
+
+(* Seeded mutation fuzzers over the durable decoders, starting from the
+   golden files: duplicated, deleted or swapped lines, byte flips, huge,
+   negative or non-numeric values, and truncation.  Most mutants get a
+   recomputed checksum (per-record CRCs for the journal), so that field
+   decoding is reached.  Each input must raise the module's Error or
+   decode to a value a writer can produce; any other exception fails the
+   property. *)
+
+let crc32_hex s =
+  let c = ref 0xffffffff in
+  String.iter
+    (fun ch ->
+      c := !c lxor Char.code ch;
+      for _ = 1 to 8 do
+        c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
+      done)
+    s;
+  Printf.sprintf "%08x" (!c lxor 0xffffffff)
+
+let gen_mutated_lines lines =
+  let open QCheck2.Gen in
+  let pick l = int_bound (max 0 (List.length l - 1)) in
+  let value =
+    oneofl
+      [ "-1"; "-"; "x"; ""; "0"; "1"; "20"; "63"; "64"; "65"; "100000"; "0x10"; "nan";
+        "4611686018427387903"; "99999999999999999999" ]
+  in
+  let set_value l =
+    let+ i = pick l and+ v = value and+ w = int_bound 63 in
+    List.mapi
+      (fun j line ->
+        let words = Array.of_list (String.split_on_char ' ' line) in
+        if j <> i || Array.length words < 2 then line
+        else (
+          words.(1 + (w mod (Array.length words - 1))) <- v;
+          String.concat " " (Array.to_list words)))
+      l
+  in
+  let delete l =
+    let+ i = pick l in
+    List.filteri (fun j _ -> j <> i) l
+  in
+  let duplicate l =
+    let+ i = pick l in
+    List.concat (List.mapi (fun j x -> if j = i then [ x; x ] else [ x ]) l)
+  in
+  let swap l =
+    let+ i = pick l and+ k = pick l in
+    List.mapi (fun j x -> if j = i then List.nth l k else if j = k then List.nth l i else x) l
+  in
+  let flip l =
+    let+ i = pick l and+ c = char and+ p = nat in
+    List.mapi
+      (fun j line ->
+        if j <> i || line = "" then line
+        else String.mapi (fun q x -> if q = p mod String.length line then c else x) line)
+      l
+  in
+  let rec go k l =
+    if k = 0 || l = [] then return l
+    else oneof [ set_value l; set_value l; delete l; duplicate l; swap l; flip l ] >>= go (k - 1)
+  in
+  int_range 1 3 >>= fun k -> go k lines
+
+(* Raw damage after re-encoding: most mutants pass through, some are
+   truncated or get a flipped byte, so the checksum or CRC fails. *)
+let gen_damaged text =
+  let open QCheck2.Gen in
+  frequency
+    [
+      (6, return text);
+      (1, map (fun i -> String.sub text 0 i) (int_bound (String.length text)));
+      ( 1,
+        let+ i = int_bound (max 0 (String.length text - 1)) and+ c = char in
+        String.mapi (fun q x -> if q = i then c else x) text );
+    ]
+
+let gen_record_mutant base =
+  let open QCheck2.Gen in
+  let lines = List.filter (fun l -> l <> "") (String.split_on_char '\n' base) in
+  let trailer = List.nth lines (List.length lines - 1) in
+  let* lines = gen_mutated_lines (List.filteri (fun i _ -> i < List.length lines - 1) lines)
+  and* resum = frequency [ (4, return true); (1, return false) ] in
+  let body = String.concat "" (List.map (fun l -> l ^ "\n") lines) in
+  gen_damaged
+    (body ^ (if resum then "checksum " ^ Digest.to_hex (Digest.string body) else trailer) ^ "\n")
+
+let gen_journal_mutant base =
+  let open QCheck2.Gen in
+  let header, payloads =
+    match List.filter (fun l -> l <> "") (String.split_on_char '\n' base) with
+    | h :: records -> (h, List.map (fun r -> String.sub r 9 (String.length r - 9)) records)
+    | [] -> assert false
+  in
+  let* lines =
+    gen_mutated_lines
+      ((header :: payloads) @ [ "gen 2"; "done 2 ok"; {|admit 4 {"circuit":"fig9"}|} ])
+  in
+  gen_damaged
+    (String.concat ""
+       (List.mapi (fun i l -> if i = 0 then l ^ "\n" else crc32_hex l ^ " " ^ l ^ "\n") lines))
+
+let checkpoint_ok (st : Checkpoint.state) =
+  st.n_sites >= 0 && 0 <= st.units_done && st.units_done <= st.n_patterns
+  && Array.length st.first_detection = st.n_sites
+  && Array.for_all
+       (function None -> true | Some p -> 0 <= p && p < st.units_done)
+       st.first_detection
+
+let entry_ok (e : Cache_store.entry) =
+  let s = e.Cache_store.summary in
+  s.Faultsim.n_sites >= 0
+  && 0 <= s.Faultsim.patterns_done
+  && s.Faultsim.patterns_done <= s.Faultsim.n_patterns
+  && 0 <= s.Faultsim.sites_done
+  && s.Faultsim.sites_done <= s.Faultsim.n_sites
+  && Array.length s.Faultsim.first_detection = s.Faultsim.n_sites
+  && Array.for_all
+       (function None -> true | Some p -> 0 <= p && p < s.Faultsim.patterns_done)
+       s.Faultsim.first_detection
+  && Float.is_finite e.Cache_store.dt_s && e.Cache_store.dt_s >= 0.0
+  && e.Cache_store.evals >= 0 && e.Cache_store.n_sites >= 0
+
+let run_fuzz test = QCheck2.Test.check_exn ~rand:(Random.State.make [| 24 |]) test
+
+let test_record_fuzz () =
+  with_dir "dynmos_fuzz" @@ fun dir ->
+  let path = Filename.concat dir "mutant" in
+  let bases =
+    List.map
+      (fun f -> (Filename.check_suffix f ".entry", read_file (golden f)))
+      [ "carry8_s7.ckpt"; "carry8_s7.ckpt.bak"; "empty.ckpt"; "carry8_s7.entry" ]
+  in
+  run_fuzz
+    (QCheck2.Test.make ~name:"mutated checkpoints and cache entries" ~count:1000
+       ~print:(fun (_, text) -> String.escaped text)
+       QCheck2.Gen.(
+         let* entry, base = oneofl bases in
+         pair (return entry) (gen_record_mutant base))
+       (fun (entry, text) ->
+         write_file path text;
+         if entry then
+           match Cache_store.load path with
+           | e -> entry_ok e
+           | exception Cache_store.Error _ -> true
+         else
+           match Checkpoint.load path with
+           | st -> checkpoint_ok st
+           | exception Checkpoint.Error _ -> true))
+
+let test_journal_fuzz () =
+  with_dir "dynmos_fuzz" @@ fun dir ->
+  let path = Filename.concat dir "journal" in
+  let base = read_file (golden "journal") in
+  run_fuzz
+    (QCheck2.Test.make ~name:"mutated journal segments" ~count:300 ~print:String.escaped
+       (gen_journal_mutant base) (fun text ->
+         write_file path text;
+         match Journal.open_ path with
+         | exception Journal.Error _ -> true
+         | j ->
+             (* Replayed jids are distinct, ascending and below the next
+                one handed out; the open leaves a clean segment that a
+                second open replays unchanged. *)
+             let recovered = Journal.recovered j in
+             let jids = List.map (fun e -> e.Journal.jid) recovered in
+             let fresh = Journal.append_admit j ~envelope:"{}" in
+             Journal.close j;
+             let j2 = Journal.open_ path in
+             Fun.protect
+               ~finally:(fun () -> Journal.close j2)
+               (fun () ->
+                 List.for_all (fun jid -> 0 <= jid && jid < fresh) jids
+                 && List.sort_uniq compare jids = jids
+                 && Journal.generation j >= 1
+                 && Journal.generation j2 = Journal.generation j + 1
+                 && Journal.truncated_tail j2 = 0
+                 && Journal.recovered j2 = recovered @ [ { Journal.jid = fresh; envelope = "{}" } ])))
+
 (* --- Server: warm-restart cache ---------------------------------------------------- *)
 
 let test_server_warm_restart_cache () =
@@ -1027,6 +1208,11 @@ let () =
         [
           Alcotest.test_case "writers reproduce the golden bytes" `Quick test_golden_writers;
           Alcotest.test_case "readers return the pinned values" `Quick test_golden_readers;
+        ] );
+      ( "decoder fuzz",
+        [
+          Alcotest.test_case "checkpoints and cache entries" `Quick test_record_fuzz;
+          Alcotest.test_case "journal segments" `Quick test_journal_fuzz;
         ] );
       ( "server recovery",
         [
