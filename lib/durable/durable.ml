@@ -18,18 +18,9 @@ let fail fmt = Format.kasprintf (fun msg -> raise (Error msg)) fmt
 
 let encode ~header fields =
   let buf = Buffer.create 1024 in
-  let line s =
-    Buffer.add_string buf s;
-    Buffer.add_char buf '\n'
-  in
-  line header;
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_string buf k;
-      Buffer.add_char buf ' ';
-      line v)
-    fields;
-  line ("checksum " ^ Digest.to_hex (Digest.string (Buffer.contents buf)));
+  Printf.bprintf buf "%s\n" header;
+  List.iter (fun (k, v) -> Printf.bprintf buf "%s %s\n" k v) fields;
+  Printf.bprintf buf "checksum %s\n" (Digest.to_hex (Digest.string (Buffer.contents buf)));
   Buffer.contents buf
 
 let first_to_string first =
@@ -39,14 +30,8 @@ let first_to_string first =
 type record = { name : string; fields : (string * string) list }
 
 let read ~what path =
-  try
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | Sys_error msg -> fail "%s %s: cannot read: %s" what path msg
-  | End_of_file -> fail "%s %s: truncated while being read" what path
+  try In_channel.with_open_bin path In_channel.input_all
+  with Sys_error msg -> fail "%s %s: cannot read: %s" what path msg
 
 let load ~what ~header path =
   let name = what ^ " " ^ path in

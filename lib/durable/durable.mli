@@ -3,56 +3,41 @@
     compactions.
 
     A record is a header line (e.g. [dynmos-checkpoint v1]), one
-    [key value] line per field, and a trailing [checksum <md5 hex>] line
-    over every byte before it.  {!load} verifies the checksum before it
-    reads any field, so truncation and bit-rot are reported as such
-    (["truncated"], ["checksum"]) rather than as parse errors.
-
-    {!publish} writes [path.tmp.<pid>], flushes, fsyncs, optionally
-    rotates the previous file to [path.bak], and renames, so a reader
-    never sees a half-written file; a writer killed before the rename
-    leaves only a tmp that {!sweep_stale} removes. *)
+    [key value] line per field, and a [checksum <md5 hex>] trailer over
+    every byte before it, verified before any field is read: truncation
+    and bit-rot are reported as such, never as parse errors. *)
 
 exception Error of string
-(** Every refusal and I/O failure of this module.  Messages start with
-    the caller's [what] and the path, e.g. [checkpoint ck.dat: ...]. *)
+(** Every refusal and I/O failure; messages start [what path:]. *)
 
 val fail : ('a, Format.formatter, unit, 'b) format4 -> 'a
 (** Raise {!Error} with a formatted message. *)
 
-(** {1 Records} *)
-
 val encode : header:string -> (string * string) list -> string
-(** The header line, one [key value] line per field in order, and the
-    checksum trailer. *)
+(** The header, one [key value] line per field in order, the trailer. *)
 
 val first_to_string : int option array -> string
 (** The detection-array codec: per site its first detecting pattern, or
-    [-] when undetected, separated by single spaces. *)
+    [-], separated by single spaces. *)
 
 type record
-(** The fields of a file whose checksum and header were verified. *)
 
 val load : what:string -> header:string -> string -> record
-(** [load ~what ~header path] reads [path] and verifies its checksum,
-    then its first line against [header].  A duplicated key is refused:
-    no writer produces one. *)
+(** Read a file and verify its checksum, then its header line.  A
+    duplicated key is refused: no writer produces one. *)
 
 val field : record -> string -> string
 val field_opt : record -> string -> string option
 
 val int_field : ?max:int -> record -> string -> int
-(** A count: a decimal in [0, max] ([max] defaults to [max_int]). *)
+(** A count in [0, max] ([max] defaults to [max_int]). *)
 
 val first_field : record -> n:int -> before:int -> int option array
-(** The [first] field, decoded: exactly [n] entries, each [-] or a
-    pattern index in [0, before) — a detection at or past the patterns
-    a writer has completed is refused. *)
-
-(** {1 Files} *)
+(** The [first] field: [n] entries, each [-] or a pattern in
+    [0, before), so no detection lies past the patterns written done. *)
 
 val read : what:string -> string -> string
-(** The whole file. *)
+(** A whole file. *)
 
 val write_half : string -> string -> unit
 (** Best-effort torn artifact: the first half of the bytes at the path. *)
@@ -67,14 +52,12 @@ val publish :
   string ->
   string ->
   unit
-(** [publish ~what path bytes] atomically replaces [path] with [bytes]:
-    tmp, flush, fsync, rotation of the previous file to [path ^ ".bak"]
-    when [backup] (default false), rename.  Each chaos point is tapped
-    where its step runs: [write] Fail raises before any byte is written
-    and Torn leaves half the bytes in the tmp; [fsync] skips the sync
-    (the write still succeeds); [rename] drops the tmp and raises. *)
+(** [publish ~what path bytes]: write [path.tmp.<pid>], flush, fsync,
+    rotate the previous file to [path ^ ".bak"] when [backup] (default
+    false), rename.  At the [write] point Fail raises before any byte is
+    written and Torn leaves half the bytes in the tmp; [fsync] skips the
+    sync; [rename] drops the tmp and raises. *)
 
 val sweep_stale : string -> int
-(** Delete [path ^ ".tmp.<pid>"] leftovers of crashed writers; returns
-    how many were removed.  Call only when no writer for [path] can be
-    live. *)
+(** Delete the [path ^ ".tmp.<pid>"] files of crashed writers and count
+    them.  Call only when no writer for [path] can be live. *)

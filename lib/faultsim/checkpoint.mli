@@ -4,25 +4,20 @@
 
     A checkpoint pins the campaign it belongs to with digests of the
     circuit, the fault universe and the pattern set; {!create} refuses to
-    resume against mismatched digests.  It is a record of the one
-    durable codec ([Dynmos_durable.Durable]): header
-    [dynmos-checkpoint v1], [key value] lines, the detection array on its
-    [first] line, and a checksum trailer verified at {!load} before any
-    field is read.
-
-    Chaos artifacts: [ckpt.write] Fail leaves no file and Torn leaves
-    half a tmp; [ckpt.fsync] skips the sync; [ckpt.rename] drops the tmp.
-    The published file and its [.bak] are never torn.
+    resume against mismatched digests.  It is a [Dynmos_durable.Durable]
+    record ([dynmos-checkpoint v1]) published with a [.bak] rotation.
+    Chaos artifacts: [ckpt.write] Fail leaves no file and Torn half a
+    tmp; [ckpt.fsync] skips the sync; [ckpt.rename] drops the tmp.
 
     Every engine sweeps patterns in ascending units, so there is one
     checkpoint mode and any engine resumes any engine's file. *)
 
 exception Error of string
-(** [Dynmos_durable.Durable.Error], shared with [Cache_store] and
-    [Journal].  Raised on unreadable, corrupted, version-incompatible or
-    digest-mismatched checkpoint files, with a message that starts
-    [checkpoint FILE:].  Never raised for a merely missing file at the
-    CLI level — see [Faultsim.checkpoint_ctl]. *)
+(** [Durable.Error], shared with [Cache_store] and [Journal]: raised on
+    unreadable, corrupted, version-incompatible or digest-mismatched
+    checkpoint files, with messages that start [checkpoint FILE:].
+    Never raised for a merely missing file at the CLI level — see
+    [Faultsim.checkpoint_ctl]. *)
 
 type mode =
   | Patterns
@@ -52,18 +47,16 @@ type state = {
 }
 
 val save : ?chaos:Dynmos_chaos.Chaos.t -> string -> state -> unit
-(** [save path st] atomically publishes [st] at [path]: temp file, flush,
-    [fsync], rotation of the previous file to [path ^ ".bak"], rename,
-    checksum trailer.  Raises {!Error} on I/O failure.  [chaos] taps the
-    [ckpt.write] / [ckpt.fsync] / [ckpt.rename] injection points. *)
+(** [save path st] atomically publishes [st] at [path], rotating the
+    previous file to [path ^ ".bak"].  Raises {!Error} on I/O failure,
+    injected ones included. *)
 
 val load : string -> state
 (** Parse and validate a checkpoint file.  Raises {!Error} on missing
     file, bad checksum (truncation), unknown version, malformed fields,
-    counts no writer produces ([units_done] past [n_patterns], a
+    values no writer produces ([units_done] past [n_patterns], a
     detection at or past [units_done]), or a [mode sites] file from an
-    older build (its site-sweep progress has no pattern prefix to resume
-    from). *)
+    older build (its site-sweep progress has no pattern prefix). *)
 
 val load_or_backup : string -> state * bool
 (** [load_or_backup path] is [load path], falling back to
@@ -73,9 +66,8 @@ val load_or_backup : string -> state * bool
     fail, re-raises the {e primary}'s {!Error}. *)
 
 val cleanup_stale : string -> int
-(** Delete [path ^ ".tmp.<pid>"] leftovers from crashed writers and
-    return how many were removed.  Call only when no writer for [path]
-    can be live (campaign start/resume — {!create} does this itself). *)
+(** [Dynmos_durable.Durable.sweep_stale] for a checkpoint path; call
+    only at campaign start/resume ({!create} does this itself). *)
 
 (** {1 Controllers}
 

@@ -2,21 +2,15 @@
 
     One file per completed run under [data-dir/cache], written at
     insertion time and loaded back on boot, so a warm restart serves
-    repeat requests at zero gate evaluations.  An entry is a record of
-    the one durable codec ([Dynmos_durable.Durable]): header
-    [dynmos-cache v1], [key value] lines with [dt_s] in [%h], the
-    detection array on its [first] line, and a checksum trailer,
-    published by tmp + fsync + rename.
-
+    repeat requests at zero gate evaluations.  An entry is a
+    [Dynmos_durable.Durable] record ([dynmos-cache v1], [dt_s] in [%h]).
     Chaos artifacts: [cache.persist] Fail writes nothing; Torn leaves a
-    truncated file at the {e final} name, which the next boot must
-    quarantine.  Corrupt files — bit-rot or that torn write — are
-    quarantined (renamed [*.corrupt]) and counted, never trusted and
-    never fatal. *)
+    truncated file at the {e final} name.  Corrupt files — bit-rot or
+    that torn write — are quarantined (renamed [*.corrupt]) and counted,
+    never trusted and never fatal. *)
 
 exception Error of string
-(** [Dynmos_durable.Durable.Error], shared with [Checkpoint] and
-    [Journal]. *)
+(** [Durable.Error], shared with [Checkpoint] and [Journal]. *)
 
 type entry = {
   key : string;  (** the in-memory cache's content-addressed key *)
@@ -35,10 +29,8 @@ val save : ?chaos:Dynmos_chaos.Chaos.t -> string -> entry -> unit
     cache still holds the entry, only warm-restart reuse is lost. *)
 
 val load : string -> entry
-(** Load and verify one entry file.  Raises {!Error} on any mismatch,
-    including counts no writer produces ([patterns_done] past
-    [n_patterns], [sites_done] past [n_sites], a detection at or past
-    [patterns_done]). *)
+(** Load and verify one entry file.  Raises {!Error} on any mismatch or
+    on values no writer produces (e.g. [sites_done] past [n_sites]). *)
 
 val load_all : string -> entry list * int
 (** Scan a cache directory: [(healthy entries in deterministic order,

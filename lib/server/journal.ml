@@ -196,19 +196,15 @@ let pending_list t =
 let compact_locked t =
   with_oc t @@ fun old_oc ->
   let entries = pending_list t in
-  let buf = Buffer.create 4096 in
-  let line s =
-    Buffer.add_string buf s;
-    Buffer.add_char buf '\n'
+  let records =
+    Printf.sprintf "gen %d" t.generation
+    :: List.map (fun { jid; envelope } -> Printf.sprintf "admit %d %s" jid envelope) entries
   in
-  line header;
-  line (encode (Printf.sprintf "gen %d" t.generation));
-  List.iter (fun { jid; envelope } -> line (encode (Printf.sprintf "admit %d %s" jid envelope))) entries;
   (* A crash mid-compaction ([journal.compact] Torn) leaves the truncated
      replacement only under its tmp name: the live segment is untouched,
      and the next open sweeps the garbage. *)
   Durable.publish ~chaos:t.chaos ~write:Chaos.Journal_compact ~what:"journal" t.path
-    (Buffer.contents buf);
+    (String.concat "" (List.map (fun l -> l ^ "\n") (header :: List.map encode records)));
   (* The old channel points at an unlinked inode; all future appends go
      to the fresh segment. *)
   close_out_noerr old_oc;

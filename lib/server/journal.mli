@@ -16,24 +16,20 @@
     record, or anything whose CRC fails) back to the last good record.
 
     Compaction rewrites the segment keeping only the latest generation
-    and the pending admits, and publishes it through the one durable
-    codec's tmp + fsync + rename ([Dynmos_durable.Durable.publish]),
-    which also reads segments and sweeps stale tmps at {!open_}.  The
-    per-line CRC framing, the append path and torn-tail truncation stay
-    here: a whole-file checksum cannot survive appends.
-    {!append_done} auto-compacts once the segment exceeds the rotate
-    limit and at least half its records are completed pairs.
+    and the pending admits, published by [Dynmos_durable.Durable]'s
+    tmp + fsync + rename; segments are read and stale tmps swept there
+    too.  {!append_done} auto-compacts once the segment exceeds the
+    rotate limit and at least half its records are completed pairs.
 
-    Chaos artifacts: [journal.append] Fail writes nothing and Torn
-    leaves half a record with no newline; [journal.fsync] skips the
-    sync; [journal.compact] Fail aborts, Torn leaves a truncated tmp and
-    an intact segment.  All appends are serialized under one internal
+    Chaos artifacts: [journal.append] Fail writes nothing, Torn half a
+    record with no newline; [journal.fsync] skips the sync;
+    [journal.compact] Fail aborts, Torn leaves a truncated tmp and an
+    intact segment.  All appends are serialized under one internal
     mutex — reader threads admit and executor domains complete
     concurrently. *)
 
 exception Error of string
-(** [Dynmos_durable.Durable.Error], shared with [Checkpoint] and
-    [Cache_store]. *)
+(** [Durable.Error], shared with [Checkpoint] and [Cache_store]. *)
 
 type t
 
@@ -44,9 +40,8 @@ val open_ : ?chaos:Dynmos_chaos.Chaos.t -> ?rotate_limit:int -> string -> t
     compaction tmps, scan the segment, truncate any torn tail, and stamp
     a new boot generation.  [rotate_limit] (default 1024, min 2) bounds
     the segment's record count before auto-compaction.  Raises {!Error}
-    on an unreadable file or a foreign header.  A record with a negative
-    or [max_int] generation or jid is corrupt, like a failed CRC: it
-    starts the torn tail. *)
+    on an unreadable file or a foreign header.  A record whose jid or
+    generation is negative or [max_int] counts as torn. *)
 
 val recovered : t -> entry list
 (** The admitted-but-unfinished jobs found at {!open_} (plus any
