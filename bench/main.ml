@@ -1,12 +1,9 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation plus two extensions (see EXPERIMENTS.md, index E1..E16) and
-   times the core computations with Bechamel (one Test.make per
-   experiment).
+   evaluation plus its extensions (see EXPERIMENTS.md, index E1..E17).
 
    Usage:
      dune exec bench/main.exe                    run every experiment
      dune exec bench/main.exe -- e5 e8           run selected experiments
-     dune exec bench/main.exe -- --no-bechamel   skip the timing suite
      dune exec bench/main.exe -- e17 --tiny      E17 CI smoke (small sizes) *)
 
 open Dynmos_util
@@ -361,8 +358,7 @@ let e11 () =
       let dt = (Unix.gettimeofday () -. t0) /. float_of_int reps in
       pf "  %-14s %11d %7d %7d %9.3f ms@." (Cell.name cell) (Cell.n_transistors cell)
         !lib.Faultlib.n_faults (Faultlib.n_classes !lib) (1000.0 *. dt))
-    library_cells;
-  pf "  (timing distributions in the Bechamel section below)@."
+    library_cells
 
 (* ---------------------------------------------------------------------- *)
 (* E12 — Fig. 5: no races and spikes in domino networks                     *)
@@ -649,7 +645,7 @@ let e17 () =
        "  \"env\": {\"recommended_domains\": %d, \"ocaml_version\": \"%s\", \"word_size\": %d, \
         \"os_type\": \"%s\", \"word_bits\": %d},\n"
        (Domain.recommended_domain_count ())
-       Sys.ocaml_version Sys.word_size Sys.os_type Parallel_exec.word_bits);
+       Sys.ocaml_version Sys.word_size Sys.os_type Faultsim.word_bits);
   Buffer.add_string buf
     (Fmt.str "  \"timing\": {\"warmup\": 1, \"reps\": %d, \"statistic\": \"median\"},\n" reps);
   Buffer.add_string buf "  \"circuits\": [\n";
@@ -1074,97 +1070,6 @@ let e17 () =
   pf "  wrote BENCH_faultsim.json@."
 
 (* ---------------------------------------------------------------------- *)
-(* Bechamel timing suite: one Test.make per experiment                      *)
-(* ---------------------------------------------------------------------- *)
-
-let bechamel_tests () =
-  let open Bechamel in
-  let nor = Stdcells.fig1_nor in
-  let dyn_nand = Stdcells.nand 3 Technology.Dynamic_nmos in
-  let fig9 = Stdcells.fig9 in
-  let carry6 = Compiled.compile (Generators.carry_chain ~technology:Technology.Domino_cmos 6) in
-  let c17d = Generators.c17 ~style:`Domino () in
-  let u_c17 = Faultsim.universe c17d in
-  let w_c17 = Array.make (Compiled.n_inputs u_c17.Faultsim.compiled) 0.5 in
-  let wide8 = Faultsim.universe (Generators.wide_and ~technology:Technology.Domino_cmos 8) in
-  let parity_bn = Generators.parity_boolnet 6 in
-  let parity_dom = Compiled.compile (Boolnet.to_domino_dual_rail parity_bn) in
-  let big_cell = Stdcells.oa ~groups:[ 3; 3; 3; 3 ] Technology.Domino_cmos in
-  let prng = Prng.create 12 in
-  let pats64 =
-    Faultsim.random_patterns prng ~n_inputs:(Compiled.n_inputs u_c17.Faultsim.compiled) ~count:64
-  in
-  let delays = Timing.nominal_delays carry6 in
-  let pi_carry = Array.make (Compiled.n_inputs carry6) true in
-  let w_carry = Array.make (Compiled.n_inputs carry6) 0.5 in
-  [
-    Test.make ~name:"e1_fig1_static_step"
-      (Staged.stage (fun () ->
-           ignore
-             (Charge_sim.static_step ~fault:(Fault.Network_open 1) nor Charge_sim.static_initial
-                [ true; false ])));
-    Test.make ~name:"e2_fig2_ratio_map"
-      (Staged.stage (fun () ->
-           ignore (Fault_map.map Stdcells.fig2_inverter (Fault.Pullup_closed 1))));
-    Test.make ~name:"e3_nmos_class_mapping"
-      (Staged.stage (fun () ->
-           List.iter (fun f -> ignore (Fault_map.map dyn_nand f)) (Fault.enumerate dyn_nand)));
-    Test.make ~name:"e4_domino_combinationality"
-      (Staged.stage (fun () ->
-           ignore (Charge_sim.domino_combinational ~fault:Fault.Precharge_open fig9)));
-    Test.make ~name:"e5_fig9_library"
-      (Staged.stage (fun () -> ignore (Faultlib.generate fig9)));
-    Test.make ~name:"e6_signal_prob_propagate"
-      (Staged.stage (fun () -> ignore (Signal_prob.propagate carry6 ~pi_weights:w_carry)));
-    Test.make ~name:"e7_detect_prob_exact_c17"
-      (Staged.stage (fun () -> ignore (Detect_prob.exact u_c17 ~pi_weights:w_c17)));
-    Test.make ~name:"e8_optimize_wide8"
-      (Staged.stage (fun () ->
-           ignore
-             (Optimize.optimize ~objective:Optimize.Estimated ~confidence:0.99 wide8
-                (Array.make 8 0.5))));
-    Test.make ~name:"e9_a2_eval_nets"
-      (Staged.stage (fun () -> ignore (Compiled.eval_nets carry6 pi_carry)));
-    Test.make ~name:"e10_ppsfp_faultsim_64"
-      (Staged.stage (fun () -> ignore (Faultsim.run_ppsfp ~drop:false u_c17 pats64)));
-    Test.make ~name:"e11_library_12T"
-      (Staged.stage (fun () -> ignore (Faultlib.generate big_cell)));
-    Test.make ~name:"e12_domino_evaluate"
-      (Staged.stage (fun () ->
-           ignore
-             (Event_sim.domino_evaluate parity_dom
-                (Boolnet.dual_rail_vector parity_bn [| true; false; true; false; true; false |]))));
-    Test.make ~name:"e13_at_speed_sample"
-      (Staged.stage (fun () -> ignore (Timing.at_speed_sample carry6 delays ~period:6.0 pi_carry)));
-    Test.make ~name:"e14_podem_c17"
-      (Staged.stage (fun () -> ignore (Podem.generate u_c17 u_c17.Faultsim.sites.(0))));
-  ]
-
-let run_bechamel () =
-  let open Bechamel in
-  let open Toolkit in
-  pf "@.==== Bechamel timing suite (one test per experiment) ====@.";
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:(Some 1000) () in
-  let tests = Test.make_grouped ~name:"dynmos" ~fmt:"%s %s" (bechamel_tests ()) in
-  let raw = Benchmark.all cfg instances tests in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  pf "  %-36s %14s@." "experiment kernel" "time/run";
-  Hashtbl.fold (fun name v acc -> (name, v) :: acc) results []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  |> List.iter (fun (name, v) ->
-         match Analyze.OLS.estimates v with
-         | Some [ est ] ->
-             let pretty =
-               if est > 1e6 then Fmt.str "%8.2f ms" (est /. 1e6)
-               else if est > 1e3 then Fmt.str "%8.2f us" (est /. 1e3)
-               else Fmt.str "%8.0f ns" est
-             in
-             pf "  %-36s %14s@." name pretty
-         | _ -> pf "  %-36s %14s@." name "n/a")
-
-(* ---------------------------------------------------------------------- *)
 
 let experiments =
   [
@@ -1189,7 +1094,6 @@ let experiments =
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
-  let no_bechamel = List.mem "--no-bechamel" args in
   tiny_mode := List.mem "--tiny" args;
   let selected = List.filter (fun a -> String.length a < 2 || a.[0] <> '-') args in
   let to_run =
@@ -1205,5 +1109,4 @@ let () =
     (fun (id, title, run) ->
       header id title;
       run ())
-    to_run;
-  if (not no_bechamel) && selected = [] then run_bechamel ()
+    to_run

@@ -89,9 +89,11 @@ let guard f =
   try f () with
   | Invalid_argument msg | Failure msg | Sys_error msg -> `Error (false, msg)
   | Checkpoint.Error msg ->
-      (* a refused or unreadable checkpoint file is not a command-line
-         error: report it once (the message names the file) and exit
-         with cmdliner's generic failure code *)
+      (* a refused or unreadable durable file (a checkpoint, or serve's
+         journal at boot: the three durable modules share this
+         exception) is not a command-line error: report it once (the
+         message names the file) and exit with cmdliner's generic
+         failure code *)
       Format.eprintf "dynmos: %s@." msg;
       `Ok Cmd.Exit.some_error
 
@@ -190,12 +192,12 @@ let faultsim_cmd =
                 results are bit-identical.")
   in
   let jobs =
-    Arg.(value & opt (bounded_int ~what:"--jobs" ~min:0 ()) 0
+    Arg.(value & opt (some (bounded_int ~what:"--jobs" ~min:0 ())) None
          & info [ "jobs"; "j" ] ~docv:"N"
              ~doc:
-               "Worker domains for the 'ppsfp' engine (0 = \
+               "Worker domains for the 'ppsfp' engine (omitted or 0 = \
                 Domain.recommended_domain_count ()); clamped to the site count and the \
-                estimated work.")
+                estimated work.  Refused with 'serial', which runs on one domain.")
   in
   let no_drop =
     Arg.(value & flag & info [ "no-drop" ] ~doc:"Simulate every fault on every pattern.")
@@ -247,9 +249,9 @@ let faultsim_cmd =
     guard @@ fun () ->
     match circuit_of_name name with
     | Error e -> `Error (false, e)
-    | Ok nl when resume && ckpt = None ->
-        ignore nl;
-        `Error (true, "--resume requires --checkpoint FILE")
+    | Ok _ when resume && ckpt = None -> `Error (true, "--resume requires --checkpoint FILE")
+    | Ok _ when engine = `Serial && jobs <> None ->
+        `Error (true, "--jobs only applies to the 'ppsfp' engine")
     | Ok nl ->
         let u = Faultsim.universe nl in
         let prng = Dynmos_util.Prng.create seed in
@@ -259,7 +261,9 @@ let faultsim_cmd =
             ~count:patterns
         in
         let drop = not no_drop in
-        let num_domains = if jobs <= 0 then Parallel_exec.default_domains () else jobs in
+        let num_domains =
+          match jobs with Some n when n > 0 -> n | _ -> Parallel_exec.default_domains ()
+        in
         let checkpoint =
           Option.map
             (fun path ->

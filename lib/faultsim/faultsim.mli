@@ -198,6 +198,9 @@ val run_ppsfp :
     plus the helpers that started).  Raises [Invalid_argument] when
     [num_domains] < 1. *)
 
+val word_bits : int
+(** Patterns per {!run_ppsfp} unit: one machine word, 62. *)
+
 val random_patterns :
   ?weights:float array -> Prng.t -> n_inputs:int -> count:int -> bool array array
 (** Weighted random patterns ([weights.(i)] = probability input [i] is 1;

@@ -27,8 +27,6 @@ module Prng = Dynmos_util.Prng
      cancelled, and the scheduler's mutex orders the helpers' writes
      before the caller's reads. *)
 
-let word_bits = 62
-
 let default_domains () = Domain.recommended_domain_count ()
 
 let default_max_attempts = 3

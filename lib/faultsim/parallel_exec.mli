@@ -8,9 +8,6 @@
     campaign-private {!Scheduler}; the serve loop runs its executors on
     another. *)
 
-val word_bits : int
-(** Patterns per machine word (62). *)
-
 val default_domains : unit -> int
 (** [Domain.recommended_domain_count ()]. *)
 
