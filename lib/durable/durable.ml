@@ -135,7 +135,8 @@ let publish ?(chaos = Chaos.disabled) ?write ?fsync ?rename ?(backup = false) ~w
      fail "%s: short write to %s: %s" name tmp msg);
   (* Rotate the last good file to [.bak] before publishing, so a later
      corruption of the primary still leaves a readable state. *)
-  (if backup && Sys.file_exists path then try Sys.rename path (path ^ ".bak") with Sys_error _ -> ());
+  (if backup && Sys.file_exists path then
+     try Sys.rename path (path ^ ".bak") with Sys_error _ -> ());
   if decide rename <> Chaos.Pass then (
     drop_tmp ();
     fail "%s: injected rename failure" name);

@@ -93,7 +93,8 @@ type record = Gen of int | Admit of int * string | Done of int * string
 (* Generations and jids are counters the writer starts at 1 and 0.  A
    value it cannot have written — negative, or [max_int], whose
    successor wraps — is as corrupt as a failed CRC. *)
-let counter s = match int_of_string_opt s with Some n when n >= 0 && n < max_int -> Some n | _ -> None
+let counter s =
+  match int_of_string_opt s with Some n when n >= 0 && n < max_int -> Some n | _ -> None
 
 let parse_record line =
   (* "<8 hex> <payload>" with a matching CRC *)

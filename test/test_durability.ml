@@ -683,7 +683,8 @@ let test_journal_fuzz () =
                  && Journal.generation j >= 1
                  && Journal.generation j2 = Journal.generation j + 1
                  && Journal.truncated_tail j2 = 0
-                 && Journal.recovered j2 = recovered @ [ { Journal.jid = fresh; envelope = "{}" } ])))
+                 && Journal.recovered j2
+                    = recovered @ [ { Journal.jid = fresh; envelope = "{}" } ])))
 
 (* --- Server: warm-restart cache ---------------------------------------------------- *)
 
