@@ -91,11 +91,11 @@ let () =
   if Array.length Sys.argv > 1 && Sys.argv.(1) = "--gen" then
     List.iter print_endline (lines ())
   else begin
-    (* The frozen file is a dune dep copied next to the executable, so
-       resolve it there — cwd differs between runtest and dune exec. *)
+    (* runtest copies the frozen file next to the executable and runs
+       there; a plain `dune exec` from the repo root copies nothing. *)
     let path =
       let beside = Filename.concat (Filename.dirname Sys.executable_name) "fixtures.expected" in
-      if Sys.file_exists beside then beside else "fixtures.expected"
+      if Sys.file_exists beside then beside else "test/fixtures.expected"
     in
     let expected = read_lines path in
     let actual = lines () in
