@@ -504,6 +504,59 @@ let test_golden_readers () =
       check_i "journal generation" 2 (Journal.generation j);
       check_i "journal intact" 0 (Journal.truncated_tail j))
 
+(* The on-disk state each durable chaos point leaves: what the .bak
+   fallback, the stale-tmp sweep and boot quarantine are built to
+   absorb. *)
+let test_chaos_artifacts () =
+  with_dir "dynmos_chaos" @@ fun dir ->
+  let chaos spec = match Chaos.of_spec spec with Ok c -> c | Error e -> Alcotest.fail e in
+  let files () = List.sort compare (Array.to_list (Sys.readdir dir)) in
+  let raises f =
+    match f () with
+    | () -> false
+    | exception (Checkpoint.Error _ | Cache_store.Error _ | Journal.Error _) -> true
+  in
+  let is_tmp ~of_ f = String.starts_with ~prefix:(of_ ^ ".tmp.") f in
+  let ckpt = Filename.concat dir "ck" and st = golden_state ~units_done:64 in
+  let bytes = read_file (golden "carry8_s7.ckpt") in
+  check "ckpt.write fail raises" true
+    (raises (fun () -> Checkpoint.save ~chaos:(chaos "ckpt.write=fail_once") ckpt st));
+  check "ckpt.write fail leaves no file" true (files () = []);
+  check "ckpt.write torn raises" true
+    (raises (fun () -> Checkpoint.save ~chaos:(chaos "ckpt.write=torn_write") ckpt st));
+  (match files () with
+  | [ f ] when is_tmp ~of_:"ck" f ->
+      check_s "ckpt.write torn leaves half a tmp"
+        (String.sub bytes 0 (String.length bytes / 2))
+        (read_file (Filename.concat dir f))
+  | _ -> Alcotest.fail "ckpt.write torn must leave exactly one tmp");
+  check_i "the sweep removes it" 1 (Checkpoint.cleanup_stale ckpt);
+  Checkpoint.save ~chaos:(chaos "ckpt.fsync=fail_once") ckpt st;
+  check_s "ckpt.fsync skips the sync and still publishes" bytes (read_file ckpt);
+  check "ckpt.rename raises" true
+    (raises (fun () -> Checkpoint.save ~chaos:(chaos "ckpt.rename=fail_once") ckpt st));
+  check "ckpt.rename drops the tmp after the rotation" true (files () = [ "ck.bak" ]);
+  let e = golden_entry () in
+  let entry = Cache_store.file_of dir e.Cache_store.key in
+  check "cache.persist fail raises" true
+    (raises (fun () -> Cache_store.save ~chaos:(chaos "cache.persist=fail_once") dir e));
+  check "cache.persist fail writes nothing" false (Sys.file_exists entry);
+  check "cache.persist torn raises" true
+    (raises (fun () -> Cache_store.save ~chaos:(chaos "cache.persist=torn_write") dir e));
+  let e_bytes = read_file (golden "carry8_s7.entry") in
+  check_s "cache.persist torn leaves half the entry at the final name"
+    (String.sub e_bytes 0 (String.length e_bytes / 2))
+    (read_file entry);
+  let path = Filename.concat dir "journal" in
+  write_file path (read_file (golden "journal"));
+  let j = Journal.open_ ~chaos:(chaos "journal.compact=torn_write") path in
+  let segment = read_file path in
+  check "journal.compact torn raises" true (raises (fun () -> Journal.compact j));
+  Journal.close j;
+  check_s "journal.compact torn leaves the segment intact" segment (read_file path);
+  check "journal.compact torn leaves a truncated tmp" true
+    (List.exists (is_tmp ~of_:"journal") (files ()))
+
 (* --- Decoder fuzzers ----------------------------------------------------------------- *)
 
 (* Seeded mutation fuzzers over the durable decoders, starting from the
@@ -1209,6 +1262,7 @@ let () =
         [
           Alcotest.test_case "writers reproduce the golden bytes" `Quick test_golden_writers;
           Alcotest.test_case "readers return the pinned values" `Quick test_golden_readers;
+          Alcotest.test_case "chaos points leave their artifacts" `Quick test_chaos_artifacts;
         ] );
       ( "decoder fuzz",
         [
