@@ -54,9 +54,10 @@ val publish :
   unit
 (** [publish ~what path bytes]: write [path.tmp.<pid>], flush, fsync,
     rotate the previous file to [path ^ ".bak"] when [backup] (default
-    false), rename.  At the [write] point Fail raises before any byte is
-    written and Torn leaves half the bytes in the tmp; [fsync] skips the
-    sync; [rename] drops the tmp and raises. *)
+    false), rename, so a reader never sees a half-written file.  At the
+    [write] point Fail raises before any byte is written and Torn leaves
+    half the bytes in the tmp; [fsync] skips the sync; [rename] drops
+    the tmp and raises. *)
 
 val sweep_stale : string -> int
 (** Delete the [path ^ ".tmp.<pid>"] files of crashed writers and count
