@@ -141,32 +141,44 @@ let test_validator_sanity () =
 
 let ev ?(ts = 12.5) ?(name = "test") fields = { Obs.ts; ev = name; fields }
 
+let tricky =
+  ev
+    [
+      ("plain", Obs.String "hello");
+      ("quote", Obs.String {|say "hi"|});
+      ("backslash", Obs.String {|a\b|});
+      ("newline", Obs.String "line1\nline2");
+      ("control", Obs.String "\x01\x1f");
+      ("unicode_bytes", Obs.String "caf\xc3\xa9");
+      ("neg", Obs.Int (-42));
+      ("float", Obs.Float 1.5e-3);
+      ("bool", Obs.Bool true);
+    ]
+
+let nonfinite = ev [ ("a", Obs.Float Float.nan); ("b", Obs.Float infinity) ]
+
 let test_json_line_valid () =
-  let tricky =
-    ev
-      [
-        ("plain", Obs.String "hello");
-        ("quote", Obs.String {|say "hi"|});
-        ("backslash", Obs.String {|a\b|});
-        ("newline", Obs.String "line1\nline2");
-        ("control", Obs.String "\x01\x1f");
-        ("unicode_bytes", Obs.String "caf\xc3\xa9");
-        ("neg", Obs.Int (-42));
-        ("float", Obs.Float 1.5e-3);
-        ("bool", Obs.Bool true);
-      ]
-  in
   let line = Obs.json_line tricky in
   check "tricky event encodes to valid JSON" true (is_valid_json line);
   check "single line" false (String.contains line '\n')
 
 let test_json_line_nonfinite () =
-  let line = Obs.json_line (ev [ ("a", Obs.Float Float.nan); ("b", Obs.Float infinity) ]) in
-  check "non-finite floats still valid JSON" true (is_valid_json line)
+  check "non-finite floats still valid JSON" true (is_valid_json (Obs.json_line nonfinite))
 
+(* The exact bytes of the encoder: escapes, raw UTF-8 passthrough,
+   %.17g floats and the string spelling of non-finite floats. *)
 let test_json_line_shape () =
   let line = Obs.json_line (ev ~ts:2.0 ~name:"e" [ ("k", Obs.Int 7) ]) in
-  check_s "exact shape" {|{"ts":2,"ev":"e","k":7}|} line
+  check_s "exact shape" {|{"ts":2,"ev":"e","k":7}|} line;
+  check_s "tricky bytes"
+    ({|{"ts":12.5,"ev":"test","plain":"hello","quote":"say \"hi\"","backslash":"a\\b",|}
+    ^ {|"newline":"line1\nline2","control":"\u0001\u001f","unicode_bytes":"caf|}
+    ^ "\xc3\xa9" ^ {|","neg":-42,"float":0.0015,"bool":true}|})
+    (Obs.json_line tricky);
+  check_s "non-finite bytes" {|{"ts":12.5,"ev":"test","a":"nan","b":"inf"}|}
+    (Obs.json_line nonfinite);
+  check_s "negative infinity" {|{"ts":12.5,"ev":"test","c":"-inf"}|}
+    (Obs.json_line (ev [ ("c", Obs.Float neg_infinity) ]))
 
 (* --- Sinks and recorders ---------------------------------------------------- *)
 
