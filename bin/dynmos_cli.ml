@@ -345,10 +345,9 @@ let faultsim_cmd =
                 (fun (k, v) ->
                   Format.printf " %s=%s" k
                     (match v with
-                    | Obs.Bool b -> string_of_bool b
-                    | Obs.Int i -> string_of_int i
                     | Obs.Float f -> Fmt.str "%.6f" f
-                    | Obs.String s -> s))
+                    | Obs.String s -> s
+                    | v -> Dynmos_json.Json.to_string v))
                 e.Obs.fields;
               Format.printf "@.")
             run_events;

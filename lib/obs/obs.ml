@@ -1,61 +1,22 @@
 (* Observability: counters, wall-clock timers and span events with a
-   JSONL sink.  See the interface for the design constraints; the one
-   non-obvious point is the encoding of non-finite floats, which JSON
-   cannot represent — they become the strings "nan"/"inf"/"-inf" so a
-   line never fails to parse. *)
+   JSONL sink.  See the interface for the design constraints; lines are
+   encoded by [Dynmos_json.Json], which also writes non-finite floats as
+   the strings "nan"/"inf"/"-inf" so a line never fails to parse. *)
 
-type value = Bool of bool | Int of int | Float of float | String of string
+module Json = Dynmos_json.Json
+
+type value = Json.t =
+  | Null
+  | Bool of bool
+  | Int of int
+  | Float of float
+  | String of string
+  | List of value list
+  | Obj of (string * value) list
 
 type event = { ts : float; ev : string; fields : (string * value) list }
 
-(* --- JSON encoding -------------------------------------------------------- *)
-
-let escape_into buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
-let float_into buf f =
-  if Float.is_finite f then
-    (* %.17g round-trips; %g alone may print "1e+06" which is valid JSON,
-       but exponents with a leading '+' are too, so no post-processing. *)
-    Buffer.add_string buf (Printf.sprintf "%.17g" f)
-  else if Float.is_nan f then Buffer.add_string buf "\"nan\""
-  else Buffer.add_string buf (if f > 0.0 then "\"inf\"" else "\"-inf\"")
-
-let value_into buf = function
-  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
-  | Float f -> float_into buf f
-  | String s ->
-      Buffer.add_char buf '"';
-      escape_into buf s;
-      Buffer.add_char buf '"'
-
-let json_line e =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf "{\"ts\":";
-  float_into buf e.ts;
-  Buffer.add_string buf ",\"ev\":\"";
-  escape_into buf e.ev;
-  Buffer.add_char buf '"';
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_string buf ",\"";
-      escape_into buf k;
-      Buffer.add_string buf "\":";
-      value_into buf v)
-    e.fields;
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+let json_line e = Json.to_string (Obj (("ts", Float e.ts) :: ("ev", String e.ev) :: e.fields))
 
 let int_field e k = match List.assoc_opt k e.fields with Some (Int n) -> Some n | _ -> None
 

@@ -8,11 +8,19 @@
     - sinks are safe to share across OCaml 5 domains (each emission is
       serialized under a mutex), so per-domain workers can report into
       one trace;
-    - the JSONL encoding is self-contained (no external JSON library):
-      one event per line, objects only, keys and string values escaped
-      per RFC 8259. *)
+    - one event per JSONL line, encoded by the repo's own codec
+      ({!Dynmos_json.Json}, no external JSON library): objects only,
+      keys and string values escaped per RFC 8259. *)
 
-type value = Bool of bool | Int of int | Float of float | String of string
+type value = Dynmos_json.Json.t =
+  | Null
+  | Bool of bool
+  | Int of int
+  | Float of float
+  | String of string
+  | List of value list
+  | Obj of (string * value) list
+(** A field value is a JSON value; events use the scalars. *)
 
 type event = {
   ts : float;  (** wall-clock seconds since the epoch at emission *)
@@ -22,8 +30,9 @@ type event = {
 
 val json_line : event -> string
 (** One-line JSON object: [{"ts":..., "ev":..., <fields>}] (no trailing
-    newline).  Non-finite floats are encoded as strings ("nan", "inf",
-    "-inf") to keep the line valid JSON. *)
+    newline), printed by {!Dynmos_json.Json.to_string}.  Non-finite
+    floats are encoded as strings ("nan", "inf", "-inf") to keep the
+    line valid JSON. *)
 
 val int_field : event -> string -> int option
 (** [int_field e k] is the [Int] value of field [k], if present — the
