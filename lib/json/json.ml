@@ -192,10 +192,14 @@ let rec parse_value st depth =
       if peek st = Some '}' then (st.pos <- st.pos + 1; Obj [])
       else begin
         let fields = ref [] in
+        (* A hash set, not a scan of [fields]: a line of n distinct keys
+           would otherwise cost n^2/2 string compares. *)
+        let seen = Hashtbl.create 8 in
         let rec members () =
           skip_ws st;
           let k = parse_string st in
-          if List.mem_assoc k !fields then fail st "duplicate key %S" k;
+          if Hashtbl.mem seen k then fail st "duplicate key %S" k;
+          Hashtbl.replace seen k ();
           skip_ws st;
           expect st ':';
           let v = parse_value st (depth + 1) in

@@ -109,13 +109,36 @@ let test_json_errors () =
   bad "\"\\ud83d\"";  (* lone high surrogate *)
   bad "\"\\udc00\"";  (* lone low surrogate *)
   bad "{\"a\":1,\"a\":2}";  (* duplicate key *)
+  check "duplicate key names key and offset" true
+    (Json.parse {|{"a":1,"a":2}|} = Error "duplicate key \"a\" at offset 10");
   bad "{} extra";
   bad "nullx";
   (* deep nesting must be a clean error, not a stack overflow *)
   bad (String.make 100000 '[');
   (* huge integer literals degrade to floats; infinity itself parses *)
   check "huge int becomes float" true
-    (match Json.parse (String.make 400 '9') with Ok (Json.Float f) -> f = infinity | _ -> false)
+    (match Json.parse (String.make 400 '9') with Ok (Json.Float f) -> f = infinity | _ -> false);
+  (* 40,000 distinct keys, then either a repeat of the first or a fresh
+     one: the duplicate check must stay linear (a scan of the keys
+     parsed so far took seconds here). *)
+  let wide last =
+    let b = Buffer.create 600_000 in
+    Buffer.add_char b '{';
+    for i = 0 to 39_999 do
+      Printf.bprintf b "\"k%d\":%d," i i
+    done;
+    Printf.bprintf b "\"%s\":0}" last;
+    Buffer.contents b
+  in
+  let timed name ok line =
+    let t0 = Unix.gettimeofday () in
+    let r = Json.parse line in
+    let dt = Unix.gettimeofday () -. t0 in
+    check name ok (Result.is_ok r);
+    check (Printf.sprintf "%s within 1 s (took %.2f s)" name dt) true (dt < 1.0)
+  in
+  timed "40k keys, first repeated" false (wide "k0");
+  timed "40k distinct keys" true (wide "end")
 
 let test_json_roundtrip () =
   let v =
