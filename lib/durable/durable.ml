@@ -145,17 +145,26 @@ let publish ?(chaos = Chaos.disabled) ?write ?fsync ?rename ?(backup = false) ~w
     drop_tmp ();
     fail "%s: cannot publish: %s" name msg
 
-let sweep_stale path =
-  let dir = Filename.dirname path in
-  let prefix = Filename.basename path ^ ".tmp." in
+(* [Some stem] when [entry] is a writer's tmp, [stem ^ ".tmp." ^ pid]. *)
+let tmp_stem entry =
+  match String.rindex_opt entry '.' with
+  | Some i when i >= 4 && i < String.length entry - 1 && String.sub entry (i - 4) 5 = ".tmp." ->
+      Some (String.sub entry 0 (i - 4))
+  | _ -> None
+
+let sweep_stale ?(all = false) path =
+  let dir, owned =
+    if all then (path, fun _ -> true) else (Filename.dirname path, String.equal (Filename.basename path))
+  in
   match Sys.readdir dir with
   | exception Sys_error _ -> 0
   | entries ->
       Array.fold_left
         (fun n entry ->
-          if String.length entry > String.length prefix && String.starts_with ~prefix entry then
-            match Sys.remove (Filename.concat dir entry) with
-            | () -> n + 1
-            | exception Sys_error _ -> n
-          else n)
+          match tmp_stem entry with
+          | Some stem when owned stem -> (
+              match Sys.remove (Filename.concat dir entry) with
+              | () -> n + 1
+              | exception Sys_error _ -> n)
+          | _ -> n)
         0 entries

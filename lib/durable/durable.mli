@@ -59,6 +59,7 @@ val publish :
     half the bytes in the tmp; [fsync] skips the sync; [rename] drops
     the tmp and raises. *)
 
-val sweep_stale : string -> int
+val sweep_stale : ?all:bool -> string -> int
 (** Delete the [path ^ ".tmp.<pid>"] files of crashed writers and count
-    them.  Call only when no writer for [path] can be live. *)
+    them; with [~all:true], [path] is a directory and every writer's tmp
+    in it goes.  Call only when no writer for them can be live. *)

@@ -102,7 +102,7 @@ let load_or_backup path =
 
 (* Called when a campaign starts or resumes; by construction no live
    writer for [path] exists then, so every tmp sibling is garbage. *)
-let cleanup_stale = Durable.sweep_stale
+let cleanup_stale path = Durable.sweep_stale path
 
 (* --- Controllers ------------------------------------------------------------- *)
 

@@ -976,6 +976,10 @@ let create ?(config = default_config) ?trace ?(known_circuit = Catalog.mem)
         let ckpt_dir = Filename.concat dir "ckpt" in
         mkdir_p cache_dir;
         mkdir_p ckpt_dir;
+        (* No writer of ours is live yet: every tmp here is a crash's. *)
+        List.iter
+          (fun d -> ignore (Dynmos_durable.Durable.sweep_stale ~all:true d : int))
+          [ cache_dir; ckpt_dir ];
         let journal = Journal.open_ ~chaos:config.chaos (Filename.concat dir "journal") in
         let entries, cache_corrupt = Cache_store.load_all cache_dir in
         let entries, stale =

@@ -774,6 +774,26 @@ let test_server_warm_restart_cache () =
             (field f warm = field f cold))
         [ "coverage"; "detected"; "gate_evals"; "dt_s"; "sites" ])
 
+(* A kill -9 mid-persist leaves a writer's tmp in cache/ or ckpt/; the
+   next boot deletes both and still serves the entry beside them. *)
+let test_server_sweeps_stale_tmp () =
+  with_dir "dynmos_dur" @@ fun dir ->
+  let req = {|{"circuit":"fig5","patterns":32,"seed":3}|} in
+  let t1 = Server.create ~config:(durable_config dir) () in
+  Fun.protect
+    ~finally:(fun () -> Server.shutdown t1)
+    (fun () -> check_s "cold run ok" "ok" (status (response_for 1 (run_on t1 [ req ]))));
+  let litter =
+    [ Filename.concat dir "cache/0123.entry.tmp.4242"; Filename.concat dir "ckpt/abcd.ckpt.tmp.4242" ]
+  in
+  List.iter (fun p -> write_file p "torn") litter;
+  let t2 = Server.create ~config:(durable_config dir) () in
+  Fun.protect
+    ~finally:(fun () -> Server.shutdown t2)
+    (fun () ->
+      List.iter (fun p -> check (Filename.basename p ^ " swept") false (Sys.file_exists p)) litter;
+      check "entry still cached" true (bool_field "cached" (response_for 1 (run_on t2 [ req ]))))
+
 (* --- Server: kill -9 recovery -------------------------------------------------------- *)
 
 let test_server_recovers_journaled_job () =
@@ -1283,6 +1303,7 @@ let () =
             test_server_discards_sites_mode_checkpoint;
           Alcotest.test_case "stale cache entries removed at boot" `Quick
             test_server_removes_stale_cache_entries;
+          Alcotest.test_case "stale tmp files swept at boot" `Quick test_server_sweeps_stale_tmp;
           Alcotest.test_case "cache directory bounded by the LRU" `Quick
             test_server_cache_dir_bounded;
           Alcotest.test_case "admission refused when the journal cannot log" `Quick
