@@ -4,7 +4,8 @@
    Usage:
      dune exec bench/main.exe                    run every experiment
      dune exec bench/main.exe -- e5 e8           run selected experiments
-     dune exec bench/main.exe -- e17 --tiny      E17 CI smoke (small sizes) *)
+     dune exec bench/main.exe -- e17 --tiny      E17's same-run ratio probes at CI
+                                                 sizes, written to BENCH_faultsim.json *)
 
 open Dynmos_util
 open Dynmos_expr
@@ -17,6 +18,8 @@ open Dynmos_protest
 open Dynmos_atpg
 open Dynmos_circuits
 module Chaos = Dynmos_chaos.Chaos
+module Json = Dynmos_json.Json
+module Obs = Dynmos_obs.Obs
 
 let pf = Format.printf
 
@@ -546,526 +549,171 @@ let e16 () =
   pf "  (the paper's 'distinguishable fault classes', operationalized)@."
 
 (* ---------------------------------------------------------------------- *)
-(* E17 (extension) — fault-simulation engine throughput and domain scaling *)
+(* E17 (extension) — same-run ratio probes of the fault-simulation engines *)
 (* ---------------------------------------------------------------------- *)
 
-(* Times every fault-simulation engine on generated circuits of increasing
-   size and emits machine-readable BENCH_faultsim.json so the performance
-   trajectory of the hot path is tracked from PR to PR.  Wall-clock time
-   (not Sys.time: CPU time sums over domains and would hide any speedup);
-   drop disabled so the workload is size-stable.
-
-   Methodology: one warmup iteration (touches the caches, triggers any
-   lazy compilation) followed by at least five timed repetitions; the
-   JSON records median, min and max so a noisy host is visible as spread
-   instead of silently biasing a single sample.  Domain-scaling entries
-   record both the requested and the effective domain count: the pool
-   clamps tiny workloads to one domain (see Parallel_exec), so a
-   single-site-per-domain workload reports speedup ~1.0 instead of the
-   spawn-cost collapse. *)
+(* The figures CI gates on, each a ratio measured within one run so the
+   host's speed cancels out: ppsfp's wall-clock speedup over the serial
+   reference, the cost of an inert chaos registry, of checkpointing and
+   of journal+checkpoint durability, and the gate evaluations
+   event-driven propagation saves.  perfbench's campaign-rand10k times
+   the engines end to end.  Drop is off, so every run does equal work. *)
 
 let tiny_mode = ref false
-(* --tiny: CI smoke — small circuits, few patterns, same code path. *)
+(* --tiny: CI smoke — fewer patterns and no rand1k, same code paths. *)
 
-let bench_circuits () =
-  let full =
-    [
-      (* fig9 is the deliberate tiny workload: a handful of sites, so
-         every multi-domain request exercises the job/work clamps. *)
-      ("fig9", Generators.fig9_network (), 128, [ 1; 2; 4; 16 ]);
-      ("carry8", Generators.carry_chain ~technology:Technology.Domino_cmos 8, 128, [ 1; 2; 4 ]);
-      ("carry16", Generators.carry_chain ~technology:Technology.Domino_cmos 16, 128, [ 1; 2; 4 ]);
-      ( "rand60",
-        Generators.random_monotone ~seed:7 ~n_inputs:12 ~n_gates:60
-          ~technology:Technology.Domino_cmos (),
-        128,
-        [ 1; 2; 4 ] );
-      ( "rand120",
-        Generators.random_monotone ~seed:7 ~n_inputs:16 ~n_gates:120
-          ~technology:Technology.Domino_cmos (),
-        128,
-        [ 1; 2; 4 ] );
-    ]
+let reps = 5
+
+(* The one timer: a warmup of each side, then [reps] back-to-back pairs,
+   so host drift and GC bursts hit both sides of a pair alike.  Returns
+   each side's median wall time and the median per-pair ratio [b / a]. *)
+let paired a b =
+  ignore (Sys.opaque_identity (a (), b ()));
+  let time f = let t0 = Obs.now () in ignore (Sys.opaque_identity (f ())); Obs.now () -. t0 in
+  let pairs = Array.init reps (fun _ -> let ta = time a in (ta, time b)) in
+  let median f = let v = Array.map f pairs in Array.sort Float.compare v; v.(reps / 2) in
+  (median fst, median snd, median (fun (ta, tb) -> tb /. Float.max 1e-9 ta))
+
+let workload name count =
+  let nl = match Catalog.find name with Ok nl -> nl | Error m -> failwith m in
+  let n_inputs = List.length (Netlist.inputs nl) in
+  (nl, Faultsim.universe nl, Faultsim.random_patterns (Prng.create 17) ~n_inputs ~count)
+
+let serial u pats () = Faultsim.run_serial ~drop:false u pats
+let seconds t = Json.(Obj [ ("seconds_median", Float t) ])
+let pct ratio = 100.0 *. (ratio -. 1.0)
+
+let ppsfp_probe name count () =
+  let _, u, pats = workload name count in
+  let t_ppsfp, t_serial, speedup =
+    paired (fun () -> Faultsim.run_ppsfp ~drop:false u pats) (serial u pats)
   in
-  if not !tiny_mode then full
-  else
-    (* rand60 stays in the smoke (at 32 patterns) so CI can assert that
-       event-driven propagation does fewer gate evaluations than
-       whole-circuit sweeps on a random circuit. *)
-    List.filter_map
-      (fun (name, nl, _, doms) ->
-        match name with
-        | "fig9" | "carry8" -> Some (name, nl, 16, doms)
-        | "rand60" -> Some (name, nl, 32, doms)
-        | _ -> None)
-      full
+  Json.(
+    Obj
+      [ ("name", String name); ("patterns", Int count); ("sites", Int (Faultsim.n_sites u));
+        ("serial", seconds t_serial); ("ppsfp", seconds t_ppsfp);
+        ("speedup_wall_vs_serial", Float speedup) ])
 
-type timing = { median : float; t_min : float; t_max : float; reps : int }
+(* Gate evaluations done, read off each engine's faultsim.run event,
+   against evals x gates: what whole-circuit sweeps of the same kernel
+   invocations would cost. *)
+let gate_work_probe count () =
+  let nl, u, pats = workload "rand60" count in
+  let work run =
+    let mem, fetch = Obs.memory_sink () in
+    ignore (Sys.opaque_identity (run (Obs.make mem)));
+    let e = List.find (fun e -> e.Obs.ev = "faultsim.run") (fetch ()) in
+    let get k = Option.value ~default:0 (Obs.int_field e k) in
+    let full = get "evals" * Netlist.n_gates nl in
+    Json.(Obj [ ("gate_evals", Int (get "gate_evals")); ("evals_x_gates", Int full) ])
+  in
+  Json.(
+    Obj
+      [ ("patterns", Int count);
+        ("serial", work (fun obs -> Faultsim.run_serial ~drop:false ~obs u pats));
+        ("ppsfp", work (fun obs -> Faultsim.run_ppsfp ~drop:false ~obs u pats)) ])
 
-(* Gate evaluations and kernel invocations ("evals") one engine run
-   performs, read off the engine's own "faultsim.run" obs event.
-   Event-driven propagation reduces the first; a whole-circuit sweep
-   would have cost evals x gates. *)
-let work_of run =
-  let module Obs = Dynmos_obs.Obs in
-  let mem, fetch = Obs.memory_sink () in
-  let obs = Obs.make mem in
-  ignore (Sys.opaque_identity (run obs));
-  List.fold_left
-    (fun acc e ->
-      if e.Obs.ev = "faultsim.run" then
-        let get k = Option.value ~default:0 (Obs.int_field e k) in
-        (get "gate_evals", get "evals")
-      else acc)
-    (0, 0) (fetch ())
+(* A registry armed at a point the engines never tap.  [overhead_pct],
+   the end-to-end pair ratio, is informational: its noise (about 5 %)
+   dwarfs the figure.  [derived_overhead_pct], gated under 1 % by CI,
+   times the tap itself in a tight loop per registry and scales the
+   per-tap delta by the sweep's taps (one Exec_job per site and pattern)
+   over the sweep's wall time. *)
+let chaos_probe count () =
+  let _, u, pats = workload "rand60" count in
+  let spec = "cache.insert=fail_prob:0,seed=1" in
+  let inert = match Chaos.of_spec spec with Ok c -> c | Error e -> failwith e in
+  let t_off, t_armed, ratio =
+    paired (serial u pats) (fun () -> Faultsim.run_serial ~drop:false ~chaos:inert u pats)
+  in
+  let loops = 20_000_000 in
+  let taps c () = for _ = 1 to loops do Chaos.tap c Chaos.Exec_job done in
+  let loop_off, loop_armed, _ = paired (taps Chaos.disabled) (taps inert) in
+  let ns loop = 1e9 *. loop /. float_of_int loops in
+  let per_tap = (loop_armed -. loop_off) /. float_of_int loops in
+  let derived = 100.0 *. per_tap *. float_of_int (Faultsim.n_sites u * count) /. t_off in
+  Json.(
+    Obj
+      [ ("spec", String spec); ("patterns", Int count); ("disabled_s", Float t_off);
+        ("armed_inert_s", Float t_armed); ("overhead_pct", Float (pct ratio));
+        ("tap_ns_disabled", Float (ns loop_off)); ("tap_ns_armed", Float (ns loop_armed));
+        ("derived_overhead_pct", Float derived) ])
 
-let time_reps ?(warmup = 1) ?(reps = 5) f =
-  for _ = 1 to warmup do
-    ignore (Sys.opaque_identity (f ()))
-  done;
-  let samples = Array.make reps 0.0 in
-  for i = 0 to reps - 1 do
-    let t0 = Unix.gettimeofday () in
-    ignore (Sys.opaque_identity (f ()));
-    samples.(i) <- Unix.gettimeofday () -. t0
-  done;
-  Array.sort Float.compare samples;
-  { median = samples.(reps / 2); t_min = samples.(0); t_max = samples.(reps - 1); reps }
+(* The robustness tax on the serial sweep: a checkpoint controller at
+   the default interval (a write every 1000 patterns and one at return),
+   with [~journal] also the journal admit/done pair of a durable serve
+   job, on a campaign long enough to amortize the file writes. *)
+let durable_probe ~journal count () =
+  let module Journal = Dynmos_server.Journal in
+  let _, u, pats = workload "rand60" count in
+  let base = Filename.temp_file "dynmos_bench" "" in
+  let j = if journal then Some (Journal.open_ (base ^ ".journal")) else None in
+  let envelope = Json.(to_string (Obj [ ("circuit", String "rand60"); ("patterns", Int count) ])) in
+  let durable () =
+    let jid = Option.map (fun j -> (j, Journal.append_admit j ~envelope)) j in
+    let ctl = Faultsim.checkpoint_ctl ~path:(base ^ ".ckpt") ~interval:1000 u pats in
+    let s = Faultsim.run_serial ~drop:false ~checkpoint:ctl u pats in
+    Option.iter (fun (j, jid) -> Journal.append_done j ~jid ~status:"ok") jid;
+    s
+  in
+  let t_plain, t_durable, ratio = paired (serial u pats) durable in
+  Option.iter Journal.close j;
+  List.iter
+    (fun p -> if Sys.file_exists p then Sys.remove p)
+    [ base; base ^ ".ckpt"; base ^ ".ckpt.bak"; base ^ ".journal" ];
+  Json.(
+    Obj
+      [ ("interval", Int 1000); ("patterns", Int count); ("without", seconds t_plain);
+        ("with", seconds t_durable); ("overhead_pct", Float (pct ratio)) ])
+
+(* A probe's summary line: its object's leaves as path=value. *)
+let rec leaves path = function
+  | Json.Obj fields ->
+      List.concat_map (fun (k, v) -> leaves (if path = "" then k else path ^ "." ^ k) v) fields
+  | Json.Float f -> [ Fmt.str "%s=%.4g" path f ]
+  | v -> [ path ^ "=" ^ Json.to_string v ]
 
 let e17 () =
-  let reps = 5 in
-  pf "Engine throughput (patterns/s, drop disabled, wall clock, median of %d@." reps;
-  pf "after 1 warmup) and domain scaling; recommended_domain_count = %d.@."
-    (Domain.recommended_domain_count ());
-  if !tiny_mode then pf "  (--tiny: reduced circuits and pattern counts)@.";
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf
-    (Fmt.str
-       "  \"env\": {\"recommended_domains\": %d, \"ocaml_version\": \"%s\", \"word_size\": %d, \
-        \"os_type\": \"%s\", \"word_bits\": %d},\n"
-       (Domain.recommended_domain_count ())
-       Sys.ocaml_version Sys.word_size Sys.os_type Faultsim.word_bits);
-  Buffer.add_string buf
-    (Fmt.str "  \"timing\": {\"warmup\": 1, \"reps\": %d, \"statistic\": \"median\"},\n" reps);
-  Buffer.add_string buf "  \"circuits\": [\n";
-  let circuits = bench_circuits () in
-  let n_circuits = List.length circuits in
-  List.iteri
-    (fun ci (name, nl, count, domain_counts) ->
-      let u = Faultsim.universe nl in
-      let prng = Prng.create 17 in
-      let pats =
-        Faultsim.random_patterns prng ~n_inputs:(List.length (Netlist.inputs nl)) ~count
-      in
-      pf "  %-10s %3d gates, %4d sites, %d patterns:@." name (Netlist.n_gates nl)
-        (Faultsim.n_sites u) count;
-      let pps t = float_of_int count /. Float.max 1e-9 t.median in
-      let entry label t extra =
-        pf "    %-26s %8.4f s [%0.4f..%0.4f]  %10.0f patterns/s%s@." label t.median t.t_min
-          t.t_max (pps t) extra
-      in
-      let t_serial = time_reps ~reps (fun () -> Faultsim.run_serial ~drop:false u pats) in
-      entry "serial" t_serial "";
-      (* One observed run per domain count reads the effective domain
-         count the clamp settled on off its faultsim.run event; the timed
-         runs then use the exact same configuration. *)
-      let dom =
-        List.map
-          (fun n ->
-            let module Obs = Dynmos_obs.Obs in
-            let mem, fetch = Obs.memory_sink () in
-            ignore
-              (Faultsim.run_ppsfp ~drop:false ~num_domains:n ~obs:(Obs.make mem) u pats);
-            let eff =
-              Option.value ~default:1
-                (List.find_map (fun e -> Obs.int_field e "effective_domains") (fetch ()))
-            in
-            let t =
-              time_reps ~reps (fun () ->
-                  Faultsim.run_ppsfp ~drop:false ~num_domains:n u pats)
-            in
-            (n, eff, t))
-          domain_counts
-      in
-      let t1_of results =
-        match List.find_opt (fun (n, _, _) -> n = 1) results with
-        | Some (_, _, t) -> t.median
-        | None -> (match results with (_, _, t) :: _ -> t.median | [] -> 1.0)
-      in
-      let report label results =
-        let t1 = t1_of results in
-        List.iter
-          (fun (n, eff, t) ->
-            entry
-              (Fmt.str "%s x%d (eff %d)" label n eff)
-              t
-              (Fmt.str "  (speedup %.2fx)" (t1 /. t.median)))
-          results
-      in
-      report "domains" dom;
-      (* Gate-level work per engine: same patterns, bit-identical
-         results.  "gate_evals" is what event-driven propagation
-         performed; "evals_x_gates" (kernel invocations x gates) is what
-         a whole-circuit sweep would have cost for the same
-         invocations. *)
-      let gate_work label run =
-        let ge, ev = work_of (fun obs -> run (Some obs)) in
-        let t = time_reps ~reps (fun () -> run None) in
-        let full = ev * Netlist.n_gates nl in
-        entry label t (Fmt.str "  (%d gate-evals, %d whole-circuit)" ge full);
-        (ge, full, t)
-      in
-      let work_serial =
-        gate_work "serial/work" (fun obs -> Faultsim.run_serial ~drop:false ?obs u pats)
-      in
-      let work_ppsfp =
-        gate_work "ppsfp/work" (fun obs -> Faultsim.run_ppsfp ~drop:false ?obs u pats)
-      in
-      let json_timing t =
-        Fmt.str
-          "\"seconds_median\": %.6f, \"seconds_min\": %.6f, \"seconds_max\": %.6f, \"reps\": %d, \
-           \"patterns_per_s\": %.1f"
-          t.median t.t_min t.t_max t.reps (pps t)
-      in
-      (* Checkpoint overhead (rand60 only): the identical serial sweep
-         with a checkpoint controller at the default interval (1000
-         pattern-units: interval-gated ticks, a write every 1000
-         patterns, one finalize write).  Measured on a campaign long
-         enough for the interval to amortize the ~0.3 ms file write —
-         checkpointing exists for long runs; on a 5 ms sweep the single
-         finalize write alone would be ~6% and say nothing about the
-         steady state.  The robustness tax is budgeted at < 2%; the JSON
-         records the measured figure so regressions show up in the
-         artifact diff. *)
-      let checkpoint_json =
-        if name <> "rand60" then ""
-        else begin
-          let ck_count = if !tiny_mode then 512 else 4096 in
-          let prng = Prng.create 17 in
-          let ck_pats =
-            Faultsim.random_patterns prng
-              ~n_inputs:(List.length (Netlist.inputs nl))
-              ~count:ck_count
-          in
-          let t_plain =
-            time_reps ~reps (fun () -> Faultsim.run_serial ~drop:false u ck_pats)
-          in
-          let path = Filename.temp_file "dynmos_bench_ckpt" ".dat" in
-          let t_ckpt =
-            time_reps ~reps (fun () ->
-                let ctl = Faultsim.checkpoint_ctl ~path ~interval:1000 u ck_pats in
-                Faultsim.run_serial ~drop:false ~checkpoint:ctl u ck_pats)
-          in
-          if Sys.file_exists path then Sys.remove path;
-          let overhead =
-            (t_ckpt.median -. t_plain.median) /. Float.max 1e-9 t_plain.median
-          in
-          let pps t = float_of_int ck_count /. Float.max 1e-9 t.median in
-          pf "    %-26s %8.4f s [%0.4f..%0.4f]  %10.0f patterns/s  (%d patterns, overhead %+.2f%%)@."
-            "serial+checkpoint" t_ckpt.median t_ckpt.t_min t_ckpt.t_max (pps t_ckpt) ck_count
-            (100.0 *. overhead);
-          let json_ck t =
-            Fmt.str
-              "\"seconds_median\": %.6f, \"seconds_min\": %.6f, \"seconds_max\": %.6f, \
-               \"reps\": %d, \"patterns_per_s\": %.1f"
-              t.median t.t_min t.t_max t.reps (pps t)
-          in
-          Fmt.str
-            ",\n     \"checkpoint\": {\"interval\": 1000, \"patterns\": %d, \"without\": \
-             {%s}, \"with\": {%s}, \"overhead_pct\": %.2f}"
-            ck_count (json_ck t_plain) (json_ck t_ckpt) (100.0 *. overhead)
-        end
-      in
-      (* Chaos-layer overhead (rand60 only): what arming the injection
-         registry costs the serial hot loop when the tapped point is not
-         configured (a spec whose only configured point the pattern
-         engines never tap).  Two figures go into the artifact:
-
-         - [overhead_pct]: end-to-end paired comparison, sides timed
-           back to back within each rep so throttling/GC bursts hit
-           both.  Informational only — single-rep noise on this class
-           of box is ±5%, far above the figure it tries to resolve.
-         - [derived_overhead_pct]: the gated number.  Time the tap
-           itself in a tight loop for each registry (an unconfigured
-           point executes identical instructions under both), scale
-           the per-tap delta by the sweep's Exec_job tap count, and
-           divide by the sweep's wall clock.  Resolves ~0.1% where the
-           end-to-end ratio resolves ~5%.  Budget < 1%; CI gates on
-           this field. *)
-      let chaos_json =
-        if name <> "rand60" then ""
-        else begin
-          let cn_count = if !tiny_mode then 2048 else 4096 in
-          let cn_spec = "cache.insert=fail_prob:0,seed=1" in
-          let prng = Prng.create 17 in
-          let cn_pats =
-            Faultsim.random_patterns prng
-              ~n_inputs:(List.length (Netlist.inputs nl))
-              ~count:cn_count
-          in
-          let inert =
-            match Chaos.of_spec cn_spec with Ok c -> c | Error e -> failwith e
-          in
-          let run_off () = ignore (Faultsim.run_serial ~drop:false u cn_pats) in
-          let run_armed () =
-            ignore (Faultsim.run_serial ~drop:false ~chaos:inert u cn_pats)
-          in
-          run_off ();
-          run_armed ();
-          let ratios = Array.make reps 0.0 in
-          let off_min = ref infinity and armed_min = ref infinity in
-          for i = 0 to reps - 1 do
-            let t0 = Unix.gettimeofday () in
-            run_off ();
-            let t1 = Unix.gettimeofday () in
-            run_armed ();
-            let t2 = Unix.gettimeofday () in
-            let off = t1 -. t0 and armed = t2 -. t1 in
-            off_min := Float.min !off_min off;
-            armed_min := Float.min !armed_min armed;
-            ratios.(i) <- armed /. Float.max 1e-9 off
-          done;
-          Array.sort compare ratios;
-          let overhead = ratios.(reps / 2) -. 1.0 in
-          let tap_loops = 20_000_000 in
-          let time_taps c =
-            let t0 = Unix.gettimeofday () in
-            for _ = 1 to tap_loops do
-              Chaos.tap c Chaos.Exec_job
-            done;
-            (Unix.gettimeofday () -. t0) /. float_of_int tap_loops
-          in
-          (* Both registries run the same instructions at an unconfigured
-             point, so what separates their loops is host drift between
-             them.  Alternate the two, five loops each, and keep each
-             one's best: timed back to back (three loops of one, then
-             three of the other), the drift read as -3.4 % to +1.6 %
-             against the sweep of the faster kernel. *)
-          let tap_off = ref infinity and tap_armed = ref infinity in
-          for _ = 1 to 5 do
-            tap_off := Float.min !tap_off (time_taps Chaos.disabled);
-            tap_armed := Float.min !tap_armed (time_taps inert)
-          done;
-          let tap_off = !tap_off and tap_armed = !tap_armed in
-          (* drop:false serial sweep taps Exec_job once per site per
-             pattern. *)
-          let taps_per_sweep = float_of_int (Faultsim.n_sites u * cn_count) in
-          let derived =
-            (tap_armed -. tap_off) *. taps_per_sweep /. Float.max 1e-9 !off_min
-          in
-          pf
-            "    %-26s %8.4f s armed vs %8.4f s disabled  (%d patterns, end-to-end %+.2f%%)@."
-            "serial+chaos(inert)" !armed_min !off_min cn_count (100.0 *. overhead);
-          pf
-            "    %-26s %8.2f ns armed vs %8.2f ns disabled per tap (derived overhead %+.3f%%)@."
-            "chaos tap (unconfigured)" (1e9 *. tap_armed) (1e9 *. tap_off)
-            (100.0 *. derived);
-          Fmt.str
-            ",\n     \"chaos\": {\"spec\": \"%s\", \"patterns\": %d, \"disabled_s\": %.6f, \
-             \"armed_inert_s\": %.6f, \"overhead_pct\": %.2f, \"tap_ns_disabled\": %.3f, \
-             \"tap_ns_armed\": %.3f, \"derived_overhead_pct\": %.3f}"
-            cn_spec cn_count !off_min !armed_min (100.0 *. overhead) (1e9 *. tap_off)
-            (1e9 *. tap_armed) (100.0 *. derived)
-        end
-      in
-      let json_engine name t = Fmt.str "\"%s\": {%s}" name (json_timing t) in
-      (* A clamped request (effective < requested) never ran on the asked
-         domain count, so a speedup figure would compare two identical
-         configurations and read as a scaling plateau; mark it instead. *)
-      let json_scaled prefix results =
-        let t1 = t1_of results in
-        List.map
-          (fun (n, eff, t) ->
-            let verdict =
-              if eff < n then "\"clamped\": true"
-              else Fmt.str "\"speedup_vs_1\": %.3f" (t1 /. t.median)
-            in
-            Fmt.str
-              "\"%s_%d\": {%s, %s, \"requested_domains\": %d, \
-               \"effective_domains\": %d}"
-              prefix n (json_timing t) verdict n eff)
-          results
-      in
-      let json_work label (ge, full, t) =
-        Fmt.str
-          "\"%s\": {%s, \"gate_evals\": %d, \"evals_x_gates\": %d, \"gate_evals_per_s\": %.1f}"
-          label (json_timing t) ge full
-          (float_of_int ge /. Float.max 1e-9 t.median)
-      in
-      Buffer.add_string buf
-        (Fmt.str
-           "    {\"name\": \"%s\", \"gates\": %d, \"sites\": %d, \"patterns\": %d,\n     \
-            \"engines\": {%s},\n     \"gate_work\": {%s}%s%s}%s\n"
-           name (Netlist.n_gates nl) (Faultsim.n_sites u) count
-           (String.concat ", "
-              (json_engine "serial" t_serial :: json_scaled "domains" dom))
-           (String.concat ", " [ json_work "serial" work_serial; json_work "ppsfp" work_ppsfp ])
-           checkpoint_json chaos_json
-           (if ci = n_circuits - 1 then "" else ",")))
-    circuits;
-  Buffer.add_string buf "  ],\n";
-  (* --- PPSFP vs serial: a same-run wall-clock ratio ---------------------
-     Both engines run the same campaign (drop off, so the workload is
-     size-stable) back to back in this process: the ratio of their median
-     wall times is what 62-pattern packing with event-driven propagation
-     buys over the one-pattern reference, and the ppsfp-fixtures CI job
-     fails below 4x on the rand60 entry. *)
-  let ppsfp_specs =
-    if !tiny_mode then [ ("rand60", 256) ] else [ ("rand60", 256); ("rand1k", 256) ]
+  let tiny = !tiny_mode in
+  let long = if tiny then 512 else 4096 in
+  let probes =
+    [ ("ppsfp", ppsfp_probe "rand60" 256) ]
+    @ (if tiny then [] else [ ("ppsfp", ppsfp_probe "rand1k" 256) ])
+    @ [ ("gate_work", gate_work_probe (if tiny then 32 else 128));
+        ("chaos", chaos_probe (if tiny then 2048 else 4096));
+        ("checkpoint", durable_probe ~journal:false long);
+        ("durability", durable_probe ~journal:true long) ]
   in
-  pf "  --- ppsfp vs serial (drop off, wall clock, median of %d) ---@." reps;
-  let ppsfp_entries =
+  pf "Same-run ratio probes (drop off; one warmup, then the median of %d paired reps).@." reps;
+  let results =
     List.map
-      (fun (name, count) ->
-        let nl = match Catalog.find name with Ok nl -> nl | Error m -> failwith m in
-        let u = Faultsim.universe nl in
-        let prng = Prng.create 17 in
-        let pats =
-          Faultsim.random_patterns prng ~n_inputs:(List.length (Netlist.inputs nl)) ~count
-        in
-        pf "  %-10s %4d gates, %5d sites, %d patterns:@." name (Netlist.n_gates nl)
-          (Faultsim.n_sites u) count;
-        let measure label run =
-          let t = time_reps ~reps run in
-          pf "    %-26s %8.4f s [%0.4f..%0.4f]@." label t.median t.t_min t.t_max;
-          t
-        in
-        let t_serial = measure "serial" (fun () -> Faultsim.run_serial ~drop:false u pats) in
-        let t_ppsfp = measure "ppsfp" (fun () -> Faultsim.run_ppsfp ~drop:false u pats) in
-        let ratio = t_serial.median /. Float.max 1e-9 t_ppsfp.median in
-        pf "    ppsfp is %.2fx faster than serial@." ratio;
-        let json_t t =
-          Fmt.str
-            "\"seconds_median\": %.6f, \"seconds_min\": %.6f, \"seconds_max\": %.6f, \
-             \"reps\": %d"
-            t.median t.t_min t.t_max t.reps
-        in
-        Fmt.str
-          "    {\"name\": \"%s\", \"patterns\": %d, \"sites\": %d,\n     \
-           \"serial\": {%s},\n     \"ppsfp\": {%s},\n     \
-           \"speedup_wall_vs_serial\": %.3f}"
-          name count (Faultsim.n_sites u) (json_t t_serial) (json_t t_ppsfp) ratio)
-      ppsfp_specs
+      (fun (kind, probe) ->
+        let obj = probe () in
+        pf "  %-10s %s@." kind (String.concat " " (leaves "" obj));
+        (kind, obj))
+      probes
   in
-  Buffer.add_string buf
-    (Fmt.str "  \"ppsfp\": {\"drop\": false, \"circuits\": [\n%s\n  ]},\n"
-       (String.concat ",\n" ppsfp_entries));
-  (* --- Durability: the robustness tax and restart behaviour ------------
-     What a durable serve pays per job over the bare sweep: a journal
-     admit/done pair (fsync'd) plus a checkpoint controller at the
-     default interval, timed against the identical plain run on a
-     campaign long enough for the interval to amortize the file writes.
-     Budget < 2%; the JSON records the measured figure so regressions
-     show up in the artifact diff.  The restart pair times a full server
-     boot plus first response on the same data dir: the cold boot
-     executes the campaign, the warm boot answers from the rehydrated
-     persistent cache with zero gate evaluations. *)
-  let durability_json =
-    let module Journal = Dynmos_server.Journal in
-    let module Server = Dynmos_server.Server in
-    let module Sjson = Dynmos_server.Json in
-    let name = "rand60" in
-    let count = if !tiny_mode then 512 else 4096 in
-    let nl = match Catalog.find name with Ok nl -> nl | Error m -> failwith m in
-    let u = Faultsim.universe nl in
-    let prng = Prng.create 17 in
-    let pats =
-      Faultsim.random_patterns prng ~n_inputs:(List.length (Netlist.inputs nl)) ~count
-    in
-    pf "  --- durability (journal + checkpoint tax; cold vs warm restart) ---@.";
-    let json_t t =
-      Fmt.str
-        "\"seconds_median\": %.6f, \"seconds_min\": %.6f, \"seconds_max\": %.6f, \
-         \"reps\": %d, \"patterns_per_s\": %.1f"
-        t.median t.t_min t.t_max t.reps
-        (float_of_int count /. Float.max 1e-9 t.median)
-    in
-    let temp_dir () =
-      let d = Filename.temp_file "dynmos_bench_dur" "" in
-      Sys.remove d;
-      Unix.mkdir d 0o700;
-      d
-    in
-    let rec rm_rf p =
-      if Sys.is_directory p then begin
-        Array.iter (fun f -> rm_rf (Filename.concat p f)) (Sys.readdir p);
-        Unix.rmdir p
-      end
-      else Sys.remove p
-    in
-    let t_plain = time_reps ~reps (fun () -> Faultsim.run_serial ~drop:false u pats) in
-    let dir = temp_dir () in
-    let journal = Journal.open_ (Filename.concat dir "journal") in
-    let ck_path = Filename.concat dir "job.ckpt" in
-    let envelope =
-      Fmt.str {|{"op":"run","circuit":"%s","patterns":%d,"seed":17}|} name count
-    in
-    let t_durable =
-      time_reps ~reps (fun () ->
-          let jid = Journal.append_admit journal ~envelope in
-          let ctl = Faultsim.checkpoint_ctl ~path:ck_path ~interval:1000 u pats in
-          let s = Faultsim.run_serial ~drop:false ~checkpoint:ctl u pats in
-          Journal.append_done journal ~jid ~status:"ok";
-          s)
-    in
-    Journal.close journal;
-    rm_rf dir;
-    let overhead =
-      (t_durable.median -. t_plain.median) /. Float.max 1e-9 t_plain.median
-    in
-    pf "    %-26s %8.4f s plain vs %8.4f s durable  (%d patterns, overhead %+.2f%%)@."
-      "serial+journal+checkpoint" t_plain.median t_durable.median count (100.0 *. overhead);
-    let data_dir = temp_dir () in
-    let config =
-      { Server.default_config with Server.executors = 1; data_dir = Some data_dir }
-    in
-    let req = Fmt.str {|{"circuit":"%s","patterns":%d,"seed":17}|} name count in
-    let serve_one () =
-      let t = Server.create ~config () in
-      Server.wait_recovery t;
-      let sent = ref false in
-      let resp = ref "" in
-      let input () =
-        if !sent then None
-        else begin
-          sent := true;
-          Some req
-        end
-      in
-      ignore (Server.serve t ~input ~output:(fun s -> resp := s) () : Server.stop);
-      Server.shutdown t;
-      !resp
-    in
-    let time_once f =
-      let t0 = Unix.gettimeofday () in
-      let r = f () in
-      (Unix.gettimeofday () -. t0, r)
-    in
-    let cold_s, _ = time_once serve_one in
-    let warm_s, warm_resp = time_once serve_one in
-    rm_rf data_dir;
-    let warm_cached =
-      match Sjson.parse warm_resp with
-      | Ok v -> ( match Sjson.member "cached" v with Some (Sjson.Bool b) -> b | _ -> false)
-      | Error _ -> false
-    in
-    pf "    %-26s %8.4f s cold vs %8.4f s warm  (warm cached: %b, %.1fx)@."
-      "restart boot+first-response" cold_s warm_s warm_cached
-      (cold_s /. Float.max 1e-9 warm_s);
-    Fmt.str
-      "  \"durability\": {\"circuit\": \"%s\", \"patterns\": %d, \"interval\": 1000,\n   \
-       \"plain\": {%s}, \"durable\": {%s}, \"overhead_pct\": %.2f,\n   \
-       \"restart\": {\"cold_s\": %.6f, \"warm_s\": %.6f, \"warm_cached\": %b, \
-       \"speedup\": %.1f}}\n"
-      name count (json_t t_plain) (json_t t_durable) (100.0 *. overhead) cold_s warm_s
-      warm_cached
-      (cold_s /. Float.max 1e-9 warm_s)
+  let all kind = List.filter_map (fun (k, o) -> if k = kind then Some o else None) results in
+  let one kind = List.hd (all kind) in
+  let artifact =
+    Json.(
+      Obj
+        [ ( "env",
+            Obj
+              [ ("recommended_domains", Int (Domain.recommended_domain_count ()));
+                ("ocaml_version", String Sys.ocaml_version); ("word_size", Int Sys.word_size);
+                ("os_type", String Sys.os_type); ("word_bits", Int Faultsim.word_bits) ] );
+          ("timing", Obj [ ("warmup", Int 1); ("reps", Int reps); ("statistic", String "median") ]);
+          ( "circuits",
+            List
+              [ Obj
+                  [ ("name", String "rand60"); ("gate_work", one "gate_work");
+                    ("chaos", one "chaos"); ("checkpoint", one "checkpoint") ] ] );
+          ("ppsfp", Obj [ ("drop", Bool false); ("circuits", List (all "ppsfp")) ]);
+          ("durability", one "durability") ])
   in
-  Buffer.add_string buf durability_json;
-  Buffer.add_string buf "}\n";
   let oc = open_out "BENCH_faultsim.json" in
-  output_string oc (Buffer.contents buf);
+  output_string oc (Json.to_string artifact ^ "\n");
   close_out oc;
   pf "  wrote BENCH_faultsim.json@."
 
@@ -1089,7 +737,7 @@ let experiments =
     ("e14", "Random tests satisfy A1/A2 per se", e14);
     ("e15", "Extension - two-pattern cost of static CMOS vs domino", e15);
     ("e16", "Extension - the fault classes as a diagnosis dictionary", e16);
-    ("e17", "Extension - fault-simulation throughput and domain scaling", e17);
+    ("e17", "Extension - same-run ratio probes of the fault-simulation engines", e17);
   ]
 
 let () =
