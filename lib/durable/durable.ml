@@ -154,7 +154,8 @@ let tmp_stem entry =
 
 let sweep_stale ?(all = false) path =
   let dir, owned =
-    if all then (path, fun _ -> true) else (Filename.dirname path, String.equal (Filename.basename path))
+    if all then (path, fun _ -> true)
+    else (Filename.dirname path, String.equal (Filename.basename path))
   in
   match Sys.readdir dir with
   | exception Sys_error _ -> 0

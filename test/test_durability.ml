@@ -784,7 +784,7 @@ let test_server_sweeps_stale_tmp () =
     ~finally:(fun () -> Server.shutdown t1)
     (fun () -> check_s "cold run ok" "ok" (status (response_for 1 (run_on t1 [ req ]))));
   let litter =
-    [ Filename.concat dir "cache/0123.entry.tmp.4242"; Filename.concat dir "ckpt/abcd.ckpt.tmp.4242" ]
+    List.map (Filename.concat dir) [ "cache/0123.entry.tmp.4242"; "ckpt/abcd.ckpt.tmp.4242" ]
   in
   List.iter (fun p -> write_file p "torn") litter;
   let t2 = Server.create ~config:(durable_config dir) () in
