@@ -568,7 +568,8 @@ let reps = 5
    so host drift and GC bursts hit both sides of a pair alike.  Returns
    each side's median wall time and the median per-pair ratio [b / a]. *)
 let paired a b =
-  ignore (Sys.opaque_identity (a (), b ()));
+  ignore (Sys.opaque_identity (a ()));
+  ignore (Sys.opaque_identity (b ()));
   let time f = let t0 = Obs.now () in ignore (Sys.opaque_identity (f ())); Obs.now () -. t0 in
   let pairs = Array.init reps (fun _ -> let ta = time a in (ta, time b)) in
   let median f = let v = Array.map f pairs in Array.sort Float.compare v; v.(reps / 2) in
