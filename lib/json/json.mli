@@ -1,12 +1,14 @@
-(** A minimal, strict, total JSON parser and printer for the serve
-    loop's line protocol.  The repo deliberately carries no JSON
-    library; this one is sized for single-line requests and hardened
-    against hostile input:
+(** The repo's one JSON codec, a minimal, strict, total parser and
+    printer with no dependencies: Obs's JSONL events, serve's line
+    protocol and the bench's artifact are all printed by it.  The repo
+    deliberately carries no JSON library; the parser is sized for
+    single-line requests and hardened against hostile input:
 
     - {!parse} never raises: every malformed input — truncated values,
       raw control bytes (including NUL), numbers too large for the
       grammar, duplicate object keys, lone UTF-16 surrogates — returns
-      [Error] with an offset-carrying message;
+      [Error] with an offset-carrying message, in time linear in the
+      number of keys of an object;
     - nesting depth is capped ({!max_depth}) so a line of ten thousand
       ['['] characters reports an error instead of overflowing the
       stack;
@@ -32,9 +34,9 @@ val parse : string -> (t, string) result
     trailing garbage is an error).  Never raises. *)
 
 val to_string : t -> string
-(** Canonical one-line encoding: strings escaped per RFC 8259,
-    non-finite floats as the strings ["nan"]/["inf"]/["-inf"] (matching
-    the obs JSONL convention, so every emitted line stays parseable). *)
+(** Canonical one-line encoding: strings escaped per RFC 8259, floats
+    as [%.17g], non-finite floats as the strings ["nan"]/["inf"]/["-inf"]
+    (so every emitted line stays parseable). *)
 
 val type_name : t -> string
 (** ["null"], ["bool"], ["int"], ["float"], ["string"], ["array"],
