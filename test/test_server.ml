@@ -918,6 +918,96 @@ let test_idle_reap () =
   | None -> Alcotest.fail "active client was reaped");
   Unix.close fd2
 
+(* --- Line limits on both transports ---------------------------------------------- *)
+
+let lines_of s = List.filter (fun l -> l <> "") (String.split_on_char '\n' s)
+
+(* One stdin-shaped session: [serve_channels] reads a pipe that a writer
+   thread fills with [input] and then closes; returns the response
+   lines. *)
+let serve_pipe t input =
+  let r, w = Unix.pipe ~cloexec:true () in
+  let writer =
+    Thread.create
+      (fun () ->
+        (try ignore (Unix.write_substring w input 0 (String.length input) : int)
+         with Unix.Unix_error _ -> ());
+        Unix.close w)
+      ()
+  in
+  let out = Filename.temp_file "dynmos_serve" ".out" in
+  let ic = Unix.in_channel_of_descr r in
+  let oc = open_out out in
+  ignore (Server.serve_channels t ic oc : Server.stop);
+  Thread.join writer;
+  close_in ic;
+  close_out oc;
+  let resps = lines_of (In_channel.with_open_bin out In_channel.input_all) in
+  Sys.remove out;
+  resps
+
+(* One socket connection: a writer thread sends [input] and half-closes,
+   while this thread reads responses to EOF. *)
+let serve_conn connect input =
+  let fd = connect () in
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 20.0;
+  let writer =
+    Thread.create
+      (fun () ->
+        (try ignore (Unix.write_substring fd input 0 (String.length input) : int)
+         with Unix.Unix_error _ -> ());
+        try Unix.shutdown fd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ())
+      ()
+  in
+  let ic = Unix.in_channel_of_descr fd in
+  let resps = try lines_of (In_channel.input_all ic) with Sys_error _ -> [] in
+  Thread.join writer;
+  close_in ic;
+  resps
+
+let limits_config = { small_config with Server.max_line_bytes = 64 }
+
+(* Five lines around the bound: exactly [max_line_bytes] bytes, one byte
+   over, a ping after the over-long line, an empty line, and an
+   unterminated last line before EOF. *)
+let bound_input =
+  let max = limits_config.Server.max_line_bytes in
+  String.concat "\n"
+    [
+      String.make max 'x';
+      String.make (max + 1) 'x';
+      {|{"op":"ping"}|};
+      "";
+      {|{"op":"ping","id":"tail"}|};
+    ]
+
+let check_line_bound transport resps =
+  let max = limits_config.Server.max_line_bytes in
+  let name s = transport ^ ": " ^ s in
+  let error n =
+    match field "error" (response_for n resps) with Json.String s -> s | _ -> ""
+  in
+  let malformed s = String.starts_with ~prefix:"malformed JSON" s in
+  check_i (name "one response per line") 5 (List.length resps);
+  check (name "a line of max_line_bytes reaches the parser") true (malformed (error 1));
+  check_s (name "one byte over is refused by length")
+    (Printf.sprintf "request line exceeds %d bytes" max)
+    (error 2);
+  check_s (name "the next line keeps its number") "pong" (status (response_for 3 resps));
+  check (name "an empty line is malformed JSON") true (malformed (error 4));
+  check_s (name "an unterminated last line is answered") "pong"
+    (status (response_for 5 resps));
+  check (name "tail id echoed") true (field "id" (response_for 5 resps) = Json.String "tail")
+
+let test_line_bound_stdin () =
+  let t = Server.create ~config:limits_config () in
+  Fun.protect ~finally:(fun () -> Server.shutdown t) @@ fun () ->
+  check_line_bound "stdin" (serve_pipe t bound_input)
+
+let test_line_bound_socket () =
+  with_socket_server limits_config @@ fun _t connect ->
+  check_line_bound "socket" (serve_conn connect bound_input)
+
 (* Serve under a chaos schedule that kills executor domains and drops
    cache inserts: every request line still gets exactly one terminal
    response, and the watchdog keeps the pool serving. *)
@@ -947,6 +1037,11 @@ let test_serve_under_chaos () =
 let () =
   Alcotest.run "dynmos server"
     [
+      ( "limits",
+        [
+          Alcotest.test_case "line bound on stdin" `Quick test_line_bound_stdin;
+          Alcotest.test_case "line bound on a socket" `Quick test_line_bound_socket;
+        ] );
       ( "json",
         [
           Alcotest.test_case "values" `Quick test_json_values;
