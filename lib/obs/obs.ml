@@ -1,5 +1,5 @@
-(* Observability: counters, wall-clock timers and span events with a
-   JSONL sink.  See the interface for the design constraints; lines are
+(* Observability: wall-clock timers and span events with a JSONL
+   sink.  See the interface for the design constraints; lines are
    encoded by [Dynmos_json.Json], which also writes non-finite floats as
    the strings "nan"/"inf"/"-inf" so a line never fails to parse. *)
 
@@ -115,30 +115,3 @@ let span t ~name ?(fields = []) f =
       let t0 = now () in
       let finally () = emit t ~ev:"span" (("name", String name) :: ("dt_s", Float (now () -. t0)) :: fields) in
       Fun.protect ~finally f
-
-(* --- Counters ---------------------------------------------------------------- *)
-
-module Counters = struct
-  type nonrec t = (string, int ref) Hashtbl.t
-
-  let create () : t = Hashtbl.create 16
-
-  let add t name n =
-    match Hashtbl.find_opt t name with
-    | Some r -> r := !r + n
-    | None -> Hashtbl.add t name (ref n)
-
-  let incr t name = add t name 1
-  let get t name = match Hashtbl.find_opt t name with Some r -> !r | None -> 0
-
-  let merge_into ~dst src = Hashtbl.iter (fun name r -> add dst name !r) src
-
-  let to_list t =
-    Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-  let fields t = List.map (fun (name, n) -> (name, Int n)) (to_list t)
-end
-
-let emit_counters t ~ev ?(fields = []) counters =
-  match t.sink with Null -> () | Emit _ -> emit t ~ev (fields @ Counters.fields counters)

@@ -1,5 +1,5 @@
-(** Observability: counters, wall-clock timers and span events with a
-    JSONL sink — the measurement substrate of the fault-simulation
+(** Observability: wall-clock timers and span events with a JSONL
+    sink — the measurement substrate of the fault-simulation
     engines and the bench harness.
 
     Design constraints:
@@ -77,8 +77,8 @@ val tee : sink -> sink -> sink
 type t
 
 val disabled : t
-(** The no-op recorder: {!enabled} is [false]; {!emit} and counters do
-    nothing; {!span} runs its thunk without reading the clock. *)
+(** The no-op recorder: {!enabled} is [false]; {!emit} does nothing;
+    {!span} runs its thunk without reading the clock. *)
 
 val make : sink -> t
 
@@ -98,33 +98,3 @@ val span : t -> name:string -> ?fields:(string * value) list -> (unit -> 'a) -> 
 (** [span t ~name f] runs [f] and emits an event [ev = "span"] with
     [name] and the elapsed wall-clock time as ["dt_s"].  When disabled,
     [f] runs directly. *)
-
-(** {1 Counters}
-
-    Named monotonic tallies, cheap enough for per-run (not per-eval)
-    granularity; engines accumulate plain [int] refs in their hot loops
-    and convert to a counter set once at the end of a run. *)
-
-module Counters : sig
-  type t
-
-  val create : unit -> t
-  val add : t -> string -> int -> unit
-  val incr : t -> string -> unit
-
-  val get : t -> string -> int
-  (** 0 when the counter was never touched. *)
-
-  val merge_into : dst:t -> t -> unit
-  (** Add every counter of the source into [dst] (per-domain tallies
-      into a run total). *)
-
-  val to_list : t -> (string * int) list
-  (** Sorted by name. *)
-
-  val fields : t -> (string * value) list
-  (** The counters as event fields, sorted by name. *)
-end
-
-val emit_counters : t -> ev:string -> ?fields:(string * value) list -> Counters.t -> unit
-(** Emit one event carrying [fields] followed by every counter. *)

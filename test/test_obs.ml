@@ -1,7 +1,7 @@
 open Dynmos_obs
 
 (* Tests for the observability substrate: JSONL encoding, sinks, the
-   disabled recorder, and counters.  A minimal recursive-descent JSON
+   disabled recorder.  A minimal recursive-descent JSON
    checker validates well-formedness (the repo deliberately carries no
    JSON library, so the encoder's output is checked from first
    principles). *)
@@ -327,39 +327,6 @@ let test_bounded_memory_sink () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
-(* --- Counters ---------------------------------------------------------------- *)
-
-let test_counters () =
-  let c = Obs.Counters.create () in
-  check_i "untouched reads 0" 0 (Obs.Counters.get c "missing");
-  Obs.Counters.incr c "a";
-  Obs.Counters.incr c "a";
-  Obs.Counters.add c "b" 40;
-  check_i "incr" 2 (Obs.Counters.get c "a");
-  check_i "add" 40 (Obs.Counters.get c "b");
-  let d = Obs.Counters.create () in
-  Obs.Counters.add d "a" 1;
-  Obs.Counters.add d "c" 5;
-  Obs.Counters.merge_into ~dst:c d;
-  check_i "merge adds" 3 (Obs.Counters.get c "a");
-  check_i "merge introduces" 5 (Obs.Counters.get c "c");
-  check "to_list sorted" true
-    (Obs.Counters.to_list c = [ ("a", 3); ("b", 40); ("c", 5) ])
-
-let test_emit_counters () =
-  let sink, fetch = Obs.memory_sink () in
-  let t = Obs.make sink in
-  let c = Obs.Counters.create () in
-  Obs.Counters.add c "evals" 7;
-  Obs.emit_counters t ~ev:"totals" ~fields:[ ("engine", Obs.String "serial") ] c;
-  match fetch () with
-  | [ e ] ->
-      check "counter as field" true (List.assoc_opt "evals" e.Obs.fields = Some (Obs.Int 7));
-      check "extra field first" true
-        (List.assoc_opt "engine" e.Obs.fields = Some (Obs.String "serial"));
-      check "event line valid" true (is_valid_json (Obs.json_line e))
-  | l -> Alcotest.fail (Fmt.str "expected 1 event, got %d" (List.length l))
-
 let () =
   Alcotest.run "obs"
     [
@@ -380,10 +347,5 @@ let () =
           Alcotest.test_case "crash-truncated trace stays readable" `Quick
             test_channel_sink_truncation_tolerance;
           Alcotest.test_case "bounded memory sink" `Quick test_bounded_memory_sink;
-        ] );
-      ( "counters",
-        [
-          Alcotest.test_case "tallies and merge" `Quick test_counters;
-          Alcotest.test_case "emit_counters" `Quick test_emit_counters;
         ] );
     ]
