@@ -60,8 +60,8 @@ let positive_float ~what =
   Arg.conv (parse, Format.pp_print_float)
 
 (* --chaos SPEC: a deterministic fault-injection schedule.  Shared by
-   faultsim (checkpoint and supervised-retry points) and serve (socket,
-   scheduler and cache points); the same spec and seed always replays
+   faultsim (checkpoint and supervised-retry points) and serve (client
+   I/O, scheduler and cache points); the same spec and seed always replays
    the same schedule. *)
 let chaos_arg =
   let chaos_conv =
@@ -575,7 +575,11 @@ let serve_cmd =
   in
   let max_line_bytes =
     Arg.(value & opt (bounded_int ~what:"--max-line-bytes" ~min:2 ()) Server.default_config.Server.max_line_bytes
-         & info [ "max-line-bytes" ] ~docv:"N" ~doc:"Reject request lines longer than $(docv) bytes.")
+         & info [ "max-line-bytes" ] ~docv:"N"
+             ~doc:"Reject request lines longer than $(docv) bytes.  The reader keeps at \
+                   most $(docv)+1 bytes of a line, on stdin and sockets alike, and \
+                   discards the rest of a longer one, so this also bounds the memory \
+                   one line can take.")
   in
   let events =
     Arg.(value & opt (bounded_int ~what:"--events" ~min:1 ()) Server.default_config.Server.events_capacity

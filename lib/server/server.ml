@@ -7,18 +7,20 @@ module Scheduler = Parallel_exec.Scheduler
 module Chaos = Dynmos_chaos.Chaos
 
 (* The concurrent serve loop.  Any number of clients at once: each
-   connection (or [serve] call) owns a reader thread that validates lines
-   and submits admitted jobs to one long-lived supervised domain pool
-   shared by the whole server ([Parallel_exec.Scheduler]); the pool
-   drains clients round-robin so one client's backlog never starves
-   another's next request.  Per-client responses funnel through a
-   per-client writer mutex so lines never interleave on a connection.
+   session (stdin, one socket connection, or a [serve] call) runs one
+   loop on its own thread that reads and validates lines and submits
+   admitted jobs to one long-lived supervised domain pool shared by the
+   whole server ([Parallel_exec.Scheduler]); the pool drains clients
+   round-robin so one client's backlog never starves another's next
+   request.  Per-client responses funnel through a per-client writer
+   mutex so lines never interleave on a connection.
 
    Idle costs nothing: workers park on the scheduler's condition
-   variable, readers block in [input], and the drain path wakes both
-   explicitly ([request_drain] runs from ordinary thread context — the
-   CLI converts signals with a dedicated sigwait thread — so it may take
-   locks and broadcast, which is what replaced the old 2 ms sleep-poll).
+   variable, line readers block in [select] on their fd and the
+   server's wake pipe, and the drain path wakes both explicitly
+   ([request_drain] runs from ordinary thread context — the CLI converts
+   signals with a dedicated sigwait thread — so it may take locks and
+   broadcast, which is what replaced the old 2 ms sleep-poll).
 
    In front of the pool sits a content-addressed result cache: a
    completed run is stored under the digests that already pin
@@ -209,11 +211,10 @@ end
 
 (* --- Clients -------------------------------------------------------------------- *)
 
-(* One record per connection / [serve] call.  [inflight] counts admitted
-   jobs not yet finished (their scheduler tasks still pending or
-   running); [wake] is broadcast whenever the client's wait condition
-   may have changed: a job finished, EOF was read, the server started
-   draining, or the client was found dead. *)
+(* One record per session.  [inflight] counts admitted jobs not yet
+   finished (their scheduler tasks still pending or running); [wake] is
+   broadcast whenever it drops: a job finished, a submit was refused, or
+   the client was found dead and its queued jobs dropped. *)
 type client = {
   cid : int;
   output : string -> unit;
@@ -221,7 +222,6 @@ type client = {
   wake_m : Mutex.t;
   wake : Condition.t;
   mutable inflight : int;
-  mutable eof : bool;
   cancelled : bool Atomic.t;
 }
 
@@ -265,10 +265,12 @@ type t = {
   sched : Scheduler.t;
   global_evals : int Atomic.t;  (* gate evaluations spent across all requests *)
   draining : bool Atomic.t;
-  clients_m : Mutex.t;          (* guards [clients], [next_cid], [drain_hooks] *)
-  mutable clients : client list;
-  mutable next_cid : int;
+  next_cid : int Atomic.t;
+  drain_m : Mutex.t;            (* guards [drain_hooks] and [closed] *)
   mutable drain_hooks : (unit -> unit) list;
+  wake_r : Unix.file_descr;     (* readable once draining: frees parked line readers *)
+  wake_w : Unix.file_descr;
+  mutable closed : bool;        (* [shutdown] has closed the wake pipe *)
   durable : durable option;
   mutable recovery : Thread.t option;  (* the boot-time replay worker *)
   t0 : float;
@@ -282,58 +284,47 @@ let obs t = t.obs
 
 let shutdown t =
   Scheduler.shutdown t.sched;
-  match t.durable with None -> () | Some d -> Journal.close d.journal
+  (match t.durable with None -> () | Some d -> Journal.close d.journal);
+  Mutex.lock t.drain_m;
+  if not t.closed then begin
+    t.closed <- true;
+    Unix.close t.wake_r;
+    Unix.close t.wake_w
+  end;
+  Mutex.unlock t.drain_m
 
 let exec_wakeups t = Scheduler.wakeups t.sched
 
 let add_drain_hook t hook =
-  Mutex.lock t.clients_m;
+  Mutex.lock t.drain_m;
   t.drain_hooks <- hook :: t.drain_hooks;
-  Mutex.unlock t.clients_m
+  Mutex.unlock t.drain_m
 
-(* First call wins; runs the registered hooks (close listening sockets,
-   shut down connection fds so blocked readers see EOF) and wakes every
-   client waiter.  Safe from any ordinary thread — never call it from a
-   signal handler (it takes locks); the CLI uses a sigwait thread. *)
+(* First call wins; makes the wake pipe readable for good, so every line
+   reader parked in [select] returns, and runs the registered hooks
+   (close listening sockets, half-close connection fds).  Safe from any
+   ordinary thread — never call it from a signal handler (it takes
+   locks); the CLI uses a sigwait thread. *)
 let request_drain t =
   if not (Atomic.exchange t.draining true) then begin
-    Mutex.lock t.clients_m;
+    Mutex.lock t.drain_m;
     let hooks = t.drain_hooks in
-    let clients = t.clients in
-    Mutex.unlock t.clients_m;
-    List.iter (fun h -> try h () with _ -> ()) hooks;
-    List.iter
-      (fun c ->
-        Mutex.lock c.wake_m;
-        Condition.broadcast c.wake;
-        Mutex.unlock c.wake_m)
-      clients
+    if not t.closed then
+      (try ignore (Unix.write_substring t.wake_w "d" 0 1 : int) with Unix.Unix_error _ -> ());
+    Mutex.unlock t.drain_m;
+    List.iter (fun h -> try h () with _ -> ()) hooks
   end
 
-let register_client t ~output =
-  Mutex.lock t.clients_m;
-  let cid = t.next_cid in
-  t.next_cid <- cid + 1;
-  let client =
-    {
-      cid;
-      output;
-      out_m = Mutex.create ();
-      wake_m = Mutex.create ();
-      wake = Condition.create ();
-      inflight = 0;
-      eof = false;
-      cancelled = Atomic.make false;
-    }
-  in
-  t.clients <- client :: t.clients;
-  Mutex.unlock t.clients_m;
-  client
-
-let unregister_client t client =
-  Mutex.lock t.clients_m;
-  t.clients <- List.filter (fun c -> c.cid <> client.cid) t.clients;
-  Mutex.unlock t.clients_m
+let make_client t ~output =
+  {
+    cid = Atomic.fetch_and_add t.next_cid 1;
+    output;
+    out_m = Mutex.create ();
+    wake_m = Mutex.create ();
+    wake = Condition.create ();
+    inflight = 0;
+    cancelled = Atomic.make false;
+  }
 
 (* A write failure means the client is gone: mark it cancelled, drop its
    queued jobs (running ones observe the flag through their interrupt)
@@ -404,6 +395,16 @@ let stats_line t =
   let buffered = List.length (t.fetch_events ()) in
   let opt_budget = function None -> Json.Null | Some n -> Json.Int n in
   let cache_hits, cache_misses, cache_entries, cache_evictions = Cache.stats t.rcache in
+  let dur f = Json.Int (match t.durable with None -> 0 | Some d -> f d) in
+  let persisted, persist_failed, recovered_jobs =
+    match t.durable with
+    | None -> (0, 0, 0)
+    | Some d ->
+        Mutex.lock d.dur_m;
+        let r = (d.cache_persisted, d.cache_persist_failed, d.recovered_jobs) in
+        Mutex.unlock d.dur_m;
+        r
+  in
   [
     ("uptime_s", Json.Float (Obs.now () -. t.t0));
     ("lines", Json.Int (Atomic.get c.lines));
@@ -437,46 +438,21 @@ let stats_line t =
     ("events_buffered", Json.Int buffered);
     ("events_total", Json.Int (t.total_events ()));
     ("circuits_cached", Json.Int (Hashtbl.length t.universes));
+    (* Durability counters are always present (zero without [data_dir])
+       so stats consumers never need to probe for the fields. *)
+    ("journal_appends", dur (fun d -> Journal.appends d.journal));
+    ("journal_fsyncs", dur (fun d -> Journal.fsyncs d.journal));
+    ("journal_recovered", Json.Int recovered_jobs);
+    ("journal_pending", dur (fun d -> Journal.pending_count d.journal));
+    ("journal_truncated_tail", dur (fun d -> Journal.truncated_tail d.journal));
+    ("journal_compactions", dur (fun d -> Journal.compactions d.journal));
+    ("cache_persisted", Json.Int persisted);
+    ("cache_persist_failed", Json.Int persist_failed);
+    ("cache_corrupt_quarantined", dur (fun d -> d.cache_corrupt));
+    ("cache_stale_removed", dur (fun d -> d.cache_stale_removed));
+    ("cache_loaded", dur (fun d -> d.cache_loaded));
+    ("restart_generation", dur (fun d -> Journal.generation d.journal));
   ]
-  (* Durability counters are always present (zero without [data_dir]) so
-     stats consumers never need to probe for the fields. *)
-  @ (match t.durable with
-    | None ->
-        [
-          ("journal_appends", Json.Int 0);
-          ("journal_fsyncs", Json.Int 0);
-          ("journal_recovered", Json.Int 0);
-          ("journal_pending", Json.Int 0);
-          ("journal_truncated_tail", Json.Int 0);
-          ("journal_compactions", Json.Int 0);
-          ("cache_persisted", Json.Int 0);
-          ("cache_persist_failed", Json.Int 0);
-          ("cache_corrupt_quarantined", Json.Int 0);
-          ("cache_stale_removed", Json.Int 0);
-          ("cache_loaded", Json.Int 0);
-          ("restart_generation", Json.Int 0);
-        ]
-    | Some d ->
-        let persisted, persist_failed, recovered_jobs =
-          Mutex.lock d.dur_m;
-          let r = (d.cache_persisted, d.cache_persist_failed, d.recovered_jobs) in
-          Mutex.unlock d.dur_m;
-          r
-        in
-        [
-          ("journal_appends", Json.Int (Journal.appends d.journal));
-          ("journal_fsyncs", Json.Int (Journal.fsyncs d.journal));
-          ("journal_recovered", Json.Int recovered_jobs);
-          ("journal_pending", Json.Int (Journal.pending_count d.journal));
-          ("journal_truncated_tail", Json.Int (Journal.truncated_tail d.journal));
-          ("journal_compactions", Json.Int (Journal.compactions d.journal));
-          ("cache_persisted", Json.Int persisted);
-          ("cache_persist_failed", Json.Int persist_failed);
-          ("cache_corrupt_quarantined", Json.Int d.cache_corrupt);
-          ("cache_stale_removed", Json.Int d.cache_stale_removed);
-          ("cache_loaded", Json.Int d.cache_loaded);
-          ("restart_generation", Json.Int (Journal.generation d.journal));
-        ])
 
 (* --- Job execution -------------------------------------------------------------- *)
 
@@ -818,9 +794,6 @@ let job_response t client job =
          loop keeps serving. *)
       respond ~status:"error" [ ("error", Json.String (Printexc.to_string exn)) ]
 
-(* Executed on a scheduler worker.  [inflight] was incremented at
-   admission; whatever happens, it is decremented exactly once here (or
-   by [client_gone] for tasks cancelled before they ran). *)
 (* Record a job's terminal outcome in the journal.  A lost done record
    is absorbed — it only costs a redundant, idempotent replay at the
    next boot (the result cache answers it without re-simulating). *)
@@ -830,6 +803,9 @@ let journal_done t job ~status =
       try Journal.append_done d.journal ~jid ~status with Journal.Error _ -> ())
   | _ -> ()
 
+(* Executed on a scheduler worker.  [inflight] was incremented by
+   [submit]; whatever happens, it is decremented exactly once here (or
+   by [client_gone] for tasks cancelled before they ran). *)
 let run_job t client job =
   Fun.protect
     ~finally:(fun () ->
@@ -859,6 +835,30 @@ let run_job t client job =
         client_write t client resp
       end)
 
+(* Count [job] in flight for [client] and hand it to the pool; a refused
+   submit is uncounted again.  A journaled job is journaled before this
+   runs, so the record is durable before any worker can start it. *)
+let submit t client job =
+  Mutex.lock client.wake_m;
+  client.inflight <- client.inflight + 1;
+  Mutex.unlock client.wake_m;
+  match Scheduler.submit t.sched ~client:client.cid (fun () -> run_job t client job) with
+  | `Ok _ as ok -> ok
+  | (`Full | `Closed) as refused ->
+      Mutex.lock client.wake_m;
+      client.inflight <- client.inflight - 1;
+      Condition.broadcast client.wake;
+      Mutex.unlock client.wake_m;
+      refused
+
+(* Block until every job [client] has in flight is answered. *)
+let await_answers client =
+  Mutex.lock client.wake_m;
+  while client.inflight > 0 do
+    Condition.wait client.wake client.wake_m
+  done;
+  Mutex.unlock client.wake_m
+
 (* --- Boot: durable state and recovery ------------------------------------------- *)
 
 let rec mkdir_p dir =
@@ -878,56 +878,38 @@ let rec mkdir_p dir =
    run on — and deterministic.  Runs on its own thread so boot returns
    immediately; [wait_recovery] joins it. *)
 let recover t d entries =
-  let client = register_client t ~output:(fun _ -> ()) in
-  Fun.protect
-    ~finally:(fun () -> unregister_client t client)
-    (fun () ->
-      List.iter
-        (fun { Journal.jid; envelope } ->
-          if not (Atomic.get t.draining) then
-            match
-              Protocol.parse_request ~limits:(limits t) ~known_circuit:t.known_circuit
-                envelope
-            with
-            | Ok (Protocol.Run run) -> (
-                let job = { line_no = 0; run; jid = Some jid; replay = true } in
-                Mutex.lock client.wake_m;
-                client.inflight <- client.inflight + 1;
-                Mutex.unlock client.wake_m;
-                match
-                  Scheduler.submit t.sched ~client:client.cid (fun () ->
-                      run_job t client job)
-                with
-                | `Ok _ ->
-                    Mutex.lock client.wake_m;
-                    while client.inflight > 0 do
-                      Condition.wait client.wake client.wake_m
-                    done;
-                    Mutex.unlock client.wake_m;
-                    Mutex.lock d.dur_m;
-                    d.recovered_jobs <- d.recovered_jobs + 1;
-                    Mutex.unlock d.dur_m
-                | `Full | `Closed ->
-                    (* Draining or shut down: leave the job pending — the
-                       next boot replays it. *)
-                    Mutex.lock client.wake_m;
-                    client.inflight <- client.inflight - 1;
-                    Mutex.unlock client.wake_m)
-            | Ok _ | Error _ ->
-                (* An envelope the schema rejects cannot be re-run; close
-                   it out so it doesn't haunt every future boot.  (Can
-                   only happen when the journal was written by a build
-                   with a different schema or edited by hand — the CRC
-                   already vetted the bytes.) *)
-                (try Journal.append_done d.journal ~jid ~status:"error"
-                 with Journal.Error _ -> ()))
-        entries;
-      if Obs.enabled t.obs then
-        Obs.emit t.obs ~ev:"serve.recovery"
-          [
-            ("jobs", Obs.Int (List.length entries));
-            ("generation", Obs.Int (Journal.generation d.journal));
-          ])
+  let client = make_client t ~output:(fun _ -> ()) in
+  List.iter
+    (fun { Journal.jid; envelope } ->
+      if not (Atomic.get t.draining) then
+        match
+          Protocol.parse_request ~limits:(limits t) ~known_circuit:t.known_circuit envelope
+        with
+        | Ok (Protocol.Run run) -> (
+            match submit t client { line_no = 0; run; jid = Some jid; replay = true } with
+            | `Ok _ ->
+                await_answers client;
+                Mutex.lock d.dur_m;
+                d.recovered_jobs <- d.recovered_jobs + 1;
+                Mutex.unlock d.dur_m
+            | `Full | `Closed ->
+                (* Draining or shut down: leave the job pending — the
+                   next boot replays it. *)
+                ())
+        | Ok _ | Error _ ->
+            (* An envelope the schema rejects cannot be re-run; close it
+               out so it doesn't haunt every future boot.  (Can only
+               happen when the journal was written by a build with a
+               different schema or edited by hand — the CRC already
+               vetted the bytes.) *)
+            (try Journal.append_done d.journal ~jid ~status:"error" with Journal.Error _ -> ()))
+    entries;
+  if Obs.enabled t.obs then
+    Obs.emit t.obs ~ev:"serve.recovery"
+      [
+        ("jobs", Obs.Int (List.length entries));
+        ("generation", Obs.Int (Journal.generation d.journal));
+      ]
 
 let create ?(config = default_config) ?trace ?(known_circuit = Catalog.mem)
     ?(find_circuit = Catalog.find) () =
@@ -1004,6 +986,7 @@ let create ?(config = default_config) ?trace ?(known_circuit = Catalog.mem)
             },
           entries )
   in
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
   let t =
     {
       config;
@@ -1021,10 +1004,12 @@ let create ?(config = default_config) ?trace ?(known_circuit = Catalog.mem)
           ~chaos:config.chaos ();
       global_evals = Atomic.make 0;
       draining = Atomic.make false;
-      clients_m = Mutex.create ();
-      clients = [];
-      next_cid = 0;
+      next_cid = Atomic.make 0;
+      drain_m = Mutex.create ();
       drain_hooks = [];
+      wake_r;
+      wake_w;
+      closed = false;
       durable;
       recovery = None;
       t0 = Obs.now ();
@@ -1160,12 +1145,7 @@ let admit t client ~line_no line =
                    [ ("error", Json.String ("journal append failed: " ^ msg)) ])
           | Ok jid -> (
               let job = { line_no; run; jid; replay = false } in
-              Mutex.lock client.wake_m;
-              client.inflight <- client.inflight + 1;
-              Mutex.unlock client.wake_m;
-              match
-                Scheduler.submit t.sched ~client:client.cid (fun () -> run_job t client job)
-              with
+              match submit t client job with
               | `Ok depth ->
                   Atomic.incr c.accepted;
                   if Obs.enabled t.obs then
@@ -1177,10 +1157,6 @@ let admit t client ~line_no line =
                         ("queue_depth", Obs.Int depth);
                       ]
               | (`Full | `Closed) as r ->
-                  Mutex.lock client.wake_m;
-                  client.inflight <- client.inflight - 1;
-                  Condition.broadcast client.wake;
-                  Mutex.unlock client.wake_m;
                   journal_done t job ~status:"dropped";
                   (match r with
                   | `Full ->
@@ -1197,48 +1173,104 @@ let admit t client ~line_no line =
 
 type stop = [ `Eof | `Drained ]
 
-(* One client session.  The reader runs on its own thread so a reader
-   parked in a blocking [input] can be left behind when the server
-   drains (the caller returns once every admitted job is answered; the
-   abandoned thread is reaped at process exit, nothing of ours is in
-   flight on it).  Safe to call concurrently from many threads against
-   one [t] — that is exactly what [serve_socket] does. *)
-let serve t ?(drain = fun () -> false) ~input ~output () =
-  let client = register_client t ~output in
-  let reader () =
-    (try
-       let line_no = ref 0 in
-       let continue = ref true in
-       while !continue do
-         if drain () then begin
-           request_drain t;
-           continue := false
-         end
-         else if Atomic.get t.draining || Atomic.get client.cancelled then continue := false
-         else
-           match input () with
-           | None -> continue := false
-           | Some line ->
-               incr line_no;
-               admit t client ~line_no:!line_no line
-       done
-     with _ -> ());
-    Mutex.lock client.wake_m;
-    client.eof <- true;
-    Condition.broadcast client.wake;
-    Mutex.unlock client.wake_m
+(* The one line reader, for stdin and sockets alike.  It reads [fd] in
+   4 KiB chunks and splits on '\n'; an unterminated last line is
+   delivered before EOF.  Of each line it keeps at most
+   [max_line_bytes + 1] bytes and drops the rest through the next
+   newline, so [admit] still answers an over-long line with its length
+   error on its own line number, and one endless line cannot grow the
+   server.  [select] waits on [fd] and on the wake pipe, so a drain frees
+   a reader parked on a silent stdin as well as on a socket; with
+   [idle_timeout_s], that much silence surfaces as [`Idle].  [serve.read]
+   is decided once per read: [Fail]/[Torn] end the input as if the peer
+   vanished, [Delay] stalls the reader, which is what the idle timeout
+   defends against. *)
+let line_reader t ?idle_timeout_s fd =
+  let cap = t.config.max_line_bytes + 1 in
+  let chunk = Bytes.create 4096 in
+  let pos = ref 0 and len = ref 0 in
+  let line = Buffer.create 256 in
+  let at_eof = ref false in
+  let watched = [ fd; t.wake_r ] in
+  let timeout = Option.value idle_timeout_s ~default:(-1.0) in
+  let keep upto =
+    Buffer.add_subbytes line chunk !pos (min (upto - !pos) (cap - Buffer.length line));
+    pos := upto
   in
-  ignore (Thread.create reader ());
-  Mutex.lock client.wake_m;
-  while
-    not
-      ((client.eof || Atomic.get t.draining || Atomic.get client.cancelled)
-      && client.inflight = 0)
-  do
-    Condition.wait client.wake client.wake_m
-  done;
-  Mutex.unlock client.wake_m;
-  unregister_client t client;
+  let take () =
+    let l = Buffer.contents line in
+    Buffer.reset line;
+    `Line l
+  in
+  let rec newline i =
+    if i = !len then None else if Bytes.get chunk i = '\n' then Some i else newline (i + 1)
+  in
+  let rec next () =
+    match newline !pos with
+    | Some i ->
+        keep i;
+        pos := i + 1;
+        take ()
+    | None ->
+        keep !len;
+        if not !at_eof then
+          if Chaos.decide t.config.chaos Chaos.Serve_read <> Chaos.Pass then eof () else wait ()
+        else if Buffer.length line > 0 then take ()
+        else `Eof
+  and eof () =
+    at_eof := true;
+    next ()
+  and wait () =
+    match Unix.select watched [] [] timeout with
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
+    | exception Unix.Unix_error _ -> eof ()
+    | [], _, _ -> `Idle
+    | ready, _, _ -> if List.mem t.wake_r ready then `Eof else read ()
+  and read () =
+    match Unix.read fd chunk 0 (Bytes.length chunk) with
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> read ()
+    | 0 | (exception Unix.Unix_error _) -> eof ()
+    | n ->
+        pos := 0;
+        len := n;
+        next ()
+  in
+  next
+
+(* The one session loop, run on the calling thread for stdin, each
+   socket connection and [serve] alike: read and admit lines until EOF,
+   drain ([drain] is polled between lines), disconnect or an idle reap,
+   then wait until every admitted job has been answered. *)
+let session t ?(drain = fun () -> false) ~output read =
+  let client = make_client t ~output in
+  let rec loop line_no =
+    if drain () then request_drain t
+    else if not (Atomic.get t.draining || Atomic.get client.cancelled) then
+      match read () with
+      | `Line line ->
+          admit t client ~line_no line;
+          loop (line_no + 1)
+      | `Eof -> ()
+      | `Idle ->
+          (* A silent connection with nothing in flight is dead weight —
+             reap it so its thread frees up.  With work still in flight,
+             keep waiting: the client is presumably blocked on our
+             responses, not gone. *)
+          let busy =
+            Mutex.lock client.wake_m;
+            let b = client.inflight > 0 in
+            Mutex.unlock client.wake_m;
+            b
+          in
+          if busy then loop line_no
+          else begin
+            Atomic.incr t.counters.idle_reaps;
+            if Obs.enabled t.obs then
+              Obs.emit t.obs ~ev:"serve.idle_reap" [ ("cid", Obs.Int client.cid) ]
+          end
+  in
+  (try loop 1 with _ -> ());
+  await_answers client;
   let stop : stop = if Atomic.get t.draining then `Drained else `Eof in
   if Obs.enabled t.obs then
     Obs.emit t.obs ~ev:"serve.drain"
@@ -1249,131 +1281,17 @@ let serve t ?(drain = fun () -> false) ~input ~output () =
       ];
   stop
 
+let serve t ?drain ~input ~output () =
+  session t ?drain ~output (fun () ->
+      match input () with Some line -> `Line line | None -> `Eof)
+
+let line_output oc line =
+  output_string oc line;
+  output_char oc '\n';
+  flush oc
+
 let serve_channels t ?drain ic oc =
-  let input () =
-    match input_line ic with
-    | line -> Some line
-    | exception (End_of_file | Sys_error _) -> None
-  in
-  let output line =
-    output_string oc line;
-    output_char oc '\n';
-    flush oc
-  in
-  serve t ?drain ~input ~output ()
-
-(* A reader parked in [input_line] can only be freed by closing the fd
-   under it, so the socket path reads the raw fd through [select]: a
-   connection that has gone silent past [idle_timeout_s] surfaces as
-   [`Idle] and can be reaped, freeing its thread (and, transitively, any
-   queue slots its future requests would have held).  Line semantics
-   mirror [input_line] — split on '\n', a trailing unterminated line is
-   delivered before EOF.  [serve.read] injects here: [Fail]/[Torn] close
-   the connection as if the peer vanished; [Delay] stalls the reader,
-   which is what the idle timeout defends against. *)
-let make_fd_reader ?idle_timeout_s ~chaos fd =
-  let acc = Buffer.create 256 in
-  let chunk = Bytes.create 4096 in
-  let lines = Queue.create () in
-  let at_eof = ref false in
-  let flush_tail () =
-    if Buffer.length acc > 0 then begin
-      let l = Buffer.contents acc in
-      Buffer.clear acc;
-      `Line l
-    end
-    else `Eof
-  in
-  let rec next () =
-    if not (Queue.is_empty lines) then `Line (Queue.pop lines)
-    else if !at_eof then `Eof
-    else if Chaos.decide chaos Chaos.Serve_read <> Chaos.Pass then begin
-      at_eof := true;
-      flush_tail ()
-    end
-    else begin
-      let timeout = match idle_timeout_s with None -> -1.0 | Some s -> s in
-      match Unix.select [ fd ] [] [] timeout with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> next ()
-      | exception Unix.Unix_error _ ->
-          at_eof := true;
-          flush_tail ()
-      | [], _, _ -> `Idle
-      | _ -> (
-          match Unix.read fd chunk 0 (Bytes.length chunk) with
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> next ()
-          | exception Unix.Unix_error _ ->
-              at_eof := true;
-              flush_tail ()
-          | 0 ->
-              at_eof := true;
-              flush_tail ()
-          | n ->
-              for i = 0 to n - 1 do
-                let c = Bytes.get chunk i in
-                if c = '\n' then begin
-                  Queue.add (Buffer.contents acc) lines;
-                  Buffer.clear acc
-                end
-                else Buffer.add_char acc c
-              done;
-              next ())
-    end
-  in
-  next
-
-(* One socket connection, run entirely on its own thread: read/admit to
-   EOF (or drain/disconnect/idle-reap), then hold the connection open
-   until every admitted job has been answered. *)
-let handle_conn t fd =
-  let oc = Unix.out_channel_of_descr fd in
-  let output line =
-    output_string oc line;
-    output_char oc '\n';
-    flush oc
-  in
-  let client = register_client t ~output in
-  let read =
-    make_fd_reader ?idle_timeout_s:t.config.idle_timeout_s ~chaos:t.config.chaos fd
-  in
-  (try
-     let line_no = ref 0 in
-     let continue = ref true in
-     while !continue do
-       if Atomic.get t.draining || Atomic.get client.cancelled then continue := false
-       else
-         match read () with
-         | `Line line ->
-             incr line_no;
-             admit t client ~line_no:!line_no line
-         | `Eof -> continue := false
-         | `Idle ->
-             (* A silent connection with nothing in flight is dead
-                weight — reap it so its thread frees up.  With work
-                still in flight, keep waiting: the client is presumably
-                blocked on our responses, not gone. *)
-             let busy =
-               Mutex.lock client.wake_m;
-               let b = client.inflight > 0 in
-               Mutex.unlock client.wake_m;
-               b
-             in
-             if not busy then begin
-               Atomic.incr t.counters.idle_reaps;
-               if Obs.enabled t.obs then
-                 Obs.emit t.obs ~ev:"serve.idle_reap" [ ("cid", Obs.Int client.cid) ];
-               continue := false
-             end
-     done
-   with _ -> ());
-  Mutex.lock client.wake_m;
-  client.eof <- true;
-  while client.inflight > 0 && not (Atomic.get client.cancelled) do
-    Condition.wait client.wake client.wake_m
-  done;
-  Mutex.unlock client.wake_m;
-  unregister_client t client;
-  close_out_noerr oc
+  session t ?drain ~output:(line_output oc) (line_reader t (Unix.descr_of_in_channel ic))
 
 let serve_socket t ?(drain = fun () -> false) path =
   (* A client that disconnects mid-write must cost a cancelled session,
@@ -1390,13 +1308,14 @@ let serve_socket t ?(drain = fun () -> false) path =
            (Printf.sprintf "Server.serve_socket: %s exists and is not a socket" path));
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   let stop_accept = Atomic.make false in
+  (* The fds of the sessions still running; each session removes and
+     closes its own fd, under [conns_m], when it has answered its work. *)
   let conns_m = Mutex.create () in
+  let conns_done = Condition.create () in
   let live = ref [] in
-  let threads = ref [] in
   (* The drain hook wakes everything this loop can be blocked on: a
      dummy connection unblocks [accept] (portable, unlike shutting down
-     a listening socket), and half-closing live connections gives their
-     readers EOF. *)
+     a listening socket), and live connections are half-closed. *)
   let hook () =
     Atomic.set stop_accept true;
     (try
@@ -1411,6 +1330,20 @@ let serve_socket t ?(drain = fun () -> false) path =
     Mutex.unlock conns_m
   in
   add_drain_hook t hook;
+  let connection fd () =
+    let oc = Unix.out_channel_of_descr fd in
+    (try
+       ignore
+         (session t ~output:(line_output oc)
+            (line_reader t ?idle_timeout_s:t.config.idle_timeout_s fd)
+           : stop)
+     with _ -> ());
+    Mutex.lock conns_m;
+    live := List.filter (fun f -> f <> fd) !live;
+    close_out_noerr oc;
+    Condition.broadcast conns_done;
+    Mutex.unlock conns_m
+  in
   Fun.protect
     ~finally:(fun () ->
       (try Unix.close sock with Unix.Unix_error _ -> ());
@@ -1439,19 +1372,12 @@ let serve_socket t ?(drain = fun () -> false) path =
                 Mutex.lock conns_m;
                 live := fd :: !live;
                 Mutex.unlock conns_m;
-                let th =
-                  Thread.create
-                    (fun () ->
-                      Fun.protect
-                        ~finally:(fun () ->
-                          Mutex.lock conns_m;
-                          live := List.filter (fun f -> f <> fd) !live;
-                          Mutex.unlock conns_m)
-                        (fun () -> try handle_conn t fd with _ -> ()))
-                    ()
-                in
-                threads := th :: !threads
+                ignore (Thread.create (connection fd) ())
               end
       done;
       (* every connection finishes answering its admitted work *)
-      List.iter Thread.join !threads)
+      Mutex.lock conns_m;
+      while !live <> [] do
+        Condition.wait conns_done conns_m
+      done;
+      Mutex.unlock conns_m)

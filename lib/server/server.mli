@@ -15,8 +15,9 @@ open Dynmos_obs
       per-request wall-clock deadline and gate-eval budget (capped by
       the server {!config}), so one hung or crashing request is reported
       [partial]/[error] while the server keeps serving;
-    - {e concurrency}: every connection (or {!serve} call) gets its own
-      reader; admitted jobs multiplex onto one long-lived pool of
+    - {e concurrency}: every session — stdin, each socket connection, or
+      a {!serve} call — runs one read-and-admit loop on its own thread;
+      admitted jobs multiplex onto one long-lived pool of
       [executors] worker domains which drains clients round-robin —
       FIFO per client, and one client's backlog cannot starve another's
       next request.  Workers park on a condition variable when idle (no
@@ -55,7 +56,9 @@ type config = {
   max_request_evals : int option;  (** per-request gate-eval cap and default budget *)
   global_max_evals : int option;   (** whole-server gate-eval budget; once spent,
                                        run requests are rejected *)
-  max_line_bytes : int;        (** request lines longer than this are rejected (default 1 MiB) *)
+  max_line_bytes : int;        (** request lines longer than this are rejected
+                                   (default 1 MiB); the line reader also buffers
+                                   at most this many bytes plus one of any line *)
   events_capacity : int;       (** ring size of the bounded in-memory obs sink
                                    backing the [stats] op (default 1024) *)
   cache_capacity : int;        (** result-cache entries before LRU eviction
@@ -132,21 +135,24 @@ val maintenance : t -> unit
 
 val shutdown : t -> unit
 (** Stop and join the executor pool once all queued work has been
-    claimed.  Idempotent.  Call after the last {!serve} returns; domains
+    claimed, and close the pipe that wakes line readers on drain.
+    Idempotent.  Call after the last {!serve} returns; domains
     are a bounded resource (OCaml caps them around 128). *)
 
 val request_drain : t -> unit
-(** Begin a graceful drain: stop admitting runs, wake blocked readers
-    and acceptors (registered drain hooks close listening sockets and
-    half-close live connections), let in-flight work finish.  First call
+(** Begin a graceful drain: stop admitting runs, wake every line reader
+    parked on stdin or a socket and the acceptors (registered drain
+    hooks close listening sockets and half-close live connections), let
+    in-flight work finish.  First call
     wins; safe from any ordinary thread, {e not} from a signal handler
     (it takes locks) — convert signals with [Thread.wait_signal] first,
     as the CLI does. *)
 
 val obs : t -> Obs.t
 (** The server's recorder — serve-loop lifecycle events
-    ([serve.accept], [serve.reject], [serve.request], [serve.drain])
-    and every engine's [faultsim.run] events flow through it. *)
+    ([serve.accept], [serve.reject], [serve.request], and [serve.drain]
+    at the end of every session) and every engine's [faultsim.run]
+    events flow through it. *)
 
 val stats_line : t -> (string * Json.t) list
 (** The fields of a [stats] response: uptime, per-status counters,
@@ -175,29 +181,40 @@ val serve :
   output:(string -> unit) ->
   unit ->
   stop
-(** One client session: serve until [input] returns [None] ([`Eof]) or
-    the server drains ([`Drained], via [drain] polled between lines or
-    {!request_drain}); both paths answer all admitted work before
-    returning.  Safe to call concurrently against one [t] — each call is
-    its own client with FIFO response ordering.  [input] yields one line
-    (no newline) per call and runs on a dedicated reader thread;
-    [output] receives one complete response line (no newline) per call,
-    possibly from any executor domain, serialized per client by the
-    server.  Never raises on request content; an [output] failure marks
-    the client gone — queued jobs are cancelled, running ones
-    interrupted — and the call returns after in-flight work unwinds. *)
+(** One client session, over the same loop as stdin and every socket
+    connection: serve until [input] returns [None] ([`Eof]) or the
+    server drains ([`Drained], via [drain] polled between lines or
+    {!request_drain}, observed at the next line boundary); both paths
+    answer all admitted work before returning.  Safe to call
+    concurrently against one [t] — each call is its own client with
+    FIFO response ordering.  [input] yields one line (no newline) per
+    call, on the calling thread; [output] receives one complete response
+    line (no newline) per call, possibly from any executor domain,
+    serialized per client by the server.  Never raises on request
+    content; an [output] failure marks the client gone — queued jobs are
+    cancelled, running ones interrupted — and the call returns after
+    in-flight work unwinds. *)
 
 val serve_channels : t -> ?drain:(unit -> bool) -> in_channel -> out_channel -> stop
-(** {!serve} over channels: flushed line-buffered responses; EOF and
-    read errors on [ic] end the loop as [`Eof]. *)
+(** {!serve} over channels: one flushed line per response.  Requests are
+    read from [ic]'s file descriptor by the server's line reader (bytes
+    already buffered in [ic] are not seen), which holds at most
+    [max_line_bytes + 1] bytes of a line: the rest of an over-long line
+    is discarded and the line answered with its length error.  EOF and
+    read errors end the loop as [`Eof]; {!request_drain} wakes the
+    reader, so a drain returns once admitted work is answered even while
+    [ic] stays open.  Chaos point [serve.read] applies per read. *)
 
 val serve_socket : t -> ?drain:(unit -> bool) -> string -> unit
 (** Listen on a Unix-domain socket at the given path (an existing
     {e socket} file is replaced; any other file kind is refused) and
-    serve connections {e concurrently} — one reader thread per
-    connection, all multiplexed onto the shared executor pool — until
-    {!request_drain} (or [drain], polled between accepts).  A connection
-    dying mid-response only cancels that client's work.  On drain the
-    accept loop is woken, live connections are half-closed so their
-    readers see EOF, every admitted job is answered, connection threads
-    are joined, and the socket file is unlinked. *)
+    serve connections {e concurrently} — one session thread per live
+    connection, reading through the same bounded line reader as
+    {!serve_channels} and reaped after [idle_timeout_s] of silence with
+    no work in flight, all multiplexed onto the shared executor pool —
+    until {!request_drain} (or [drain], polled between accepts).  A
+    connection dying mid-response only cancels that client's work.  On
+    drain the accept loop is woken, live connections are half-closed,
+    every admitted job is answered, the call waits until each
+    connection's session has ended and closed its fd, and the socket
+    file is unlinked. *)

@@ -1008,6 +1008,62 @@ let test_line_bound_socket () =
   with_socket_server limits_config @@ fun _t connect ->
   check_line_bound "socket" (serve_conn connect bound_input)
 
+(* An over-long line is never buffered whole: a line of 64 x
+   [max_line_bytes] with its only newline at the end grows the peak
+   major heap by less than 8 x [max_line_bytes] on either transport,
+   still gets the length error on line 1, and the request after it is
+   answered.  The peak is process-wide, so this group runs first. *)
+let test_long_line_bounded () =
+  let config = { small_config with Server.max_line_bytes = 262_144 } in
+  let max = config.Server.max_line_bytes in
+  let input = String.make (64 * max) 'x' ^ "\n" ^ {|{"op":"ping"}|} ^ "\n" in
+  let warm_up = {|{"op":"ping"}|} ^ "\n" in
+  let top () =
+    Gc.minor ();
+    (Gc.quick_stat ()).Gc.top_heap_words * (Sys.word_size / 8)
+  in
+  let check_bounded transport session =
+    ignore (session warm_up : string list);
+    let before = top () in
+    let resps = session input in
+    let grew = top () - before in
+    let name s = transport ^ ": " ^ s in
+    check_i (name "two responses") 2 (List.length resps);
+    check (name "length error on line 1") true
+      (field "error" (response_for 1 resps)
+      = Json.String (Printf.sprintf "request line exceeds %d bytes" max));
+    check_s (name "the next request answered") "pong" (status (response_for 2 resps));
+    check (name (Printf.sprintf "peak heap grew %d bytes (bound %d)" grew (8 * max))) true
+      (grew < 8 * max)
+  in
+  (let t = Server.create ~config () in
+   Fun.protect ~finally:(fun () -> Server.shutdown t) @@ fun () ->
+   check_bounded "stdin" (serve_pipe t));
+  with_socket_server config @@ fun _t connect -> check_bounded "socket" (serve_conn connect)
+
+(* A drain frees a session parked on an input that stays open (stdin
+   under the CLI's SIGTERM): [serve_channels] answers the admitted job
+   and returns [`Drained] while the writer still holds the pipe. *)
+let test_drain_open_pipe () =
+  let t = Server.create ~config:small_config () in
+  Fun.protect ~finally:(fun () -> Server.shutdown t) @@ fun () ->
+  let r, w = Unix.pipe ~cloexec:true () in
+  let req = {|{"circuit":"carry8","patterns":64}|} ^ "\n" in
+  ignore (Unix.write_substring w req 0 (String.length req) : int);
+  let out_r, out_w = Unix.pipe ~cloexec:true () in
+  let ic = Unix.in_channel_of_descr r and oc = Unix.out_channel_of_descr out_w in
+  let stop = ref `Eof in
+  let session = Thread.create (fun () -> stop := Server.serve_channels t ic oc) () in
+  let out_ic = Unix.in_channel_of_descr out_r in
+  let resp = input_line out_ic in
+  Server.request_drain t;
+  Thread.join session;
+  check_s "admitted job answered" "ok" (status resp);
+  check "drained with the input still open" true (!stop = `Drained);
+  List.iter close_in [ ic; out_ic ];
+  close_out oc;
+  Unix.close w
+
 (* Serve under a chaos schedule that kills executor domains and drops
    cache inserts: every request line still gets exactly one terminal
    response, and the watchdog keeps the pool serving. *)
@@ -1039,6 +1095,7 @@ let () =
     [
       ( "limits",
         [
+          Alcotest.test_case "over-long line held to the bound" `Quick test_long_line_bounded;
           Alcotest.test_case "line bound on stdin" `Quick test_line_bound_stdin;
           Alcotest.test_case "line bound on a socket" `Quick test_line_bound_socket;
         ] );
@@ -1083,6 +1140,8 @@ let () =
           Alcotest.test_case "sigpipe on a half-closed socket" `Quick
             test_sigpipe_half_closed_socket;
           Alcotest.test_case "idle connections reaped" `Quick test_idle_reap;
+          Alcotest.test_case "drain frees a reader on an open pipe" `Quick
+            test_drain_open_pipe;
           Alcotest.test_case "serve under chaos" `Quick test_serve_under_chaos;
         ] );
       ( "properties",
