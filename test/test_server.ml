@@ -1064,6 +1064,29 @@ let test_drain_open_pipe () =
   close_out oc;
   Unix.close w
 
+(* A drain with a job in flight on a connection: the connection is
+   half-closed, the job is still answered on it, and only then does the
+   server close it. *)
+let test_socket_drain_answers () =
+  with_socket_server small_config @@ fun t connect ->
+  let fd = connect () in
+  send fd {|{"circuit":"rand20","patterns":512,"drop":false}|};
+  let rec admitted n =
+    match List.assoc "accepted" (Server.stats_line t) with
+    | Json.Int 1 -> ()
+    | _ when n = 0 -> Alcotest.fail "the job was never admitted"
+    | _ ->
+        Thread.delay 0.005;
+        admitted (n - 1)
+  in
+  admitted 2000;
+  Server.request_drain t;
+  (match recv_line fd with
+  | Some resp -> check_s "admitted job answered across the drain" "ok" (status resp)
+  | None -> Alcotest.fail "no response after the drain");
+  check "connection closed once answered" true (recv_line fd = None);
+  Unix.close fd
+
 (* Serve under a chaos schedule that kills executor domains and drops
    cache inserts: every request line still gets exactly one terminal
    response, and the watchdog keeps the pool serving. *)
@@ -1142,6 +1165,8 @@ let () =
           Alcotest.test_case "idle connections reaped" `Quick test_idle_reap;
           Alcotest.test_case "drain frees a reader on an open pipe" `Quick
             test_drain_open_pipe;
+          Alcotest.test_case "socket drain answers in-flight work" `Quick
+            test_socket_drain_answers;
           Alcotest.test_case "serve under chaos" `Quick test_serve_under_chaos;
         ] );
       ( "properties",
