@@ -603,7 +603,7 @@ let serve_cmd =
     Arg.(value & opt (some (positive_float ~what:"--idle-timeout")) None
          & info [ "idle-timeout" ] ~docv:"SEC"
              ~doc:"Reap socket connections that stay silent for $(docv) seconds with no \
-                   work in flight, freeing their reader thread (socket mode only; \
+                   work in flight, freeing their session thread (socket mode only; \
                    default: never).")
   in
   let data_dir =
@@ -662,7 +662,7 @@ let serve_cmd =
         trace
     in
     (* Mask SIGHUP/SIGINT/SIGTERM on this thread BEFORE creating the
-       server: executor domains and reader threads inherit the mask at
+       server: executor domains and session threads inherit the mask at
        spawn, so signals are delivered only to the sigwait thread
        below. *)
     let signals = [ Sys.sighup; Sys.sigint; Sys.sigterm ] in

@@ -25,7 +25,7 @@
     record with no newline; [journal.fsync] skips the sync;
     [journal.compact] Fail aborts, Torn leaves a truncated tmp and an
     intact segment.  All appends are serialized under one internal
-    mutex — reader threads admit and executor domains complete
+    mutex — session threads admit and executor domains complete
     concurrently. *)
 
 exception Error of string

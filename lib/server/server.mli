@@ -66,7 +66,7 @@ type config = {
                                    [data_dir], an evicted entry's file goes too *)
   idle_timeout_s : float option;  (** socket connections silent this long with no
                                       work in flight are reaped — dead peers free
-                                      their reader thread (default [None] = never) *)
+                                      their session thread (default [None] = never) *)
   chaos : Dynmos_chaos.Chaos.t;   (** deterministic fault injection: arms the
                                       [serve.write]/[serve.read]/[cache.insert]
                                       points here, [sched.spawn]/[sched.task] in
