@@ -199,11 +199,13 @@ let tick ctl ~units_done ~first_detection =
   units_done - ctl.last_units >= ctl.interval
   &&
   (* A failed interval write must not abort the campaign: the simulation
-     result is unaffected, [last_units] stays put so the next tick
-     retries, and the failure is counted for stats. *)
+     result is unaffected and the failure is counted for stats.
+     [last_units] moves on as after a write, so the retry waits a full
+     interval instead of coming at every later unit. *)
   match write ctl ~units_done ~first_detection with
   | () -> true
   | exception Error _ ->
+      ctl.last_units <- units_done;
       ctl.failed_writes <- ctl.failed_writes + 1;
       false
 

@@ -110,9 +110,9 @@ val resumed_from_backup : ctl -> bool
 val tick : ctl -> units_done:int -> first_detection:int option array -> bool
 (** Interval-gated write: persists a snapshot iff at least [interval]
     patterns completed since the last write.  Returns whether a file was
-    written.  A failed write is absorbed (counted in {!failed_writes},
-    retried at the next interval) — checkpointing trouble never aborts
-    the simulation itself. *)
+    written.  A failed write is absorbed (counted in {!failed_writes})
+    and retried a full interval later, not at every later unit —
+    checkpointing trouble never aborts the simulation itself. *)
 
 val finalize : ctl -> units_done:int -> first_detection:int option array -> unit
 (** Unconditional write — called at clean completion, deadline stop and

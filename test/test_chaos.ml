@@ -198,6 +198,10 @@ let test_ckpt_chaos_absorbed () =
   check "campaign completes under persistent checkpoint failure" true
     (Outcome.is_complete s2.Faultsim.outcome);
   check "every failure absorbed and counted" true (Checkpoint.failed_writes ctl2 > 1);
+  (* a failed write is retried an interval later, not at every unit:
+     one attempt per interval, plus [finalize]'s write and its retry *)
+  check "failed writes bounded by the intervals" true
+    (Checkpoint.failed_writes ctl2 <= ((Array.length pats + 4) / 5) + 2);
   check_i "nothing published" 0 (Checkpoint.writes ctl2);
   check "no primary on disk" false (Sys.file_exists path2);
   (* a torn save leaves its truncated tmp behind; the next campaign
