@@ -102,9 +102,11 @@ let finalize checkpoint ~obs ~engine ~units_done ~first =
 
 (* --- The driver ---------------------------------------------------------------- *)
 
+(* Evaluation attempts per site before it is declared failed. *)
+let max_attempts = 3
+
 let run_patterns ?(drop = true) ?(obs = Obs.disabled) ?deadline ?max_evals ?interrupt
-    ?checkpoint ?(max_attempts = Parallel_exec.default_max_attempts)
-    ?(backoff = Parallel_exec.Backoff.default)
+    ?checkpoint ?(backoff = Parallel_exec.Backoff.default)
     ?(chaos = Chaos.disabled) ?(crash_hook = fun (_ : int) -> ())
     ?(on_progress = fun ~units_done:(_ : int) ~detected:(_ : int) -> ()) ~n_sites:n ~total
     (kernel : Kernel.t) =

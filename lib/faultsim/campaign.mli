@@ -30,7 +30,6 @@ val run_patterns :
   ?max_evals:int ->
   ?interrupt:(unit -> bool) ->
   ?checkpoint:Checkpoint.ctl ->
-  ?max_attempts:int ->
   ?backoff:Parallel_exec.Backoff.t ->
   ?chaos:Dynmos_chaos.Chaos.t ->
   ?crash_hook:(int -> unit) ->

@@ -347,10 +347,10 @@ let injection_kernel ?pool ?(fields = []) ~name ~unit_bits ~count_good_evals u p
 
 (* --- Public entry points: thin wrappers over the campaign driver ------------ *)
 
-let run_serial ?drop ?obs ?deadline ?max_evals ?interrupt ?checkpoint ?max_attempts ?backoff
-    ?chaos ?crash_hook ?on_progress u (patterns : bool array array) =
-  Campaign.run_patterns ?drop ?obs ?deadline ?max_evals ?interrupt ?checkpoint ?max_attempts
-    ?backoff ?chaos ?crash_hook ?on_progress ~n_sites:(n_sites u)
+let run_serial ?drop ?obs ?deadline ?max_evals ?interrupt ?checkpoint ?backoff ?chaos
+    ?crash_hook ?on_progress u (patterns : bool array array) =
+  Campaign.run_patterns ?drop ?obs ?deadline ?max_evals ?interrupt ?checkpoint ?backoff ?chaos
+    ?crash_hook ?on_progress ~n_sites:(n_sites u)
     ~total:(Array.length patterns)
     (injection_kernel ~name:"serial" ~unit_bits:1 ~count_good_evals:true u patterns)
 
@@ -360,7 +360,7 @@ let run_serial ?drop ?obs ?deadline ?max_evals ?interrupt ?checkpoint ?max_attem
    chaos registry starts none, so its schedule replays from the one
    sweeping domain. *)
 let run_ppsfp ?drop ?(num_domains = 1) ?obs ?deadline ?max_evals ?interrupt ?checkpoint
-    ?max_attempts ?backoff ?chaos ?crash_hook ?on_progress u (patterns : bool array array) =
+    ?backoff ?chaos ?crash_hook ?on_progress u (patterns : bool array array) =
   if num_domains < 1 then
     invalid_arg (Fmt.str "Faultsim.run_ppsfp: num_domains must be >= 1 (got %d)" num_domains);
   let total = Array.length patterns in
@@ -380,8 +380,8 @@ let run_ppsfp ?drop ?(num_domains = 1) ?obs ?deadline ?max_evals ?interrupt ?che
   let effective = 1 + Option.fold ~none:0 ~some:Parallel_exec.Scheduler.live_workers pool in
   Fun.protect ~finally:(fun () -> Option.iter Parallel_exec.Scheduler.shutdown pool)
   @@ fun () ->
-  Campaign.run_patterns ?drop ?obs ?deadline ?max_evals ?interrupt ?checkpoint ?max_attempts
-    ?backoff ?chaos ?crash_hook ?on_progress ~n_sites:(n_sites u) ~total
+  Campaign.run_patterns ?drop ?obs ?deadline ?max_evals ?interrupt ?checkpoint ?backoff ?chaos
+    ?crash_hook ?on_progress ~n_sites:(n_sites u) ~total
     (injection_kernel ?pool
        ~fields:
          [ ("requested_domains", Obs.Int num_domains); ("effective_domains", Obs.Int effective) ]

@@ -124,16 +124,17 @@ val detects : universe -> site -> bool array -> bool
     cause; detections gathered so far are returned, never discarded, and
     {!coverage} is then the conservative lower bound.  Every engine also
     takes [?checkpoint] (build with {!checkpoint_ctl}): progress is
-    persisted every interval and at return, and a controller carrying a
+    persisted every interval (a failed write is retried one interval
+    later) and at return, and a controller carrying a
     validated resume state continues {e bit-identically} — each pattern
     is evaluated exactly once across the combined runs, in ascending
     order, so no first detection can move.
 
     Every engine also supervises per-site evaluation (on whichever
     domain evaluates the site):
-    a site whose faulty function raises is retried (bounded by
-    [?max_attempts], default 3; the good-machine baseline is restored
-    first) and, if it keeps raising, excluded and reported in the
+    a site whose faulty function raises is retried (3 attempts in all;
+    the good-machine baseline is restored first) and, if it keeps
+    raising, excluded and reported in the
     outcome's [failed_sites] — every other site's detections are
     identical to a clean run.  [?crash_hook] (default no-op, called with
     the site id before each evaluation) is the fault-injection point the
@@ -152,7 +153,6 @@ val run_serial :
   ?max_evals:int ->
   ?interrupt:(unit -> bool) ->
   ?checkpoint:Checkpoint.ctl ->
-  ?max_attempts:int ->
   ?backoff:Parallel_exec.Backoff.t ->
   ?chaos:Dynmos_chaos.Chaos.t ->
   ?crash_hook:(int -> unit) ->
@@ -171,7 +171,6 @@ val run_ppsfp :
   ?max_evals:int ->
   ?interrupt:(unit -> bool) ->
   ?checkpoint:Checkpoint.ctl ->
-  ?max_attempts:int ->
   ?backoff:Parallel_exec.Backoff.t ->
   ?chaos:Dynmos_chaos.Chaos.t ->
   ?crash_hook:(int -> unit) ->

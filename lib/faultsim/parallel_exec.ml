@@ -29,8 +29,6 @@ module Prng = Dynmos_util.Prng
 
 let default_domains () = Domain.recommended_domain_count ()
 
-let default_max_attempts = 3
-
 (* Exponential backoff with jitter for supervised retries.  An immediate
    retry of a site that crashed on a transient cause (injected chaos, a
    momentarily-full disk, an oversubscribed host) tends to hit the same
@@ -53,11 +51,6 @@ module Backoff = struct
       let d = t.base_s *. float_of_int (1 lsl min 16 (max 0 (attempt - 1))) in
       let d = Float.min d t.cap_s in
       d *. (0.5 +. (0.5 *. Prng.float prng))
-
-  let sleep t prng ~attempt =
-    let d = delay t prng ~attempt in
-    if d > 0.0 then Unix.sleepf d;
-    d
 end
 
 (* --- Persistent scheduler ---------------------------------------------------- *)
@@ -117,7 +110,6 @@ module Scheduler = struct
     n_workers : int;
     wakeups : int Atomic.t;     (* worker-loop passes; ~tasks executed + shutdown *)
     crashes : int Atomic.t;     (* tasks that raised (absorbed) *)
-    executed : int Atomic.t;
     respawns : int Atomic.t;    (* executor loops restarted by the watchdog *)
     spawn_failures : int Atomic.t;  (* Domain.spawn attempts that failed *)
   }
@@ -182,7 +174,6 @@ module Scheduler = struct
             raise Executor_killed
           end;
           (try task () with _ -> Atomic.incr t.crashes);
-          Atomic.incr t.executed;
           Mutex.lock t.m;
           t.active <- t.active - 1;
           if t.depth = 0 && t.active = 0 then Condition.broadcast t.idle;
@@ -268,7 +259,6 @@ module Scheduler = struct
         n_workers = n;
         wakeups = Atomic.make 0;
         crashes = Atomic.make 0;
-        executed = Atomic.make 0;
         respawns = Atomic.make 0;
         spawn_failures = Atomic.make 0;
       }
@@ -287,7 +277,6 @@ module Scheduler = struct
   let size t = t.n_workers
   let wakeups t = Atomic.get t.wakeups
   let crashes t = Atomic.get t.crashes
-  let executed t = Atomic.get t.executed
   let respawns t = Atomic.get t.respawns
   let spawn_failures t = Atomic.get t.spawn_failures
 

@@ -11,9 +11,6 @@
 val default_domains : unit -> int
 (** [Domain.recommended_domain_count ()]. *)
 
-val default_max_attempts : int
-(** Evaluation attempts per site before it is declared failed (3). *)
-
 (** Exponential backoff with jitter between supervised retry attempts.
     Transient failure causes (injected chaos, a full disk, an
     oversubscribed host) tend to persist for a moment; spacing the
@@ -35,9 +32,6 @@ module Backoff : sig
   val delay : t -> Dynmos_util.Prng.t -> attempt:int -> float
   (** The jittered delay before retry [attempt] (1-based):
       [base * 2^(attempt-1)] capped at [cap_s], scaled into [d/2, d). *)
-
-  val sleep : t -> Dynmos_util.Prng.t -> attempt:int -> float
-  (** {!delay}, slept; returns the duration. *)
 end
 
 (** {1 Persistent scheduler} *)
@@ -104,9 +98,6 @@ module Scheduler : sig
 
   val crashes : t -> int
   (** Tasks that raised (absorbed, worker kept running). *)
-
-  val executed : t -> int
-  (** Tasks run to completion (including ones that raised). *)
 
   val respawns : t -> int
   (** Executor recoveries performed by the watchdog: loop restarts after

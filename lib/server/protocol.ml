@@ -231,8 +231,6 @@ let parse_request ~limits ~known_circuit line =
       | other -> err "unknown op %S (expected \"run\", \"stats\" or \"ping\")" other)
   | Ok v -> err "request must be a JSON object, got %s" (Json.type_name v)
 
-let request_id = function Run r -> r.id | Stats id -> id | Ping id -> id
-
 (* --- Journal envelopes --------------------------------------------------------- *)
 
 (* The write-ahead journal's replay key: a canonical, client-independent

@@ -75,8 +75,6 @@ val parse_request :
     the removed engines ["parallel"] and ["domains"] (["ppsfp"] runs
     their kernel, on [jobs] domains), get their own messages. *)
 
-val request_id : request -> Json.t option
-
 val run_envelope : run -> string
 (** The canonical client-independent journal envelope of a run request:
     one JSON line keeping every result-shaping field (circuit, patterns,
