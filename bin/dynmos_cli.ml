@@ -581,12 +581,6 @@ let serve_cmd =
                    discards the rest of a longer one, so this also bounds the memory \
                    one line can take.")
   in
-  let events =
-    Arg.(value & opt (bounded_int ~what:"--events" ~min:1 ()) Server.default_config.Server.events_capacity
-         & info [ "events" ] ~docv:"N"
-             ~doc:"Capacity of the bounded in-memory observability ring backing the \
-                   'stats' op (oldest events overwritten first).")
-  in
   let trace =
     Arg.(value & opt (some string) None
          & info [ "trace" ] ~docv:"FILE"
@@ -630,7 +624,7 @@ let serve_cmd =
              ~doc:"Checkpoint write throttle, in completed work units.")
   in
   let run queue executors cache max_patterns max_seconds max_request_evals global_max_evals
-      max_line_bytes events trace socket idle_timeout data_dir ckpt_patterns ckpt_interval
+      max_line_bytes trace socket idle_timeout data_dir ckpt_patterns ckpt_interval
       chaos =
     guard @@ fun () ->
     let config =
@@ -642,7 +636,6 @@ let serve_cmd =
         max_request_evals;
         global_max_evals;
         max_line_bytes;
-        events_capacity = events;
         cache_capacity = cache;
         idle_timeout_s = idle_timeout;
         chaos;
@@ -656,21 +649,18 @@ let serve_cmd =
        which the serve loop turns into a cancelled session. *)
     (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
      with Invalid_argument _ | Sys_error _ -> ());
-    let trace_oc =
-      Option.map
-        (fun file -> open_out_gen [ Open_creat; Open_append; Open_wronly ] 0o644 file)
-        trace
-    in
     (* Mask SIGHUP/SIGINT/SIGTERM on this thread BEFORE creating the
        server: executor domains and session threads inherit the mask at
        spawn, so signals are delivered only to the sigwait thread
        below. *)
     let signals = [ Sys.sighup; Sys.sigint; Sys.sigterm ] in
-    let masked =
-      try
-        ignore (Thread.sigmask Unix.SIG_BLOCK signals : int list);
-        true
-      with Invalid_argument _ | Unix.Unix_error _ -> false
+    (try ignore (Thread.sigmask Unix.SIG_BLOCK signals : int list)
+     with Invalid_argument _ | Unix.Unix_error _ ->
+       failwith "serve needs Thread.sigmask to drain on SIGTERM; this platform has none");
+    let trace_oc =
+      Option.map
+        (fun file -> open_out_gen [ Open_creat; Open_append; Open_wronly ] 0o644 file)
+        trace
     in
     let t =
       Server.create ~config ?trace:(Option.map Obs.channel_sink trace_oc) ()
@@ -680,37 +670,28 @@ let serve_cmd =
        First SIGTERM/SIGINT: stop admitting, finish queued and in-flight
        jobs (each bounded by its per-request deadline), flush, exit 0.
        Second SIGTERM/SIGINT: hard exit 130. *)
-    let drain =
-      if masked then begin
-        ignore
-          (Thread.create
-             (fun () ->
-               let drained = ref false in
-               let rec loop () =
-                 let s = Thread.wait_signal signals in
-                 if s = Sys.sighup then begin
-                   Server.maintenance t;
-                   loop ()
-                 end
-                 else if not !drained then begin
-                   drained := true;
-                   Server.request_drain t;
-                   loop ()
-                 end
-                 else Stdlib.exit 130
-               in
-               loop ())
-             ());
-        fun () -> false
-      end
-      else
-        (* No signal masking on this platform: fall back to the polled
-           handler flag (drain is then only observed between lines). *)
-        install_signal_handlers ()
-    in
+    ignore
+      (Thread.create
+         (fun () ->
+           let drained = ref false in
+           let rec loop () =
+             let s = Thread.wait_signal signals in
+             if s = Sys.sighup then begin
+               Server.maintenance t;
+               loop ()
+             end
+             else if not !drained then begin
+               drained := true;
+               Server.request_drain t;
+               loop ()
+             end
+             else Stdlib.exit 130
+           in
+           loop ())
+         ());
     (match socket with
-    | Some path -> Server.serve_socket t ~drain path
-    | None -> ignore (Server.serve_channels t ~drain stdin stdout : Server.stop));
+    | Some path -> Server.serve_socket t path
+    | None -> ignore (Server.serve_channels t stdin stdout : Server.stop));
     Server.shutdown t;
     Option.iter close_out trace_oc;
     `Ok 0
@@ -724,7 +705,7 @@ let serve_cmd =
     Term.(
       ret
         (const run $ queue $ executors $ cache $ max_patterns $ max_seconds
-       $ max_request_evals $ global_max_evals $ max_line_bytes $ events $ trace $ socket
+       $ max_request_evals $ global_max_evals $ max_line_bytes $ trace $ socket
        $ idle_timeout $ data_dir $ ckpt_patterns $ ckpt_interval $ chaos_arg))
 
 (* --- circuits ------------------------------------------------------------------ *)

@@ -56,41 +56,6 @@ let memory_sink () =
   in
   (sink, fetch)
 
-(* Ring buffer: long-lived processes (the serve loop) must be able to
-   keep a recent-events window without the unbounded list growth of
-   [memory_sink].  [next] counts every emission, so the fill level and
-   the oldest live slot fall out of one cursor. *)
-let bounded_memory_sink ~capacity =
-  if capacity <= 0 then
-    invalid_arg
-      (Printf.sprintf "Obs.bounded_memory_sink: capacity must be positive (got %d)" capacity);
-  let m = Mutex.create () in
-  let buf = Array.make capacity None in
-  let next = ref 0 in
-  let sink =
-    Emit
-      (fun e ->
-        Mutex.lock m;
-        buf.(!next mod capacity) <- Some e;
-        incr next;
-        Mutex.unlock m)
-  in
-  let fetch () =
-    Mutex.lock m;
-    let live = min !next capacity in
-    let first = !next - live in
-    let l = List.init live (fun i -> Option.get buf.((first + i) mod capacity)) in
-    Mutex.unlock m;
-    l
-  in
-  let total () =
-    Mutex.lock m;
-    let n = !next in
-    Mutex.unlock m;
-    n
-  in
-  (sink, fetch, total)
-
 let tee a b =
   match (a, b) with
   | Null, s | s, Null -> s

@@ -36,9 +36,10 @@ val json_line : event -> string
 
 val int_field : event -> string -> int option
 (** [int_field e k] is the [Int] value of field [k], if present — the
-    accessor consumers (server stats, CLI [--stats], the bench) use to
-    read counters like ["gate_evals"] or ["chaos_injected"] off
-    ["faultsim.run"] events without re-implementing the assoc lookup. *)
+    accessor consumers (the server's eval budget, CLI [--stats], the
+    bench) use to read counters like ["gate_evals"] or
+    ["chaos_injected"] off ["faultsim.run"] events without
+    re-implementing the assoc lookup. *)
 
 (** {1 Sinks} *)
 
@@ -54,20 +55,9 @@ val channel_sink : out_channel -> sink
 
 val memory_sink : unit -> sink * (unit -> event list)
 (** In-memory collection (mutex-guarded); the second component returns
-    the events emitted so far, in emission order.  For [--stats]
-    summaries and tests. *)
-
-val bounded_memory_sink :
-  capacity:int -> sink * (unit -> event list) * (unit -> int)
-(** Ring-buffer variant of {!memory_sink} for long-lived processes: at
-    most [capacity] events are retained, the oldest overwritten first.
-    Returns the sink, a fetch of the retained events (at most [capacity],
-    in emission order) and the total number of events ever emitted (so a
-    caller can report how many were dropped:
-    [total () - List.length (fetch ())]).  Mutex-guarded, domain-safe.
-    Raises [Invalid_argument] when [capacity <= 0].  The server's
-    [--stats] path records into this sink so an unbounded stream of
-    requests cannot grow memory. *)
+    the events emitted so far, in emission order.  It keeps every
+    event, so it suits one run's events ([--stats], a serve job's
+    gate-eval count) and tests, not a long-lived process's stream. *)
 
 val tee : sink -> sink -> sink
 (** Every event goes to both sinks. *)

@@ -16,8 +16,9 @@ module Chaos = Dynmos_chaos.Chaos
    mutex so lines never interleave on a connection.
 
    Idle costs nothing: workers park on the scheduler's condition
-   variable, line readers block in [select] on their fd and the
-   server's wake pipe, and the drain path wakes both explicitly
+   variable, line readers and the socket accept loop block in [select]
+   on their fd and the server's wake pipe, and the drain path wakes them
+   explicitly
    ([request_drain] runs from ordinary thread context — the CLI converts
    signals with a dedicated sigwait thread — so it may take locks and
    broadcast, which is what replaced the old 2 ms sleep-poll).
@@ -38,7 +39,6 @@ type config = {
   max_request_evals : int option;
   global_max_evals : int option;
   max_line_bytes : int;
-  events_capacity : int;
   cache_capacity : int;
   idle_timeout_s : float option;
   chaos : Chaos.t;
@@ -56,7 +56,6 @@ let default_config =
     max_request_evals = None;
     global_max_evals = None;
     max_line_bytes = 1_048_576;
-    events_capacity = 1024;
     cache_capacity = 256;
     idle_timeout_s = None;
     chaos = Chaos.disabled;
@@ -254,9 +253,7 @@ type prepared = {
 type t = {
   config : config;
   counters : counters;
-  obs : Obs.t;
-  fetch_events : unit -> Obs.event list;
-  total_events : unit -> int;
+  obs : Obs.t;                  (* the [--trace] sink, or [Obs.disabled] *)
   known_circuit : string -> bool;
   find_circuit : string -> (Netlist.t, string) result;
   universes : (string, prepared) Hashtbl.t;
@@ -266,9 +263,8 @@ type t = {
   global_evals : int Atomic.t;  (* gate evaluations spent across all requests *)
   draining : bool Atomic.t;
   next_cid : int Atomic.t;
-  drain_m : Mutex.t;            (* guards [drain_hooks] and [closed] *)
-  mutable drain_hooks : (unit -> unit) list;
-  wake_r : Unix.file_descr;     (* readable once draining: frees parked line readers *)
+  drain_m : Mutex.t;            (* guards [closed] *)
+  wake_r : Unix.file_descr;     (* readable once draining: frees parked readers and accept *)
   wake_w : Unix.file_descr;
   mutable closed : bool;        (* [shutdown] has closed the wake pipe *)
   durable : durable option;
@@ -279,8 +275,6 @@ type t = {
 (* [create] lives below [run_job]: boot-time recovery replays journaled
    jobs through the ordinary execution path, so construction needs the
    job runner in scope. *)
-
-let obs t = t.obs
 
 let shutdown t =
   Scheduler.shutdown t.sched;
@@ -295,24 +289,16 @@ let shutdown t =
 
 let exec_wakeups t = Scheduler.wakeups t.sched
 
-let add_drain_hook t hook =
-  Mutex.lock t.drain_m;
-  t.drain_hooks <- hook :: t.drain_hooks;
-  Mutex.unlock t.drain_m
-
 (* First call wins; makes the wake pipe readable for good, so every line
-   reader parked in [select] returns, and runs the registered hooks
-   (close listening sockets, half-close connection fds).  Safe from any
-   ordinary thread — never call it from a signal handler (it takes
-   locks); the CLI uses a sigwait thread. *)
+   reader and [serve_socket]'s accept loop parked in [select] returns.
+   Safe from any ordinary thread — never call it from a signal handler
+   (it takes a lock); the CLI uses a sigwait thread. *)
 let request_drain t =
   if not (Atomic.exchange t.draining true) then begin
     Mutex.lock t.drain_m;
-    let hooks = t.drain_hooks in
     if not t.closed then
       (try ignore (Unix.write_substring t.wake_w "d" 0 1 : int) with Unix.Unix_error _ -> ());
-    Mutex.unlock t.drain_m;
-    List.iter (fun h -> try h () with _ -> ()) hooks
+    Mutex.unlock t.drain_m
   end
 
 let make_client t ~output =
@@ -392,7 +378,6 @@ let universe_of t name =
 
 let stats_line t =
   let c = t.counters in
-  let buffered = List.length (t.fetch_events ()) in
   let opt_budget = function None -> Json.Null | Some n -> Json.Int n in
   let cache_hits, cache_misses, cache_entries, cache_evictions = Cache.stats t.rcache in
   let dur f = Json.Int (match t.durable with None -> 0 | Some d -> f d) in
@@ -435,8 +420,6 @@ let stats_line t =
     ("cache_entries", Json.Int cache_entries);
     ("cache_capacity", Json.Int t.config.cache_capacity);
     ("cache_evictions", Json.Int cache_evictions);
-    ("events_buffered", Json.Int buffered);
-    ("events_total", Json.Int (t.total_events ()));
     ("circuits_cached", Json.Int (Hashtbl.length t.universes));
     (* Durability counters are always present (zero without [data_dir])
        so stats consumers never need to probe for the fields. *)
@@ -710,7 +693,7 @@ let exec_job t client job =
       let events = fetch () in
       let evals = gate_evals_of_events events in
       ignore (Atomic.fetch_and_add t.global_evals evals);
-      (* Forward the engine events into the server trace/ring. *)
+      (* Forward the engine events into the server trace. *)
       if Obs.enabled t.obs then
         List.iter (fun e -> Obs.emit t.obs ~ev:e.Obs.ev e.Obs.fields) events;
       (match summary.Faultsim.outcome with
@@ -925,7 +908,6 @@ let create ?(config = default_config) ?trace ?(known_circuit = Catalog.mem)
   (match config.max_request_evals with Some n when n < 1 -> bad "max_request_evals" n | _ -> ());
   (match config.global_max_evals with Some n when n < 1 -> bad "global_max_evals" n | _ -> ());
   if config.max_line_bytes < 2 then bad "max_line_bytes" config.max_line_bytes;
-  if config.events_capacity < 1 then bad "events_capacity" config.events_capacity;
   if config.cache_capacity < 0 then
     invalid_arg
       (Printf.sprintf "Server.create: cache_capacity must be >= 0 (got %d)"
@@ -940,10 +922,6 @@ let create ?(config = default_config) ?trace ?(known_circuit = Catalog.mem)
       invalid_arg
         (Printf.sprintf "Server.create: idle_timeout_s must be positive (got %g)" s)
   | _ -> ());
-  let ring, fetch_events, total_events =
-    Obs.bounded_memory_sink ~capacity:config.events_capacity
-  in
-  let sink = match trace with None -> ring | Some s -> Obs.tee ring s in
   (* Recovery order: journal first (pins the boot generation and the
      replay work list), then the on-disk cache (so replays of jobs whose
      results did land before the crash are answered without
@@ -991,9 +969,7 @@ let create ?(config = default_config) ?trace ?(known_circuit = Catalog.mem)
     {
       config;
       counters = make_counters ();
-      obs = Obs.make sink;
-      fetch_events;
-      total_events;
+      obs = Option.fold ~none:Obs.disabled ~some:Obs.make trace;
       known_circuit;
       find_circuit;
       universes = Hashtbl.create 8;
@@ -1006,7 +982,6 @@ let create ?(config = default_config) ?trace ?(known_circuit = Catalog.mem)
       draining = Atomic.make false;
       next_cid = Atomic.make 0;
       drain_m = Mutex.create ();
-      drain_hooks = [];
       wake_r;
       wake_w;
       closed = false;
@@ -1239,13 +1214,12 @@ let line_reader t ?idle_timeout_s fd =
 
 (* The one session loop, run on the calling thread for stdin, each
    socket connection and [serve] alike: read and admit lines until EOF,
-   drain ([drain] is polled between lines), disconnect or an idle reap,
-   then wait until every admitted job has been answered. *)
-let session t ?(drain = fun () -> false) ~output read =
+   drain, disconnect or an idle reap, then wait until every admitted job
+   has been answered. *)
+let session t ~output read =
   let client = make_client t ~output in
   let rec loop line_no =
-    if drain () then request_drain t
-    else if not (Atomic.get t.draining || Atomic.get client.cancelled) then
+    if not (Atomic.get t.draining || Atomic.get client.cancelled) then
       match read () with
       | `Line line ->
           admit t client ~line_no line;
@@ -1281,8 +1255,8 @@ let session t ?(drain = fun () -> false) ~output read =
       ];
   stop
 
-let serve t ?drain ~input ~output () =
-  session t ?drain ~output (fun () ->
+let serve t ~input ~output () =
+  session t ~output (fun () ->
       match input () with Some line -> `Line line | None -> `Eof)
 
 let line_output oc line =
@@ -1290,10 +1264,10 @@ let line_output oc line =
   output_char oc '\n';
   flush oc
 
-let serve_channels t ?drain ic oc =
-  session t ?drain ~output:(line_output oc) (line_reader t (Unix.descr_of_in_channel ic))
+let serve_channels t ic oc =
+  session t ~output:(line_output oc) (line_reader t (Unix.descr_of_in_channel ic))
 
-let serve_socket t ?(drain = fun () -> false) path =
+let serve_socket t path =
   (* A client that disconnects mid-write must cost a cancelled session,
      not the process: without this the first write to the half-closed
      socket raises SIGPIPE and kills the server.  Ignored, the write
@@ -1307,29 +1281,11 @@ let serve_socket t ?(drain = fun () -> false) path =
          invalid_arg
            (Printf.sprintf "Server.serve_socket: %s exists and is not a socket" path));
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let stop_accept = Atomic.make false in
   (* The fds of the sessions still running; each session removes and
      closes its own fd, under [conns_m], when it has answered its work. *)
   let conns_m = Mutex.create () in
   let conns_done = Condition.create () in
   let live = ref [] in
-  (* The drain hook wakes everything this loop can be blocked on: a
-     dummy connection unblocks [accept] (portable, unlike shutting down
-     a listening socket), and live connections are half-closed. *)
-  let hook () =
-    Atomic.set stop_accept true;
-    (try
-       let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-       (try Unix.connect fd (Unix.ADDR_UNIX path) with _ -> ());
-       Unix.close fd
-     with _ -> ());
-    Mutex.lock conns_m;
-    List.iter
-      (fun fd -> try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with _ -> ())
-      !live;
-    Mutex.unlock conns_m
-  in
-  add_drain_hook t hook;
   let connection fd () =
     let oc = Unix.out_channel_of_descr fd in
     (try
@@ -1344,6 +1300,23 @@ let serve_socket t ?(drain = fun () -> false) path =
     Condition.broadcast conns_done;
     Mutex.unlock conns_m
   in
+  (* Accept until the wake pipe turns readable: [request_drain] reaches
+     this loop the way it reaches every line reader. *)
+  let rec accept () =
+    match Unix.select [ sock; t.wake_r ] [] [] (-1.0) with
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept ()
+    | ready, _, _ when List.mem t.wake_r ready -> ()
+    | _ -> (
+        match Unix.accept sock with
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept ()
+        | fd, _ ->
+            Atomic.incr t.counters.connections;
+            Mutex.lock conns_m;
+            live := fd :: !live;
+            Mutex.unlock conns_m;
+            ignore (Thread.create (connection fd) ());
+            accept ())
+  in
   Fun.protect
     ~finally:(fun () ->
       (try Unix.close sock with Unix.Unix_error _ -> ());
@@ -1351,32 +1324,12 @@ let serve_socket t ?(drain = fun () -> false) path =
     (fun () ->
       Unix.bind sock (Unix.ADDR_UNIX path);
       Unix.listen sock 64;
-      let continue = ref true in
-      while !continue do
-        if Atomic.get stop_accept || Atomic.get t.draining then continue := false
-        else if drain () then begin
-          request_drain t;
-          continue := false
-        end
-        else
-          match Unix.accept sock with
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()  (* signal: recheck drain *)
-          | exception Unix.Unix_error _ when Atomic.get stop_accept -> continue := false
-          | fd, _ ->
-              if Atomic.get stop_accept || Atomic.get t.draining then begin
-                (try Unix.close fd with Unix.Unix_error _ -> ());
-                continue := false
-              end
-              else begin
-                Atomic.incr t.counters.connections;
-                Mutex.lock conns_m;
-                live := fd :: !live;
-                Mutex.unlock conns_m;
-                ignore (Thread.create (connection fd) ())
-              end
-      done;
-      (* every connection finishes answering its admitted work *)
+      accept ();
+      (* Drained: half-close the live connections, so a client's further
+         writes fail rather than wait unread, then wait until every
+         session has answered its admitted work and closed its fd. *)
       Mutex.lock conns_m;
+      List.iter (fun fd -> try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with _ -> ()) !live;
       while !live <> [] do
         Condition.wait conns_done conns_m
       done;

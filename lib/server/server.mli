@@ -43,8 +43,9 @@ open Dynmos_obs
     - {e graceful drain}: {!request_drain} (the CLI's first
       SIGTERM/SIGINT, forwarded from a sigwait thread) stops admission
       ([{"status":"draining"}] for lines still read), lets queued and
-      in-flight jobs finish under their per-request limits, wakes every
-      blocked reader/acceptor, and {!serve} returns [`Drained]. *)
+      in-flight jobs finish under their per-request limits, and writes
+      one wake pipe that every line reader and the socket accept loop
+      [select] on; {!serve} then returns [`Drained]. *)
 
 type config = {
   queue_capacity : int;        (** pending run requests (all clients) before
@@ -59,8 +60,6 @@ type config = {
   max_line_bytes : int;        (** request lines longer than this are rejected
                                    (default 1 MiB); the line reader also buffers
                                    at most this many bytes plus one of any line *)
-  events_capacity : int;       (** ring size of the bounded in-memory obs sink
-                                   backing the [stats] op (default 1024) *)
   cache_capacity : int;        (** result-cache entries before LRU eviction
                                    (default 256; 0 disables caching); with
                                    [data_dir], an evicted entry's file goes too *)
@@ -92,8 +91,7 @@ val default_config : config
 type t
 (** Server state shared across connections: config, counters, the
     executor pool, the result cache, the compiled-universe cache and the
-    obs recorder (a {!Obs.bounded_memory_sink} of [events_capacity]
-    events, teed with the optional trace sink). *)
+    obs recorder ({!Obs.disabled} without a trace sink). *)
 
 val create :
   ?config:config ->
@@ -103,11 +101,15 @@ val create :
   unit ->
   t
 (** Spawns the executor pool ([config.executors] domains) — pair with
-    {!shutdown}.  [known_circuit] (default {!Dynmos_circuits.Catalog.mem})
-    vets names at admission; [find_circuit] (default
-    {!Dynmos_circuits.Catalog.find}) resolves them at execution — an
-    [Error] there becomes a structured error response, not a dead
-    executor.  The split is injectable so tests can drive the
+    {!shutdown}.  With [trace], the server records its lifecycle events
+    ([serve.accept], [serve.reject], [serve.request], [serve.idle_reap],
+    [serve.recovery], [serve.maintenance], and [serve.drain] at the end
+    of every session) and every engine's [faultsim.run] events there;
+    without it, it builds no event sink.  [known_circuit] (default
+    {!Dynmos_circuits.Catalog.mem}) vets names at admission;
+    [find_circuit] (default {!Dynmos_circuits.Catalog.find}) resolves
+    them at execution — an [Error] there becomes a structured error
+    response, not a dead executor.  The split is injectable so tests can drive the
     lookup-failure path.  Raises [Invalid_argument] on a nonsensical
     config (non-positive capacities, limits or line bound).
 
@@ -140,24 +142,17 @@ val shutdown : t -> unit
     are a bounded resource (OCaml caps them around 128). *)
 
 val request_drain : t -> unit
-(** Begin a graceful drain: stop admitting runs, wake every line reader
-    parked on stdin or a socket and the acceptors (registered drain
-    hooks close listening sockets and half-close live connections), let
-    in-flight work finish.  First call
-    wins; safe from any ordinary thread, {e not} from a signal handler
-    (it takes locks) — convert signals with [Thread.wait_signal] first,
-    as the CLI does. *)
-
-val obs : t -> Obs.t
-(** The server's recorder — serve-loop lifecycle events
-    ([serve.accept], [serve.reject], [serve.request], and [serve.drain]
-    at the end of every session) and every engine's [faultsim.run]
-    events flow through it. *)
+(** Begin a graceful drain: stop admitting runs, make the server's wake
+    pipe readable for good — which frees every line reader parked on
+    stdin or a socket and {!serve_socket}'s accept loop — and let
+    in-flight work finish.  First call wins; safe from any ordinary
+    thread, {e not} from a signal handler (it takes a lock) — convert
+    signals with [Thread.wait_signal] first, as the CLI does. *)
 
 val stats_line : t -> (string * Json.t) list
 (** The fields of a [stats] response: uptime, per-status counters,
-    queue/executor/cache/budget state, obs-ring occupancy, the
-    recovery counters ([exec_respawns], [exec_spawn_failures],
+    queue/executor/cache/budget state, the recovery counters
+    ([exec_respawns], [exec_spawn_failures],
     [executors_live], [idle_reaps], [chaos_injected]) and the
     durability counters ([journal_appends], [journal_fsyncs],
     [journal_recovered], [journal_pending], [journal_truncated_tail],
@@ -174,18 +169,12 @@ val exec_wakeups : t -> int
 
 type stop = [ `Eof | `Drained ]
 
-val serve :
-  t ->
-  ?drain:(unit -> bool) ->
-  input:(unit -> string option) ->
-  output:(string -> unit) ->
-  unit ->
-  stop
+val serve : t -> input:(unit -> string option) -> output:(string -> unit) -> unit -> stop
 (** One client session, over the same loop as stdin and every socket
     connection: serve until [input] returns [None] ([`Eof]) or the
-    server drains ([`Drained], via [drain] polled between lines or
-    {!request_drain}, observed at the next line boundary); both paths
-    answer all admitted work before returning.  Safe to call
+    server drains ([`Drained], via {!request_drain}, observed at the
+    next line boundary); both paths answer all admitted work before
+    returning.  Safe to call
     concurrently against one [t] — each call is its own client with
     FIFO response ordering.  [input] yields one line (no newline) per
     call, on the calling thread; [output] receives one complete response
@@ -195,7 +184,7 @@ val serve :
     cancelled, running ones interrupted — and the call returns after
     in-flight work unwinds. *)
 
-val serve_channels : t -> ?drain:(unit -> bool) -> in_channel -> out_channel -> stop
+val serve_channels : t -> in_channel -> out_channel -> stop
 (** {!serve} over channels: one flushed line per response.  Requests are
     read from [ic]'s file descriptor by the server's line reader (bytes
     already buffered in [ic] are not seen), which holds at most
@@ -205,16 +194,17 @@ val serve_channels : t -> ?drain:(unit -> bool) -> in_channel -> out_channel -> 
     reader, so a drain returns once admitted work is answered even while
     [ic] stays open.  Chaos point [serve.read] applies per read. *)
 
-val serve_socket : t -> ?drain:(unit -> bool) -> string -> unit
+val serve_socket : t -> string -> unit
 (** Listen on a Unix-domain socket at the given path (an existing
     {e socket} file is replaced; any other file kind is refused) and
     serve connections {e concurrently} — one session thread per live
     connection, reading through the same bounded line reader as
     {!serve_channels} and reaped after [idle_timeout_s] of silence with
     no work in flight, all multiplexed onto the shared executor pool —
-    until {!request_drain} (or [drain], polled between accepts).  A
-    connection dying mid-response only cancels that client's work.  On
-    drain the accept loop is woken, live connections are half-closed,
-    every admitted job is answered, the call waits until each
-    connection's session has ended and closed its fd, and the socket
-    file is unlinked. *)
+    until {!request_drain}.  A connection dying mid-response only
+    cancels that client's work.  The accept loop [select]s on the
+    listening socket and the wake pipe, so a drain wakes it even with no
+    client connected.  Then live connections are half-closed (a client's
+    further writes fail with [EPIPE]), every admitted job is answered,
+    the call waits until each connection's session has ended and closed
+    its fd, and the socket file is unlinked. *)

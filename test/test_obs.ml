@@ -293,40 +293,6 @@ let test_channel_sink_truncation_tolerance () =
       (* per-event flushing is what bounds the loss to one line *)
       check_i "all but the torn line survive" 5 n
 
-(* Bounded ring sink: at most [capacity] events retained (oldest evicted),
-   lifetime total keeps counting — the shape a long-lived server needs. *)
-let test_bounded_memory_sink () =
-  let sink, fetch, total = Obs.bounded_memory_sink ~capacity:3 in
-  let t = Obs.make sink in
-  check "enabled" true (Obs.enabled t);
-  check_i "empty ring" 0 (List.length (fetch ()));
-  check_i "empty total" 0 (total ());
-  Obs.emit t ~ev:"e1" [];
-  Obs.emit t ~ev:"e2" [];
-  (match fetch () with
-  | [ a; b ] ->
-      check_s "order before wrap" "e1" a.Obs.ev;
-      check_s "order before wrap (2)" "e2" b.Obs.ev
-  | l -> Alcotest.fail (Fmt.str "expected 2 events, got %d" (List.length l)));
-  for i = 3 to 10 do
-    Obs.emit t ~ev:(Fmt.str "e%d" i) []
-  done;
-  check_i "lifetime total unaffected by eviction" 10 (total ());
-  (match fetch () with
-  | [ a; b; c ] ->
-      check_s "most recent survive" "e8" a.Obs.ev;
-      check_s "most recent survive (2)" "e9" b.Obs.ev;
-      check_s "most recent survive (3)" "e10" c.Obs.ev
-  | l -> Alcotest.fail (Fmt.str "expected 3 events, got %d" (List.length l)));
-  check "rejects capacity 0" true
-    (match Obs.bounded_memory_sink ~capacity:0 with
-    | _ -> false
-    | exception Invalid_argument _ -> true);
-  check "rejects negative capacity" true
-    (match Obs.bounded_memory_sink ~capacity:(-1) with
-    | _ -> false
-    | exception Invalid_argument _ -> true)
-
 let () =
   Alcotest.run "obs"
     [
@@ -346,6 +312,5 @@ let () =
           Alcotest.test_case "channel sink writes JSONL" `Quick test_channel_sink_jsonl;
           Alcotest.test_case "crash-truncated trace stays readable" `Quick
             test_channel_sink_truncation_tolerance;
-          Alcotest.test_case "bounded memory sink" `Quick test_bounded_memory_sink;
         ] );
     ]

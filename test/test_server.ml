@@ -15,17 +15,24 @@ let check_s = Alcotest.(check string)
 (* --- Helpers ------------------------------------------------------------------ *)
 
 (* One client session against an existing server, over an in-memory line
-   list; returns (stop, responses, lines_read). *)
-let run_on t ?drain lines =
+   list; returns (stop, responses, lines_read).  [drain], asked with the
+   number of lines read so far before each read, requests the server's
+   drain when it holds, the way a signal would between two lines. *)
+let run_on t ?(drain = fun _ -> false) lines =
   let remaining = ref lines in
   let read = ref 0 in
   let input () =
-    match !remaining with
-    | [] -> None
-    | l :: rest ->
-        remaining := rest;
-        incr read;
-        Some l
+    if drain !read then begin
+      Server.request_drain t;
+      None
+    end
+    else
+      match !remaining with
+      | [] -> None
+      | l :: rest ->
+          remaining := rest;
+          incr read;
+          Some l
   in
   let m = Mutex.create () in
   let out = ref [] in
@@ -34,8 +41,7 @@ let run_on t ?drain lines =
     out := s :: !out;
     Mutex.unlock m
   in
-  let drain = match drain with None -> None | Some f -> Some (fun () -> f !read) in
-  let stop = Server.serve t ?drain ~input ~output () in
+  let stop = Server.serve t ~input ~output () in
   (stop, List.rev !out, !read)
 
 (* Create a server, run one session, and always join its executor
@@ -461,19 +467,6 @@ let test_gates_restriction () =
   check "restricted repeat served from cache" true (field "cached" again = Json.Bool true);
   check "restricted repeat detects the same" true (field "detected" again = field "detected" ok)
 
-(* The obs ring stays bounded however many requests are served. *)
-let test_bounded_events () =
-  let config = { small_config with Server.events_capacity = 8 } in
-  let job = {|{"circuit":"carry8","patterns":8}|} in
-  let _, resps, _ = run_server ~config (List.init 20 (fun _ -> job) @ [ {|{"op":"stats"}|} ]) in
-  let stats = response_for 21 resps in
-  (match field "events_buffered" stats with
-  | Json.Int n -> check "ring bounded" true (n <= 8)
-  | _ -> Alcotest.fail "missing events_buffered");
-  match field "events_total" stats with
-  | Json.Int n -> check "totals keep counting" true (n > 8)
-  | _ -> Alcotest.fail "missing events_total"
-
 (* A circuit that passes admission but fails catalog lookup must yield a
    structured error response — the old code [failwith]ed inside the
    executor, killing it and hanging every later request.  The lookup
@@ -834,22 +827,43 @@ let qcheck_fuzz_concurrent =
 
 (* --- Robustness: sockets, idle reap, chaos ------------------------------------- *)
 
-(* Run [serve_socket] on its own thread against a fresh temp path and
-   hand the caller a connector; always drains and joins. *)
-let with_socket_server config f =
+(* Poll [cond] until it holds; past [within] seconds, fail the test, so
+   a missed wake-up fails the suite instead of hanging it. *)
+let await ~within what cond =
+  let deadline = Unix.gettimeofday () +. within in
+  while not (cond ()) do
+    if Unix.gettimeofday () > deadline then Alcotest.failf "%s: not within %g s" what within;
+    Thread.delay 0.005
+  done
+
+(* Run [serve_socket] on its own thread against a fresh temp path.
+   Returns the path and a [stop] that drains the server and waits for the
+   call to return — for at most 5 s, so a drain that misses the accept
+   loop fails the suite instead of hanging it. *)
+let start_socket_server t =
   let path = Filename.temp_file "dynmos_sock" ".s" in
   Sys.remove path;
-  let t = Server.create ~config () in
-  let srv = Thread.create (fun () -> try Server.serve_socket t path with _ -> ()) () in
-  let rec wait n =
-    if n = 0 then Alcotest.fail "socket never appeared"
-    else if Sys.file_exists path then ()
-    else begin
-      Thread.delay 0.02;
-      wait (n - 1)
-    end
+  let returned = Atomic.make false in
+  let srv =
+    Thread.create
+      (fun () ->
+        (try Server.serve_socket t path with _ -> ());
+        Atomic.set returned true)
+      ()
   in
-  wait 250;
+  await ~within:5.0 "the socket file appears" (fun () -> Sys.file_exists path);
+  let stop () =
+    Server.request_drain t;
+    await ~within:5.0 "serve_socket returns after the drain" (fun () -> Atomic.get returned);
+    Thread.join srv
+  in
+  (path, stop)
+
+(* A socket server for the duration of [f], which gets a connector;
+   always drains and joins. *)
+let with_socket_server ?find_circuit config f =
+  let t = Server.create ~config ?find_circuit () in
+  let path, stop = start_socket_server t in
   let connect () =
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     Unix.connect fd (Unix.ADDR_UNIX path);
@@ -857,8 +871,7 @@ let with_socket_server config f =
   in
   Fun.protect
     ~finally:(fun () ->
-      Server.request_drain t;
-      Thread.join srv;
+      stop ();
       Server.shutdown t;
       if Sys.file_exists path then Sys.remove path)
     (fun () -> f t connect)
@@ -1071,21 +1084,71 @@ let test_socket_drain_answers () =
   with_socket_server small_config @@ fun t connect ->
   let fd = connect () in
   send fd {|{"circuit":"rand20","patterns":512,"drop":false}|};
-  let rec admitted n =
-    match List.assoc "accepted" (Server.stats_line t) with
-    | Json.Int 1 -> ()
-    | _ when n = 0 -> Alcotest.fail "the job was never admitted"
-    | _ ->
-        Thread.delay 0.005;
-        admitted (n - 1)
-  in
-  admitted 2000;
+  await ~within:10.0 "the job is admitted" (fun () ->
+      List.assoc "accepted" (Server.stats_line t) = Json.Int 1);
   Server.request_drain t;
   (match recv_line fd with
   | Some resp -> check_s "admitted job answered across the drain" "ok" (status resp)
   | None -> Alcotest.fail "no response after the drain");
   check "connection closed once answered" true (recv_line fd = None);
   Unix.close fd
+
+(* A drain half-closes a live connection.  While a [find_circuit] that
+   blocks until released holds one admitted job in flight, the client's
+   further writes fail with EPIPE; once released, the job's answer still
+   arrives, and then the server closes the connection. *)
+let test_socket_drain_half_closes () =
+  let gate_m = Mutex.create () and gate = Condition.create () and open_ = ref false in
+  let release () =
+    Mutex.lock gate_m;
+    open_ := true;
+    Condition.broadcast gate;
+    Mutex.unlock gate_m
+  in
+  let find_circuit name =
+    Mutex.lock gate_m;
+    while not !open_ do
+      Condition.wait gate gate_m
+    done;
+    Mutex.unlock gate_m;
+    Catalog.find name
+  in
+  with_socket_server ~find_circuit small_config @@ fun t connect ->
+  Fun.protect ~finally:release @@ fun () ->
+  let fd = connect () in
+  send fd {|{"circuit":"carry8","patterns":64}|};
+  await ~within:5.0 "the job is admitted" (fun () ->
+      List.assoc "accepted" (Server.stats_line t) = Json.Int 1);
+  Server.request_drain t;
+  let ping = {|{"op":"ping"}|} ^ "\n" in
+  (* non-blocking, so a send buffer the server never drains cannot park
+     the test *)
+  Unix.set_nonblock fd;
+  await ~within:5.0 "a client write fails with EPIPE" (fun () ->
+      match Unix.write_substring fd ping 0 (String.length ping) with
+      | _ | (exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)) -> false
+      | exception Unix.Unix_error (Unix.EPIPE, _, _) -> true);
+  Unix.clear_nonblock fd;
+  release ();
+  (match recv_line fd with
+  | Some resp -> check_s "the held job answered after the drain" "ok" (status resp)
+  | None -> Alcotest.fail "no answer for the held job");
+  (* unread pings left in the server's buffer turn its close into a reset *)
+  check "then the server closes the connection" true
+    (match Unix.read fd (Bytes.create 64) 0 64 with
+    | n -> n = 0
+    | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> true);
+  Unix.close fd
+
+(* With no client connected, a drain wakes [serve_socket]'s accept loop
+   through the wake pipe alone: the call returns within 5 s and the
+   socket file is gone. *)
+let test_socket_drain_idle () =
+  let t = Server.create ~config:small_config () in
+  Fun.protect ~finally:(fun () -> Server.shutdown t) @@ fun () ->
+  let path, stop = start_socket_server t in
+  stop ();
+  check "socket file removed" false (Sys.file_exists path)
 
 (* Serve under a chaos schedule that kills executor domains and drops
    cache inserts: every request line still gets exactly one terminal
@@ -1147,7 +1210,6 @@ let () =
           Alcotest.test_case "graceful drain" `Quick test_drain;
           Alcotest.test_case "stats and ping" `Quick test_stats_and_ping;
           Alcotest.test_case "gate restriction" `Quick test_gates_restriction;
-          Alcotest.test_case "bounded event ring" `Quick test_bounded_events;
           Alcotest.test_case "lookup failure isolated" `Quick test_lookup_failure_isolated;
           Alcotest.test_case "no idle busy-wait" `Quick test_idle_no_busy_wait;
           Alcotest.test_case "streaming progress" `Quick test_streaming_progress;
@@ -1167,6 +1229,9 @@ let () =
             test_drain_open_pipe;
           Alcotest.test_case "socket drain answers in-flight work" `Quick
             test_socket_drain_answers;
+          Alcotest.test_case "socket drain half-closes live connections" `Quick
+            test_socket_drain_half_closes;
+          Alcotest.test_case "socket drain with no client" `Quick test_socket_drain_idle;
           Alcotest.test_case "serve under chaos" `Quick test_serve_under_chaos;
         ] );
       ( "properties",
