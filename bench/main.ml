@@ -595,24 +595,23 @@ let ppsfp_probe name count () =
         ("serial", seconds t_serial); ("ppsfp", seconds t_ppsfp);
         ("speedup_wall_vs_serial", Float speedup) ])
 
-(* Gate evaluations done, read off each engine's faultsim.run event,
-   against evals x gates: what whole-circuit sweeps of the same kernel
+(* Gate evaluations done, from each engine's run counts, against
+   evals x gates: what whole-circuit sweeps of the same kernel
    invocations would cost. *)
 let gate_work_probe count () =
   let nl, u, pats = workload "rand60" count in
   let work run =
-    let mem, fetch = Obs.memory_sink () in
-    ignore (Sys.opaque_identity (run (Obs.make mem)));
-    let e = List.find (fun e -> e.Obs.ev = "faultsim.run") (fetch ()) in
-    let get k = Option.value ~default:0 (Obs.int_field e k) in
-    let full = get "evals" * Netlist.n_gates nl in
-    Json.(Obj [ ("gate_evals", Int (get "gate_evals")); ("evals_x_gates", Int full) ])
+    let c = ref None in
+    ignore (Sys.opaque_identity (run (fun counts -> c := Some counts)));
+    let c = Option.get !c in
+    let full = c.Campaign.evals * Netlist.n_gates nl in
+    Json.(Obj [ ("gate_evals", Int c.Campaign.gate_evals); ("evals_x_gates", Int full) ])
   in
   Json.(
     Obj
       [ ("patterns", Int count);
-        ("serial", work (fun obs -> Faultsim.run_serial ~drop:false ~obs u pats));
-        ("ppsfp", work (fun obs -> Faultsim.run_ppsfp ~drop:false ~obs u pats)) ])
+        ("serial", work (fun on_counts -> Faultsim.run_serial ~drop:false ~on_counts u pats));
+        ("ppsfp", work (fun on_counts -> Faultsim.run_ppsfp ~drop:false ~on_counts u pats)) ])
 
 (* A registry armed at a point the engines never tap.  [overhead_pct],
    the end-to-end pair ratio, is informational: its noise (about 5 %)

@@ -273,40 +273,35 @@ let faultsim_cmd =
         in
         let deadline = Option.map (fun s -> Unix.gettimeofday () +. s) deadline_in in
         let interrupt = install_signal_handlers () in
-        (* Observability: events are collected in memory (the run
-           summary reads the engine's faultsim.run event; --stats prints
-           it); --trace also streams them to a JSONL file. *)
-        let mem, fetch_events = Obs.memory_sink () in
-        let trace_oc = ref None in
-        let sink =
-          match trace with
-          | None -> mem
-          | Some file ->
-              let oc = open_out_gen [ Open_creat; Open_append; Open_wronly ] 0o644 file in
-              trace_oc := Some oc;
-              Obs.tee mem (Obs.channel_sink oc)
+        (* --trace streams every event to a JSONL file; the run's
+           counters come back typed, for the engine line and --stats. *)
+        let trace_oc =
+          Option.map (open_out_gen [ Open_creat; Open_append; Open_wronly ] 0o644) trace
         in
-        let obs = Obs.make sink in
+        let obs =
+          Option.fold ~none:Obs.disabled ~some:(fun oc -> Obs.make (Obs.channel_sink oc)) trace_oc
+        in
+        let counts = ref None in
+        let on_counts c = counts := Some c in
         let t0 = Unix.gettimeofday () in
         let s =
           match engine with
           | `Serial ->
-              Faultsim.run_serial ~drop ~obs ?deadline ?max_evals ~interrupt ?checkpoint ~chaos
-                u pats
+              Faultsim.run_serial ~drop ~obs ?deadline ?max_evals ~interrupt ?checkpoint
+                ~on_counts ~chaos u pats
           | `Ppsfp ->
               Faultsim.run_ppsfp ~drop ~num_domains ~obs ?deadline ?max_evals ~interrupt
-                ?checkpoint ~chaos u pats
+                ?checkpoint ~on_counts ~chaos u pats
         in
         let dt = Unix.gettimeofday () -. t0 in
-        let run_events = List.filter (fun e -> e.Obs.ev = "faultsim.run") (fetch_events ()) in
+        let counts = Option.get !counts in
+        let name = match engine with `Serial -> "serial" | `Ppsfp -> "ppsfp" in
         let engine_name =
           match engine with
-          | `Serial -> "serial"
-          | `Ppsfp -> (
-              let count k = List.find_map (fun e -> Obs.int_field e k) run_events in
-              match (count "requested_domains", count "effective_domains") with
-              | Some r, Some e -> Fmt.str "ppsfp(%d requested, %d effective)" r e
-              | _ -> "ppsfp")
+          | `Serial -> name
+          | `Ppsfp ->
+              Fmt.str "ppsfp(%d requested, %d effective)" counts.Campaign.requested_domains
+                counts.Campaign.effective_domains
         in
         Format.printf "%s: %d sites, %d patterns -> %.2f%% coverage (%d detected)@."
           (Netlist.name nl) (Faultsim.n_sites u) patterns
@@ -338,19 +333,16 @@ let faultsim_cmd =
               (Checkpoint.writes ctl)
         | None -> ());
         if stats then begin
+          Format.printf "stats:";
           List.iter
-            (fun e ->
-              Format.printf "stats:";
-              List.iter
-                (fun (k, v) ->
-                  Format.printf " %s=%s" k
-                    (match v with
-                    | Obs.Float f -> Fmt.str "%.6f" f
-                    | Obs.String s -> s
-                    | v -> Dynmos_json.Json.to_string v))
-                e.Obs.fields;
-              Format.printf "@.")
-            run_events;
+            (fun (k, v) ->
+              Format.printf " %s=%s" k
+                (match v with
+                | Obs.Float f -> Fmt.str "%.6f" f
+                | Obs.String s -> s
+                | v -> Dynmos_json.Json.to_string v))
+            (Campaign.run_fields ~engine:name ~dt_s:dt s counts);
+          Format.printf "@.";
           (* Durability accounting for checkpointed campaigns: how much
              progress persistence cost, and where the resume state came
              from (a primary corrupted under the writer falls back to
@@ -381,7 +373,7 @@ let faultsim_cmd =
             Format.printf "@."
           end
         end;
-        Option.iter close_out !trace_oc;
+        Option.iter close_out trace_oc;
         (match trace with
         | Some file -> Format.printf "trace written to %s@." file
         | None -> ());

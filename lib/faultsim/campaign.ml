@@ -6,8 +6,8 @@ module Chaos = Dynmos_chaos.Chaos
    Every fault-simulation engine is "run a universe of faults against a
    pattern source and report detection"; what differs is only the inner
    evaluation kernel.  Engines that each re-implement the campaign
-   policies — limits, checkpoint write/resume, supervision, obs
-   accounting, fault dropping, the all-detected early exit — drift
+   policies — limits, checkpoint write/resume, supervision, counters,
+   fault dropping, the all-detected early exit — drift
    apart, so this module implements each policy exactly once, in
    {!run_patterns}: it drives a {!Kernel.t} (the one injection kernel
    behind serial and PPSFP, at any domain count, or a test oracle) one
@@ -30,32 +30,53 @@ type summary = {
 let detected_count first =
   Array.fold_left (fun acc d -> match d with Some _ -> acc + 1 | None -> acc) 0 first
 
-(* --- Observability -------------------------------------------------------- *)
+(* --- Counters and observability ----------------------------------------------- *)
 
-(* Per-run totals: the driver tallies plain ints (an int add is noise
-   next to a netlist evaluation) and emits one "faultsim.run" event when
-   the recorder is enabled; a disabled recorder costs the [Obs.enabled]
-   branch and never reads the clock.  The "evals" field counts kernel
-   evaluations under one driver-level definition — one per live site per
-   pattern unit — identical across every engine with the same unit
-   length on the same campaign; "evals_saved" counts the site x unit evaluations
-   skipped by fault dropping or the all-detected early exit.  Gate-level
-   work (where event-driven propagation shows up) is reported separately as
-   "gate_evals". *)
+(* The driver tallies plain ints (an int add is noise next to a netlist
+   evaluation) into one [counts] record per run, which it hands to
+   [on_counts] and, when the recorder is enabled, to one "faultsim.run"
+   event; a disabled recorder costs the [Obs.enabled] branch and never
+   reads the clock.  "evals" counts kernel evaluations under one
+   driver-level definition — one per live site per pattern unit —
+   identical across every engine with the same unit length on the same
+   campaign; "evals_saved" counts the site x unit evaluations skipped by
+   fault dropping or the all-detected early exit.  Gate-level work
+   (where event-driven propagation shows up) is "gate_evals". *)
 
-let start_time obs = if Obs.enabled obs then Obs.now () else 0.0
+type counts = {
+  evals : int;
+  evals_saved : int;
+  retries : int;
+  chaos_injected : int;
+  good_evals : int;
+  gate_evals : int;
+  gate_evals_saved : int;
+  requested_domains : int;
+  effective_domains : int;
+}
 
-let emit_run obs ~engine ~n_sites ~n_patterns ~outcome ~patterns_done ~sites_done ~t0 fields =
-  if Obs.enabled obs then
-    Obs.emit obs ~ev:"faultsim.run"
-      (("engine", Obs.String engine)
-      :: ("sites", Obs.Int n_sites)
-      :: ("patterns", Obs.Int n_patterns)
-      :: ("outcome", Obs.String (Outcome.to_string outcome))
-      :: ("patterns_done", Obs.Int patterns_done)
-      :: ("sites_done", Obs.Int sites_done)
-      :: ("dt_s", Obs.Float (Obs.now () -. t0))
-      :: fields)
+let count_fields c =
+  [
+    ("evals", Obs.Int c.evals);
+    ("evals_saved", Obs.Int c.evals_saved);
+    ("retries", Obs.Int c.retries);
+    ("chaos_injected", Obs.Int c.chaos_injected);
+    ("good_evals", Obs.Int c.good_evals);
+    ("gate_evals", Obs.Int c.gate_evals);
+    ("gate_evals_saved", Obs.Int c.gate_evals_saved);
+    ("requested_domains", Obs.Int c.requested_domains);
+    ("effective_domains", Obs.Int c.effective_domains);
+  ]
+
+let run_fields ~engine ~dt_s s c =
+  ("engine", Obs.String engine)
+  :: ("sites", Obs.Int s.n_sites)
+  :: ("patterns", Obs.Int s.n_patterns)
+  :: ("outcome", Obs.String (Outcome.to_string s.outcome))
+  :: ("patterns_done", Obs.Int s.patterns_done)
+  :: ("sites_done", Obs.Int s.sites_done)
+  :: ("dt_s", Obs.Float dt_s)
+  :: count_fields c
 
 let emit_site_failed obs ~engine failed_sites =
   if Obs.enabled obs then
@@ -106,53 +127,42 @@ let finalize checkpoint ~obs ~engine ~units_done ~first =
 let max_attempts = 3
 
 let run_patterns ?(drop = true) ?(obs = Obs.disabled) ?deadline ?max_evals ?interrupt
-    ?checkpoint ?(backoff = Parallel_exec.Backoff.default)
-    ?(chaos = Chaos.disabled) ?(crash_hook = fun (_ : int) -> ())
+    ?checkpoint ?(on_counts = fun (_ : counts) -> ()) ?(chaos = Chaos.disabled)
+    ?(crash_hook = fun (_ : int) -> ())
     ?(on_progress = fun ~units_done:(_ : int) ~detected:(_ : int) -> ()) ~n_sites:n ~total
     (kernel : Kernel.t) =
-  let t0 = start_time obs in
+  let t0 = if Obs.enabled obs then Obs.now () else 0.0 in
   let engine = kernel.Kernel.name in
+  let unit_bits = kernel.Kernel.unit_bits in
   let first = Array.make n None in
   let failed = Array.make n false in
-  let dropped = Array.make n false in
   let attempts = Array.make n 0 in
   let failures = ref [] in
-  let undetected = ref n in
-  let evals = ref 0 and saved = ref 0 in
+  let evals = ref 0 and saved = ref 0 and units = ref 0 in
   let work = ref 0 in
   let retries = ref 0 in
-  let backoff_sleeps = ref 0 in
-  let backoff_prng = Dynmos_util.Prng.create 0x0b0f (* jitter only; never affects results *) in
   let gauge = Limits.gauge (Limits.make ?deadline ?max_evals ?interrupt ()) in
   let pos = ref (preload checkpoint first) in
-  Array.iteri
-    (fun i d ->
-      if d <> None then begin
-        decr undetected;
-        if drop then dropped.(i) <- true
-      end)
-    first;
+  let undetected = ref (n - detected_count first) in
   let detect ~sid ~pat =
     if first.(sid) = None then begin
       first.(sid) <- Some pat;
-      decr undetected;
-      if drop then dropped.(sid) <- true
+      decr undetected
     end
   in
   (* Bounded retry at this very unit, so a transient crash cannot skip a
      pattern and move the site's first detection; an exception
      mid-propagation leaves the evaluating domain's scratch dirty, which
-     [restore] repairs before anyone reads it again.  Retries back off
-     exponentially with jitter (pass [Backoff.none] for the old
-     immediate behavior); the [exec.job] chaos tap sits beside
-     [crash_hook], inside the supervised region, so injected faults
-     exercise exactly this path.  Helper domains call this too, each for
-     sites no other domain holds in the unit: the clean path touches no
-     shared state, and the failure path's shared tallies, failure list
-     and jitter PRNG sit behind [sup_lock]. *)
+     [restore] repairs before anyone reads it again.  The retry is
+     immediate: what can raise here (an evaluation on private scratch,
+     the crash hook, a seeded chaos draw) gains nothing by waiting.  The
+     [exec.job] chaos tap sits beside [crash_hook], inside the
+     supervised region, so injected faults exercise exactly this path.
+     Helper domains call this too, each for sites no other domain holds
+     in the unit: the clean path touches no shared state, and the
+     failure path's shared tallies and failure list sit behind
+     [sup_lock]. *)
   let sup_lock = Mutex.create () in
-  (* A failed attempt: book it under the lock, then either give the site
-     up ([None]) or sleep the backoff outside the lock and try again. *)
   let rec supervise ~sid ~restore f =
     match
       crash_hook sid;
@@ -160,7 +170,7 @@ let run_patterns ?(drop = true) ?(obs = Obs.disabled) ?deadline ?max_evals ?inte
       f ()
     with
     | v -> Some v
-    | exception exn -> (
+    | exception exn ->
         restore ();
         let retry =
           Mutex.protect sup_lock (fun () ->
@@ -168,30 +178,22 @@ let run_patterns ?(drop = true) ?(obs = Obs.disabled) ?deadline ?max_evals ?inte
               if attempts.(sid) >= max_attempts then begin
                 failed.(sid) <- true;
                 failures := (sid, Printexc.to_string exn) :: !failures;
-                None
+                false
               end
               else begin
                 incr retries;
-                let d =
-                  Parallel_exec.Backoff.delay backoff backoff_prng ~attempt:attempts.(sid)
-                in
-                if d > 0.0 then incr backoff_sleeps;
-                Some d
+                true
               end)
         in
-        match retry with
-        | None -> None
-        | Some d ->
-            if d > 0.0 then Unix.sleepf d;
-            supervise ~sid ~restore f)
+        if retry then supervise ~sid ~restore f else None
   in
-  let ctx = { Kernel.drop; first; failed; dropped; work; detect; supervise } in
+  let ctx = { Kernel.drop; first; failed; work; detect; supervise } in
   let stopping = ref false in
   (* Early exit: once every site is detected (and dropping is on), the
      remaining patterns can neither detect anything new nor simulate
      anything — skip them entirely. *)
   while !pos < total && (not (drop && !undetected = 0)) && not !stopping do
-    let len = kernel.Kernel.unit_len ~start:!pos in
+    let len = min unit_bits (total - !pos) in
     (* Unified accounting, decided before the kernel runs: one kernel
        evaluation per live site per unit; a dropped site's unit is
        saved; a failed site is out of both counts. *)
@@ -202,6 +204,7 @@ let run_patterns ?(drop = true) ?(obs = Obs.disabled) ?deadline ?max_evals ?inte
     done;
     let w0 = !work in
     kernel.Kernel.run_unit ctx ~start:!pos ~len;
+    incr units;
     pos := !pos + len;
     Limits.add_evals gauge (!work - w0);
     if Limits.check gauge then stopping := true;
@@ -210,7 +213,7 @@ let run_patterns ?(drop = true) ?(obs = Obs.disabled) ?deadline ?max_evals ?inte
   done;
   let live = n - Array.fold_left (fun a f -> if f then a + 1 else a) 0 failed in
   if !pos < total && not !stopping then
-    saved := !saved + (live * kernel.Kernel.units_remaining ~start:!pos);
+    saved := !saved + (live * ((total - !pos + unit_bits - 1) / unit_bits));
   finalize checkpoint ~obs ~engine ~units_done:!pos ~first;
   let failed_sites = List.sort compare !failures in
   let outcome = Outcome.make ?stopped:(Limits.stopped gauge) ~failed_sites () in
@@ -221,15 +224,25 @@ let run_patterns ?(drop = true) ?(obs = Obs.disabled) ?deadline ?max_evals ?inte
   let sites_done =
     if !stopping then detected_count first else n - List.length failed_sites
   in
+  let summary =
+    { n_sites = n; n_patterns = total; first_detection = first; outcome; patterns_done = !pos;
+      sites_done }
+  in
+  let counts =
+    {
+      evals = !evals;
+      evals_saved = !saved;
+      retries = !retries;
+      chaos_injected = Chaos.injected chaos;
+      good_evals = !units;
+      gate_evals = !work;
+      gate_evals_saved = ((!evals + !saved) * kernel.Kernel.gates) - !work;
+      requested_domains = kernel.Kernel.requested_domains;
+      effective_domains = kernel.Kernel.effective_domains;
+    }
+  in
   emit_site_failed obs ~engine failed_sites;
-  emit_run obs ~engine ~n_sites:n ~n_patterns:total ~outcome ~patterns_done:!pos ~sites_done
-    ~t0
-    (("evals", Obs.Int !evals)
-    :: ("evals_saved", Obs.Int !saved)
-    :: ("retries", Obs.Int !retries)
-    :: ("backoff_sleeps", Obs.Int !backoff_sleeps)
-    :: ("chaos_injected", Obs.Int (Chaos.injected chaos))
-    :: kernel.Kernel.obs_fields
-         { Kernel.evals = !evals; evals_saved = !saved; work = !work });
-  { n_sites = n; n_patterns = total; first_detection = first; outcome; patterns_done = !pos;
-    sites_done }
+  if Obs.enabled obs then
+    Obs.emit obs ~ev:"faultsim.run" (run_fields ~engine ~dt_s:(Obs.now () -. t0) summary counts);
+  on_counts counts;
+  summary

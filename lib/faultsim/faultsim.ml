@@ -2,7 +2,6 @@ open Dynmos_cell
 open Dynmos_core
 open Dynmos_netlist
 open Dynmos_sim
-module Obs = Dynmos_obs.Obs
 
 (* Fault simulation over netlists.
 
@@ -21,7 +20,7 @@ module Obs = Dynmos_obs.Obs
      machine word, with each unit's fault sites optionally split across
      OCaml 5 domains (Parallel_exec.split).
 
-   Every campaign policy — limits, checkpointing, obs accounting, fault
+   Every campaign policy — limits, checkpointing, counters, fault
    dropping, supervision and the all-detected early exit — is implemented
    once in [Campaign]; this module contributes the fault universe, the
    evaluation kernel ([Kernel.t] builder) and thin public wrappers. *)
@@ -200,7 +199,7 @@ let coverage_curve s =
    (Compiled.eval_fault_into), level by level: only gates with a changed
    input are re-evaluated, and propagation stops where the faulty word
    equals the good one — bit-identical to whole-circuit injection.  The
-   ["gate_evals_saved"] obs field is the gate evaluations this avoided
+   driver's [gate_evals_saved] counts the gate evaluations this avoided
    relative to whole-circuit sweeps (kernel invocations x gates). *)
 
 let detects u site pattern =
@@ -231,19 +230,16 @@ let unit_work = 2_000
    mechanics with one pattern per unit (words are then plain 0/1), and
    ppsfp packs 62 patterns per unit, with each unit's sites split
    across the helpers of [pool] when it has one. *)
-let injection_kernel ?pool ?(fields = []) ~name ~unit_bits ~count_good_evals u patterns =
+let injection_kernel ?pool ?(requested_domains = 1) ~name ~unit_bits u patterns =
   let compiled = u.compiled in
   let n_inputs = Compiled.n_inputs compiled in
-  let n_gates = Compiled.n_gates compiled in
   let n = Array.length u.sites in
-  let total = Array.length patterns in
   (* All buffers live outside the loops: good machine in [scratch]
      (doubling as the propagation baseline), queue and restore state in
      [events]. *)
   let scratch = Compiled.make_scratch compiled in
   let events = Compiled.make_events compiled in
   let words = Array.make n_inputs 0 in
-  let good_evals = ref 0 in
   (* Sites [lo, hi) of the unit on one domain's buffers.  [words] stays
      read-only until the unit ends, so recomputing the good machine from
      it restores a scratch an exception mid-propagation left dirty. *)
@@ -290,8 +286,7 @@ let injection_kernel ?pool ?(fields = []) ~name ~unit_bits ~count_good_evals u p
         if p.(i) then words.(i) <- words.(i) lor (1 lsl j)
       done
     done;
-    Compiled.eval_words_into compiled ~scratch words;
-    incr good_evals
+    Compiled.eval_words_into compiled ~scratch words
   in
   let run_unit (ctx : Kernel.ctx) ~start ~len =
     let mask = if len >= word_bits then max_int else (1 lsl len) - 1 in
@@ -328,31 +323,23 @@ let injection_kernel ?pool ?(fields = []) ~name ~unit_bits ~count_good_evals u p
        on this domain alone *)
     last_work := !work - w0
   in
-  let obs_fields (t : Kernel.totals) =
-    (if count_good_evals then [ ("good_evals", Obs.Int !good_evals) ] else [])
-    @ [
-        ("gate_evals", Obs.Int t.Kernel.work);
-        ( "gate_evals_saved",
-          Obs.Int (((t.Kernel.evals + t.Kernel.evals_saved) * n_gates) - t.Kernel.work) );
-      ]
-    @ fields
-  in
   {
     Kernel.name;
-    unit_len = (fun ~start -> min unit_bits (total - start));
-    units_remaining = (fun ~start -> (total - start + unit_bits - 1) / unit_bits);
+    unit_bits;
+    gates = Compiled.n_gates compiled;
+    requested_domains;
+    effective_domains = 1 + Option.fold ~none:0 ~some:Parallel_exec.Scheduler.live_workers pool;
     run_unit;
-    obs_fields;
   }
 
 (* --- Public entry points: thin wrappers over the campaign driver ------------ *)
 
-let run_serial ?drop ?obs ?deadline ?max_evals ?interrupt ?checkpoint ?backoff ?chaos
+let run_serial ?drop ?obs ?deadline ?max_evals ?interrupt ?checkpoint ?on_counts ?chaos
     ?crash_hook ?on_progress u (patterns : bool array array) =
-  Campaign.run_patterns ?drop ?obs ?deadline ?max_evals ?interrupt ?checkpoint ?backoff ?chaos
+  Campaign.run_patterns ?drop ?obs ?deadline ?max_evals ?interrupt ?checkpoint ?on_counts ?chaos
     ?crash_hook ?on_progress ~n_sites:(n_sites u)
     ~total:(Array.length patterns)
-    (injection_kernel ~name:"serial" ~unit_bits:1 ~count_good_evals:true u patterns)
+    (injection_kernel ~name:"serial" ~unit_bits:1 u patterns)
 
 (* PPSFP in Waicukauski et al.'s sense: parallel patterns, one fault at
    a time, event-driven propagation.  Helper domains, spawned once per
@@ -360,7 +347,7 @@ let run_serial ?drop ?obs ?deadline ?max_evals ?interrupt ?checkpoint ?backoff ?
    chaos registry starts none, so its schedule replays from the one
    sweeping domain. *)
 let run_ppsfp ?drop ?(num_domains = 1) ?obs ?deadline ?max_evals ?interrupt ?checkpoint
-    ?backoff ?chaos ?crash_hook ?on_progress u (patterns : bool array array) =
+    ?on_counts ?chaos ?crash_hook ?on_progress u (patterns : bool array array) =
   if num_domains < 1 then
     invalid_arg (Fmt.str "Faultsim.run_ppsfp: num_domains must be >= 1 (got %d)" num_domains);
   let total = Array.length patterns in
@@ -377,15 +364,12 @@ let run_ppsfp ?drop ?(num_domains = 1) ?obs ?deadline ?max_evals ?interrupt ?che
       try Some (Parallel_exec.Scheduler.create ~num_domains:(wanted - 1) ())
       with Failure _ -> None (* no helper could spawn: run on this domain alone *)
   in
-  let effective = 1 + Option.fold ~none:0 ~some:Parallel_exec.Scheduler.live_workers pool in
   Fun.protect ~finally:(fun () -> Option.iter Parallel_exec.Scheduler.shutdown pool)
   @@ fun () ->
-  Campaign.run_patterns ?drop ?obs ?deadline ?max_evals ?interrupt ?checkpoint ?backoff ?chaos
+  Campaign.run_patterns ?drop ?obs ?deadline ?max_evals ?interrupt ?checkpoint ?on_counts ?chaos
     ?crash_hook ?on_progress ~n_sites:(n_sites u) ~total
-    (injection_kernel ?pool
-       ~fields:
-         [ ("requested_domains", Obs.Int num_domains); ("effective_domains", Obs.Int effective) ]
-       ~name:"ppsfp" ~unit_bits:word_bits ~count_good_evals:false u patterns)
+    (injection_kernel ?pool ~requested_domains:num_domains ~name:"ppsfp" ~unit_bits:word_bits u
+       patterns)
 
 (* --- Random-pattern driver ------------------------------------------------ *)
 

@@ -89,7 +89,7 @@ val detects : universe -> site -> bool array -> bool
 (** Does one pattern detect one site? *)
 
 (** Both entry points are thin wrappers over the unified campaign
-    driver ({!Campaign}): limits, checkpointing, obs accounting, fault
+    driver ({!Campaign}): limits, checkpointing, counters, fault
     dropping, supervision and the all-detected early exit are
     implemented exactly once there, so the two cannot drift apart.
 
@@ -99,22 +99,20 @@ val detects : universe -> site -> bool array -> bool
     re-evaluates only gates with a changed input.  This is bit-identical
     to whole-circuit injection.
 
-    Every engine takes an optional observability recorder [obs] (default
-    disabled, one branch of overhead): when enabled it receives one
-    ["faultsim.run"] event per run carrying the engine name, site and
-    pattern counts, wall-clock time, the number of kernel evaluations
-    performed ("evals") and the evaluations skipped by fault dropping or
-    the all-detected early exit ("evals_saved").  Both counts follow one
+    Every engine counts its work in one {!Campaign.counts} record, the
+    same with or without a recorder: [on_counts] receives it on return,
+    and an enabled [obs] recorder (default disabled, one branch of
+    overhead) gets it as one ["faultsim.run"] event after the engine
+    name, site and pattern counts, outcome and wall-clock time.  "evals"
+    and "evals_saved" (kernel evaluations performed, and skipped by
+    fault dropping or the all-detected early exit) follow one
     driver-level definition — {e one evaluation per live site per
     pattern unit} — so runs with the same unit report identical totals
     on the same campaign (serial sweeps one pattern per unit; PPSFP one
-    62-pattern word per unit, at every domain count).  Gate-level work
-    is reported separately: every engine
-    carries "gate_evals" (gate evaluations performed) and
-    "gate_evals_saved" (the gate evaluations event-driven propagation
-    avoided relative to whole-circuit sweeps).  The recorder
-    never changes results: with and without [obs], summaries are
-    bit-identical (tested).
+    62-pattern word per unit, at every domain count).  "gate_evals"
+    counts gate evaluations performed, and "gate_evals_saved" those
+    event-driven propagation avoided relative to whole-circuit sweeps.
+    Neither changes results: summaries are bit-identical (tested).
 
     {b Robustness} (see also {!Outcome}, {!Limits}, {!Checkpoint}):
     every engine takes [?deadline] (absolute epoch seconds),
@@ -132,8 +130,8 @@ val detects : universe -> site -> bool array -> bool
 
     Every engine also supervises per-site evaluation (on whichever
     domain evaluates the site):
-    a site whose faulty function raises is retried (3 attempts in all;
-    the good-machine baseline is restored first) and, if it keeps
+    a site whose faulty function raises is retried at once (3 attempts
+    in all; the good-machine baseline is restored first) and, if it keeps
     raising, excluded and reported in the
     outcome's [failed_sites] — every other site's detections are
     identical to a clean run.  [?crash_hook] (default no-op, called with
@@ -153,7 +151,7 @@ val run_serial :
   ?max_evals:int ->
   ?interrupt:(unit -> bool) ->
   ?checkpoint:Checkpoint.ctl ->
-  ?backoff:Parallel_exec.Backoff.t ->
+  ?on_counts:(Campaign.counts -> unit) ->
   ?chaos:Dynmos_chaos.Chaos.t ->
   ?crash_hook:(int -> unit) ->
   ?on_progress:(units_done:int -> detected:int -> unit) ->
@@ -171,7 +169,7 @@ val run_ppsfp :
   ?max_evals:int ->
   ?interrupt:(unit -> bool) ->
   ?checkpoint:Checkpoint.ctl ->
-  ?backoff:Parallel_exec.Backoff.t ->
+  ?on_counts:(Campaign.counts -> unit) ->
   ?chaos:Dynmos_chaos.Chaos.t ->
   ?crash_hook:(int -> unit) ->
   ?on_progress:(units_done:int -> detected:int -> unit) ->
@@ -192,10 +190,9 @@ val run_ppsfp :
     an armed [chaos] registry (its schedule replays from one domain),
     and helpers sit out any unit after one of fewer than 2 000 gate
     evaluations.  Results, partial results and checkpoints do not depend
-    on [num_domains].  The ["faultsim.run"] event reports
-    ["requested_domains"] and ["effective_domains"] (the calling domain
-    plus the helpers that started).  Raises [Invalid_argument] when
-    [num_domains] < 1. *)
+    on [num_domains].  The counts report [requested_domains] and
+    [effective_domains] (the calling domain plus the helpers that
+    started).  Raises [Invalid_argument] when [num_domains] < 1. *)
 
 val word_bits : int
 (** Patterns per {!run_ppsfp} unit: one machine word, 62. *)

@@ -6,18 +6,16 @@ type ctx = {
   drop : bool;
   first : int option array;
   failed : bool array;
-  dropped : bool array;
   work : int ref;
   detect : sid:int -> pat:int -> unit;
   supervise : sid:int -> restore:(unit -> unit) -> (unit -> int) -> int option;
 }
 
-type totals = { evals : int; evals_saved : int; work : int }
-
 type t = {
   name : string;
-  unit_len : start:int -> int;
-  units_remaining : start:int -> int;
+  unit_bits : int;
+  gates : int;
+  requested_domains : int;
+  effective_domains : int;
   run_unit : ctx -> start:int -> len:int -> unit;
-  obs_fields : totals -> (string * Dynmos_obs.Obs.value) list;
 }

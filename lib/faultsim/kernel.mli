@@ -5,7 +5,7 @@
     entry points (one pattern or a 62-pattern word per unit, on one
     domain or split across several), or a test oracle.  It owns only the
     evaluation mechanics;
-    every campaign policy — limits, checkpointing, obs accounting, fault
+    every campaign policy — limits, checkpointing, counters, fault
     dropping, supervision/retry and the all-detected early exit — lives
     in {!Campaign.run_patterns}, which drives the kernel one pattern
     unit at a time through the services exposed in {!ctx}. *)
@@ -15,20 +15,17 @@ type ctx = {
   first : int option array;
       (** per-site first detection — read-only to kernels; write through
           {!field-detect} so the driver's drop/early-exit state stays
-          consistent *)
+          consistent.  A kernel that propagates all sites jointly (the
+          test-side deductive oracle) reads it mid-unit. *)
   failed : bool array;
       (** sites excluded by supervision; kernels must skip them *)
-  dropped : bool array;
-      (** [drop] && detected (including checkpoint-preloaded
-          detections) — a kernel that propagates all sites jointly
-          (the test-side deductive oracle) reads this mid-unit *)
   work : int ref;
       (** gate-level work counter: kernels add every gate(-function)
           evaluation they perform; the driver feeds the deltas to the
           [max_evals] budget gauge at unit boundaries *)
   detect : sid:int -> pat:int -> unit;
       (** record a detection (idempotent: only the first call per site
-          sticks); maintains the undetected count and [dropped] *)
+          sticks); maintains the undetected count *)
   supervise : sid:int -> restore:(unit -> unit) -> (unit -> int) -> int option;
       (** run one site evaluation under the driver's bounded-retry
           supervision: the crash hook fires before each attempt,
@@ -41,24 +38,17 @@ type ctx = {
           domain's alone. *)
 }
 
-type totals = {
-  evals : int;        (** driver-counted kernel evaluations (site x unit) *)
-  evals_saved : int;  (** evaluations skipped by dropping / early exit *)
-  work : int;         (** final gate-level work counter *)
-}
-(** The driver's per-run accounting, handed to {!field-obs_fields} so a
-    kernel can derive its extra obs fields from the unified totals. *)
-
 type t = {
   name : string;  (** engine name used in obs events and checkpoint modes *)
-  unit_len : start:int -> int;
-      (** patterns consumed by the unit beginning at [start] (1 for the
-          single-pattern engines; up to a word for bit-parallel) *)
-  units_remaining : start:int -> int;
-      (** units left from [start] — the early-exit saved accounting *)
+  unit_bits : int;
+      (** patterns per unit (1 for serial, a word for ppsfp); the last
+          unit takes what is left *)
+  gates : int;
+      (** gate evaluations of one whole-circuit sweep: the baseline of
+          the driver's [gate_evals_saved] *)
+  requested_domains : int;
+  effective_domains : int;  (** domains asked for, and those that started *)
   run_unit : ctx -> start:int -> len:int -> unit;
-      (** evaluate every live site over patterns [start, start+len) *)
-  obs_fields : totals -> (string * Dynmos_obs.Obs.value) list;
-      (** kernel-specific obs fields (gate-eval breakdowns, domain
-          counts), appended to the driver's standard fields *)
+      (** evaluate every live site over patterns [start, start+len),
+          after one good-machine sweep of the unit *)
 }

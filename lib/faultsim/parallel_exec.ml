@@ -1,9 +1,8 @@
 module Chaos = Dynmos_chaos.Chaos
-module Prng = Dynmos_util.Prng
 
 (* Multicore building blocks for the fault-simulation engines and the
-   serve loop: retry backoff, a persistent supervised domain pool, and
-   [split], which spreads one pattern unit's fault sites over that pool.
+   serve loop: a persistent supervised domain pool, and [split], which
+   spreads one pattern unit's fault sites over that pool.
 
    [Faultsim.run_ppsfp ~num_domains] runs the PPSFP kernel under the
    ordinary campaign driver; only the inside of a unit is parallel.  The
@@ -28,30 +27,6 @@ module Prng = Dynmos_util.Prng
      before the caller's reads. *)
 
 let default_domains () = Domain.recommended_domain_count ()
-
-(* Exponential backoff with jitter for supervised retries.  An immediate
-   retry of a site that crashed on a transient cause (injected chaos, a
-   momentarily-full disk, an oversubscribed host) tends to hit the same
-   cause again; spacing attempts out exponentially — with jitter so
-   simultaneous retriers decorrelate — is the standard cure.  Sleep
-   durations never influence results, only wall clock, so the jitter PRNG
-   needs no seeding discipline. *)
-module Backoff = struct
-  type t = { base_s : float; cap_s : float }
-
-  let default = { base_s = 0.001; cap_s = 0.05 }
-  let none = { base_s = 0.0; cap_s = 0.0 }
-  let make ~base_s ~cap_s = { base_s; cap_s }
-
-  (* Delay before retry [attempt] (1-based): base * 2^(attempt-1), capped,
-     then jittered into [d/2, d). *)
-  let delay t prng ~attempt =
-    if t.base_s <= 0.0 then 0.0
-    else
-      let d = t.base_s *. float_of_int (1 lsl min 16 (max 0 (attempt - 1))) in
-      let d = Float.min d t.cap_s in
-      d *. (0.5 +. (0.5 *. Prng.float prng))
-end
 
 (* --- Persistent scheduler ---------------------------------------------------- *)
 

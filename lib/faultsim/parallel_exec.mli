@@ -1,7 +1,6 @@
-(** Multicore building blocks (OCaml 5 [Domain]s, no Domainslib): retry
-    backoff for supervised evaluation, a persistent supervised domain
-    pool ({!Scheduler}) and {!split}, which spreads one pattern unit's
-    fault sites over such a pool.
+(** Multicore building blocks (OCaml 5 [Domain]s, no Domainslib): a
+    persistent supervised domain pool ({!Scheduler}) and {!split}, which
+    spreads one pattern unit's fault sites over such a pool.
 
     [Faultsim.run_ppsfp ~num_domains] runs the PPSFP kernel under the
     ordinary campaign driver with each 62-pattern unit split across a
@@ -10,29 +9,6 @@
 
 val default_domains : unit -> int
 (** [Domain.recommended_domain_count ()]. *)
-
-(** Exponential backoff with jitter between supervised retry attempts.
-    Transient failure causes (injected chaos, a full disk, an
-    oversubscribed host) tend to persist for a moment; spacing the
-    attempts out — jittered, so concurrent retriers decorrelate — turns
-    retry-until-failed into retry-until-recovered.  Sleeps never affect
-    results, only wall clock. *)
-module Backoff : sig
-  type t
-
-  val default : t
-  (** 1 ms base doubling per attempt, capped at 50 ms. *)
-
-  val none : t
-  (** No sleeping — the pre-backoff immediate-retry behavior (tests). *)
-
-  val make : base_s:float -> cap_s:float -> t
-  (** [base_s <= 0] disables sleeping, like {!none}. *)
-
-  val delay : t -> Dynmos_util.Prng.t -> attempt:int -> float
-  (** The jittered delay before retry [attempt] (1-based):
-      [base * 2^(attempt-1)] capped at [cap_s], scaled into [d/2, d). *)
-end
 
 (** {1 Persistent scheduler} *)
 

@@ -24,8 +24,6 @@ let int_field e k = match List.assoc_opt k e.fields with Some (Int n) -> Some n 
 
 type sink = Null | Emit of (event -> unit)
 
-let null_sink = Null
-
 let channel_sink oc =
   let m = Mutex.create () in
   Emit
@@ -55,11 +53,6 @@ let memory_sink () =
     l
   in
   (sink, fetch)
-
-let tee a b =
-  match (a, b) with
-  | Null, s | s, Null -> s
-  | Emit f, Emit g -> Emit (fun e -> f e; g e)
 
 (* --- Recorders -------------------------------------------------------------- *)
 

@@ -35,18 +35,14 @@ val json_line : event -> string
     line valid JSON. *)
 
 val int_field : event -> string -> int option
-(** [int_field e k] is the [Int] value of field [k], if present — the
-    accessor consumers (the server's eval budget, CLI [--stats], the
-    bench) use to read counters like ["gate_evals"] or
-    ["chaos_injected"] off ["faultsim.run"] events without
-    re-implementing the assoc lookup. *)
+(** [int_field e k] is the [Int] value of field [k], if present: how a
+    trace reader (the tests, perfbench) reads a counter off an event.
+    The library's own callers get a run's counters typed, from
+    [Campaign.counts]. *)
 
 (** {1 Sinks} *)
 
 type sink
-
-val null_sink : sink
-(** Drops every event. *)
 
 val channel_sink : out_channel -> sink
 (** JSON Lines to a channel, one flushed line per event, mutex-guarded
@@ -56,11 +52,8 @@ val channel_sink : out_channel -> sink
 val memory_sink : unit -> sink * (unit -> event list)
 (** In-memory collection (mutex-guarded); the second component returns
     the events emitted so far, in emission order.  It keeps every
-    event, so it suits one run's events ([--stats], a serve job's
-    gate-eval count) and tests, not a long-lived process's stream. *)
-
-val tee : sink -> sink -> sink
-(** Every event goes to both sinks. *)
+    event, so it suits tests and one traced benchmark run, not a
+    long-lived process's stream. *)
 
 (** {1 Recorders} *)
 

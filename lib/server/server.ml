@@ -446,16 +446,6 @@ type job = {
   replay : bool;     (* re-enqueued by boot recovery rather than a live client *)
 }
 
-(* Gate evaluations a finished run actually performed, read back from the
-   engine's own faultsim.run event.  This is what the global budget is
-   charged with. *)
-let gate_evals_of_events events =
-  List.fold_left
-    (fun acc e ->
-      if e.Obs.ev <> "faultsim.run" then acc
-      else acc + Option.value ~default:0 (Obs.int_field e "gate_evals"))
-    0 events
-
 let stop_cause_field (p : Outcome.partial) =
   match p.Outcome.stopped with
   | Some c -> Outcome.stop_cause_name c
@@ -664,11 +654,11 @@ let exec_job t client job =
                        ])
                 end)
       in
-      (* Each job records into a private memory sink so its gate-eval
-         spend can be read back; the events are forwarded to the server
-         recorder afterwards, so traces carry the engine events too. *)
-      let mem, fetch = Obs.memory_sink () in
-      let job_obs = Obs.make mem in
+      (* The run's gate evaluations, from its counts: what the global
+         budget is charged and the response reports.  The engine's
+         events go to the server's own recorder. *)
+      let evals = ref 0 in
+      let on_counts (c : Campaign.counts) = evals := c.Campaign.gate_evals in
       let drop = r.Protocol.drop in
       (* OCaml caps a process at 128 domains (5.1), and more domains
          than [recommended_domain_count] cores only oversubscribe the
@@ -683,19 +673,15 @@ let exec_job t client job =
       let summary =
         match r.Protocol.engine with
         | `Serial ->
-            Faultsim.run_serial ~drop ~obs:job_obs ~deadline ?max_evals ~interrupt
-              ?checkpoint:ckpt ?crash_hook ?on_progress u pats
+            Faultsim.run_serial ~drop ~obs:t.obs ~deadline ?max_evals ~interrupt
+              ?checkpoint:ckpt ~on_counts ?crash_hook ?on_progress u pats
         | `Ppsfp ->
-            Faultsim.run_ppsfp ~drop ?num_domains ~obs:job_obs ~deadline ?max_evals ~interrupt
-              ?checkpoint:ckpt ?crash_hook ?on_progress u pats
+            Faultsim.run_ppsfp ~drop ?num_domains ~obs:t.obs ~deadline ?max_evals ~interrupt
+              ?checkpoint:ckpt ~on_counts ?crash_hook ?on_progress u pats
       in
       let dt = Obs.now () -. t0 in
-      let events = fetch () in
-      let evals = gate_evals_of_events events in
+      let evals = !evals in
       ignore (Atomic.fetch_and_add t.global_evals evals);
-      (* Forward the engine events into the server trace. *)
-      if Obs.enabled t.obs then
-        List.iter (fun e -> Obs.emit t.obs ~ev:e.Obs.ev e.Obs.fields) events;
       (match summary.Faultsim.outcome with
       | Outcome.Complete ->
           ckpt_discard ckpt;

@@ -26,7 +26,6 @@ module Int_set = Set.Make (Int)
 let kernel (u : Faultsim.universe) (patterns : bool array array) =
   let compiled = u.Faultsim.compiled in
   let n_nets = Compiled.n_nets compiled in
-  let total = Array.length patterns in
   let is_po = Array.make n_nets false in
   Array.iter (fun p -> is_po.(p) <- true) (Compiled.po_indices compiled);
   (* local sites per gate id *)
@@ -38,7 +37,7 @@ let kernel (u : Faultsim.universe) (patterns : bool array array) =
     u.Faultsim.sites;
   let bits = Array.map (fun b -> if b then 1 else 0) in
   let run_unit (ctx : Kernel.ctx) ~start ~len:_ =
-    let skip sid = ctx.Kernel.drop && ctx.Kernel.dropped.(sid) in
+    let skip sid = ctx.Kernel.drop && ctx.Kernel.first.(sid) <> None in
     let work = ctx.Kernel.work in
     let values = Compiled.eval_nets compiled patterns.(start) in
     let lists = Array.make n_nets Int_set.empty in
@@ -88,12 +87,13 @@ let kernel (u : Faultsim.universe) (patterns : bool array array) =
   in
   {
     Kernel.name = "deductive";
-    unit_len = (fun ~start:_ -> 1);
-    units_remaining = (fun ~start -> total - start);
+    unit_bits = 1;
+    gates = Compiled.n_gates compiled;
+    requested_domains = 1;
+    effective_domains = 1;
     run_unit;
-    obs_fields = (fun (t : Kernel.totals) -> [ ("gate_evals", Dynmos_obs.Obs.Int t.Kernel.work) ]);
   }
 
-let run ?drop ?obs ?deadline ?max_evals ?interrupt ?checkpoint u patterns =
-  Campaign.run_patterns ?drop ?obs ?deadline ?max_evals ?interrupt ?checkpoint
+let run ?drop ?obs ?deadline ?max_evals ?interrupt ?checkpoint ?on_counts u patterns =
+  Campaign.run_patterns ?drop ?obs ?deadline ?max_evals ?interrupt ?checkpoint ?on_counts
     ~n_sites:(Faultsim.n_sites u) ~total:(Array.length patterns) (kernel u patterns)

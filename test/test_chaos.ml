@@ -3,14 +3,13 @@ open Dynmos_cell
 open Dynmos_faultsim
 open Dynmos_circuits
 module Chaos = Dynmos_chaos.Chaos
-module Backoff = Parallel_exec.Backoff
 module Scheduler = Parallel_exec.Scheduler
 
 (* The chaos layer's contract is determinism: a spec plus a seed IS the
    failure schedule.  These tests pin the spec grammar, the per-point
    stream independence, the replay guarantee end-to-end through the
    serial engine, the hardening each injection point exposes (checkpoint
-   fallback, scheduler watchdog, supervised backoff), and a soak
+   fallback, scheduler watchdog), and a soak
    property over random schedules. *)
 
 let check = Alcotest.(check bool)
@@ -108,7 +107,7 @@ let test_replay_identical () =
   let run () =
     let u, pats = fixture () in
     let c = chaos_of_spec spec in
-    let s = Faultsim.run_serial ~drop:false ~backoff:Backoff.none ~chaos:c u pats in
+    let s = Faultsim.run_serial ~drop:false ~chaos:c u pats in
     (c, s)
   in
   let c1, s1 = run () in
@@ -119,19 +118,6 @@ let test_replay_identical () =
   check "identical outcome" true (s1.Faultsim.outcome = s2.Faultsim.outcome);
   check "identical detections" true
     (s1.Faultsim.first_detection = s2.Faultsim.first_detection)
-
-(* --- Supervised backoff ------------------------------------------------------- *)
-
-let test_backoff_delays () =
-  let prng = Prng.create 1 in
-  let b = Backoff.make ~base_s:0.01 ~cap_s:0.05 in
-  for _ = 1 to 20 do
-    let d1 = Backoff.delay b prng ~attempt:1 in
-    check "attempt 1 jittered into [base/2, base)" true (d1 >= 0.005 && d1 < 0.01);
-    let d4 = Backoff.delay b prng ~attempt:4 in
-    check "attempt 4 capped then jittered" true (d4 >= 0.025 && d4 < 0.05)
-  done;
-  check "Backoff.none never sleeps" true (Backoff.delay Backoff.none prng ~attempt:9 = 0.0)
 
 (* --- Checkpoint hardening ----------------------------------------------------- *)
 
@@ -182,7 +168,7 @@ let test_ckpt_chaos_absorbed () =
   let u, pats = fixture () in
   let torn = chaos_of_spec "ckpt.write=torn_write,seed=4" in
   let ctl = Faultsim.checkpoint_ctl ~path ~interval:5 ~chaos:torn u pats in
-  let s = Faultsim.run_serial ~drop:false ~backoff:Backoff.none ~checkpoint:ctl u pats in
+  let s = Faultsim.run_serial ~drop:false ~checkpoint:ctl u pats in
   check "campaign completes over a torn checkpoint write" true
     (Outcome.is_complete s.Faultsim.outcome);
   check "the torn write was absorbed and counted" true (Checkpoint.failed_writes ctl > 0);
@@ -193,7 +179,7 @@ let test_ckpt_chaos_absorbed () =
   let dead = chaos_of_spec "ckpt.write=fail_prob:1,seed=4" in
   let ctl2 = Faultsim.checkpoint_ctl ~path:path2 ~interval:5 ~chaos:dead u pats in
   let s2 =
-    Faultsim.run_serial ~drop:false ~backoff:Backoff.none ~checkpoint:ctl2 u pats
+    Faultsim.run_serial ~drop:false ~checkpoint:ctl2 u pats
   in
   check "campaign completes under persistent checkpoint failure" true
     (Outcome.is_complete s2.Faultsim.outcome);
@@ -304,7 +290,7 @@ let qcheck_soak =
       with_temp_checkpoint @@ fun path ->
       let ctl = Faultsim.checkpoint_ctl ~path ~interval:3 ~chaos u pats in
       let s =
-        Faultsim.run_serial ~drop:false ~backoff:Backoff.none ~chaos ~checkpoint:ctl u pats
+        Faultsim.run_serial ~drop:false ~chaos ~checkpoint:ctl u pats
       in
       (match s.Faultsim.outcome with
       | Outcome.Complete ->
@@ -333,7 +319,6 @@ let () =
         ] );
       ( "hardening",
         [
-          Alcotest.test_case "backoff delays" `Quick test_backoff_delays;
           Alcotest.test_case "stale tmp cleanup" `Quick test_stale_tmp_cleanup;
           Alcotest.test_case "corrupt primary falls back to .bak" `Quick
             test_backup_fallback;

@@ -712,17 +712,16 @@ let test_domains_differential () =
     let s = run ~obs:(Obs.make sink) ~crash_hook:(crash_hook ()) in
     (s, run_event fetch)
   in
-  let backoff = Parallel_exec.Backoff.none in
   List.iter
     (fun drop ->
       let name = Fmt.str "drop=%b" drop in
       let s, e =
         observe (fun ~obs ~crash_hook ->
-            Faultsim.run_ppsfp ~drop ~num_domains:1 ~obs ~crash_hook ~backoff u pats)
+            Faultsim.run_ppsfp ~drop ~num_domains:1 ~obs ~crash_hook u pats)
       in
       let s', e' =
         observe (fun ~obs ~crash_hook ->
-            Faultsim.run_ppsfp ~drop ~num_domains:2 ~obs ~crash_hook ~backoff u pats)
+            Faultsim.run_ppsfp ~drop ~num_domains:2 ~obs ~crash_hook u pats)
       in
       check (name ^ ": first detections") true
         (s'.Faultsim.first_detection = s.Faultsim.first_detection);
@@ -752,8 +751,7 @@ let test_chaos_keeps_one_domain () =
     in
     let sink, fetch = Obs.memory_sink () in
     let s =
-      Faultsim.run_ppsfp ~num_domains ~chaos ~backoff:Parallel_exec.Backoff.none
-        ~obs:(Obs.make sink) u pats
+      Faultsim.run_ppsfp ~num_domains ~chaos ~obs:(Obs.make sink) u pats
     in
     (s, run_event fetch)
   in

@@ -218,18 +218,6 @@ let test_span_event () =
       | _ -> Alcotest.fail "missing dt_s")
   | l -> Alcotest.fail (Fmt.str "expected 1 event, got %d" (List.length l))
 
-let test_tee () =
-  let s1, f1 = Obs.memory_sink () in
-  let s2, f2 = Obs.memory_sink () in
-  let t = Obs.make (Obs.tee s1 s2) in
-  Obs.emit t ~ev:"both" [];
-  check_i "first sink got it" 1 (List.length (f1 ()));
-  check_i "second sink got it" 1 (List.length (f2 ()));
-  (* tee with the null sink degrades to the live side *)
-  let t2 = Obs.make (Obs.tee Obs.null_sink s1) in
-  Obs.emit t2 ~ev:"more" [];
-  check_i "null tee still delivers" 2 (List.length (f1 ()))
-
 let test_channel_sink_jsonl () =
   let file = Filename.temp_file "obs_test" ".jsonl" in
   let oc = open_out file in
@@ -308,7 +296,6 @@ let () =
           Alcotest.test_case "disabled no-ops" `Quick test_disabled_recorder;
           Alcotest.test_case "memory sink" `Quick test_memory_sink;
           Alcotest.test_case "span" `Quick test_span_event;
-          Alcotest.test_case "tee" `Quick test_tee;
           Alcotest.test_case "channel sink writes JSONL" `Quick test_channel_sink_jsonl;
           Alcotest.test_case "crash-truncated trace stays readable" `Quick
             test_channel_sink_truncation_tolerance;
