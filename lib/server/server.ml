@@ -1295,6 +1295,11 @@ let serve_socket t path =
     | _ -> (
         match Unix.accept sock with
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept ()
+        | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
+            (* Out of fds: the connection waits in the backlog until a
+               session closes its own; a drain still wakes the select. *)
+            Unix.sleepf 0.05;
+            accept ()
         | fd, _ ->
             Atomic.incr t.counters.connections;
             Mutex.lock conns_m;
