@@ -469,7 +469,9 @@ let test_ppsfp_restricted_universe () =
 module Obs = Dynmos_obs.Obs
 
 (* With and without a recorder, every engine produces bit-identical
-   summaries: observation must never change results. *)
+   summaries and the same counts record: observation must never change
+   results, and the counters have one source.  The faultsim.run event
+   lists exactly that record's fields after dt_s. *)
 let test_obs_parity () =
   let u = Faultsim.universe (Generators.c17 ~style:`Domino ()) in
   let prng = Prng.create 47 in
@@ -478,23 +480,45 @@ let test_obs_parity () =
       ~n_inputs:(Dynmos_sim.Compiled.n_inputs u.Faultsim.compiled)
       ~count:90
   in
-  let engines =
+  let engines drop =
     [
-      ("serial", fun obs -> Faultsim.run_serial ~obs u pats);
-      ("ppsfp", fun obs -> Faultsim.run_ppsfp ~obs u pats);
-      ("ppsfp x2", fun obs -> Faultsim.run_ppsfp ~num_domains:2 ~obs u pats);
+      ("serial", fun obs on_counts -> Faultsim.run_serial ~drop ~obs ~on_counts u pats);
+      ("ppsfp", fun obs on_counts -> Faultsim.run_ppsfp ~drop ~obs ~on_counts u pats);
+      ( "ppsfp x2",
+        fun obs on_counts -> Faultsim.run_ppsfp ~drop ~num_domains:2 ~obs ~on_counts u pats );
+      ("deductive", fun obs on_counts -> Deductive_oracle.run ~drop ~obs ~on_counts u pats);
     ]
   in
+  let rec after_dt_s = function
+    | [] -> []
+    | ("dt_s", _) :: rest -> rest
+    | _ :: rest -> after_dt_s rest
+  in
   List.iter
-    (fun (name, run) ->
-      let sink, fetch = Obs.memory_sink () in
-      let observed = run (Obs.make sink) in
-      let plain = run Obs.disabled in
-      check (name ^ ": identical summaries") true
-        (observed.Faultsim.first_detection = plain.Faultsim.first_detection);
-      check (name ^ ": emitted a run event") true
-        (List.exists (fun e -> e.Obs.ev = "faultsim.run") (fetch ())))
-    engines
+    (fun drop ->
+      List.iter
+        (fun (name, run) ->
+          let name = Fmt.str "%s drop=%b" name drop in
+          let run obs =
+            let counts = ref [] in
+            let s = run obs (fun c -> counts := c :: !counts) in
+            match !counts with
+            | [ c ] -> (s, c)
+            | l -> Alcotest.failf "%s: %d counts deliveries, expected 1" name (List.length l)
+          in
+          let sink, fetch = Obs.memory_sink () in
+          let observed, c_observed = run (Obs.make sink) in
+          let plain, c_plain = run Obs.disabled in
+          check (name ^ ": identical summaries") true
+            (observed.Faultsim.first_detection = plain.Faultsim.first_detection);
+          check (name ^ ": identical counts") true (c_observed = c_plain);
+          match List.filter (fun e -> e.Obs.ev = "faultsim.run") (fetch ()) with
+          | [ e ] ->
+              check (name ^ ": event fields after dt_s = the counts") true
+                (after_dt_s e.Obs.fields = Campaign.count_fields c_plain)
+          | l -> Alcotest.failf "%s: %d faultsim.run events, expected 1" name (List.length l))
+        (engines drop))
+    [ true; false ]
 
 let field_int e name =
   match List.assoc_opt name e.Obs.fields with Some (Obs.Int n) -> Some n | _ -> None

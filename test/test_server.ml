@@ -386,6 +386,28 @@ let test_global_budget () =
   | Json.String msg -> check "rejection named" true (String.length msg > 0)
   | _ -> Alcotest.fail "missing error"
 
+(* The global budget is charged exactly the gate evaluations a miss
+   reports, and nothing for a hit, with no trace recorder set. *)
+let test_budget_charge () =
+  let t = Server.create ~config:small_config () in
+  Fun.protect ~finally:(fun () -> Server.shutdown t) @@ fun () ->
+  let one line = response_for 1 (let _, resps, _ = run_on t [ line ] in resps) in
+  let int_field name r =
+    match field name r with Json.Int n -> n | _ -> Alcotest.failf "field %s not an int" name
+  in
+  let used () = int_field "global_evals_used" (one {|{"op":"stats"}|}) in
+  let a = one {|{"circuit":"rand20","patterns":128,"seed":3}|} in
+  let b = one {|{"circuit":"carry8","patterns":64,"engine":"serial"}|} in
+  check "both misses ran" true
+    (field "cached" a = Json.Bool false && field "cached" b = Json.Bool false);
+  check "both did work" true (int_field "gate_evals" a > 0 && int_field "gate_evals" b > 0);
+  let charged = used () in
+  check_i "charged the misses' gate_evals" (int_field "gate_evals" a + int_field "gate_evals" b)
+    charged;
+  let hit = one {|{"circuit":"rand20","patterns":128,"seed":3}|} in
+  check "the repeat hit the cache" true (field "cached" hit = Json.Bool true);
+  check_i "a hit charges nothing" charged (used ())
+
 (* Drain: once the flag flips, reading stops, admitted work finishes and
    the loop reports `Drained.  The last read line may race the queue
    closing and be answered "draining" — either way it gets exactly one
@@ -1207,6 +1229,7 @@ let () =
           Alcotest.test_case "overload backpressure" `Quick test_overload;
           Alcotest.test_case "jobs capped at recommended domains" `Quick test_jobs_capped;
           Alcotest.test_case "global budget" `Quick test_global_budget;
+          Alcotest.test_case "budget charges what misses report" `Quick test_budget_charge;
           Alcotest.test_case "graceful drain" `Quick test_drain;
           Alcotest.test_case "stats and ping" `Quick test_stats_and_ping;
           Alcotest.test_case "gate restriction" `Quick test_gates_restriction;
