@@ -251,7 +251,10 @@ let rec backtrace st net value =
 
 (* --- Search -------------------------------------------------------------- *)
 
-let generate ?(max_backtracks = 1000) u site =
+(* Backtracks before a search gives up as [Aborted]. *)
+let max_backtracks = 1000
+
+let generate u site =
   let compiled = u.Faultsim.compiled in
   let n_in = Compiled.n_inputs compiled in
   let n_nets = Compiled.n_nets compiled in
@@ -310,7 +313,7 @@ type set_result = {
   covered_by_simulation : int;     (* faults dropped by simulation *)
 }
 
-let generate_set ?(max_backtracks = 1000) u =
+let generate_set u =
   let n = Faultsim.n_sites u in
   let per_site = Array.make n Untestable in
   let covered = Array.make n false in
@@ -319,7 +322,7 @@ let generate_set ?(max_backtracks = 1000) u =
   Array.iter
     (fun site ->
       if not covered.(site.Faultsim.sid) then begin
-        let r = generate ~max_backtracks u site in
+        let r = generate u site in
         per_site.(site.Faultsim.sid) <- r;
         match r with
         | Test v ->

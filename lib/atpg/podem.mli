@@ -10,9 +10,9 @@ type result = Test of bool array | Untestable | Aborted
 
 val is_test : result -> bool
 
-val generate : ?max_backtracks:int -> Faultsim.universe -> Faultsim.site -> result
+val generate : Faultsim.universe -> Faultsim.site -> result
 (** Find an input vector detecting one fault site ([Untestable] when the
-    search space is exhausted, [Aborted] past the backtrack limit). *)
+    search space is exhausted, [Aborted] past 1000 backtracks). *)
 
 type set_result = {
   vectors : bool array array;
@@ -20,7 +20,7 @@ type set_result = {
   covered_by_simulation : int;  (** faults dropped by simulating new tests *)
 }
 
-val generate_set : ?max_backtracks:int -> Faultsim.universe -> set_result
+val generate_set : Faultsim.universe -> set_result
 (** Complete test set with fault dropping. *)
 
 val schedule_double : bool array array -> bool array array

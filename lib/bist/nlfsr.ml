@@ -15,19 +15,18 @@ type term = int list  (* AND of these bit positions *)
 type t = {
   width : int;
   terms : term list;         (* feedback = XOR over terms *)
-  complemented : int list;   (* bit positions complemented inside terms *)
   de_bruijn : bool;
   mutable state : int;
 }
 
 let bit state i = (state lsr i) land 1 = 1
 
-let create ?(de_bruijn = false) ?(complemented = []) ~width ~terms ?(seed = 1) () =
+let create ?(de_bruijn = false) ~width ~terms ?(seed = 1) () =
   if width < 2 || width > 32 then invalid_arg "Nlfsr: width in 2..32";
   List.iter
     (List.iter (fun i -> if i < 0 || i >= width then invalid_arg "Nlfsr: term bit out of range"))
     terms;
-  { width; terms; complemented; de_bruijn; state = seed land ((1 lsl width) - 1) }
+  { width; terms; de_bruijn; state = seed land ((1 lsl width) - 1) }
 
 (* A maximal LFSR feedback expressed as degenerate (single-bit) terms. *)
 let of_lfsr ?(de_bruijn = false) ?(seed = 1) width =
@@ -42,11 +41,7 @@ let state t = t.state
 let set_state t s = t.state <- s land ((1 lsl t.width) - 1)
 
 let feedback t =
-  let term_value term =
-    List.for_all
-      (fun i -> if List.mem i t.complemented then not (bit t.state i) else bit t.state i)
-      term
-  in
+  let term_value term = List.for_all (bit t.state) term in
   let linear = List.fold_left (fun acc term -> acc <> term_value term) false t.terms in
   if t.de_bruijn then begin
     (* XOR with NOR of bits 0..width-2: joins the all-zero state into the

@@ -8,16 +8,8 @@ type term = int list
 
 type t
 
-val create :
-  ?de_bruijn:bool ->
-  ?complemented:int list ->
-  width:int ->
-  terms:term list ->
-  ?seed:int ->
-  unit ->
-  t
-(** [complemented] lists bit positions read inverted inside terms.
-    @raise Invalid_argument on out-of-range widths or term bits. *)
+val create : ?de_bruijn:bool -> width:int -> terms:term list -> ?seed:int -> unit -> t
+(** @raise Invalid_argument on out-of-range widths or term bits. *)
 
 val of_lfsr : ?de_bruijn:bool -> ?seed:int -> int -> t
 (** The maximal LFSR of that width expressed as degenerate terms —

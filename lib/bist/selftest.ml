@@ -37,14 +37,12 @@ let next_pattern source n =
       else Array.init n (fun _ -> Bilbo.step b [||])
   | Weighted_source w -> Weighted_gen.next_pattern w
 
-type session = {
-  compiled : Compiled.t;
-  source : source;
-  misr_width : int;
-  n_cycles : int;
-}
+type session = { compiled : Compiled.t; source : source; n_cycles : int }
 
-let make_session ?(misr_width = 16) ?(seed = 1) ?(source = `Lfsr) compiled ~n_cycles =
+(* The signature register's width. *)
+let misr_width = 16
+
+let make_session ?(seed = 1) ?(source = `Lfsr) compiled ~n_cycles =
   let n_in = Compiled.n_inputs compiled in
   let reg_width = min 32 (max 16 n_in) in
   let source =
@@ -56,12 +54,12 @@ let make_session ?(misr_width = 16) ?(seed = 1) ?(source = `Lfsr) compiled ~n_cy
         Bilbo_source b
     | `Weighted weights -> Weighted_source (Weighted_gen.create ~seed weights)
   in
-  { compiled; source; misr_width; n_cycles }
+  { compiled; source; n_cycles }
 
 (* Run the session; [response] maps a pattern to the PO vector (this is
    where fault injection and at-speed sampling plug in). *)
 let run_with session ~(response : bool array -> bool array) =
-  let misr = Misr.create session.misr_width in
+  let misr = Misr.create misr_width in
   let n_in = Compiled.n_inputs session.compiled in
   for _ = 1 to session.n_cycles do
     let pattern = next_pattern session.source n_in in
@@ -75,8 +73,8 @@ let golden session = run_with session ~response:(fun p -> Compiled.eval session.
    per run.  [signature_of] rebuilds one from the same parameters. *)
 type outcome = { golden_signature : int; faulty_signature : int; detected : bool }
 
-let test_fault ?misr_width ?seed ?source compiled ~n_cycles (site : Faultsim.site) =
-  let fresh () = make_session ?misr_width ?seed ?source compiled ~n_cycles in
+let test_fault ?seed ?source compiled ~n_cycles (site : Faultsim.site) =
+  let fresh () = make_session ?seed ?source compiled ~n_cycles in
   let golden_signature = golden (fresh ()) in
   let faulty_signature =
     run_with (fresh ()) ~response:(fun p ->
@@ -86,10 +84,10 @@ let test_fault ?misr_width ?seed ?source compiled ~n_cycles (site : Faultsim.sit
 
 (* At-speed session against a delay fault: the responses are the timing
    model's sampled outputs. *)
-let test_delay_fault ?misr_width ?seed ?source compiled ~n_cycles ~gate_id ~factor ~period =
+let test_delay_fault ?seed ?source compiled ~n_cycles ~gate_id ~factor ~period =
   let delays = Timing.nominal_delays compiled in
   let slow = Timing.with_slow_gate delays ~gate_id ~factor in
-  let fresh () = make_session ?misr_width ?seed ?source compiled ~n_cycles in
+  let fresh () = make_session ?seed ?source compiled ~n_cycles in
   let golden_signature =
     run_with (fresh ()) ~response:(fun p -> Timing.at_speed_sample compiled delays ~period p)
   in
@@ -100,12 +98,12 @@ let test_delay_fault ?misr_width ?seed ?source compiled ~n_cycles ~gate_id ~fact
 
 (* Whole-universe self-test coverage: how many fault sites a session of
    [n_cycles] catches. *)
-let coverage ?misr_width ?seed ?source (u : Faultsim.universe) ~n_cycles =
+let coverage ?seed ?source (u : Faultsim.universe) ~n_cycles =
   let compiled = u.Faultsim.compiled in
   let detected = ref 0 in
   Array.iter
     (fun site ->
-      let o = test_fault ?misr_width ?seed ?source compiled ~n_cycles site in
+      let o = test_fault ?seed ?source compiled ~n_cycles site in
       if o.detected then incr detected)
     u.Faultsim.sites;
   float_of_int !detected /. float_of_int (max 1 (Faultsim.n_sites u))

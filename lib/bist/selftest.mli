@@ -15,14 +15,13 @@ type source =
 type session
 
 val make_session :
-  ?misr_width:int ->
   ?seed:int ->
   ?source:[ `Lfsr | `Bilbo | `Weighted of float array ] ->
   Compiled.t ->
   n_cycles:int ->
   session
 (** Sessions are stateful (the source advances); build a fresh one per
-    run. *)
+    run.  The MISR is 16 bits wide. *)
 
 val run_with : session -> response:(bool array -> bool array) -> int
 (** Run the session with a custom response function (fault injection /
@@ -34,7 +33,6 @@ val golden : session -> int
 type outcome = { golden_signature : int; faulty_signature : int; detected : bool }
 
 val test_fault :
-  ?misr_width:int ->
   ?seed:int ->
   ?source:[ `Lfsr | `Bilbo | `Weighted of float array ] ->
   Compiled.t ->
@@ -43,7 +41,6 @@ val test_fault :
   outcome
 
 val test_delay_fault :
-  ?misr_width:int ->
   ?seed:int ->
   ?source:[ `Lfsr | `Bilbo | `Weighted of float array ] ->
   Compiled.t ->
@@ -55,7 +52,6 @@ val test_delay_fault :
 (** At-speed session against a performance-degradation fault. *)
 
 val coverage :
-  ?misr_width:int ->
   ?seed:int ->
   ?source:[ `Lfsr | `Bilbo | `Weighted of float array ] ->
   Faultsim.universe ->

@@ -19,15 +19,15 @@ let pi_name i = Fmt.str "x%d" i
    technology.  For inverting technologies levels alternate NAND/NOR...;
    we keep the *function* a pure AND (resp. OR) by using De Morgan pairs,
    which keeps detection-probability analysis clean. *)
-let tree ~op ~technology ~fanin ~n ?(name_prefix = "t") () =
+let tree ~op ~technology ~fanin ~n =
   if fanin < 2 then invalid_arg "Generators.tree: fanin >= 2";
-  let name = Fmt.str "%s_%s%d_n%d" name_prefix (match op with `And -> "and" | `Or -> "or") fanin n in
+  let name = Fmt.str "t_%s%d_n%d" (match op with `And -> "and" | `Or -> "or") fanin n in
   let b = Netlist.Builder.create name in
   let fresh =
     let k = ref 0 in
     fun () ->
       incr k;
-      Fmt.str "%s%d" name_prefix !k
+      Fmt.str "t%d" !k
   in
   let pis = List.init n pi_name in
   List.iter (fun p -> ignore (Netlist.Builder.input b p)) pis;
@@ -67,8 +67,8 @@ let tree ~op ~technology ~fanin ~n ?(name_prefix = "t") () =
   Netlist.Builder.output b root;
   Netlist.Builder.finish b
 
-let and_tree ?(fanin = 2) ~technology n = tree ~op:`And ~technology ~fanin ~n ()
-let or_tree ?(fanin = 2) ~technology n = tree ~op:`Or ~technology ~fanin ~n ()
+let and_tree ?(fanin = 2) ~technology n = tree ~op:`And ~technology ~fanin ~n
+let or_tree ?(fanin = 2) ~technology n = tree ~op:`Or ~technology ~fanin ~n
 
 (* --- Carry chain --------------------------------------------------------
    c_{i+1} = g_i + p_i * c_i: monotone, single-rail domino-legal, and the

@@ -4,14 +4,7 @@ open Dynmos_netlist
 (** Benchmark circuit generators: reconstructable workloads for the
     paper's techniques (the original evaluation circuits are lost). *)
 
-val tree :
-  op:[ `And | `Or ] ->
-  technology:Technology.t ->
-  fanin:int ->
-  n:int ->
-  ?name_prefix:string ->
-  unit ->
-  Netlist.t
+val tree : op:[ `And | `Or ] -> technology:Technology.t -> fanin:int -> n:int -> Netlist.t
 (** Balanced gate tree computing an [n]-ary AND/OR (De Morgan pairs keep
     the global function pure for inverting technologies). *)
 

@@ -31,10 +31,12 @@ let cost u ~objective ~confidence ~pi_weights =
   if p_min <= 1e-12 then (1, -.p_min)
   else (0, float_of_int (Test_length.required_length ~confidence probs))
 
-let default_grid = [ 0.05; 0.1; 0.2; 0.3; 0.4; 0.5; 0.6; 0.7; 0.8; 0.9; 0.95 ]
+(* The candidate probabilities of each input, and the most sweeps over
+   all inputs. *)
+let grid = [ 0.05; 0.1; 0.2; 0.3; 0.4; 0.5; 0.6; 0.7; 0.8; 0.9; 0.95 ]
+let max_passes = 8
 
-let optimize ?(objective = Estimated) ?(grid = default_grid) ?(max_passes = 8)
-    ~confidence (u : Faultsim.universe) initial =
+let optimize ?(objective = Estimated) ~confidence (u : Faultsim.universe) initial =
   let n = Array.length initial in
   let weights = Array.copy initial in
   let best_cost = ref (cost u ~objective ~confidence ~pi_weights:weights) in
@@ -77,10 +79,10 @@ let length_opt u ~objective ~confidence ~pi_weights =
   | n -> Some n
   | exception Test_length.Undetectable -> None
 
-let run ?(objective = Estimated) ?grid ?max_passes ~confidence u =
+let run ?(objective = Estimated) ~confidence u =
   let n = Dynmos_sim.Compiled.n_inputs u.Faultsim.compiled in
   let initial = Array.make n 0.5 in
-  let optimized = optimize ~objective ?grid ?max_passes ~confidence u initial in
+  let optimized = optimize ~objective ~confidence u initial in
   let initial_length = length_opt u ~objective ~confidence ~pi_weights:initial in
   let optimized_length = length_opt u ~objective ~confidence ~pi_weights:optimized in
   let reduction =

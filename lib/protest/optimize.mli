@@ -9,14 +9,13 @@ type objective = Estimated | Exact
 
 val optimize :
   ?objective:objective ->
-  ?grid:float list ->
-  ?max_passes:int ->
   confidence:float ->
   Faultsim.universe ->
   float array ->
   float array
-(** Cyclic coordinate descent over a probability grid, starting from the
-    given weights; deterministic. *)
+(** Cyclic coordinate descent over the grid 0.05, 0.1, 0.2, ..., 0.9,
+    0.95, at most 8 passes, starting from the given weights;
+    deterministic. *)
 
 type result = {
   initial_weights : float array;
@@ -28,8 +27,6 @@ type result = {
 
 val run :
   ?objective:objective ->
-  ?grid:float list ->
-  ?max_passes:int ->
   confidence:float ->
   Faultsim.universe ->
   result
@@ -44,5 +41,3 @@ val cost :
   int * float
 (** The lexicographic objective (exposed for tests): get all faults
     detectable first, then minimize length. *)
-
-val default_grid : float list

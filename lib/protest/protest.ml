@@ -33,7 +33,10 @@ type report = {
   optimization : Optimize.result option;
 }
 
-let analyze ?electrical ?(confidence = 0.999) ?(optimize = false) ?(exact_limit = 14)
+(* Exact detection probabilities up to this many primary inputs. *)
+let exact_limit = 14
+
+let analyze ?electrical ?(confidence = 0.999) ?(optimize = false)
     ?(pi_weights : float array option) netlist =
   let u = Faultsim.universe ?electrical netlist in
   let compiled = u.Faultsim.compiled in

@@ -31,12 +31,11 @@ val analyze :
   ?electrical:Fault_map.electrical ->
   ?confidence:float ->
   ?optimize:bool ->
-  ?exact_limit:int ->
   ?pi_weights:float array ->
   Netlist.t ->
   report
-(** Run the pipeline.  Exact probabilities are used up to [exact_limit]
-    primary inputs (default 14), estimates beyond. *)
+(** Run the pipeline.  Exact probabilities are used up to 14 primary
+    inputs, estimates beyond. *)
 
 val patterns : ?seed:int -> report -> count:int -> bool array array
 (** Weighted random patterns with the report's (optimized, if present)

@@ -22,7 +22,10 @@ let confidence ~n detection_probs =
 
 exception Undetectable
 
-let required_length ?(max_length = 1 lsl 40) ~confidence:c detection_probs =
+(* Past this length a fault counts as undetectable. *)
+let max_length = 1 lsl 40
+
+let required_length ~confidence:c detection_probs =
   if not (c > 0.0 && c < 1.0) then invalid_arg "Test_length: confidence must be in (0,1)";
   if Array.exists (fun p -> clamp p <= 0.0) detection_probs then raise Undetectable;
   if Array.length detection_probs = 0 then 0

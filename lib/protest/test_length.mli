@@ -11,9 +11,10 @@ exception Undetectable
 val confidence : n:int -> float array -> float
 (** Probability that [n] random patterns detect all faults. *)
 
-val required_length : ?max_length:int -> confidence:float -> float array -> int
+val required_length : confidence:float -> float array -> int
 (** Minimal [n] reaching the demanded confidence (exact bisection).
-    @raise Undetectable on zero-probability faults
+    @raise Undetectable on zero-probability faults, or when [n] would
+    exceed 2^40
     @raise Invalid_argument unless confidence is in (0,1) *)
 
 val required_length_worst : confidence:float -> float array -> int

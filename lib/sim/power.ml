@@ -14,16 +14,19 @@ open Dynmos_cell
    vector.  Detection compares the measured current against the expected
    baseline distribution. *)
 
-type model = {
-  leak_mean : float;      (* per-transistor baseline leakage *)
-  leak_sigma : float;     (* per-transistor variation (std dev) *)
-  defect_current : float; (* current of one active faulty Vdd-GND path *)
-}
+(* Per-transistor baseline leakage and its variation (std dev), and the
+   current of one active faulty Vdd-GND path: calibrated so that the
+   single-defect current stands out of the baseline spread on cell-sized
+   blocks but drowns in it past a few thousand transistors — the Section
+   4(b) observation, made quantitative. *)
+let leak_mean = 2e-2
+let leak_sigma = 5e-3
+let defect_current = 0.5
 
-(* Calibrated so that the single-defect current stands out of the baseline
-   spread on cell-sized blocks but drowns in it past a few thousand
-   transistors — the Section 4(b) observation, made quantitative. *)
-let default_model = { leak_mean = 2e-2; leak_sigma = 5e-3; defect_current = 0.5 }
+(* The detection threshold, in baseline std devs above the mean, and the
+   Monte-Carlo trials of [detection_rate]. *)
+let k_sigma = 3.0
+let trials = 200
 
 (* Gaussian via Box-Muller on the deterministic PRNG. *)
 let gaussian prng ~mu ~sigma =
@@ -31,11 +34,11 @@ let gaussian prng ~mu ~sigma =
   let u2 = Prng.float prng in
   mu +. (sigma *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))
 
-let baseline_current ?(model = default_model) prng compiled =
+let baseline_current prng compiled =
   let n = Netlist.n_transistors (Compiled.netlist compiled) in
   let total = ref 0.0 in
   for _ = 1 to n do
-    total := !total +. Float.max 0.0 (gaussian prng ~mu:model.leak_mean ~sigma:model.leak_sigma)
+    total := !total +. Float.max 0.0 (gaussian prng ~mu:leak_mean ~sigma:leak_sigma)
   done;
   !total
 
@@ -54,31 +57,30 @@ let bridge_active compiled ~gate_id pi =
   | Technology.Static_cmos | Technology.Nmos_pulldown | Technology.Bipolar ->
       invalid_arg "Power.bridge_active: precharged technologies only"
 
-let measured_current ?(model = default_model) prng compiled ~faulty_gate pi =
-  let base = baseline_current ~model prng compiled in
+let measured_current prng compiled ~faulty_gate pi =
+  let base = baseline_current prng compiled in
   match faulty_gate with
-  | Some gate_id when bridge_active compiled ~gate_id pi -> base +. model.defect_current
+  | Some gate_id when bridge_active compiled ~gate_id pi -> base +. defect_current
   | Some _ | None -> base
 
 (* Expected baseline statistics for thresholding: mean and std dev of the
    total leakage of a circuit with n transistors. *)
-let baseline_stats ?(model = default_model) compiled =
+let baseline_stats compiled =
   let n = float_of_int (Netlist.n_transistors (Compiled.netlist compiled)) in
   (* Truncation at zero slightly biases the per-device mean upward; for
      the detection-shape experiment the Gaussian approximation is fine. *)
-  (n *. model.leak_mean, sqrt n *. model.leak_sigma)
+  (n *. leak_mean, sqrt n *. leak_sigma)
 
-let iddq_detects ?(model = default_model) ?(k_sigma = 3.0) prng compiled ~faulty_gate pi =
-  let mu, sigma = baseline_stats ~model compiled in
-  let current = measured_current ~model prng compiled ~faulty_gate pi in
+let iddq_detects prng compiled ~faulty_gate pi =
+  let mu, sigma = baseline_stats compiled in
+  let current = measured_current prng compiled ~faulty_gate pi in
   current > mu +. (k_sigma *. sigma)
 
 (* Probability (Monte Carlo) that a vector's IDDQ measurement flags the
    fault, and the corresponding false-positive rate on a fault-free die. *)
-let detection_rate ?(model = default_model) ?(k_sigma = 3.0) ?(trials = 200) prng compiled
-    ~faulty_gate pi =
+let detection_rate prng compiled ~faulty_gate pi =
   let hits = ref 0 in
   for _ = 1 to trials do
-    if iddq_detects ~model ~k_sigma prng compiled ~faulty_gate pi then incr hits
+    if iddq_detects prng compiled ~faulty_gate pi then incr hits
   done;
   float_of_int !hits /. float_of_int trials

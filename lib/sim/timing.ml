@@ -13,8 +13,7 @@ open Dynmos_netlist
 
 type delays = float array  (* per gate id *)
 
-let nominal_delays ?(delay = 1.0) compiled =
-  Array.make (Array.length (Compiled.gates compiled)) delay
+let nominal_delays compiled = Array.make (Array.length (Compiled.gates compiled)) 1.0
 
 let with_slow_gate delays ~gate_id ~factor =
   let d = Array.copy delays in

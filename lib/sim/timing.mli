@@ -10,7 +10,8 @@
 type delays = float array
 (** Delay per gate id. *)
 
-val nominal_delays : ?delay:float -> Compiled.t -> delays
+val nominal_delays : Compiled.t -> delays
+(** One unit of delay per gate. *)
 
 val with_slow_gate : delays -> gate_id:int -> factor:float -> delays
 
