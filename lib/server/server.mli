@@ -35,7 +35,8 @@ open Dynmos_obs
     - {e admission control}: run requests pass through a bounded pending
       queue; once full, new work is rejected immediately with
       [{"status":"overloaded"}] — backpressure instead of unbounded
-      memory.  An optional global gate-eval budget rejects work once
+      memory.  An optional global gate-eval budget, charged each miss's
+      [gate_evals] from the engine's run counts, rejects work once
       exhausted;
     - {e cancellation}: a client that disconnects mid-service has its
       queued jobs dropped and its running jobs interrupted at the next
@@ -204,7 +205,8 @@ val serve_socket : t -> string -> unit
     until {!request_drain}.  A connection dying mid-response only
     cancels that client's work.  The accept loop [select]s on the
     listening socket and the wake pipe, so a drain wakes it even with no
-    client connected.  Then live connections are half-closed (a client's
+    client connected; an [accept] out of fds pauses 50 ms and selects
+    again, leaving the connection in the backlog.  Then live connections are half-closed (a client's
     further writes fail with [EPIPE]), every admitted job is answered,
     the call waits until each connection's session has ended and closed
     its fd, and the socket file is unlinked. *)

@@ -353,7 +353,7 @@ let test_overload () =
   check_i "nothing lost" 6 (counts "ok" + counts "partial" + counts "overloaded" + counts "error")
 
 (* A request's [jobs] is clamped to the host's recommended domain
-   count before the ppsfp engine sees it: the forwarded faultsim.run
+   count before the ppsfp engine sees it: the traced faultsim.run
    event reports the clamped request.  carry8's work estimate keeps the
    effective count at 1, so no extra domain starts. *)
 let test_jobs_capped () =
