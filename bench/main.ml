@@ -658,9 +658,8 @@ let durable_probe ~journal count () =
   in
   let t_plain, t_durable, ratio = paired (serial u pats) durable in
   Option.iter Journal.close j;
-  List.iter
-    (fun p -> if Sys.file_exists p then Sys.remove p)
-    [ base; base ^ ".ckpt"; base ^ ".ckpt.bak"; base ^ ".journal" ];
+  Checkpoint.remove (base ^ ".ckpt");
+  List.iter (fun p -> if Sys.file_exists p then Sys.remove p) [ base; base ^ ".journal" ];
   Json.(
     Obj
       [ ("interval", Int 1000); ("patterns", Int count); ("without", seconds t_plain);

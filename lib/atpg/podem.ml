@@ -26,8 +26,6 @@ open Dynmos_faultsim
 
 type result = Test of bool array | Untestable | Aborted
 
-let is_test = function Test _ -> true | Untestable | Aborted -> false
-
 (* Three-valued evaluation of a compiled gate function. *)
 let eval_fn3 (fn : Compiled.gate_fn) (ins : Logic.v array) =
   let tt = fn.Compiled.table in

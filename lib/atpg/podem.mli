@@ -8,8 +8,6 @@ open Dynmos_faultsim
 
 type result = Test of bool array | Untestable | Aborted
 
-val is_test : result -> bool
-
 val generate : Faultsim.universe -> Faultsim.site -> result
 (** Find an input vector detecting one fault site ([Untestable] when the
     search space is exhausted, [Aborted] past 1000 backtracks). *)

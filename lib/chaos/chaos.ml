@@ -96,7 +96,6 @@ type t = {
   mu : Mutex.t;
   mutable total : int;
   journal_q : (string * string) Queue.t;
-  mutable journal_dropped : int;
 }
 
 let journal_cap = 10_000
@@ -110,7 +109,6 @@ let disabled =
     mu = Mutex.create ();
     total = 0;
     journal_q = Queue.create ();
-    journal_dropped = 0;
   }
 
 let enabled t = t.armed
@@ -142,7 +140,6 @@ let create ?(seed = 0) plan =
         mu = Mutex.create ();
         total = 0;
         journal_q = Queue.create ();
-        journal_dropped = 0;
       }
 
 let action_spec = function
@@ -229,10 +226,7 @@ let () =
 
 let note t p verdict =
   t.total <- t.total + 1;
-  if Queue.length t.journal_q >= journal_cap then begin
-    ignore (Queue.pop t.journal_q);
-    t.journal_dropped <- t.journal_dropped + 1
-  end;
+  if Queue.length t.journal_q >= journal_cap then ignore (Queue.pop t.journal_q);
   Queue.push (point_name p, verdict) t.journal_q
 
 let decide t p =

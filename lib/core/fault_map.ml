@@ -67,10 +67,6 @@ type logical =
       (* both networks conduct for [fight_when]; the ratioed fight resolves
          to [resolves_to] with degraded timing (the Fig. 2 inverter) *)
 
-let is_combinational = function
-  | Combinational _ -> true
-  | Delay _ | Sequential _ | Contention _ -> false
-
 let stuck_at_output b = Combinational (Expr.Const b)
 
 (* Wrap a faulty transmission function into the cell's logic convention. *)

@@ -42,8 +42,6 @@ type logical =
       (** both networks conduct on [fight_when]; the ratioed fight resolves
           to [resolves_to] with degraded timing (the Fig. 2 inverter) *)
 
-val is_combinational : logical -> bool
-
 val map : ?electrical:electrical -> Cell.t -> Fault.physical -> logical
 (** The Section-3 case analysis.  @raise Invalid_argument when the fault
     does not apply to the cell's technology. *)

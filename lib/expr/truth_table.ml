@@ -44,14 +44,6 @@ let create vars f =
   done;
   t
 
-let var_index t v =
-  let rec find i =
-    if i >= Array.length t.vars then None
-    else if String.equal t.vars.(i) v then Some i
-    else find (i + 1)
-  in
-  find 0
-
 let of_expr ?vars e =
   let vars =
     match vars with Some vs -> vs | None -> Array.of_list (Expr.support e)

@@ -29,9 +29,6 @@ val n_rows : t -> int
 val get : t -> int -> bool
 (** Value at a row index. *)
 
-val var_index : t -> string -> int option
-(** Position of a variable in the ordering. *)
-
 val equal : t -> t -> bool
 (** Same ordering and same function. *)
 

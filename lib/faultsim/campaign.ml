@@ -13,10 +13,9 @@ module Chaos = Dynmos_chaos.Chaos
    behind serial and PPSFP, at any domain count, or a test oracle) one
    pattern unit at a time.
 
-   Limits precedence is fixed by [Limits.check]'s polling order
-   (interrupt > deadline > max_evals); every engine polls the same gauge
-   at the same unit boundaries, so all resolve simultaneous limits
-   identically. *)
+   The sweeping domain checks the limits after every unit, in a fixed
+   order (interrupt > deadline > max_evals), so every engine resolves
+   simultaneous limits identically. *)
 
 type summary = {
   n_sites : int;
@@ -141,7 +140,21 @@ let run_patterns ?(drop = true) ?(obs = Obs.disabled) ?deadline ?max_evals ?inte
   let evals = ref 0 and saved = ref 0 and units = ref 0 in
   let work = ref 0 in
   let retries = ref 0 in
-  let gauge = Limits.gauge (Limits.make ?deadline ?max_evals ?interrupt ()) in
+  (match max_evals with
+  | Some m when m < 1 ->
+      invalid_arg (Printf.sprintf "Campaign.run_patterns: max_evals must be >= 1 (got %d)" m)
+  | _ -> ());
+  (* The first limit found tripped after a unit stops the sweep: a
+     campaign may overshoot a limit by at most one unit.  [work] counts
+     the run's gate evaluations, the budget's unit. *)
+  let stop_cause () =
+    if (match interrupt with Some f -> f () | None -> false) then Some Outcome.Interrupted
+    else if (match deadline with Some d -> Unix.gettimeofday () >= d | None -> false) then
+      Some Outcome.Deadline
+    else if (match max_evals with Some m -> !work >= m | None -> false) then
+      Some Outcome.Max_evals
+    else None
+  in
   let pos = ref (preload checkpoint first) in
   let undetected = ref (n - detected_count first) in
   let detect ~sid ~pat =
@@ -188,11 +201,11 @@ let run_patterns ?(drop = true) ?(obs = Obs.disabled) ?deadline ?max_evals ?inte
         if retry then supervise ~sid ~restore f else None
   in
   let ctx = { Kernel.drop; first; failed; work; detect; supervise } in
-  let stopping = ref false in
+  let stopped = ref None in
   (* Early exit: once every site is detected (and dropping is on), the
      remaining patterns can neither detect anything new nor simulate
      anything — skip them entirely. *)
-  while !pos < total && (not (drop && !undetected = 0)) && not !stopping do
+  while !pos < total && (not (drop && !undetected = 0)) && !stopped = None do
     let len = min unit_bits (total - !pos) in
     (* Unified accounting, decided before the kernel runs: one kernel
        evaluation per live site per unit; a dropped site's unit is
@@ -202,27 +215,25 @@ let run_patterns ?(drop = true) ?(obs = Obs.disabled) ?deadline ?max_evals ?inte
       else if drop && first.(sid) <> None then incr saved
       else incr evals
     done;
-    let w0 = !work in
     kernel.Kernel.run_unit ctx ~start:!pos ~len;
     incr units;
     pos := !pos + len;
-    Limits.add_evals gauge (!work - w0);
-    if Limits.check gauge then stopping := true;
+    stopped := stop_cause ();
     tick checkpoint ~obs ~engine ~units_done:!pos ~first;
     on_progress ~units_done:!pos ~detected:(n - !undetected)
   done;
   let live = n - Array.fold_left (fun a f -> if f then a + 1 else a) 0 failed in
-  if !pos < total && not !stopping then
+  if !pos < total && !stopped = None then
     saved := !saved + (live * ((total - !pos + unit_bits - 1) / unit_bits));
   finalize checkpoint ~obs ~engine ~units_done:!pos ~first;
   let failed_sites = List.sort compare !failures in
-  let outcome = Outcome.make ?stopped:(Limits.stopped gauge) ~failed_sites () in
+  let outcome = Outcome.make ?stopped:!stopped ~failed_sites () in
   (* A stopped pattern sweep has resolved exactly the detected sites (a
      detection is final once found; undetected sites still had patterns
      to see); a finished sweep has resolved everything but the failed
      sites. *)
   let sites_done =
-    if !stopping then detected_count first else n - List.length failed_sites
+    if !stopped <> None then detected_count first else n - List.length failed_sites
   in
   let summary =
     { n_sites = n; n_patterns = total; first_detection = first; outcome; patterns_done = !pos;

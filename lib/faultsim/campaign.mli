@@ -1,7 +1,7 @@
 (** The unified campaign driver.
 
-    One implementation of every campaign policy — {!Limits} (precedence
-    interrupt > deadline > budget, fixed by the gauge's polling order),
+    One implementation of every campaign policy — limits (precedence
+    interrupt > deadline > budget, fixed by the driver's check order),
     {!Checkpoint} write/resume, supervision/retry, counters, fault
     dropping and the all-detected early exit — shared by both public
     entry points.  Kernels ({!Kernel.t}) carry only evaluation
@@ -64,10 +64,16 @@ val run_patterns :
 (** Drive a pattern-sweep kernel over [total] patterns.  The driver owns
     the per-site detection state, the drop/early-exit decisions, the
     run's {!counts} (one kernel evaluation per live site per pattern
-    unit), checkpoint preload/tick/finalize, the limits gauge (fed the
-    kernel's gate-level work at unit boundaries) and the
+    unit), checkpoint preload/tick/finalize, the limits and the
     ["faultsim.run"] obs emission.  [on_counts] receives the counts
     once, on return.
+
+    After every unit the sweeping domain checks [interrupt], then
+    [deadline] (absolute epoch seconds), then [max_evals] against the
+    run's gate evaluations so far; the first that trips stops the sweep
+    and is the [Partial] outcome's cause.  A run may overshoot a limit
+    by at most one unit.  Raises [Invalid_argument] when [max_evals]
+    < 1.
 
     A supervised evaluation that raises is retried at once, up to three
     attempts in all; [chaos] (default disabled) arms the [exec.job]

@@ -88,6 +88,8 @@ let load path =
     prng_state = Durable.field_opt r "prng";
   }
 
+let backup path = path ^ ".bak"
+
 let load_or_backup path =
   (* Reject-then-fallback: a corrupt (or mid-rotation missing) primary
      does not kill the resume when the previous snapshot is still valid.
@@ -96,7 +98,7 @@ let load_or_backup path =
   match load path with
   | st -> (st, false)
   | exception Error primary_err -> (
-      match load (path ^ ".bak") with
+      match load (backup path) with
       | st -> (st, true)
       | exception Error _ -> raise (Error primary_err))
 
@@ -104,20 +106,19 @@ let load_or_backup path =
    writer for [path] exists then, so every tmp sibling is garbage. *)
 let cleanup_stale path = Durable.sweep_stale path
 
+let remove path =
+  List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ path; backup path ]
+
 (* --- Controllers ------------------------------------------------------------- *)
 
 (* The mutable handle threaded into the engines.  [tick] throttles writes
    to every [interval] completed patterns; [finalize] always writes.
-   Only the campaign driver's sweeping domain calls either. *)
+   Only the campaign driver's sweeping domain calls either.  [campaign]
+   holds everything a write stores but the progress itself. *)
 type ctl = {
   path : string;
   interval : int;
-  circuit_digest : string;
-  universe_digest : string;
-  pattern_digest : string;
-  n_sites : int;
-  n_patterns : int;
-  prng_state : string option;
+  campaign : state;
   resume : state option;
   resumed_from_backup : bool;
   chaos : Chaos.t;
@@ -127,12 +128,20 @@ type ctl = {
   stale_cleaned : int;
 }
 
-let create ~path ~interval ?prng_state ?resume ?(resumed_from_backup = false)
-    ?(chaos = Chaos.disabled) ~circuit_digest ~universe_digest ~pattern_digest ~n_sites
-    ~n_patterns () =
+let create ~path ~interval ?(resume = false) ?prng_state ?(chaos = Chaos.disabled)
+    ~circuit_digest ~universe_digest ~pattern_digest ~n_sites ~n_patterns () =
+  (* A missing file and [.bak] under [resume] is a fresh start, not an
+     error: a campaign killed before its first tick leaves no
+     checkpoint, and its retry must still come up. *)
+  let resume, resumed_from_backup =
+    if resume && (Sys.file_exists path || Sys.file_exists (backup path)) then
+      let st, from_bak = load_or_backup path in
+      (Some st, from_bak)
+    else (None, false)
+  in
   if interval < 1 then fail "checkpoint: interval must be >= 1 (got %d)" interval;
   let stale_cleaned = cleanup_stale path in
-  (match (resume : state option) with
+  (match resume with
   | Some st ->
       if st.n_sites <> n_sites then
         fail "checkpoint %s: has %d sites, campaign has %d" path st.n_sites n_sites;
@@ -153,12 +162,19 @@ let create ~path ~interval ?prng_state ?resume ?(resumed_from_backup = false)
   {
     path;
     interval;
-    circuit_digest;
-    universe_digest;
-    pattern_digest;
-    n_sites;
-    n_patterns;
-    prng_state;
+    campaign =
+      {
+        mode = Patterns;
+        circuit_digest;
+        universe_digest;
+        pattern_digest;
+        n_sites;
+        n_patterns;
+        units_done = 0;
+        first_detection = [||];
+        site_done = None;
+        prng_state;
+      };
     resume;
     resumed_from_backup;
     chaos;
@@ -170,28 +186,13 @@ let create ~path ~interval ?prng_state ?resume ?(resumed_from_backup = false)
 
 let resume_state ctl = ctl.resume
 let resumed_from_backup ctl = ctl.resumed_from_backup
-let interval ctl = ctl.interval
 let path ctl = ctl.path
 let writes ctl = ctl.writes
 let failed_writes ctl = ctl.failed_writes
 let stale_cleaned ctl = ctl.stale_cleaned
 
 let write ctl ~units_done ~first_detection =
-  let st =
-    {
-      mode = Patterns;
-      circuit_digest = ctl.circuit_digest;
-      universe_digest = ctl.universe_digest;
-      pattern_digest = ctl.pattern_digest;
-      n_sites = ctl.n_sites;
-      n_patterns = ctl.n_patterns;
-      units_done;
-      first_detection = Array.copy first_detection;
-      site_done = None;
-      prng_state = ctl.prng_state;
-    }
-  in
-  save ~chaos:ctl.chaos ctl.path st;
+  save ~chaos:ctl.chaos ctl.path { ctl.campaign with units_done; first_detection };
   ctl.last_units <- units_done;
   ctl.writes <- ctl.writes + 1
 

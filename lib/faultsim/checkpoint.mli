@@ -16,8 +16,8 @@ exception Error of string
 (** [Durable.Error], shared with [Cache_store] and [Journal]: raised on
     unreadable, corrupted, version-incompatible or digest-mismatched
     checkpoint files, with messages that start [checkpoint FILE:].
-    Never raised for a merely missing file at the CLI level — see
-    [Faultsim.checkpoint_ctl]. *)
+    Never raised for a merely missing file under [resume] — see
+    {!create}. *)
 
 type mode =
   | Patterns
@@ -69,6 +69,11 @@ val cleanup_stale : string -> int
 (** [Dynmos_durable.Durable.sweep_stale] for a checkpoint path; call
     only at campaign start/resume ({!create} does this itself). *)
 
+val remove : string -> unit
+(** [remove path] deletes the checkpoint at [path] and its [.bak]
+    rotation; a file already gone is fine.  For a campaign whose result
+    is kept elsewhere, or a file no resume can use. *)
+
 (** {1 Controllers}
 
     The handle engines thread through a run.  It owns the write
@@ -81,9 +86,8 @@ type ctl
 val create :
   path:string ->
   interval:int ->
+  ?resume:bool ->
   ?prng_state:string ->
-  ?resume:state ->
-  ?resumed_from_backup:bool ->
   ?chaos:Dynmos_chaos.Chaos.t ->
   circuit_digest:string ->
   universe_digest:string ->
@@ -92,20 +96,24 @@ val create :
   n_patterns:int ->
   unit ->
   ctl
-(** Build a controller for this campaign.  When [resume] is given, its
-    digests and dimensions must match the fresh campaign's — {!Error}
-    otherwise (resuming against a different circuit, universe or pattern
-    set would silently corrupt coverage numbers).  Creation also runs
-    {!cleanup_stale} for [path].  [chaos] is threaded into every write
-    this controller performs. *)
+(** Build a controller for this campaign.  When [resume] (default
+    [false]) is true and [path] or its [.bak] exists, the saved state is
+    loaded with {!load_or_backup}; a missing pair is a fresh start, not
+    an error (a campaign killed before its first write left nothing
+    behind).  The loaded state's digests and dimensions must match the
+    fresh campaign's — {!Error} otherwise (resuming against a different
+    circuit, universe or pattern set would silently corrupt coverage
+    numbers).  Creation also runs {!cleanup_stale} for [path].  [chaos]
+    is threaded into every write this controller performs. *)
 
 val resume_state : ctl -> state option
-(** The validated state passed as [?resume], for engines to preload. *)
+(** The state {!create} loaded and validated, for the driver to
+    preload; [None] on a fresh start. *)
 
 val resumed_from_backup : ctl -> bool
 (** Whether the resume state was salvaged from the [.bak] rotation
-    rather than the primary file (set by the caller that loaded it; a
-    durability stat, not a behavior change). *)
+    rather than the primary file (a durability stat, not a behavior
+    change). *)
 
 val tick : ctl -> units_done:int -> first_detection:int option array -> bool
 (** Interval-gated write: persists a snapshot iff at least [interval]
@@ -120,7 +128,6 @@ val finalize : ctl -> units_done:int -> first_detection:int option array -> unit
     summary.  Retries once on failure, then absorbs it (counted in
     {!failed_writes}); the previous [.bak] stays resumable. *)
 
-val interval : ctl -> int
 val path : ctl -> string
 
 val writes : ctl -> int

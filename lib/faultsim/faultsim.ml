@@ -468,22 +468,11 @@ let patterns_digest (patterns : bool array array) =
     patterns;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-let checkpoint_ctl ~path ~interval ?(resume = false) ?prng_state ?chaos ?digests u patterns =
-  (* a missing file under [resume] is a fresh start, not an error: a
-     campaign killed before its first tick leaves no checkpoint, and its
-     retry must still come up.  A corrupt primary falls back to the .bak
-     rotated by the previous run's writes. *)
-  let resume_state, resumed_from_backup =
-    if resume && (Sys.file_exists path || Sys.file_exists (path ^ ".bak")) then
-      let st, from_bak = Checkpoint.load_or_backup path in
-      (Some st, from_bak)
-    else (None, false)
-  in
+let checkpoint_ctl ~path ~interval ?resume ?prng_state ?chaos ?digests u patterns =
   let circuit_digest, universe_digest, pattern_digest =
     match digests with
     | Some d -> d
     | None -> (circuit_digest u, universe_digest u, patterns_digest patterns)
   in
-  Checkpoint.create ~path ~interval ?prng_state ?resume:resume_state ~resumed_from_backup
-    ?chaos ~circuit_digest ~universe_digest ~pattern_digest ~n_sites:(n_sites u)
-    ~n_patterns:(Array.length patterns) ()
+  Checkpoint.create ~path ~interval ?resume ?prng_state ?chaos ~circuit_digest ~universe_digest
+    ~pattern_digest ~n_sites:(n_sites u) ~n_patterns:(Array.length patterns) ()

@@ -114,7 +114,8 @@ val detects : universe -> site -> bool array -> bool
     event-driven propagation avoided relative to whole-circuit sweeps.
     Neither changes results: summaries are bit-identical (tested).
 
-    {b Robustness} (see also {!Outcome}, {!Limits}, {!Checkpoint}):
+    {b Robustness} (see also {!Outcome}, {!Campaign.run_patterns},
+    {!Checkpoint}):
     every engine takes [?deadline] (absolute epoch seconds),
     [?max_evals] (a gate-evaluation budget) and [?interrupt] (a polled
     cooperative stop flag).  A tripped limit stops the sweep cleanly at
@@ -236,14 +237,13 @@ val checkpoint_ctl :
   bool array array ->
   Checkpoint.ctl
 (** Build the checkpoint controller to pass as [?checkpoint] to any
-    engine: computes the campaign digests and, when [resume] is true and
-    [path] (or its [.bak] sibling) exists, loads and validates the saved
-    state — falling back to the [.bak] when the primary is corrupt or
-    missing, see {!Checkpoint.load_or_backup} (a {e missing} pair under
-    [resume] is a fresh start, not an error — a campaign killed before
-    its first tick left nothing behind).  Stale temp files from crashed
-    writers are cleaned up on creation.  [interval] is in completed
-    patterns.  [prng_state] (a {!Prng.save} token) is stored for
+    engine: {!Checkpoint.create} with the campaign's digests and
+    dimensions.  When [resume] is true, the controller loads and
+    validates the saved state itself — falling back to the [.bak] when
+    the primary is corrupt or missing (a {e missing} pair is a fresh
+    start, not an error — a campaign killed before its first tick left
+    nothing behind).  Stale temp files from crashed writers are cleaned
+    up on creation.  [interval] is in completed patterns.  [prng_state] (a {!Prng.save} token) is stored for
     diagnostics; resume regenerates patterns from the seed and validates
     them via the pattern digest.  [chaos] is threaded into every write
     (the [ckpt.write] / [ckpt.fsync] / [ckpt.rename] points).

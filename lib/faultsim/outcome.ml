@@ -41,8 +41,6 @@ let to_string = function
       in
       "partial(" ^ String.concat "," parts ^ ")"
 
-let pp ppf t = Format.pp_print_string ppf (to_string t)
-
 (* CLI convention: 0 = complete campaign, 2 = partial results delivered.
    (130 — interrupted by SIGINT/SIGTERM — is decided by the CLI itself,
    which knows whether the stop came from a signal.) *)

@@ -32,7 +32,6 @@ val stop_cause_name : stop_cause -> string
     events. *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 
 val exit_code : t -> int
 (** CLI convention: 0 for [Complete], 2 for [Partial]. *)

@@ -77,7 +77,6 @@ type t = {
   generation : int;
   mutable appends : int;
   mutable fsyncs : int;
-  mutable failed_appends : int;
   mutable compactions : int;
   truncated_tail : int;
   stale_cleaned : int;
@@ -171,11 +170,8 @@ let append_record ?(tap = true) t payload =
   let line = encode payload in
   (match (if tap then Chaos.decide t.chaos Chaos.Journal_append else Chaos.Pass) with
   | Chaos.Pass -> ()
-  | Chaos.Fail ->
-      t.failed_appends <- t.failed_appends + 1;
-      fail "journal %s: injected append failure" t.path
+  | Chaos.Fail -> fail "journal %s: injected append failure" t.path
   | Chaos.Torn ->
-      t.failed_appends <- t.failed_appends + 1;
       output_string oc (String.sub line 0 (String.length line / 2));
       flush oc;
       fail "journal %s: injected torn append" t.path);
@@ -257,7 +253,6 @@ let open_ ?(chaos = Chaos.disabled) ?(rotate_limit = 1024) path =
       generation = generation + 1;
       appends = 0;
       fsyncs = 0;
-      failed_appends = 0;
       compactions = 0;
       truncated_tail = (if torn then 1 else 0);
       stale_cleaned;
@@ -307,12 +302,10 @@ let close t =
           close_out_noerr oc;
           t.oc <- None)
 
-let path t = t.path
 let generation t = t.generation
 let pending_count t = locked t (fun () -> Hashtbl.length t.pending)
 let appends t = locked t (fun () -> t.appends)
 let fsyncs t = locked t (fun () -> t.fsyncs)
-let failed_appends t = locked t (fun () -> t.failed_appends)
 let compactions t = locked t (fun () -> t.compactions)
 let truncated_tail t = t.truncated_tail
 let stale_cleaned t = t.stale_cleaned

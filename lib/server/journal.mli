@@ -66,8 +66,6 @@ val compact : t -> unit
 val close : t -> unit
 (** Close the segment channel.  Further appends raise {!Error}. *)
 
-val path : t -> string
-
 val generation : t -> int
 (** This boot's generation: 1 on a fresh journal, previous + 1 after
     every recovery (the [restart_generation] stats counter). *)
@@ -75,7 +73,6 @@ val generation : t -> int
 val pending_count : t -> int
 val appends : t -> int
 val fsyncs : t -> int
-val failed_appends : t -> int
 val compactions : t -> int
 
 val truncated_tail : t -> int

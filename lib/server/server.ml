@@ -110,10 +110,7 @@ let make_counters () =
    mutated post-run); the mutex covers table and LRU-stamp state. *)
 module Cache = struct
   type entry = {
-    summary : Faultsim.summary;
-    dt_s : float;    (* wall clock of the run that produced the entry *)
-    evals : int;     (* gate evaluations that run performed *)
-    n_sites : int;
+    result : Cache_store.entry;  (* what a hit answers, and what persists *)
     recovered : bool;        (* produced by restart recovery (disk load or replay) *)
     mutable persisted : bool;  (* has an on-disk twin in data-dir/cache *)
     mutable stamp : int;  (* LRU clock at last touch *)
@@ -160,9 +157,11 @@ module Cache = struct
     end
 
   (* Returns the key evicted to make room, if any, so the caller can
-     delete its disk copy. *)
-  let add c key entry =
-    if c.cap = 0 then None
+     delete its disk copy.  At capacity 0 the refused key itself counts
+     as evicted: a boot then deletes what a cached run left on disk. *)
+  let add c entry =
+    let key = entry.result.Cache_store.key in
+    if c.cap = 0 then Some key
     else begin
       Mutex.lock c.m;
       let evicted = ref None in
@@ -199,13 +198,13 @@ module Cache = struct
     Mutex.unlock c.m;
     r
 
-  (* Every resident (key, entry) pair in key order — the maintenance
-     hook walks this to re-persist entries whose disk write failed. *)
+  (* Every resident entry in key order — the maintenance hook walks
+     this to re-persist entries whose disk write failed. *)
   let snapshot c =
     Mutex.lock c.m;
     let r = Hashtbl.fold (fun k e acc -> (k, e) :: acc) c.tbl [] in
     Mutex.unlock c.m;
-    List.sort (fun (a, _) (b, _) -> compare a b) r
+    List.map snd (List.sort (fun (a, _) (b, _) -> compare a b) r)
 end
 
 (* --- Clients -------------------------------------------------------------------- *)
@@ -506,9 +505,6 @@ let current_key key =
       && (drop = "true" || drop = "false")
   | _ -> false
 
-let remove_checkpoint path =
-  List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ path; path ^ ".bak" ]
-
 (* Build (or resume) the per-job checkpoint controller.  Only jobs big
    enough to be worth the write amplification get one ([ckpt_patterns]);
    a checkpoint corrupted beyond its [.bak] is discarded and the job
@@ -525,18 +521,9 @@ let job_checkpoint t (key, digests) u pats ~patterns =
       in
       (try Some (make ~resume:true)
        with Checkpoint.Error _ -> (
-         remove_checkpoint path;
+         Checkpoint.remove path;
          try Some (make ~resume:false) with Checkpoint.Error _ -> None))
   | _ -> None
-
-let ckpt_discard ckpt =
-  match ckpt with
-  | None -> ()
-  | Some ctl ->
-      (* A completed job's checkpoint is dead weight — worse, a stale one
-         would preload a finished state into an unrelated future run of
-         the same identity (harmlessly, but pointlessly). *)
-      remove_checkpoint (Checkpoint.path ctl)
 
 (* Publish an entry in memory and delete the disk copy of the entry it
    evicted, so the cache directory holds no more entries than the LRU
@@ -544,8 +531,8 @@ let ckpt_discard ckpt =
    cache mutex, and a file already gone is fine.  Should the evicted key
    be computed and persisted again in between, the new file goes too;
    that costs one miss after the next restart. *)
-let cache_add t key entry =
-  match (Cache.add t.rcache key entry, t.durable) with
+let cache_add t entry =
+  match (Cache.add t.rcache entry, t.durable) with
   | Some victim, Some d -> (
       try Sys.remove (Cache_store.file_of d.cache_dir victim) with Sys_error _ -> ())
   | _ -> ()
@@ -553,18 +540,9 @@ let cache_add t key entry =
 (* Write one entry to the data dir and count the outcome.  A failed
    persist is absorbed: the in-memory entry still serves this boot, only
    warm-restart reuse is lost (the maintenance hook retries). *)
-let persist t d key (e : Cache.entry) =
+let persist t d (e : Cache.entry) =
   let ok =
-    match
-      Cache_store.save ~chaos:t.config.chaos d.cache_dir
-        {
-          Cache_store.key;
-          summary = e.Cache.summary;
-          dt_s = e.Cache.dt_s;
-          evals = e.Cache.evals;
-          n_sites = e.Cache.n_sites;
-        }
-    with
+    match Cache_store.save ~chaos:t.config.chaos d.cache_dir e.Cache.result with
     | () -> true
     | exception Cache_store.Error _ -> false
   in
@@ -603,7 +581,8 @@ let exec_job t client job =
   | Some e ->
       (* Served from the cache: zero gate evaluations, nothing charged
          to the global budget, per-request limits vacuously satisfied. *)
-      (e.Cache.summary, e.Cache.dt_s, e.Cache.evals, e.Cache.n_sites, true, e.Cache.recovered)
+      let c = e.Cache.result in
+      (c.Cache_store.summary, c.dt_s, c.evals, c.n_sites, true, e.Cache.recovered)
   | None ->
       (* Global budget: admission control against a server-wide spend.
          Checked at execution time (the budget moves between admission
@@ -684,7 +663,10 @@ let exec_job t client job =
       ignore (Atomic.fetch_and_add t.global_evals evals);
       (match summary.Faultsim.outcome with
       | Outcome.Complete ->
-          ckpt_discard ckpt;
+          (* A completed job's checkpoint is dead weight — worse, a stale
+             one would preload a finished state into an unrelated future
+             run of the same identity (harmlessly, but pointlessly). *)
+          Option.iter (fun ctl -> Checkpoint.remove (Checkpoint.path ctl)) ckpt;
           (match key with
           | Some k -> (
               (* A lost insert only costs a future cache miss — the response
@@ -695,10 +677,7 @@ let exec_job t client job =
               | Chaos.Pass ->
                   let entry =
                     {
-                      Cache.summary;
-                      dt_s = dt;
-                      evals;
-                      n_sites;
+                      Cache.result = { Cache_store.key = k; summary; dt_s = dt; evals; n_sites };
                       recovered = replay;
                       persisted = false;
                       stamp = 0;
@@ -706,8 +685,8 @@ let exec_job t client job =
                   in
                   (* Persist before publishing in memory so [persisted]
                      never claims a write that didn't happen. *)
-                  Option.iter (fun d -> persist t d k entry) t.durable;
-                  cache_add t k entry)
+                  Option.iter (fun d -> persist t d entry) t.durable;
+                  cache_add t entry)
           | None -> ())
       | Outcome.Partial _ -> ());
       (summary, dt, evals, n_sites, false, replay)
@@ -977,20 +956,10 @@ let create ?(config = default_config) ?trace ?(known_circuit = Catalog.mem)
     }
   in
   (* Loaded in file-name order; past [cache_capacity] (a lower limit
-     than the data dir was written under), the LRU evicts and
-     [cache_add] deletes the overflow. *)
+     than the data dir was written under, 0 included), the LRU evicts
+     and [cache_add] deletes the overflow. *)
   List.iter
-    (fun (e : Cache_store.entry) ->
-      cache_add t e.Cache_store.key
-        {
-          Cache.summary = e.Cache_store.summary;
-          dt_s = e.Cache_store.dt_s;
-          evals = e.Cache_store.evals;
-          n_sites = e.Cache_store.n_sites;
-          recovered = true;
-          persisted = true;
-          stamp = 0;
-        })
+    (fun result -> cache_add t { Cache.result; recovered = true; persisted = true; stamp = 0 })
     disk_entries;
   (match durable with
   | Some d ->
@@ -1010,7 +979,7 @@ let maintenance t =
   | Some d ->
       (try Journal.compact d.journal with Journal.Error _ -> ());
       List.iter
-        (fun (k, (e : Cache.entry)) -> if not e.Cache.persisted then persist t d k e)
+        (fun (e : Cache.entry) -> if not e.Cache.persisted then persist t d e)
         (Cache.snapshot t.rcache);
       if Obs.enabled t.obs then
         Obs.emit t.obs ~ev:"serve.maintenance"

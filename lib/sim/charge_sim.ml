@@ -48,10 +48,6 @@ type domino_state = { y : node; z : node }
 
 let domino_initial = { y = Unknown; z = Unknown }
 
-let all_domino_states =
-  let nodes = [ Driven false; Driven true; Floating false; Floating true; Unknown ] in
-  List.concat_map (fun y -> List.map (fun z -> { y; z }) nodes) nodes
-
 let is_fault cell fault candidates =
   ignore cell;
   match fault with Some f -> List.exists (fun c -> Fault.equal f c) candidates | None -> false
@@ -146,9 +142,6 @@ let domino_cycle ?(electrical = Fault_map.default_electrical) ?fault cell state 
 type nmos_state = { zn : node }
 
 let nmos_initial = { zn = Unknown }
-
-let all_nmos_states =
-  List.map (fun zn -> { zn }) [ Driven false; Driven true; Floating false; Floating true; Unknown ]
 
 (* Dynamic nMOS T_i stuck closed: the complementary clock charges the
    *input* node through the closed channel, so during evaluation the whole

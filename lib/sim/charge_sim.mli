@@ -23,7 +23,6 @@ val decay : node -> node
 type domino_state = { y : node;  (** internal precharged node *) z : node  (** inverter output *) }
 
 val domino_initial : domino_state
-val all_domino_states : domino_state list
 
 val domino_cycle :
   ?electrical:Fault_map.electrical ->
@@ -49,7 +48,6 @@ val domino_combinational :
 type nmos_state = { zn : node }
 
 val nmos_initial : nmos_state
-val all_nmos_states : nmos_state list
 
 val dynamic_nmos_cycle :
   ?electrical:Fault_map.electrical ->

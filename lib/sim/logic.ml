@@ -9,26 +9,6 @@ let to_bool = function Zero -> Some false | One -> Some true | X -> None
 let equal a b =
   match (a, b) with Zero, Zero | One, One | X, X -> true | _, _ -> false
 
-let band a b =
-  match (a, b) with
-  | Zero, _ | _, Zero -> Zero
-  | One, One -> One
-  | X, _ | _, X -> X
-
-let bor a b =
-  match (a, b) with
-  | One, _ | _, One -> One
-  | Zero, Zero -> Zero
-  | X, _ | _, X -> X
-
-let bnot = function Zero -> One | One -> Zero | X -> X
-
-let bxor a b =
-  match (a, b) with
-  | X, _ | _, X -> X
-  | One, One | Zero, Zero -> Zero
-  | One, Zero | Zero, One -> One
-
 let to_char = function Zero -> '0' | One -> '1' | X -> 'X'
 
 let pp ppf v = Fmt.char ppf (to_char v)

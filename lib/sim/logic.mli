@@ -5,9 +5,5 @@ type v = Zero | One | X
 val of_bool : bool -> v
 val to_bool : v -> bool option
 val equal : v -> v -> bool
-val band : v -> v -> v
-val bor : v -> v -> v
-val bnot : v -> v
-val bxor : v -> v -> v
 val to_char : v -> char
 val pp : v Fmt.t

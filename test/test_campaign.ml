@@ -48,10 +48,10 @@ let stop_cause (s : Faultsim.summary) =
   | Outcome.Partial { Outcome.stopped = Some c; _ } -> Some c
   | _ -> None
 
-(* --- Limits precedence -------------------------------------------------------- *)
+(* --- Limit precedence --------------------------------------------------------- *)
 
-(* When several limits trip in the same polling window the driver's
-   gauge publishes exactly one cause, fixed by the polling order:
+(* When several limits trip after the same unit the driver keeps
+   exactly one cause, fixed by its check order:
    interrupt > deadline > budget.  Each pair (and the triple) is pinned
    here on every engine — the precedence must not depend on which
    kernel the campaign runs. *)

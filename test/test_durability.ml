@@ -911,6 +911,7 @@ let test_server_recovery_resumes_checkpoint () =
     | Outcome.Partial _ -> ()
     | Outcome.Complete -> Alcotest.fail "budget was meant to stop the first run");
     check "first run made progress" true (partial.Faultsim.patterns_done > 0);
+    check "first run rotated a .bak" true (Sys.file_exists (path ^ ".bak"));
     (req, ju, clean, clean_evals, path)
   in
   let jobs =
@@ -949,8 +950,9 @@ let test_server_recovery_resumes_checkpoint () =
             (float_field "coverage" r = Faultsim.coverage clean);
           let resumed_evals = int_field "gate_evals" r in
           check "resumed, not restarted" true (resumed_evals > 0 && resumed_evals < clean_evals);
-          (* A completed job's checkpoint is discarded. *)
-          check "checkpoint removed on completion" false (Sys.file_exists path))
+          (* A completed job's checkpoint is discarded, with its rotation. *)
+          check "checkpoint removed on completion" false (Sys.file_exists path);
+          check "checkpoint .bak removed on completion" false (Sys.file_exists (path ^ ".bak")))
         jobs)
 
 (* Upgrade path: an older build's domains engine swept sites and wrote
@@ -1066,7 +1068,10 @@ let test_server_cache_dir_bounded () =
         [ List.nth reqs 3; List.nth reqs 4 ]);
   let t3 = Server.create ~config:{ config with Server.cache_capacity = 1 } () in
   Server.shutdown t3;
-  check_i "a smaller boot deletes what it evicts" 1 (List.length (entry_files cache_dir))
+  check_i "a smaller boot deletes what it evicts" 1 (List.length (entry_files cache_dir));
+  let t4 = Server.create ~config:{ config with Server.cache_capacity = 0 } () in
+  Server.shutdown t4;
+  check_i "a boot with caching off deletes every entry" 0 (List.length (entry_files cache_dir))
 
 let test_server_journal_admission_gate () =
   with_dir "dynmos_dur" @@ fun dir ->

@@ -918,7 +918,9 @@ let test_max_evals_partial () =
       let s = run ~max_evals:50 u pats in
       check_partial name reference Outcome.Max_evals s;
       check (name ^ ": stopped before the end") true
-        (s.Faultsim.patterns_done < Array.length pats))
+        (s.Faultsim.patterns_done < Array.length pats);
+      check (name ^ ": an empty budget is refused") true
+        (match run ~max_evals:0 u pats with exception Invalid_argument _ -> true | _ -> false))
     limited_engines
 
 let test_interrupt_partial () =
