@@ -1,10 +1,10 @@
 (** The unified campaign driver.
 
     One implementation of every campaign policy — limits (precedence
-    interrupt > deadline > budget, fixed by the driver's check order),
-    {!Checkpoint} write/resume, supervision/retry, counters, fault
-    dropping and the all-detected early exit — shared by both public
-    entry points.  Kernels ({!Kernel.t}) carry only evaluation
+    interrupt > deadline > budget, fixed by the order {!run_patterns}
+    checks them in), {!Checkpoint} write/resume, supervision/retry,
+    counters, fault dropping and the all-detected early exit — shared by
+    both public entry points.  Kernels ({!Kernel.t}) carry only evaluation
     mechanics.
 
     [Faultsim.run_serial] and [Faultsim.run_ppsfp] are thin wrappers over

@@ -113,7 +113,7 @@ let remove path =
 
 (* The mutable handle threaded into the engines.  [tick] throttles writes
    to every [interval] completed patterns; [finalize] always writes.
-   Only the campaign driver's sweeping domain calls either.  [campaign]
+   Only the sweeping domain of [Campaign.run_patterns] calls either.  [campaign]
    holds everything a write stores but the progress itself. *)
 type ctl = {
   path : string;

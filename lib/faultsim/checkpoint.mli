@@ -107,8 +107,8 @@ val create :
     is threaded into every write this controller performs. *)
 
 val resume_state : ctl -> state option
-(** The state {!create} loaded and validated, for the driver to
-    preload; [None] on a fresh start. *)
+(** The state {!create} loaded and validated, for
+    [Campaign.run_patterns] to preload; [None] on a fresh start. *)
 
 val resumed_from_backup : ctl -> bool
 (** Whether the resume state was salvaged from the [.bak] rotation

@@ -50,8 +50,8 @@ let stop_cause (s : Faultsim.summary) =
 
 (* --- Limit precedence --------------------------------------------------------- *)
 
-(* When several limits trip after the same unit the driver keeps
-   exactly one cause, fixed by its check order:
+(* When several limits trip after the same unit [Campaign.run_patterns]
+   keeps exactly one cause, fixed by the order it checks them in:
    interrupt > deadline > budget.  Each pair (and the triple) is pinned
    here on every engine — the precedence must not depend on which
    kernel the campaign runs. *)
